@@ -1,0 +1,308 @@
+"""Command-line front end.
+
+Subcommands: ``spectrum``, ``topology``, ``measure-sim``, ``recover``,
+``disorder``, ``circuit``.  Each reads an INI configuration (see
+:mod:`omlattice.io`), writes data files into ``--out``, and is deterministic
+for a fixed (config, seed).  Outputs are staged in a temporary directory and
+moved into place only on success, so failures leave no partial files.
+
+Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from . import circuit as circuit_mod
+from . import io as io_mod
+from . import svgplot
+from .disorder import invert_zeta, run_ensemble
+from .experiment import MeasurementDataset, calibrate_drive_flux, recover, simulate_measurement
+from .lattice import RibbonOrientation, Topology, build_lattice, diagonalize, participation
+from .measure import SinkhornError
+from .topology import (
+    GaplessCurveError,
+    edge_prediction_finite,
+    ribbon_edge_prediction,
+    ssh_bulk_curve,
+)
+
+EXIT_OK = 0
+EXIT_CONFIG = 2
+EXIT_NUMERICAL = 3
+
+# Ribbon widths matched to the bundled 24-site flake (cells across the flake
+# in the corresponding cut direction).
+_FLAKE_RIBBON_WIDTHS = {
+    RibbonOrientation.ZIGZAG: 4,
+    RibbonOrientation.TILTED_ZIGZAG: 4,
+    RibbonOrientation.ARMCHAIR: 7,
+    RibbonOrientation.TILTED_ARMCHAIR: 7,
+}
+
+
+def _write_json(path: Path, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+
+
+def _require(value, what: str):
+    if value is None:
+        raise io_mod.ConfigError(f"configuration is missing the [{what}] section")
+    return value
+
+
+def cmd_spectrum(config: io_mod.RunConfig, out: Path, fmt: str, svg: bool) -> None:
+    spec = _require(config.spec, "lattice")
+    h = build_lattice(spec)
+    modes = diagonalize(h)
+    eta = participation(modes)
+
+    io_mod.rows_to_csv(
+        out / "eigenfreqs.csv", "mode,freq_hz",
+        [(k + 1, f) for k, f in enumerate(modes.eigenfreqs)],
+    )
+    if fmt == "json":
+        _write_json(out / "modeshapes.json", modes.to_json())
+        _write_json(out / "hamiltonian.json", h.to_json())
+    else:
+        io_mod.matrix_to_csv(out / "modeshapes.csv", modes.modeshapes, h.site_labels)
+        h.to_csv(out / "hamiltonian.csv")
+    io_mod.matrix_to_csv(out / "participation.csv", eta.eta, h.site_labels)
+
+    bands = circuit_mod.passband_edges(
+        float(np.mean(spec.cavity_freqs)), spec.couplings.j, spec.couplings.j_prime
+    )
+    _write_json(out / "passbands.json", {
+        "upb_hz": list(bands["upb"]), "lpb_hz": list(bands["lpb"]),
+        "n_midgap_modes": int(np.sum(
+            (modes.eigenfreqs > bands["lpb"][1]) & (modes.eigenfreqs < bands["upb"][0])
+        )),
+    })
+    if svg:
+        idx = np.arange(1, h.n_sites + 1)
+        svgplot.line_plot(
+            out / "spectrum.svg", idx, [modes.eigenfreqs],
+            title="collective mode frequencies", xlabel="mode", ylabel="frequency (Hz)",
+        )
+
+
+def cmd_topology(config: io_mod.RunConfig, out: Path, fmt: str, svg: bool) -> None:
+    spec = _require(config.spec, "lattice")
+    cp = spec.couplings
+    if spec.kind is Topology.SSH_CHAIN:
+        curve = ssh_bulk_curve(cp, 1024)
+        io_mod.rows_to_csv(
+            out / "rho_curve.csv", "k_rad,re_rho_hz,im_rho_hz,e_minus_hz,e_plus_hz",
+            curve.to_rows(cp),
+        )
+        prediction = edge_prediction_finite(cp, spec.n_sites // 2)
+        _write_json(out / "prediction.json", prediction.to_json())
+        if svg:
+            svgplot.line_plot(
+                out / "rho_curve.svg", curve.rho.real, [curve.rho.imag],
+                title="bulk off-diagonal element", xlabel="Re rho (Hz)", ylabel="Im rho (Hz)",
+            )
+    else:
+        k_grid = np.linspace(-np.pi, np.pi, 129)
+        rows = []
+        for orientation in RibbonOrientation:
+            width = _FLAKE_RIBBON_WIDTHS[orientation]
+            for k_par in k_grid:
+                pred = ribbon_edge_prediction(orientation, float(k_par), width, cp.j, cp.j_prime)
+                rows.append((
+                    orientation.value, f"{k_par:.10g}", width,
+                    "" if pred.zak is None else f"{pred.zak:.10g}",
+                    "" if pred.slope_at_kmin is None else f"{pred.slope_at_kmin:.10g}",
+                    {True: "1", False: "0", None: ""}[pred.edge_states_exist],
+                    pred.status,
+                ))
+        with open(out / "ribbon_predictions.csv", "w") as fh:
+            fh.write("orientation,k_par_rad,width_cells,zak_rad,slope,edge_states,status\n")
+            for row in rows:
+                fh.write(",".join(str(v) for v in row) + "\n")
+
+
+def cmd_measure_sim(config: io_mod.RunConfig, out: Path, seed: int | None) -> None:
+    spec = _require(config.spec, "lattice")
+    readouts = _require(config.readouts, "readout")
+    meas = _require(config.measurement, "measurement")
+    h = build_lattice(spec)
+    master_seed = meas["seed"] if seed is None else seed
+    flux_max = meas["drive_flux_max"]
+    if flux_max is None:
+        flux_max = calibrate_drive_flux(h, spec.sites, readouts)
+    fluxes = np.linspace(flux_max / meas["n_powers"], flux_max, meas["n_powers"])
+    dataset = simulate_measurement(
+        h, spec.sites, readouts, fluxes,
+        master_seed=master_seed, snr=meas["snr"], p0=meas["p0"],
+        samples_per_trace=meas["samples_per_trace"],
+    )
+    dataset.save(out)
+
+
+def cmd_recover(config: io_mod.RunConfig, dataset_dir: Path, out: Path, fmt: str) -> None:
+    spec = _require(config.spec, "lattice")
+    dataset = MeasurementDataset.load(dataset_dir)
+    reference = diagonalize(build_lattice(spec))
+    result = recover(dataset, reference)
+
+    if fmt == "json":
+        _write_json(out / "recovered_h.json", result.h_hat.to_json())
+    else:
+        result.h_hat.to_csv(out / "recovered_h.csv")
+    result.h_hat.rotating_frame().to_csv(out / "recovered_h_rotating_frame.csv")
+    io_mod.matrix_to_csv(out / "eta_hat.csv", result.eta_hat.eta, result.h_hat.site_labels)
+    report = dict(result.residuals)
+    report["iterations_used"] = result.iterations_used
+    if "h_rel_frobenius_error" in report:
+        report["matches_ground_truth_1e-6"] = bool(report["h_rel_frobenius_error"] < 1e-6)
+    _write_json(out / "report.json", report)
+
+
+def cmd_disorder(config: io_mod.RunConfig, out: Path, seed: int | None, svg: bool) -> None:
+    spec = _require(config.spec, "lattice")
+    dis = _require(config.disorder, "disorder")
+    master_seed = dis["seed"] if seed is None else seed
+    ensemble = run_ensemble(spec, dis["sigma_grid"], dis["samples"], master_seed)
+    io_mod.rows_to_csv(
+        out / "ensemble.csv", "sigma,zeta_mean,zeta_p5,zeta_p15,zeta_p85,zeta_p95",
+        ensemble.to_rows(),
+    )
+    freq_rows = np.column_stack([
+        ensemble.sigma_grid, ensemble.eigenfreq_mean, ensemble.eigenfreq_std,
+    ])
+    n = ensemble.eigenfreq_mean.shape[1]
+    header = "sigma," + ",".join(f"mean_hz_mode{k + 1}" for k in range(n)) + "," + \
+        ",".join(f"std_hz_mode{k + 1}" for k in range(n))
+    io_mod.rows_to_csv(out / "eigenfreq_stats.csv", header, freq_rows)
+    manifest = {
+        "samples_per_point": ensemble.samples_per_point,
+        "master_seed": ensemble.master_seed,
+        "failed_samples": ensemble.failed_samples,
+        "n_sigma": int(ensemble.sigma_grid.size),
+    }
+    if "zeta_measured" in dis:
+        inv = invert_zeta(dis["zeta_measured"], ensemble, dis["confidence"])
+        manifest["inversion"] = {
+            "zeta_measured": dis["zeta_measured"],
+            "confidence": dis["confidence"],
+            "sigma_interval": list(inv.interval) if inv.interval else None,
+            "diagnostic": inv.diagnostic,
+        }
+    _write_json(out / "manifest.json", manifest)
+    if svg:
+        svgplot.line_plot(
+            out / "ensemble.svg", ensemble.sigma_grid,
+            [ensemble.zeta_mean, ensemble.zeta_p5, ensemble.zeta_p95],
+            title="edge hybridization vs disorder", xlabel="relative sigma",
+            ylabel="zeta", labels=["mean", "p5", "p95"],
+        )
+
+
+def cmd_circuit(config: io_mod.RunConfig, out: Path) -> None:
+    circ = _require(config.circuit, "circuit")
+    report: dict = {}
+    if "inductance_h" in circ and "capacitance_f" in circ:
+        cell = circuit_mod.CircuitCell(float(circ["inductance_h"]), float(circ["capacitance_f"]))
+        report["resonance_freq_hz"] = cell.resonance_freq
+        if "mutual_h" in circ:
+            mutual = float(circ["mutual_h"])
+            f_lo, f_hi = circuit_mod.dimer_eigenfrequencies(cell, mutual)
+            report["dimer_freqs_hz"] = [f_lo, f_hi]
+            report["coupling_rate_hz"] = circuit_mod.coupling_rate(cell, mutual)
+            if "mutual_prime_h" in circ:
+                j = report["coupling_rate_hz"]
+                jp = circuit_mod.coupling_rate(cell, float(circ["mutual_prime_h"]))
+                report["coupling_rate_prime_hz"] = jp
+                bands = circuit_mod.passband_edges(cell.resonance_freq, j, jp)
+                report["passbands_hz"] = {k: list(v) for k, v in bands.items()}
+    if {"drum_radius_m", "film_stress_pa", "film_density_kg_m3"} <= set(circ):
+        report["drumhead_freq_hz"] = circuit_mod.drumhead_frequency(
+            float(circ["drum_radius_m"]), float(circ["film_stress_pa"]),
+            float(circ["film_density_kg_m3"]),
+        )
+    if "loop_csv_a" in circ and "loop_csv_b" in circ:
+        base = config.path.parent if config.path else Path(".")
+        curve_a = circuit_mod.WireCurve.from_csv(base / circ["loop_csv_a"])
+        curve_b = circuit_mod.WireCurve.from_csv(base / circ["loop_csv_b"])
+        report["mutual_inductance_h"] = circuit_mod.mutual_inductance_neumann(
+            curve_a, curve_b, int(circ.get("neumann_segments", 1000))
+        )
+    if not report:
+        raise io_mod.ConfigError("[circuit] section holds no computable parameter group")
+    _write_json(out / "report.json", report)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="omlattice",
+        description="Coupled optomechanical LC lattice simulator and analysis toolkit",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, needs_dataset in [
+        ("spectrum", False), ("topology", False), ("measure-sim", False),
+        ("recover", True), ("disorder", False), ("circuit", False),
+    ]:
+        p = sub.add_parser(name)
+        p.add_argument("--config", required=True, type=Path)
+        p.add_argument("--out", required=True, type=Path)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--svg", action="store_true", help="also emit SVG line plots")
+        if needs_dataset:
+            p.add_argument("--dataset", required=True, type=Path)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        config = io_mod.load_config(args.config)
+    except io_mod.ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+
+    out = Path(args.out)
+    staging = Path(tempfile.mkdtemp(prefix=".omlattice-", dir=out.parent if out.parent.exists() else None))
+    try:
+        if args.command == "spectrum":
+            cmd_spectrum(config, staging, args.format, args.svg)
+        elif args.command == "topology":
+            cmd_topology(config, staging, args.format, args.svg)
+        elif args.command == "measure-sim":
+            cmd_measure_sim(config, staging, args.seed)
+        elif args.command == "recover":
+            cmd_recover(config, args.dataset, staging, args.format)
+        elif args.command == "disorder":
+            cmd_disorder(config, staging, args.seed, args.svg)
+        elif args.command == "circuit":
+            cmd_circuit(config, staging)
+        out.mkdir(parents=True, exist_ok=True)
+        for item in staging.iterdir():
+            target = out / item.name
+            if target.is_dir():
+                shutil.rmtree(target)
+            elif target.exists():
+                target.unlink()
+            shutil.move(str(item), str(target))
+        return EXIT_OK
+    except io_mod.ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (np.linalg.LinAlgError, GaplessCurveError, SinkhornError, ValueError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,468 @@
+"""Optomechanical measurement physics and the modeshape-recovery pipeline steps.
+
+A red-detuned drive near a collective microwave mode damps each mechanical
+oscillator in proportion to the square of its effective coupling
+``eta * g0``, where ``eta`` is the energy participation ratio of the site in
+the driven mode.  Measuring the power dependence of the mechanical ringdown
+rate therefore gives access to the modeshapes up to per-site and per-mode
+prefactors, which the iterative row/column normalization removes.
+
+All public inputs and outputs are ordinary frequencies in Hz (photon flux in
+1/s).  The Lorentzian cavity-response formulas are evaluated internally with
+angular rates (2 pi x Hz) to keep photon numbers dimensionally consistent,
+and converted back at the API boundary.
+"""
+
+from __future__ import annotations
+
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+
+from .lattice import ModeSet, CouplingHamiltonian, ParticipationMatrix, SIGN_EPS
+
+TWO_PI = 2.0 * np.pi
+SINKHORN_TOL_DEFAULT = 1e-10
+SINKHORN_MAX_ITER_DEFAULT = 10_000
+SINKHORN_FLOOR_DEFAULT = 1e-15
+ORTHOGONALITY_ATOL = 1e-10
+RECONSTRUCT_ORTHO_ATOL = 1e-8
+
+
+class SinkhornError(RuntimeError):
+    """Iterative normalization did not converge; carries the last residual."""
+
+    def __init__(self, message: str, residual: float, iterations: int):
+        super().__init__(message)
+        self.residual = residual
+        self.iterations = iterations
+
+
+class RingdownFitError(RuntimeError):
+    """Nonlinear ringdown fit failed to converge."""
+
+
+class OrthogonalizationError(ValueError):
+    """Matrix-logarithm orthogonalization cannot be applied to this input.
+
+    Fallback: report the sign-assigned matrix without orthogonality
+    correction.
+    """
+
+
+@dataclass(frozen=True)
+class DampingConfig:
+    """Drive and mode/site parameters entering the damping formulas.
+
+    ``detuning`` is the red detuning of the drive below the collective mode
+    (mode frequency minus drive frequency, Hz).  ``drive_flux`` is the photon
+    flux at the source output (1/s) and ``transmittance`` the source-to-device
+    power transmission of the driven mode.
+    """
+
+    detuning: float
+    kappa_tot: float
+    kappa_1: float
+    kappa_2: float
+    drive_flux: float
+    transmittance: float
+    mech_freq: float
+    mech_linewidth: float
+    g0: float
+
+    def __post_init__(self):
+        if self.kappa_tot <= 0:
+            raise ValueError("kappa_tot must be positive")
+        for name in ("kappa_1", "kappa_2", "drive_flux", "transmittance", "mech_freq",
+                     "mech_linewidth", "g0"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.kappa_1 + self.kappa_2 > self.kappa_tot * (1 + 1e-12):
+            raise ValueError("kappa_1 + kappa_2 cannot exceed kappa_tot")
+
+    @property
+    def sideband_resolved(self) -> bool:
+        return self.kappa_tot < self.mech_freq
+
+
+def intracavity_photons(cfg: DampingConfig) -> float:
+    """Mean photon number in the driven collective mode,
+    n_c = kappa_1 R nd / (Delta^2 + kappa_tot^2 / 4) with angular rates.
+    """
+    delta = TWO_PI * cfg.detuning
+    kappa = TWO_PI * cfg.kappa_tot
+    return (TWO_PI * cfg.kappa_1) * cfg.transmittance * cfg.drive_flux / (
+        delta**2 + kappa**2 / 4.0
+    )
+
+
+def _sideband_weight(cfg: DampingConfig) -> float:
+    """Angular two-Lorentzian factor
+    kappa/((Omega-Delta)^2 + kappa^2/4) - kappa/((Omega+Delta)^2 + kappa^2/4),
+    in 1/(rad/s)."""
+    delta = TWO_PI * cfg.detuning
+    kappa = TWO_PI * cfg.kappa_tot
+    omega = TWO_PI * cfg.mech_freq
+    return kappa / ((omega - delta) ** 2 + kappa**2 / 4.0) - kappa / (
+        (omega + delta) ** 2 + kappa**2 / 4.0
+    )
+
+
+def optomech_damping(cfg: DampingConfig, eta: float) -> float:
+    """Optomechanical damping rate (Hz) of a mechanical mode with participation
+    ``eta`` in the driven collective mode (full two-Lorentzian expression,
+    valid outside the sideband-resolved regime)."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("eta must lie in [0, 1]")
+    g_eff = TWO_PI * eta * cfg.g0
+    return intracavity_photons(cfg) * g_eff**2 * _sideband_weight(cfg) / TWO_PI
+
+
+def effective_damping(cfg: DampingConfig, eta: float) -> float:
+    """Total mechanical damping rate: intrinsic linewidth plus the optomechanical term."""
+    return cfg.mech_linewidth + optomech_damping(cfg, eta)
+
+
+def damping_slope(cfg: DampingConfig, eta: float) -> float:
+    """Slope of the effective damping rate with respect to the source photon
+    flux, d Gamma_eff / d nd in Hz * s; linear in R kappa_1 (eta g0)^2."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("eta must lie in [0, 1]")
+    delta = TWO_PI * cfg.detuning
+    kappa = TWO_PI * cfg.kappa_tot
+    g_eff = TWO_PI * eta * cfg.g0
+    slope_ang = (TWO_PI * cfg.kappa_1) * cfg.transmittance * g_eff**2 / (
+        delta**2 + kappa**2 / 4.0
+    ) * _sideband_weight(cfg)
+    return slope_ang / TWO_PI
+
+
+def unnormalized_eta(slope: float, cfg: DampingConfig) -> float:
+    """Invert a measured damping-power slope into the unnormalized
+    participation ratio.
+
+    Only the measurable parameters (detuning, total linewidth, mechanical
+    frequency) enter; the result equals ``g0 * eta * sqrt(kappa_1 * R)`` (Hz
+    units) and carries the unknown per-site and per-mode prefactors that the
+    iterative normalization removes afterwards.
+    """
+    if slope < 0:
+        raise ValueError("slope must be >= 0 (clip noise-driven negatives before inverting)")
+    delta = TWO_PI * cfg.detuning
+    kappa = TWO_PI * cfg.kappa_tot
+    weight = _sideband_weight(cfg)
+    if weight <= 0:
+        raise ValueError("sideband weight is non-positive at this detuning; cannot invert")
+    value_ang = np.sqrt(TWO_PI * slope * (delta**2 + kappa**2 / 4.0) / weight)
+    return float(value_ang / TWO_PI**1.5)
+
+
+# ---------------------------------------------------------------------------
+# Ringdown simulation and fitting
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RingdownTrace:
+    """Sideband power versus time of a ringing-down mechanical mode.
+
+    ``true_gamma_eff`` carries the generator's ground truth for testing; it
+    is not used by the fit.
+    """
+
+    times: np.ndarray
+    powers: np.ndarray
+    true_gamma_eff: float | None = None
+    noise_floor: float = 0.0
+
+    def __post_init__(self):
+        t = np.asarray(self.times, dtype=float)
+        p = np.asarray(self.powers, dtype=float)
+        if t.ndim != 1 or t.shape != p.shape or t.size < 2:
+            raise ValueError("times and powers must be matching 1D arrays")
+        if np.any(np.diff(t) <= 0):
+            raise ValueError("times must be strictly increasing")
+        if p.min() < 0:
+            raise ValueError("powers must be >= 0")
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "powers", p)
+
+
+def simulate_ringdown(
+    gamma_eff: float,
+    p0: float,
+    noise_sigma: float,
+    duration: float,
+    dt: float,
+    seed,
+    noise_floor: float = 0.0,
+) -> RingdownTrace:
+    """Synthetic ringdown p(t) = p0 exp(-2 pi gamma_eff t) + floor + noise.
+
+    Gaussian noise of standard deviation ``noise_sigma`` is added per sample
+    (seeded, reproducible); samples are clipped at zero, so keep the floor a
+    few sigma above zero for an unbiased trace.
+    """
+    if gamma_eff < 0 or dt <= 0 or duration <= dt:
+        raise ValueError("need gamma_eff >= 0 and 0 < dt < duration")
+    times = np.arange(0.0, duration, dt)
+    powers = p0 * np.exp(-TWO_PI * gamma_eff * times) + noise_floor
+    if noise_sigma > 0:
+        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        powers = powers + rng.normal(0.0, noise_sigma, times.size)
+    powers = np.clip(powers, 0.0, None)
+    return RingdownTrace(times, powers, true_gamma_eff=gamma_eff, noise_floor=noise_floor)
+
+
+def _ringdown_model(t, amplitude, gamma, floor):
+    return amplitude * np.exp(-TWO_PI * gamma * t) + floor
+
+
+def _ringdown_jacobian(t, amplitude, gamma, floor):
+    decay = np.exp(-TWO_PI * gamma * t)
+    return np.stack([decay, -TWO_PI * t * amplitude * decay, np.ones_like(t)], axis=1)
+
+
+def fit_ringdown(trace: RingdownTrace, skip_fraction: float = 0.1) -> tuple[float, float]:
+    """Fit (amplitude, gamma_eff, floor) to a ringdown; returns (gamma_eff, stderr).
+
+    The first ``skip_fraction`` of the trace is excluded (the initial
+    high-amplitude decay can be nonlinear).  Initial guesses come from a
+    log-linear regression of the above-floor region.  A negative fitted rate
+    is clipped to zero with a warning.
+    """
+    from scipy.optimize import curve_fit
+
+    if trace.times.size < 10:
+        raise ValueError("need at least 10 samples to fit a ringdown")
+    if not 0.0 <= skip_fraction < 0.9:
+        raise ValueError("skip_fraction must lie in [0, 0.9)")
+    start = int(round(skip_fraction * trace.times.size))
+    t = trace.times[start:]
+    p = trace.powers[start:]
+
+    floor0 = float(np.mean(p[-max(3, p.size // 8):]))
+    amp = p - floor0
+    above = amp > 0.1 * max(amp.max(), 1e-300)
+    if above.sum() >= 5:
+        coeffs = np.polyfit(t[above], np.log(amp[above]), 1)
+        gamma0 = max(-coeffs[0] / TWO_PI, 0.0)
+        amp0 = float(np.exp(coeffs[1]))
+    else:
+        gamma0, amp0 = 0.0, max(float(amp.max()), 1e-300)
+
+    try:
+        params, cov = curve_fit(
+            _ringdown_model, t, p, p0=[amp0, gamma0, floor0],
+            jac=_ringdown_jacobian, method="lm", maxfev=400,
+        )
+    except RuntimeError as exc:
+        raise RingdownFitError(
+            f"ringdown fit did not converge ({trace.times.size} samples, "
+            f"init gamma {gamma0:.4g} Hz): {exc}"
+        ) from exc
+    gamma = float(params[1])
+    stderr = float(np.sqrt(cov[1, 1])) if np.isfinite(cov[1, 1]) else float("inf")
+    if gamma < 0:
+        warnings.warn("fitted ringdown rate is negative; clipping to 0", stacklevel=2)
+        gamma = 0.0
+    return gamma, stderr
+
+
+# ---------------------------------------------------------------------------
+# Normalization, sign assignment, orthogonalization, reconstruction
+# ---------------------------------------------------------------------------
+
+def sinkhorn_normalize(
+    eta_tilde: np.ndarray,
+    tol: float = SINKHORN_TOL_DEFAULT,
+    max_iter: int = SINKHORN_MAX_ITER_DEFAULT,
+    floor: float = SINKHORN_FLOOR_DEFAULT,
+) -> tuple[ParticipationMatrix, int]:
+    """Alternating row/column normalization of an unnormalized participation
+    matrix (modes along rows, sites along columns).
+
+    Entries below ``floor`` are raised to it first (measured slopes vanish at
+    modeshape nodes; strict positivity is needed for convergence) and flagged
+    in the result.  One iteration is one single-axis normalization, starting
+    with rows.  Stops when both row and column sums deviate from 1 by less
+    than ``tol``; raises :class:`SinkhornError` carrying the residual when
+    ``max_iter`` is exhausted.
+    """
+    x = np.array(eta_tilde, dtype=float)
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise ValueError("eta_tilde must be a square matrix")
+    if np.any(x < 0):
+        raise ValueError("eta_tilde entries must be >= 0")
+    floored = x < floor
+    x[floored] = floor
+
+    iterations = 0
+    residual = np.inf
+    while iterations < max_iter:
+        axis = 1 if iterations % 2 == 0 else 0
+        x = x / x.sum(axis=axis, keepdims=True)
+        iterations += 1
+        residual = max(
+            np.abs(x.sum(axis=1) - 1.0).max(),
+            np.abs(x.sum(axis=0) - 1.0).max(),
+        )
+        if residual < tol:
+            break
+    else:
+        raise SinkhornError(
+            f"no convergence after {iterations} iterations (residual {residual:.3e}, tol {tol:.1e})",
+            residual=residual,
+            iterations=iterations,
+        )
+    return (
+        ParticipationMatrix(x, atol=max(tol, 1e-12), floored=floored if floored.any() else None),
+        iterations,
+    )
+
+
+def relative_error(eta_hat: np.ndarray, eta_true: np.ndarray) -> float:
+    """Mean elementwise relative deviation, mean(|eta_hat - eta| / eta)."""
+    hat = eta_hat.eta if isinstance(eta_hat, ParticipationMatrix) else np.asarray(eta_hat, float)
+    true = eta_true.eta if isinstance(eta_true, ParticipationMatrix) else np.asarray(eta_true, float)
+    if hat.shape != true.shape:
+        raise ValueError("shape mismatch")
+    if np.any(true <= 0):
+        raise ValueError("reference entries must be positive")
+    return float(np.mean(np.abs(hat - true) / true))
+
+
+def assign_signs(eta_hat, reference: ModeSet) -> np.ndarray:
+    """Square roots of measured participation ratios with signs copied from
+    reference modeshapes: U~[k, i] = sign(ref psi_i^k) sqrt(eta_hat[k, i]).
+
+    Rows of ``eta_hat`` and reference modes must both be in ascending
+    eigenfrequency order (sorted orders make nearest-frequency matching
+    coincide with index matching).  Reference entries of magnitude below the
+    sign threshold count as positive; the corresponding amplitudes are
+    near-zero anyway.
+    """
+    eta = eta_hat.eta if isinstance(eta_hat, ParticipationMatrix) else np.asarray(eta_hat, float)
+    ref = reference.modeshapes
+    if eta.shape != ref.shape:
+        raise ValueError(
+            f"shape mismatch: eta_hat {eta.shape} vs reference modeshapes {ref.shape}"
+        )
+    if np.iscomplexobj(ref):
+        raise ValueError("sign assignment requires a real reference mode set")
+    signs = np.where(ref < -SIGN_EPS, -1.0, 1.0)
+    return signs * np.sqrt(np.clip(eta, 0.0, None))
+
+
+def orthogonalize(u_tilde: np.ndarray) -> np.ndarray:
+    """Project a nearly orthogonal matrix onto the orthogonal group by
+    dropping the symmetric part of its matrix-logarithm generator:
+    U = exp((G - G^T)/2) with G = log(U~).
+
+    Requires the eigenvalues of ``u_tilde`` to stay off the closed negative
+    real axis (principal-branch condition) -- in particular det(U~) must be
+    positive; flip the sign of one row first if needed (the reconstruction
+    and the participation ratios are invariant under row sign flips).
+    Raises :class:`OrthogonalizationError` otherwise; the caller may fall
+    back to reporting the unorthogonalized matrix.
+    """
+    from scipy.linalg import expm, logm
+
+    u = np.asarray(u_tilde, dtype=float)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError("input must be a square matrix")
+    eigvals = np.linalg.eigvals(u)
+    scale = np.abs(eigvals).max()
+    if scale == 0 or np.abs(eigvals).min() < 1e-12 * scale:
+        raise OrthogonalizationError(
+            "input is singular (or nearly so); report the sign-assigned matrix instead"
+        )
+    on_cut = (eigvals.real < 0) & (np.abs(eigvals.imag) <= 1e-9 * np.abs(eigvals))
+    if on_cut.any():
+        raise OrthogonalizationError(
+            f"eigenvalue(s) {eigvals[on_cut]} lie on the negative real axis (log branch "
+            "cut); flip one row sign if det < 0, else report without orthogonalization"
+        )
+    generator = logm(u)
+    if np.iscomplexobj(generator):
+        if np.abs(generator.imag).max() > 1e-8:
+            raise OrthogonalizationError(
+                "matrix logarithm is not real; report without orthogonalization"
+            )
+        generator = generator.real
+    ortho = expm(0.5 * (generator - generator.T))
+    defect = np.abs(ortho @ ortho.T - np.eye(u.shape[0])).max()
+    if defect > ORTHOGONALITY_ATOL:
+        raise OrthogonalizationError(f"orthogonality defect {defect:.3e} after correction")
+    return ortho
+
+
+def reconstruct_hamiltonian(
+    u: np.ndarray, eigenfreqs, site_labels=None
+) -> CouplingHamiltonian:
+    """Rebuild the site-basis Hamiltonian H = U^dag diag(eigenfreqs) U from an
+    orthogonal modeshape matrix (rows = modes) and collective eigenfrequencies.
+
+    The result is symmetrized and returned with absolute diagonal entries;
+    use :meth:`CouplingHamiltonian.rotating_frame` for the disorder/coupling
+    view relative to the mean cavity frequency.
+    """
+    u = np.asarray(u)
+    freqs = np.asarray(eigenfreqs, dtype=float)
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or freqs.shape != (u.shape[0],):
+        raise ValueError("need a square modeshape matrix and one frequency per mode")
+    defect = np.abs(u @ u.conj().T - np.eye(u.shape[0])).max()
+    if defect > RECONSTRUCT_ORTHO_ATOL:
+        raise ValueError(f"modeshape matrix is not orthogonal (defect {defect:.3e})")
+    h = u.conj().T @ (freqs[:, None] * u)
+    h = 0.5 * (h + h.conj().T)
+    return CouplingHamiltonian(h, tuple(site_labels) if site_labels else ())
+
+
+def relative_g0(eta_tilde: np.ndarray, eta_hat) -> np.ndarray:
+    """Per-site single-photon coupling rates relative to their sum.
+
+    The ratio eta_tilde / eta_hat equals (site prefactor) x (mode prefactor);
+    averaging it over modes and normalizing the result to sum 1 leaves the
+    per-site relative coupling rates g0_i / sum_j g0_j.
+    """
+    tilde = np.asarray(eta_tilde, dtype=float)
+    hat = eta_hat.eta if isinstance(eta_hat, ParticipationMatrix) else np.asarray(eta_hat, float)
+    if tilde.shape != hat.shape:
+        raise ValueError("shape mismatch")
+    if np.any(hat <= 0):
+        raise ValueError("eta_hat entries must be positive (flooring upstream handles zeros)")
+    per_site = np.mean(tilde / hat, axis=0)
+    return per_site / per_site.sum()
+
+
+def sideband_thermometry(
+    cfg: DampingConfig,
+    eta_g0: float,
+    n_m_values,
+    noise_sigma: float = 0.0,
+    seed=None,
+) -> float:
+    """Simulate the thermal-sideband calibration of an effective coupling rate.
+
+    For a resonant drive the sideband-to-drive photon-flux ratio is
+    (eta g0)^2 n_m / (mech_freq^2 + kappa_tot^2 / 4)   (scale-invariant, so
+    evaluated directly in Hz); a through-origin linear fit of the simulated
+    ratios against the phonon occupations ``n_m_values`` is inverted for
+    ``eta g0``.  Multiplicative Gaussian noise of relative size
+    ``noise_sigma`` is applied per point.
+    """
+    n_m = np.asarray(n_m_values, dtype=float)
+    if n_m.ndim != 1 or n_m.size < 2 or np.any(n_m <= 0):
+        raise ValueError("need at least two positive phonon occupations")
+    if eta_g0 < 0:
+        raise ValueError("eta_g0 must be >= 0")
+    denom = cfg.mech_freq**2 + cfg.kappa_tot**2 / 4.0
+    ratios = eta_g0**2 * n_m / denom
+    if noise_sigma > 0:
+        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        ratios = ratios * (1.0 + rng.normal(0.0, noise_sigma, n_m.size))
+    slope = float(n_m @ ratios / (n_m @ n_m))
+    if slope <= 0:
+        raise ValueError(f"non-positive fitted sideband slope ({slope:.3e}); cannot invert")
+    return float(np.sqrt(slope * denom))
