@@ -60,6 +60,7 @@ from .measure import (
     damping_slope,
     effective_damping,
     fit_ringdown,
+    fit_ringdowns,
     intracavity_photons,
     optomech_damping,
     orthogonalize,

@@ -6,7 +6,10 @@ Subcommands: ``spectrum``, ``topology``, ``measure-sim``, ``recover``,
 for a fixed (config, seed).  Outputs are staged in a temporary directory and
 moved into place only on success, so failures leave no partial files.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error or a missing or unreadable
+file (such as a ``--dataset`` directory), 3 numerical failure (including a
+dataset none of whose ringdowns could be fitted).  Failures print one line
+to standard error.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from . import svgplot
 from .disorder import invert_zeta, run_ensemble
 from .experiment import MeasurementDataset, calibrate_drive_flux, recover, simulate_measurement
 from .lattice import RibbonOrientation, Topology, build_lattice, diagonalize, participation
-from .measure import SinkhornError
+from .measure import RingdownFitError, SinkhornError
 from .topology import (
     GaplessCurveError,
     edge_prediction_finite,
@@ -297,7 +300,11 @@ def main(argv=None) -> int:
     except io_mod.ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (np.linalg.LinAlgError, GaplessCurveError, SinkhornError, ValueError) as exc:
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (np.linalg.LinAlgError, GaplessCurveError, SinkhornError, RingdownFitError,
+            ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     finally:

@@ -24,11 +24,12 @@ from .lattice import CouplingHamiltonian, ModeSet, ParticipationMatrix, SitePara
 from .measure import (
     DampingConfig,
     OrthogonalizationError,
+    RingdownFitError,
     RingdownTrace,
     assign_signs,
     damping_slope,
     effective_damping,
-    fit_ringdown,
+    fit_ringdowns,
     orthogonalize,
     reconstruct_hamiltonian,
     simulate_ringdown,
@@ -108,27 +109,58 @@ class MeasurementDataset:
         """Fit every ringdown and regress each (mode, site) damping rate
         against the source flux; returns and caches the slope matrix.
 
+        Traces of equal length are stacked and fitted together by the batched
+        Levenberg-Marquardt kernel :func:`~omlattice.measure.fit_ringdowns`.
+        A trace whose fit fails (no convergence, singular normal equations)
+        gets ``fitted_gammas`` NaN and ``fitted_errors`` inf and is left out
+        of its pair's regression.  A pair left with fewer than 3 fitted
+        powers gets slope 0, except that a sweep of only 2 powers keeps the
+        ungated slope of pairs with both fitted.
+        Raises :class:`~omlattice.measure.RingdownFitError` only when no
+        trace at all could be fitted.
+
         Slopes smaller than ``gate_sigma`` times their regression standard
         error are set to zero: at modeshape nodes the true slope vanishes and
         the square root taken during inversion would otherwise turn fit noise
         into a positive participation bias.
         """
         n, m, npow = self.n_modes, self.n_sites, len(self.drive_fluxes)
-        gammas = np.empty((n, m, npow))
-        errors = np.empty((n, m, npow))
-        for (k, i, p), trace in self.traces.items():
-            gammas[k, i, p], errors[k, i, p] = fit_ringdown(trace, skip_fraction)
-        # centered closed-form regression: the raw flux scale (~1e16/s) against
-        # an intercept column would make a generic least-squares solve
-        # hopelessly ill-conditioned
-        x = self.drive_fluxes - self.drive_fluxes.mean()
-        sxx = float(x @ x)
-        y = gammas - gammas.mean(axis=2, keepdims=True)
-        slopes = (y @ x) / sxx
-        if npow > 2:
-            residual = y - slopes[:, :, None] * x[None, None, :]
-            slope_err = np.sqrt((residual**2).sum(axis=2) / (npow - 2) / sxx)
-            slopes = np.where(slopes < gate_sigma * slope_err, 0.0, slopes)
+        gammas = np.full((n, m, npow), np.nan)
+        errors = np.full((n, m, npow), np.inf)
+        by_length: dict[int, list[tuple[int, int, int]]] = {}
+        for key, trace in self.traces.items():
+            by_length.setdefault(trace.times.size, []).append(key)
+        for keys in by_length.values():
+            gamma, stderr, _ = fit_ringdowns(
+                np.stack([self.traces[key].times for key in keys]),
+                np.stack([self.traces[key].powers for key in keys]),
+                skip_fraction,
+            )
+            index = tuple(np.array(keys).T)
+            gammas[index] = gamma
+            errors[index] = stderr
+        fitted = np.isfinite(gammas)
+        if not fitted.any():
+            raise RingdownFitError(f"none of the {len(self.traces)} ringdowns could be fitted")
+        count = fitted.sum(axis=2)
+
+        def centered(values):
+            values = np.where(fitted, values, 0.0)
+            mean = values.sum(axis=2, keepdims=True) / np.maximum(count, 1)[:, :, None]
+            return np.where(fitted, values - mean, 0.0)
+
+        # centered closed-form regression over each pair's fitted powers: the
+        # raw flux scale (~1e16/s) against an intercept column would make a
+        # generic least-squares solve hopelessly ill-conditioned
+        x = centered(np.broadcast_to(self.drive_fluxes - self.drive_fluxes.mean(), gammas.shape))
+        y = centered(gammas)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sxx = (x * x).sum(axis=2)
+            slopes = (x * y).sum(axis=2) / sxx
+            residual = y - slopes[:, :, None] * x
+            slope_err = np.sqrt((residual**2).sum(axis=2) / (count - 2) / sxx)
+        slopes = np.where((count > 2) & (slopes < gate_sigma * slope_err), 0.0, slopes)
+        slopes = np.where(count >= max(2, min(3, npow)), slopes, 0.0)
         self.fitted_gammas = gammas
         self.fitted_errors = errors
         self.slopes = slopes
@@ -419,12 +451,19 @@ def recover(
 ) -> RecoveryResult:
     """Full recovery from a measurement dataset: ringdown fits, slope
     regression, slope inversion, iterative normalization, sign assignment,
-    orthogonality correction, Hamiltonian reconstruction."""
+    orthogonality correction, Hamiltonian reconstruction.
+
+    Failed ringdown fits are left out of the slope regression and counted in
+    ``residuals["fits_failed"]``.
+    """
     slopes = dataset.slopes if dataset.slopes is not None else dataset.fit_all(skip_fraction)
-    return recover_from_slopes(
+    result = recover_from_slopes(
         slopes, dataset, reference,
         sinkhorn_tol=sinkhorn_tol, sinkhorn_max_iter=sinkhorn_max_iter,
     )
+    if dataset.fitted_gammas is not None:
+        result.residuals["fits_failed"] = int(np.sum(~np.isfinite(dataset.fitted_gammas)))
+    return result
 
 
 @dataclass

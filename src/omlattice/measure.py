@@ -205,7 +205,10 @@ def simulate_ringdown(
     """
     if gamma_eff < 0 or dt <= 0 or duration <= dt:
         raise ValueError("need gamma_eff >= 0 and 0 < dt < duration")
-    times = np.arange(0.0, duration, dt)
+    # times i * dt: duration / dt samples when that ratio is a whole number up
+    # to rounding (np.arange(0, duration, dt) adds one whenever rounding lifts
+    # the ratio above it), else its ceiling, as arange gives
+    times = np.arange(int(np.ceil(np.round(duration / dt, 9)))) * dt
     powers = p0 * np.exp(-TWO_PI * gamma_eff * times) + noise_floor
     if noise_sigma > 0:
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -214,59 +217,209 @@ def simulate_ringdown(
     return RingdownTrace(times, powers, true_gamma_eff=gamma_eff, noise_floor=noise_floor)
 
 
-def _ringdown_model(t, amplitude, gamma, floor):
-    return amplitude * np.exp(-TWO_PI * gamma * t) + floor
+# Traces fitted together per kernel call: large enough to amortize numpy's
+# per-call overhead, small enough that the (chunk, samples) temporaries stay
+# in cache.
+_FIT_CHUNK = 256
+# Stopping rules in the style of MINPACK's lmder, but tighter than the
+# 1.49e-8 that scipy passes it: converged when the actual and predicted
+# relative SSR reductions are below _LM_FTOL, or the scaled step below
+# _LM_XTOL of the scaled parameters.  Chain traces at SNR 100 take 5 or 6.
+_LM_MAX_ITER = 200
+_LM_FTOL = 1e-14
+_LM_XTOL = 1e-10
+# Normal matrices whose unit-diagonal (correlation) form has a smaller
+# determinant are singular to rounding: the rate is not identifiable, as in
+# a flat trace where amplitude and floor trade off.
+_SINGULAR_DET = 1e-12
 
 
-def _ringdown_jacobian(t, amplitude, gamma, floor):
-    decay = np.exp(-TWO_PI * gamma * t)
-    return np.stack([decay, -TWO_PI * t * amplitude * decay, np.ones_like(t)], axis=1)
+def fit_ringdowns(times, powers, skip_fraction: float = 0.1):
+    """Fit ``amplitude * exp(-2 pi gamma t) + floor`` to a stack of ringdowns.
+
+    ``times`` and ``powers`` are ``(B, S)`` arrays, one trace per row.  Every
+    trace gets the least-squares fit of :func:`fit_ringdown` (same skipped
+    head, same log-linear initial guess), computed for all rows at once by
+    a vectorized Levenberg-Marquardt iteration on the per-trace 3x3 normal
+    equations; traces are fitted in chunks of a fixed size.
+    Returns ``(gamma, stderr, converged)`` arrays of length B.  A trace that
+    does not converge or whose normal matrix is singular (a flat or all-zero
+    trace) has ``converged`` False, gamma NaN and stderr inf; one such trace
+    leaves the other rows' results unchanged.  The standard error is
+    ``sqrt(inv(J^T J)[gamma, gamma] * SSR / (S - 3))``.  Negative fitted rates
+    are clipped to zero with a warning.
+    """
+    t = np.atleast_2d(np.asarray(times, dtype=float))
+    p = np.atleast_2d(np.asarray(powers, dtype=float))
+    if t.shape != p.shape or t.ndim != 2:
+        raise ValueError("times and powers must be matching (traces, samples) arrays")
+    if t.shape[1] < 10:
+        raise ValueError("need at least 10 samples to fit a ringdown")
+    if not 0.0 <= skip_fraction < 0.9:
+        raise ValueError("skip_fraction must lie in [0, 0.9)")
+    start = int(round(skip_fraction * t.shape[1]))
+    gamma = np.empty(t.shape[0])
+    stderr = np.empty(t.shape[0])
+    converged = np.empty(t.shape[0], dtype=bool)
+    for lo in range(0, t.shape[0], _FIT_CHUNK):
+        rows = slice(lo, lo + _FIT_CHUNK)
+        gamma[rows], stderr[rows], converged[rows] = _fit_chunk(t[rows, start:], p[rows, start:])
+    if np.any(gamma < 0):
+        warnings.warn("fitted ringdown rate is negative; clipping to 0", stacklevel=2)
+        gamma = np.where(gamma < 0, 0.0, gamma)
+    return gamma, stderr, converged
+
+
+def _normal_equations(tau, p, x):
+    """SSR, scaled normal matrix entries and scaled gradient at ``x``.
+
+    ``x`` rows are (amplitude, rate k, floor) of ``a exp(-k tau) + c``.  The
+    normal matrix J^T J and J^T r come from closed-form sums over ``e``,
+    ``tau e`` and the residual; they are returned Jacobi-scaled by
+    ``d = sqrt(diag(J^T J))`` as the off-diagonal entries (m01, m02, m12) of
+    a unit-diagonal matrix, with ``b = J^T r / d``.
+    """
+    a, k, c = x
+    e = np.exp(-k[:, None] * tau)
+    te = tau * e
+    r = p - a[:, None] * e - c[:, None]
+    ssr = np.einsum("ij,ij->i", r, r)
+    h = (
+        np.einsum("ij,ij->i", e, e),                  # (a, a)
+        -a * np.einsum("ij,ij->i", te, e),            # (a, k)
+        e.sum(axis=1),                                # (a, c)
+        a * a * np.einsum("ij,ij->i", te, te),        # (k, k)
+        -a * te.sum(axis=1),                          # (k, c)
+        np.full(a.shape, float(tau.shape[1])),        # (c, c)
+    )
+    g = (np.einsum("ij,ij->i", e, r), -a * np.einsum("ij,ij->i", te, r), r.sum(axis=1))
+    d = np.sqrt(np.stack([h[0], h[3], h[5]]))
+    m = np.stack([h[1] / (d[0] * d[1]), h[2] / (d[0] * d[2]), h[4] / (d[1] * d[2])])
+    return ssr, d, m, np.stack(g) / d
+
+
+def _solve_unit_diag(m, diag, b):
+    """Solve the symmetric 3x3 systems with off-diagonals ``m`` = (m01, m02,
+    m12), diagonal ``diag`` and right-hand side ``b`` by the adjugate; a
+    singular system gives non-finite entries instead of raising."""
+    m01, m02, m12 = m
+    c00 = diag * diag - m12 * m12
+    c01 = m02 * m12 - m01 * diag
+    c02 = m01 * m12 - m02 * diag
+    c11 = diag * diag - m02 * m02
+    c12 = m01 * m02 - diag * m12
+    c22 = diag * diag - m01 * m01
+    det = diag * c00 + m01 * c01 + m02 * c02
+    return np.stack([
+        c00 * b[0] + c01 * b[1] + c02 * b[2],
+        c01 * b[0] + c11 * b[1] + c12 * b[2],
+        c02 * b[0] + c12 * b[1] + c22 * b[2],
+    ]) / det
+
+
+def _rate_variance(m, d, ssr, dof):
+    """inv(J^T J)[k, k] * SSR / dof from the scaled normal matrix; inf where
+    that matrix is singular."""
+    m01, m02, m12 = m
+    det = 1.0 + 2.0 * m01 * m02 * m12 - m01 * m01 - m02 * m02 - m12 * m12
+    return np.where(det > _SINGULAR_DET, (1.0 - m02 * m02) / det / d[1] ** 2 * ssr / dof, np.inf)
+
+
+def _initial_guess(tau, p):
+    """Tail-mean floor, then a log-linear regression of the samples more than
+    a tenth of the peak above it (at least 5 of them, else rate 0)."""
+    n = tau.shape[1]
+    floor0 = p[:, -max(3, n // 8):].mean(axis=1)
+    amp = p - floor0[:, None]
+    peak = amp.max(axis=1)
+    above = amp > 0.1 * np.maximum(peak, 1e-300)[:, None]
+    count = above.sum(axis=1)
+    w = above / np.maximum(count, 1)[:, None]
+    y = np.log(np.where(above, amp, 1.0))
+    x_mean = (w * tau).sum(axis=1)
+    y_mean = (w * y).sum(axis=1)
+    dx = np.where(above, tau - x_mean[:, None], 0.0)
+    slope = (dx * y).sum(axis=1) / (dx * dx).sum(axis=1)
+    use = count >= 5
+    k0 = np.where(use, np.maximum(-slope, 0.0), 0.0)
+    a0 = np.where(use, np.exp(y_mean - slope * x_mean), np.maximum(peak, 1e-300))
+    return np.stack([a0, k0, floor0])
+
+
+def _fit_chunk(t, p):
+    """Levenberg-Marquardt (Marquardt's diagonal damping) on every row of one
+    chunk.  Time is scaled to ``tau = t / max|t|`` per row, so the fitted
+    rate is ``k = 2 pi gamma max|t|``.  Converged rows, and rows whose step
+    is not finite, leave the active set."""
+    scale = np.abs(t).max(axis=1)
+    tau = t / scale[:, None]
+    n_rows, n_samples = t.shape
+    rate = np.full(n_rows, np.nan)
+    rate_var = np.full(n_rows, np.inf)
+    converged = np.zeros(n_rows, dtype=bool)
+    rows = np.arange(n_rows)
+    with np.errstate(all="ignore"):
+        x = _initial_guess(tau, p)
+        ssr, d, m, b = _normal_equations(tau, p, x)
+        lam = np.full(n_rows, 1e-3)
+        nu = np.full(n_rows, 2.0)
+        for _ in range(_LM_MAX_ITER):
+            y = _solve_unit_diag(m, 1.0 + lam, b)
+            step = y / d
+            trial = x + step
+            ssr_t, d_t, m_t, b_t = _normal_equations(tau, p, trial)
+            predicted = (y * b).sum(axis=0) + lam * (y * y).sum(axis=0)
+            actual = ssr - ssr_t
+            accept = actual > 0
+            small_f = (predicted <= _LM_FTOL * ssr) & (np.abs(actual) <= _LM_FTOL * ssr)
+            small_x = np.sqrt((y * y).sum(axis=0)) <= _LM_XTOL * np.sqrt(((d * x) ** 2).sum(axis=0))
+            done = small_f | small_x | (accept & (ssr_t == 0))
+            bad = ~np.isfinite(step).all(axis=0)
+            x = np.where(accept, trial, x)
+            ssr = np.where(accept, ssr_t, ssr)
+            d = np.where(accept, d_t, d)
+            m = np.where(accept, m_t, m)
+            b = np.where(accept, b_t, b)
+            # Nielsen's damping update: shrink by the gain ratio on success,
+            # grow geometrically faster on repeated failures
+            gain = actual / predicted
+            lam = np.where(accept, lam * np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), lam * nu)
+            nu = np.where(accept, 2.0, 2.0 * nu)
+            finished = done & ~bad
+            if finished.any():
+                var = _rate_variance(m[:, finished], d[:, finished], ssr[finished], n_samples - 3)
+                ok = np.isfinite(x[1, finished]) & np.isfinite(var)
+                idx = rows[finished]
+                rate[idx] = np.where(ok, x[1, finished], np.nan)
+                rate_var[idx] = np.where(ok, var, np.inf)
+                converged[idx] = ok
+            keep = ~(done | bad)
+            if not keep.all():
+                rows, tau, p = rows[keep], tau[keep], p[keep]
+                x, ssr, d, m, b = x[:, keep], ssr[keep], d[:, keep], m[:, keep], b[:, keep]
+                lam, nu = lam[keep], nu[keep]
+            if rows.size == 0:
+                break
+    return rate / (TWO_PI * scale), np.sqrt(rate_var) / (TWO_PI * scale), converged
 
 
 def fit_ringdown(trace: RingdownTrace, skip_fraction: float = 0.1) -> tuple[float, float]:
     """Fit (amplitude, gamma_eff, floor) to a ringdown; returns (gamma_eff, stderr).
 
-    The first ``skip_fraction`` of the trace is excluded (the initial
-    high-amplitude decay can be nonlinear).  Initial guesses come from a
-    log-linear regression of the above-floor region.  A negative fitted rate
-    is clipped to zero with a warning.
+    A one-trace call of :func:`fit_ringdowns`.  The first ``skip_fraction``
+    of the trace is excluded (the initial high-amplitude decay can be
+    nonlinear).  Initial guesses come from a log-linear regression of the
+    above-floor region.  A negative fitted rate is clipped to zero with a
+    warning.  Raises :class:`RingdownFitError` when the fit does not
+    converge or its normal equations are singular.
     """
-    from scipy.optimize import curve_fit
-
-    if trace.times.size < 10:
-        raise ValueError("need at least 10 samples to fit a ringdown")
-    if not 0.0 <= skip_fraction < 0.9:
-        raise ValueError("skip_fraction must lie in [0, 0.9)")
-    start = int(round(skip_fraction * trace.times.size))
-    t = trace.times[start:]
-    p = trace.powers[start:]
-
-    floor0 = float(np.mean(p[-max(3, p.size // 8):]))
-    amp = p - floor0
-    above = amp > 0.1 * max(amp.max(), 1e-300)
-    if above.sum() >= 5:
-        coeffs = np.polyfit(t[above], np.log(amp[above]), 1)
-        gamma0 = max(-coeffs[0] / TWO_PI, 0.0)
-        amp0 = float(np.exp(coeffs[1]))
-    else:
-        gamma0, amp0 = 0.0, max(float(amp.max()), 1e-300)
-
-    try:
-        params, cov = curve_fit(
-            _ringdown_model, t, p, p0=[amp0, gamma0, floor0],
-            jac=_ringdown_jacobian, method="lm", maxfev=400,
-        )
-    except RuntimeError as exc:
+    gamma, stderr, converged = fit_ringdowns(trace.times, trace.powers, skip_fraction)
+    if not converged[0]:
         raise RingdownFitError(
-            f"ringdown fit did not converge ({trace.times.size} samples, "
-            f"init gamma {gamma0:.4g} Hz): {exc}"
-        ) from exc
-    gamma = float(params[1])
-    stderr = float(np.sqrt(cov[1, 1])) if np.isfinite(cov[1, 1]) else float("inf")
-    if gamma < 0:
-        warnings.warn("fitted ringdown rate is negative; clipping to 0", stacklevel=2)
-        gamma = 0.0
-    return gamma, stderr
+            f"ringdown fit of {trace.times.size} samples did not converge "
+            "or its rate is not identifiable"
+        )
+    return float(gamma[0]), float(stderr[0])
 
 
 # ---------------------------------------------------------------------------

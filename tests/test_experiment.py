@@ -138,6 +138,68 @@ class TestRecover:
         assert result.residuals["orthogonalized"]
 
 
+class TestFitAll:
+    @staticmethod
+    def noisy_dataset(seed=6, samples=200, powers=8):
+        h, sites, readouts = small_setup(seed=seed)
+        flux = om.calibrate_drive_flux(h, sites, readouts)
+        ds = om.simulate_measurement(h, sites, readouts, np.linspace(flux / powers, flux, powers),
+                                     master_seed=4, snr=100.0, samples_per_trace=samples)
+        return h, ds
+
+    def test_every_trace_has_the_requested_length(self):
+        _, ds = self.noisy_dataset(samples=400)
+        assert {t.times.size for t in ds.traces.values()} == {400}
+
+    def test_mixed_lengths_fit_as_separate_groups(self):
+        _, ds = self.noisy_dataset(samples=400)
+        longer = {}
+        for key in list(ds.traces)[::3]:
+            old = ds.traces[key]
+            dt = old.times[1]
+            longer[key] = om.simulate_ringdown(old.true_gamma_eff, 1.0, 0.01, duration=400.5 * dt,
+                                               dt=dt, seed=7, noise_floor=old.noise_floor)
+        ds.traces.update(longer)
+        ds.fit_all()
+        for size in (400, 401):
+            keys = [key for key, t in ds.traces.items() if t.times.size == size]
+            gamma, stderr, _ = om.fit_ringdowns(np.stack([ds.traces[k].times for k in keys]),
+                                                np.stack([ds.traces[k].powers for k in keys]))
+            index = tuple(np.array(keys).T)
+            assert np.array_equal(ds.fitted_gammas[index], gamma)
+            assert np.array_equal(ds.fitted_errors[index], stderr)
+
+    def test_failed_fit_degrades_recovery(self):
+        h, ds = self.noisy_dataset()
+        reference = om.diagonalize(h)
+        clean = om.recover(ds, reference)
+        flat = ds.traces[(1, 2, 3)]
+        ds.traces[(1, 2, 3)] = om.RingdownTrace(flat.times, np.full(flat.times.size, 0.2))
+        ds.slopes = None
+        result = om.recover(ds, reference)
+        assert np.isnan(ds.fitted_gammas[1, 2, 3]) and ds.fitted_errors[1, 2, 3] == np.inf
+        assert np.isfinite(ds.fitted_gammas).sum() == ds.fitted_gammas.size - 1
+        assert clean.residuals["fits_failed"] == 0
+        assert result.residuals["fits_failed"] == 1
+        assert result.residuals["h_rel_frobenius_error"] < 0.01
+
+    def test_pair_with_fewer_than_three_fits_gets_zero_slope(self):
+        _, ds = self.noisy_dataset(powers=4)
+        for p in (0, 1):
+            trace = ds.traces[(0, 1, p)]
+            ds.traces[(0, 1, p)] = om.RingdownTrace(trace.times, np.zeros(trace.times.size))
+        slopes = ds.fit_all()
+        assert slopes[0, 1] == 0.0
+        assert np.count_nonzero(slopes) > slopes.size // 2
+
+    def test_all_fits_failed_raises(self):
+        _, ds = self.noisy_dataset(powers=3)
+        ds.traces = {key: om.RingdownTrace(t.times, np.zeros(t.times.size))
+                     for key, t in ds.traces.items()}
+        with pytest.raises(om.RingdownFitError):
+            ds.fit_all()
+
+
 def test_flake_pipeline_end_to_end():
     # 24-site honeycomb device: noisier than the chain but still faithful
     config = om_io.load_config(Path(om.__file__).resolve().parent / "configs" / "paper_2d.cfg")

@@ -205,9 +205,32 @@ class TestCliMeasureAndRecover:
                      "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["matches_ground_truth_1e-6"] is True
+        assert report["fits_failed"] == 0
         assert report["h_rel_frobenius_error"] < 1e-6
         matrix, labels = om_io.matrix_from_csv(out / "recovered_h.csv")
         assert matrix.shape == (4, 4)
+
+    def test_missing_dataset_exits_2_without_traceback(self, small_cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["recover", "--config", str(small_cfg), "--dataset",
+                     str(tmp_path / "no-such-dataset"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_unfittable_dataset_exits_3_without_traceback(self, small_cfg, tmp_path, capsys):
+        dataset, out = tmp_path / "dataset", tmp_path / "out"
+        assert main(["measure-sim", "--config", str(small_cfg), "--out", str(dataset)]) == 0
+        for path in (dataset / "traces").iterdir():
+            rows = path.read_text().splitlines()
+            path.write_text("\n".join([rows[0]] + [r.split(",")[0] + ",0.5" for r in rows[1:]]))
+        capsys.readouterr()
+        assert main(["recover", "--config", str(small_cfg), "--dataset", str(dataset),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert "ringdown" in err
+        assert not out.exists()
 
     def test_seed_flag_overrides_config(self, small_cfg, tmp_path):
         noisy = tmp_path / "noisy.cfg"

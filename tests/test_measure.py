@@ -153,6 +153,111 @@ class TestRingdown:
             om.fit_ringdown(trace)
 
 
+def _reference_fit(trace, skip_fraction):
+    """The least-squares ringdown fit by scipy's MINPACK wrapper, from the
+    same start point as the batched kernel.  Its tolerances are tightened
+    from scipy's 1.49e-8: at that default it stops up to 1e-5 (relative)
+    short of the minimum in gamma on SNR-30 traces, which would measure
+    curve_fit's stopping rule rather than the kernel."""
+    from scipy.optimize import curve_fit
+
+    start = int(round(skip_fraction * trace.times.size))
+    t, p = trace.times[start:], trace.powers[start:]
+    floor0 = float(np.mean(p[-max(3, p.size // 8):]))
+    amp = p - floor0
+    above = amp > 0.1 * max(amp.max(), 1e-300)
+    if above.sum() >= 5:
+        slope, intercept = np.polyfit(t[above], np.log(amp[above]), 1)
+        guess = [float(np.exp(intercept)), max(-slope / TWO_PI, 0.0), floor0]
+    else:
+        guess = [max(float(amp.max()), 1e-300), 0.0, floor0]
+
+    def model(t, a, gamma, c):
+        return a * np.exp(-TWO_PI * gamma * t) + c
+
+    def jac(t, a, gamma, c):
+        e = np.exp(-TWO_PI * gamma * t)
+        return np.stack([e, -TWO_PI * t * a * e, np.ones_like(t)], axis=1)
+
+    params, cov = curve_fit(model, t, p, p0=guess, jac=jac, method="lm",
+                            ftol=1e-15, xtol=1e-15, maxfev=4000)
+    return params[1], np.sqrt(cov[1, 1])
+
+
+def _random_traces(rng, count, samples, snr_choices=(30.0, 100.0, 300.0, np.inf)):
+    traces, snrs = [], []
+    for _ in range(count):
+        gamma = rng.uniform(50.0, 2000.0)
+        snr = snr_choices[rng.integers(len(snr_choices))]
+        duration = rng.uniform(2.0, 6.0) / (TWO_PI * gamma)
+        sigma = 0.0 if np.isinf(snr) else 1.0 / snr
+        traces.append(om.simulate_ringdown(
+            gamma, 1.0, sigma, duration=duration, dt=duration / samples,
+            seed=int(rng.integers(1 << 31)), noise_floor=5 * sigma))
+        snrs.append(snr)
+    return traces, np.array(snrs)
+
+
+def _stacked(traces):
+    return np.stack([t.times for t in traces]), np.stack([t.powers for t in traces])
+
+
+class TestBatchedRingdownFit:
+    @pytest.mark.parametrize("samples", [20, 60, 140, 400])
+    @pytest.mark.parametrize("skip_fraction", [0.0, 0.1])
+    def test_matches_curve_fit_oracle(self, samples, skip_fraction):
+        rng = np.random.default_rng(samples + int(100 * skip_fraction))
+        traces, snrs = _random_traces(rng, 40, samples)
+        gamma, stderr, converged = om.fit_ringdowns(*_stacked(traces), skip_fraction)
+        assert converged.all()
+        reference = np.array([_reference_fit(t, skip_fraction) for t in traces])
+        assert np.abs(gamma / reference[:, 0] - 1).max() < 1e-6
+        noisy = np.isfinite(snrs)
+        assert np.abs(stderr[noisy] / reference[noisy, 1] - 1).max() < 1e-4
+        # noiseless traces: both standard errors are rounding-level
+        assert np.all(stderr[~noisy] < 1e-9 * gamma[~noisy])
+        assert np.all(reference[~noisy, 1] < 1e-9 * reference[~noisy, 0])
+
+    def test_single_trace_call_is_the_batched_kernel(self):
+        traces, _ = _random_traces(np.random.default_rng(5), 12, 140)
+        gamma, stderr, _ = om.fit_ringdowns(*_stacked(traces))
+        for k, trace in enumerate(traces):
+            assert om.fit_ringdown(trace) == (gamma[k], stderr[k])
+
+    def test_degenerate_trace_fails_alone(self):
+        traces, _ = _random_traces(np.random.default_rng(9), 300, 140, (100.0,))
+        times, powers = _stacked(traces)
+        gamma, stderr, converged = om.fit_ringdowns(times, powers)
+        assert converged.all()
+        for flat in (np.zeros(140), np.full(140, 0.1), np.full(140, 0.3)):
+            g2, e2, c2 = om.fit_ringdowns(np.insert(times, 117, times[5], axis=0),
+                                          np.insert(powers, 117, flat, axis=0))
+            assert not c2[117] and np.isnan(g2[117]) and e2[117] == np.inf
+            assert np.array_equal(np.delete(g2, 117), gamma)
+            assert np.array_equal(np.delete(e2, 117), stderr)
+            assert np.delete(c2, 117).all()
+
+    def test_single_degenerate_trace_raises(self):
+        trace = om.simulate_ringdown(0.0, 1.0, 0.0, duration=1.0, dt=0.01, seed=0, noise_floor=0.1)
+        with pytest.raises(om.RingdownFitError):
+            om.fit_ringdown(trace)
+
+    def test_trace_length_is_exact_and_prefix_unchanged(self):
+        # duration / dt rounding above 400 made np.arange give 401 samples;
+        # a non-integer ratio still rounds up, and the samples both traces
+        # share are bit-identical
+        duration = 1e-4
+        dt = duration / 400
+        assert np.arange(0.0, duration, dt).size == 401
+        exact = om.simulate_ringdown(3e3, 1.0, 0.01, duration=duration, dt=dt, seed=4,
+                                     noise_floor=0.05)
+        longer = om.simulate_ringdown(3e3, 1.0, 0.01, duration=400.5 * dt, dt=dt, seed=4,
+                                      noise_floor=0.05)
+        assert exact.times.size == 400 and longer.times.size == 401
+        assert np.array_equal(exact.times, longer.times[:400])
+        assert np.array_equal(exact.powers, longer.powers[:400])
+
+
 class TestSinkhorn:
     def test_uniform_matrix_unchanged_in_one_sweep(self):
         uniform = np.full((6, 6), 1 / 6)
