@@ -173,6 +173,11 @@ def cmd_recover(config: io_mod.RunConfig, dataset_dir: Path, out: Path, fmt: str
 def cmd_disorder(config: io_mod.RunConfig, out: Path, seed: int | None, svg: bool) -> None:
     spec = _require(config.spec, "lattice")
     dis = _require(config.disorder, "disorder")
+    if spec.kind is not Topology.SSH_CHAIN:
+        raise io_mod.ConfigError(
+            f"disorder needs an {Topology.SSH_CHAIN.value} lattice; the hybridization "
+            f"factor is defined for chains only, and this config has {spec.kind.value}"
+        )
     master_seed = dis["seed"] if seed is None else seed
     ensemble = run_ensemble(spec, dis["sigma_grid"], dis["samples"], master_seed)
     io_mod.rows_to_csv(

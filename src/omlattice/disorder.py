@@ -6,10 +6,21 @@ through the hybridization factor ``zeta`` of the two mid-gap modes, on the
 edge-state symmetry of finite chains.  Inverting a measured ``zeta``
 against the ensemble bands yields a disorder estimate.
 
-Per-sample random seeds derive from ``(master_seed, sigma_index,
-sample_index)``, so results are bit-reproducible regardless of evaluation
-order or parallel schedule.  Certainty bands are central percentiles
-(70% -> [p15, p85], 90% -> [p5, p95]).
+Random numbers come from one counter-based Philox stream per sigma point
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11):
+sigma index ``j`` draws from
+``Generator(Philox(SeedSequence(master_seed, spawn_key=(j,))))``, and one
+``normal(0, sigma, (samples, n_sites))`` call gives the whole block of
+relative frequency shifts (none are drawn at sigma = 0).  Hence:
+
+* results are bit-reproducible for a fixed (master_seed, sigma grid, samples);
+* each sigma point depends only on master_seed and its sigma index, not on
+  the order in which sigma points are evaluated;
+* sample ``s`` of sigma index ``j`` is row ``s`` of that block, so an
+  ensemble with fewer samples draws a prefix of the same rows.
+
+Certainty bands are central percentiles (70% -> [p15, p85],
+90% -> [p5, p95]).
 """
 
 from __future__ import annotations
@@ -19,31 +30,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeSpec, ParticipationMatrix, apply_disorder, build_lattice
+from .lattice import LatticeSpec, ParticipationMatrix, Topology, build_lattice
 
 MIN_SAMPLES_FOR_PERCENTILES = 100
 MAX_FAILURE_FRACTION = 1e-3
 _BAND_PERCENTILES = {0.9: (5.0, 95.0), 0.7: (15.0, 85.0)}
 
 
-def hybridization_factor(eta, n_cells: int) -> float:
+def hybridization_factor(eta, n_cells: int):
     """Edge hybridization of the two mid-gap modes of a 2N-site chain.
 
     zeta = (r_N + r_(N+1)) / 2 where r_k = min(eta[k, first], eta[k, last]) /
     max(...) for the modes of frequency rank N and N+1 (1-based).  1 means
     equal edge participation (fully hybridized), 0 a mode localized on a
     single edge.  Both-edges-zero degenerate ratios count as 1 (equal).
+
+    ``eta`` is one ``(2N, 2N)`` matrix (modes along rows), which gives a
+    float, or a ``(..., 2N, 2N)`` stack, which gives an array of shape
+    ``(...)``.  A stack entry holding NaN gives NaN.
     """
     matrix = eta.eta if isinstance(eta, ParticipationMatrix) else np.asarray(eta, dtype=float)
     n = 2 * n_cells
-    if matrix.shape != (n, n):
+    if matrix.shape[-2:] != (n, n):
         raise ValueError(f"expected a {n}x{n} participation matrix, got {matrix.shape}")
-    total = 0.0
-    for k in (n_cells - 1, n_cells):
-        lo = min(matrix[k, 0], matrix[k, -1])
-        hi = max(matrix[k, 0], matrix[k, -1])
-        total += 1.0 if hi == 0.0 else lo / hi
-    return 0.5 * total
+    edges = matrix[..., n_cells - 1:n_cells + 1, :][..., [0, -1]]  # (..., mode, edge)
+    lo, hi = edges.min(axis=-1), edges.max(axis=-1)
+    ratios = np.divide(lo, hi, out=np.ones_like(lo), where=hi != 0.0)
+    zeta = 0.5 * (ratios[..., 0] + ratios[..., 1])
+    return float(zeta) if zeta.ndim == 0 else zeta
 
 
 @dataclass(frozen=True)
@@ -82,22 +96,28 @@ class EnsembleResult:
         ])
 
 
-def _sample_seed(master_seed: int, sigma_index: int, sample_index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=master_seed, spawn_key=(sigma_index, sample_index))
-
-
 def run_ensemble(
     lattice, sigma_grid, samples: int, master_seed: int
 ) -> EnsembleResult:
     """Monte-Carlo sweep over disorder strengths.
 
-    For every sigma and sample: draw diagonal disorder, diagonalize, compute
-    participation ratios and the hybridization factor; aggregate means,
-    central percentiles, and per-mode eigenfrequency statistics.  ``lattice``
-    is a :class:`LatticeSpec` or a :class:`CouplingHamiltonian` of a chain.
-    Eigensolver failures are counted per sample and tolerated up to 0.1%.
+    For every sigma, draw the diagonal disorder of all samples as one block
+    from the sigma point's Philox stream (see the module docstring),
+    diagonalize the batch, and reduce participation ratios to hybridization
+    factors; aggregate means, central percentiles, and per-mode
+    eigenfrequency statistics.  ``lattice`` is a :class:`LatticeSpec` of kind
+    ``ssh-chain`` or a :class:`CouplingHamiltonian` of a chain.  Eigensolver
+    failures are counted per sample and tolerated up to 0.1%.
     """
-    h = build_lattice(lattice) if isinstance(lattice, LatticeSpec) else lattice
+    if isinstance(lattice, LatticeSpec):
+        if lattice.kind is not Topology.SSH_CHAIN:
+            raise ValueError(
+                f"disorder ensembles need an {Topology.SSH_CHAIN.value} lattice, "
+                f"got {lattice.kind.value}"
+            )
+        h = build_lattice(lattice)
+    else:
+        h = lattice
     if h.n_sites % 2 != 0:
         raise ValueError("hybridization analysis needs a two-site-per-cell chain")
     if not h.is_real:
@@ -122,10 +142,16 @@ def run_ensemble(
     freq_std = np.empty((sigma_grid.size, n))
     failures = 0
 
+    diag = np.arange(n)
     for j, sigma in enumerate(sigma_grid):
-        batch = np.empty((samples, n, n))
-        for s in range(samples):
-            batch[s] = apply_disorder(h, sigma, _sample_seed(master_seed, j, s)).matrix
+        if sigma > 0:
+            rng = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(master_seed, spawn_key=(j,))))
+            factors = 1.0 + rng.normal(0.0, sigma, (samples, n))
+        else:
+            factors = np.ones((samples, n))
+        batch = np.repeat(h.matrix[None], samples, axis=0)
+        batch[:, diag, diag] *= factors
         try:
             freqs, vecs = np.linalg.eigh(batch)
         except np.linalg.LinAlgError:
@@ -142,13 +168,7 @@ def run_ensemble(
                 raise
         # eta[sample, mode, site] = |eigvec|^2 with modes along rows
         eta = np.abs(np.swapaxes(vecs, 1, 2)) ** 2
-        lo = np.minimum(eta[:, n_cells - 1, 0], eta[:, n_cells - 1, -1])
-        hi = np.maximum(eta[:, n_cells - 1, 0], eta[:, n_cells - 1, -1])
-        r1 = np.where(hi > 0, lo / np.where(hi > 0, hi, 1.0), 1.0)
-        lo2 = np.minimum(eta[:, n_cells, 0], eta[:, n_cells, -1])
-        hi2 = np.maximum(eta[:, n_cells, 0], eta[:, n_cells, -1])
-        r2 = np.where(hi2 > 0, lo2 / np.where(hi2 > 0, hi2, 1.0), 1.0)
-        zetas = np.sort(0.5 * (r1 + r2))
+        zetas = np.sort(hybridization_factor(eta, n_cells))
         zetas = zetas[np.isfinite(zetas)]
         zeta_mean[j] = zetas.mean()
         zeta_pcts[:, j] = np.percentile(zetas, [5, 15, 85, 95])

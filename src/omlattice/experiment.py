@@ -59,6 +59,41 @@ class ModeReadout:
             raise ValueError("transmittance must be positive")
 
 
+# Keys that MeasurementDataset.load reads from manifest.json and its entries.
+_MANIFEST_KEYS = ("readouts", "traces", "mode_freqs_hz", "mech_freqs_hz", "mech_linewidths_hz",
+                  "drive_fluxes", "master_seed", "site_labels")
+_READOUT_KEYS = ("kappa_tot_hz", "kappa_1_hz", "kappa_2_hz", "transmittance")
+_TRACE_KEYS = ("mode", "site", "power_index", "file")
+
+
+def _read_manifest(path: Path) -> dict:
+    """Load a dataset manifest.  Raise ``io.ConfigError`` when it is not JSON,
+    or when it, or one of its readout or trace entries, lacks a key that
+    :meth:`MeasurementDataset.load` reads; the message names the key."""
+    from .io import ConfigError  # io imports this module
+
+    with open(path) as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"dataset manifest {path} is not valid JSON: {exc}") from None
+
+    def require(entry, keys, where):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"dataset manifest {path}: {where or 'top level'} is not an object")
+        for key in keys:
+            if key not in entry:
+                raise ConfigError(f"dataset manifest {path} is missing key '{where}{key}'")
+
+    require(manifest, _MANIFEST_KEYS, "")
+    for field, keys in (("readouts", _READOUT_KEYS), ("traces", _TRACE_KEYS)):
+        if not isinstance(manifest[field], list):
+            raise ConfigError(f"dataset manifest {path}: '{field}' is not a list")
+        for i, item in enumerate(manifest[field]):
+            require(item, keys, f"{field}[{i}].")
+    return manifest
+
+
 @dataclass
 class MeasurementDataset:
     """Synthetic ringdown traces plus everything needed to invert them.
@@ -215,8 +250,7 @@ class MeasurementDataset:
     @classmethod
     def load(cls, directory) -> "MeasurementDataset":
         directory = Path(directory)
-        with open(directory / "manifest.json") as fh:
-            manifest = json.load(fh)
+        manifest = _read_manifest(directory / "manifest.json")
         readouts = tuple(
             ModeReadout(r["kappa_tot_hz"], r["kappa_1_hz"], r["kappa_2_hz"], r["transmittance"])
             for r in manifest["readouts"]

@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import omlattice as om
+from omlattice import io as om_io
 
+CONFIG_DIR = Path(om.__file__).resolve().parent / "configs"
 WC = 7.12e9
 IDEAL = om.Couplings(j=470e6, j_prime=700e6)
 
@@ -14,6 +18,32 @@ def chain_spec(n_cells=5, couplings=IDEAL):
     )
     return om.LatticeSpec(kind=om.Topology.SSH_CHAIN, n_sites=2 * n_cells,
                           sites=sites, couplings=couplings)
+
+
+def stream_composition(h, master_seed, sigma_index, sigma, samples):
+    """Per-sample zetas and eigenfrequencies composed literally from the
+    documented per-sigma stream: row s of that stream's normal block scales
+    the diagonal of sample s, then diagonalize -> participation ->
+    hybridization_factor."""
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(master_seed, spawn_key=(sigma_index,))))
+    block = rng.normal(0.0, sigma, (samples, h.n_sites))
+    zetas, freqs = [], []
+    for s in range(samples):
+        m = h.matrix.copy()
+        np.fill_diagonal(m, np.diag(h.matrix) * (1.0 + block[s]))
+        modes = om.diagonalize(om.CouplingHamiltonian(m, h.site_labels))
+        zetas.append(om.hybridization_factor(om.participation(modes), h.n_sites // 2))
+        freqs.append(modes.eigenfreqs)
+    return np.array(zetas), np.array(freqs)
+
+
+def assert_point_matches(ens, j, zetas, freqs):
+    zetas = np.sort(zetas)
+    assert ens.zeta_mean[j] == pytest.approx(np.mean(zetas), rel=1e-12)
+    for q, band in ((5, ens.zeta_p5), (15, ens.zeta_p15), (85, ens.zeta_p85), (95, ens.zeta_p95)):
+        assert band[j] == pytest.approx(np.percentile(zetas, q), rel=1e-12)
+    assert ens.eigenfreq_mean[j] == pytest.approx(freqs.mean(axis=0), rel=1e-12)
 
 
 class TestHybridizationFactor:
@@ -54,6 +84,25 @@ class TestHybridizationFactor:
     def test_shape_check(self):
         with pytest.raises(ValueError):
             om.hybridization_factor(np.eye(9), 5)
+        with pytest.raises(ValueError):
+            om.hybridization_factor(np.ones((3, 9, 9)), 5)
+
+    def test_stack_equals_scalar_calls(self):
+        rng = np.random.default_rng(11)
+        stack = rng.random((3, 7, 10, 10))
+        stack[0, 0, 4, [0, -1]] = 0.0          # mode N: both edges zero
+        stack[0, 1, 5, [0, -1]] = 0.0          # mode N+1: both edges zero
+        stack[0, 2, 4:6, [0, -1]] = 0.0        # both modes: zeta counts as 1
+        stack[1, 0, 4, 0] = 0.0                # one edge zero: ratio 0
+        zetas = om.hybridization_factor(stack, 5)
+        assert zetas.shape == (3, 7)
+        for idx in np.ndindex(3, 7):
+            scalar = om.hybridization_factor(stack[idx], 5)
+            assert isinstance(scalar, float)
+            assert zetas[idx] == scalar
+        assert zetas[0, 2] == 1.0
+        assert zetas[1, 0] == pytest.approx(0.5 * (0.0 + min(stack[1, 0, 5, [0, -1]])
+                                                   / max(stack[1, 0, 5, [0, -1]])), rel=1e-15)
 
 
 class TestRunEnsemble:
@@ -88,22 +137,39 @@ class TestRunEnsemble:
             om.run_ensemble(chain_spec(2), [0.001], 50, master_seed=1)
 
     def test_matches_per_sample_composition(self):
-        # the batched sweep must equal the literal per-sample chain:
-        # apply_disorder -> diagonalize -> participation -> hybridization
+        # the batched sweep must equal the literal per-sample chain built from
+        # the documented stream: diag(h) * (1 + block[s]) -> diagonalize ->
+        # participation -> hybridization_factor
         spec = chain_spec()
         h = om.build_lattice(spec)
         sigma_idx, sigma, samples, master = 1, 0.002, 120, 31
-        zetas = []
-        for sample in range(samples):
-            seed = np.random.SeedSequence(entropy=master, spawn_key=(sigma_idx, sample))
-            disordered = om.apply_disorder(h, sigma, seed)
-            eta = om.participation(om.diagonalize(disordered))
-            zetas.append(om.hybridization_factor(eta, 5))
-        zetas = np.sort(zetas)
+        zetas, freqs = stream_composition(h, master, sigma_idx, sigma, samples)
         ens = om.run_ensemble(spec, [0.001, sigma], samples, master_seed=master)
-        assert ens.zeta_mean[sigma_idx] == pytest.approx(np.mean(zetas), rel=1e-12)
-        assert ens.zeta_p5[sigma_idx] == pytest.approx(np.percentile(zetas, 5), rel=1e-12)
-        assert ens.zeta_p95[sigma_idx] == pytest.approx(np.percentile(zetas, 95), rel=1e-12)
+        assert_point_matches(ens, sigma_idx, zetas, freqs)
+
+    def test_fewer_samples_draw_a_prefix_of_the_rows(self):
+        spec = chain_spec()
+        h = om.build_lattice(spec)
+        zetas, freqs = stream_composition(h, 13, 0, 0.003, 300)
+        for samples in (150, 300):
+            ens = om.run_ensemble(spec, [0.003], samples, master_seed=13)
+            assert_point_matches(ens, 0, zetas[:samples], freqs[:samples])
+
+    def test_sigma_point_independent_of_the_rest_of_the_grid(self):
+        spec = chain_spec()
+        full = om.run_ensemble(spec, [0.001, 0.002, 0.004], 200, master_seed=8)
+        others = om.run_ensemble(spec, [0.006, 0.002], 200, master_seed=8)
+        alone = om.run_ensemble(spec, [0.001], 200, master_seed=8)
+        for ens, j, k in ((others, 1, 1), (alone, 0, 0)):
+            for field in ("zeta_mean", "zeta_p5", "zeta_p15", "zeta_p85", "zeta_p95",
+                          "eigenfreq_mean", "eigenfreq_std"):
+                assert np.array_equal(getattr(ens, field)[j], getattr(full, field)[k])
+
+    def test_rejects_non_chain_lattice(self):
+        flake = om_io.load_config(CONFIG_DIR / "paper_2d.cfg").spec
+        assert flake.kind is om.Topology.HONEYCOMB_FLAKE
+        with pytest.raises(ValueError, match="ssh-chain"):
+            om.run_ensemble(flake, [0.001], 200, master_seed=1)
 
     def test_percentile_bands_nested(self):
         ens = om.run_ensemble(chain_spec(), [0.001, 0.003], 300, master_seed=9)

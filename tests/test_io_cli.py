@@ -232,6 +232,37 @@ class TestCliMeasureAndRecover:
         assert "ringdown" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("drop, expected", [
+        (None, "missing key 'readouts'"),
+        ("traces", "missing key 'traces'"),
+        ("drive_fluxes", "missing key 'drive_fluxes'"),
+        ("traces[0].file", "missing key 'traces[0].file'"),
+        ("json", "not valid JSON"),
+    ])
+    def test_malformed_manifest_exits_2_without_traceback(self, small_cfg, tmp_path,
+                                                          capsys, drop, expected):
+        dataset, out = tmp_path / "dataset", tmp_path / "out"
+        assert main(["measure-sim", "--config", str(small_cfg), "--out", str(dataset)]) == 0
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        if drop is None:
+            text = "{}"
+        elif drop == "json":
+            text = "{"
+        elif drop == "traces[0].file":
+            del manifest["traces"][0]["file"]
+            text = json.dumps(manifest)
+        else:
+            del manifest[drop]
+            text = json.dumps(manifest)
+        (dataset / "manifest.json").write_text(text)
+        capsys.readouterr()
+        assert main(["recover", "--config", str(small_cfg), "--dataset", str(dataset),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("configuration error:") and expected in err
+        assert not out.exists()
+
     def test_seed_flag_overrides_config(self, small_cfg, tmp_path):
         noisy = tmp_path / "noisy.cfg"
         noisy.write_text(SMALL_CFG.replace("snr = inf", "snr = 50"))
@@ -265,6 +296,19 @@ class TestCliDisorder:
         assert manifest["samples_per_point"] == 150
         assert "inversion" in manifest
         assert manifest["inversion"]["zeta_measured"] == 0.98
+
+
+    def test_non_chain_lattice_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "flake.cfg"
+        text = (CONFIG_DIR / "paper_2d.cfg").read_text()
+        assert "samples = 1000" in text
+        cfg.write_text(text.replace("samples = 1000", "samples = 200"))
+        out = tmp_path / "out"
+        assert main(["disorder", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("configuration error:") and "ssh-chain" in err
+        assert not out.exists()
 
 
 class TestCliCircuit:
