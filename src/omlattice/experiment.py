@@ -10,11 +10,19 @@ reconstruction of the site-basis Hamiltonian.
 
 Per-trace random seeds derive deterministically from the dataset master
 seed, so simulation results are independent of evaluation order.
+
+A saved dataset is a directory holding ``manifest.json``, ``h_true.csv``
+and ``traces/traces.npy``, one float64 array of shape ``(2, total
+samples)``: row 0 the times, row 1 the powers of every trace, concatenated
+in manifest order; each manifest trace entry gives its ``offset`` and
+``samples`` in that array.  Datasets of earlier versions, one CSV per trace
+named by its entry's ``file``, still load.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +30,8 @@ import numpy as np
 
 from .lattice import CouplingHamiltonian, ModeSet, ParticipationMatrix, SiteParams, diagonalize, participation
 from .measure import (
+    MIN_FIT_SAMPLES,
+    TWO_PI,
     DampingConfig,
     OrthogonalizationError,
     RingdownFitError,
@@ -32,7 +42,6 @@ from .measure import (
     fit_ringdowns,
     orthogonalize,
     reconstruct_hamiltonian,
-    simulate_ringdown,
     sinkhorn_normalize,
     unnormalized_eta,
 )
@@ -64,12 +73,16 @@ _MANIFEST_KEYS = ("readouts", "traces", "mode_freqs_hz", "mech_freqs_hz", "mech_
                   "drive_fluxes", "master_seed", "site_labels")
 _READOUT_KEYS = ("kappa_tot_hz", "kappa_1_hz", "kappa_2_hz", "transmittance")
 _TRACE_KEYS = ("mode", "site", "power_index", "file")
+# Where MeasurementDataset.save puts every trace, relative to the dataset.
+TRACE_FILE = "traces/traces.npy"
 
 
 def _read_manifest(path: Path) -> dict:
     """Load a dataset manifest.  Raise ``io.ConfigError`` when it is not JSON,
-    or when it, or one of its readout or trace entries, lacks a key that
-    :meth:`MeasurementDataset.load` reads; the message names the key."""
+    when it, or one of its readout or trace entries, lacks a key that
+    :meth:`MeasurementDataset.load` reads (the message names the key), or
+    when a trace entry's ``file`` is neither a ``.npy`` nor a ``.csv`` file.
+    Entries of a ``.npy`` file also need ``offset`` and ``samples``."""
     from .io import ConfigError  # io imports this module
 
     with open(path) as fh:
@@ -91,7 +104,62 @@ def _read_manifest(path: Path) -> dict:
             raise ConfigError(f"dataset manifest {path}: '{field}' is not a list")
         for i, item in enumerate(manifest[field]):
             require(item, keys, f"{field}[{i}].")
+    for i, item in enumerate(manifest["traces"]):
+        name = item["file"]
+        if not isinstance(name, str) or not name.endswith((".npy", ".csv")):
+            raise ConfigError(f"dataset manifest {path}: traces[{i}].file {name!r} "
+                              "is neither a .npy nor a .csv file")
+        if name.endswith(".npy"):
+            require(item, ("offset", "samples"), f"traces[{i}].")
     return manifest
+
+
+def _read_trace_array(path: Path) -> np.ndarray:
+    """The ``(2, total samples)`` float64 array of a ``.npy`` trace file;
+    ``io.ConfigError`` naming the file when it holds anything else or is cut
+    short."""
+    from .io import ConfigError
+
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise ConfigError(f"dataset trace file {path} is not a readable .npy array: {exc}") from None
+    if not isinstance(data, np.ndarray) or data.dtype != np.float64 or data.ndim != 2 \
+            or data.shape[0] != 2:
+        raise ConfigError(f"dataset trace file {path} must hold a float64 array of shape "
+                          f"(2, samples), not {getattr(data, 'dtype', type(data).__name__)} "
+                          f"{getattr(data, 'shape', '')}")
+    return data
+
+
+def _slice_trace(data: np.ndarray, entry: dict, path: Path, index: int):
+    """Times and powers of manifest trace ``index`` in the array of ``path``."""
+    from .io import ConfigError
+
+    offset, samples = entry["offset"], entry["samples"]
+    if type(offset) is not int or type(samples) is not int or offset < 0 or samples < 0 \
+            or offset + samples > data.shape[1]:
+        raise ConfigError(f"dataset trace file {path}: traces[{index}] offset {offset!r} and "
+                          f"samples {samples!r} lie outside its {data.shape[1]} samples")
+    return data[0, offset:offset + samples], data[1, offset:offset + samples]
+
+
+def _read_csv_trace(path: Path):
+    """Times and powers of a one-trace CSV file (the format of earlier
+    versions: a header line, then ``time_s,power`` rows); ``io.ConfigError``
+    naming the file when it does not parse as two numeric columns."""
+    from .io import ConfigError
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # header-only files
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"dataset trace file {path} does not parse: {exc}") from None
+    if data.size and data.shape[1] != 2:
+        raise ConfigError(f"dataset trace file {path} has {data.shape[1]} columns, not 2")
+    data = data.reshape(-1, 2)
+    return data[:, 0], data[:, 1]
 
 
 @dataclass
@@ -146,11 +214,12 @@ class MeasurementDataset:
 
         Traces of equal length are stacked and fitted together by the batched
         Levenberg-Marquardt kernel :func:`~omlattice.measure.fit_ringdowns`.
-        A trace whose fit fails (no convergence, singular normal equations)
-        gets ``fitted_gammas`` NaN and ``fitted_errors`` inf and is left out
-        of its pair's regression.  A pair left with fewer than 3 fitted
-        powers gets slope 0, except that a sweep of only 2 powers keeps the
-        ungated slope of pairs with both fitted.
+        A trace whose fit fails (no convergence, singular normal equations,
+        fewer than ``MIN_FIT_SAMPLES`` samples) gets ``fitted_gammas`` NaN and
+        ``fitted_errors`` inf and is left out of its pair's regression.  A
+        pair left with fewer than 3 fitted powers gets slope 0, except that a
+        sweep of only 2 powers keeps the ungated slope of pairs with both
+        fitted.
         Raises :class:`~omlattice.measure.RingdownFitError` only when no
         trace at all could be fitted.
 
@@ -165,7 +234,9 @@ class MeasurementDataset:
         by_length: dict[int, list[tuple[int, int, int]]] = {}
         for key, trace in self.traces.items():
             by_length.setdefault(trace.times.size, []).append(key)
-        for keys in by_length.values():
+        for size, keys in by_length.items():
+            if size < MIN_FIT_SAMPLES:
+                continue
             gamma, stderr, _ = fit_ringdowns(
                 np.stack([self.traces[key].times for key in keys]),
                 np.stack([self.traces[key].powers for key in keys]),
@@ -204,9 +275,17 @@ class MeasurementDataset:
     # -- persistence ---------------------------------------------------------
 
     def save(self, directory) -> None:
-        """Write the dataset as a directory of trace CSVs plus a JSON manifest."""
+        """Write the dataset as ``manifest.json``, ``h_true.csv`` and every
+        trace in one ``traces/traces.npy`` (layout in the module docstring)."""
         directory = Path(directory)
         (directory / "traces").mkdir(parents=True, exist_ok=True)
+        keys = sorted(self.traces)
+        offsets = np.cumsum([0] + [self.traces[key].times.size for key in keys]).tolist()
+        data = np.empty((2, offsets[-1]))
+        for key, offset in zip(keys, offsets):
+            trace = self.traces[key]
+            data[0, offset:offset + trace.times.size] = trace.times
+            data[1, offset:offset + trace.times.size] = trace.powers
         manifest = {
             "mode_freqs_hz": self.mode_freqs.tolist(),
             "readouts": [
@@ -229,40 +308,56 @@ class MeasurementDataset:
                     "site": i,
                     "power_index": p,
                     "drive_flux": self.drive_fluxes[p],
-                    "file": f"traces/k{k:02d}_i{i:02d}_p{p:02d}.csv",
-                    "true_gamma_eff_hz": trace.true_gamma_eff,
-                    "noise_floor": trace.noise_floor,
+                    "file": TRACE_FILE,
+                    "offset": offset,
+                    "samples": end - offset,
+                    "true_gamma_eff_hz": self.traces[(k, i, p)].true_gamma_eff,
+                    "noise_floor": self.traces[(k, i, p)].noise_floor,
                 }
-                for (k, i, p), trace in sorted(self.traces.items())
+                for (k, i, p), offset, end in zip(keys, offsets, offsets[1:])
             ],
         }
         with open(directory / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
         if self.h_true is not None:
             self.h_true.to_csv(directory / "h_true.csv")
-        for (k, i, p), trace in self.traces.items():
-            path = directory / "traces" / f"k{k:02d}_i{i:02d}_p{p:02d}.csv"
-            with open(path, "w") as fh:
-                fh.write("time_s,power\n")
-                for t, y in zip(trace.times, trace.powers):
-                    fh.write(f"{t:.17g},{y:.17g}\n")
+        np.save(directory / TRACE_FILE, data)
 
     @classmethod
     def load(cls, directory) -> "MeasurementDataset":
+        """Read a dataset written by :meth:`save`, or by earlier versions
+        (one CSV per trace).  Raises ``io.ConfigError`` naming the file when
+        the manifest or trace data are malformed, ``OSError`` when a file is
+        missing."""
+        from .io import ConfigError
+
         directory = Path(directory)
         manifest = _read_manifest(directory / "manifest.json")
         readouts = tuple(
             ModeReadout(r["kappa_tot_hz"], r["kappa_1_hz"], r["kappa_2_hz"], r["transmittance"])
             for r in manifest["readouts"]
         )
+        arrays: dict[str, tuple[Path, np.ndarray]] = {}
         traces = {}
-        for entry in manifest["traces"]:
-            data = np.loadtxt(directory / entry["file"], delimiter=",", skiprows=1)
-            traces[(entry["mode"], entry["site"], entry["power_index"])] = RingdownTrace(
-                data[:, 0], data[:, 1],
-                true_gamma_eff=entry.get("true_gamma_eff_hz"),
-                noise_floor=entry.get("noise_floor", 0.0),
-            )
+        for index, entry in enumerate(manifest["traces"]):
+            name = entry["file"]
+            if name.endswith(".csv"):
+                path = directory / name
+                times, powers = _read_csv_trace(path)
+            else:
+                if name not in arrays:
+                    arrays[name] = directory / name, _read_trace_array(directory / name)
+                path, data = arrays[name]
+                times, powers = _slice_trace(data, entry, path, index)
+            try:
+                trace = RingdownTrace(
+                    times, powers,
+                    true_gamma_eff=entry.get("true_gamma_eff_hz"),
+                    noise_floor=entry.get("noise_floor", 0.0),
+                )
+            except ValueError as exc:
+                raise ConfigError(f"dataset trace file {path}, traces[{index}]: {exc}") from None
+            traces[(entry["mode"], entry["site"], entry["power_index"])] = trace
         h_true = None
         h_path = directory / "h_true.csv"
         if h_path.exists():
@@ -294,6 +389,22 @@ class RecoveryResult:
     residuals: dict
 
 
+def _pair_configs(readouts: tuple[ModeReadout, ...], sites: tuple[SiteParams, ...],
+                  flux=1.0) -> DampingConfig:
+    """The drive configurations of every (mode k, site i) pair as one
+    broadcasting :class:`DampingConfig`: mode fields vary along axis 0, site
+    fields along axis 1 and ``flux`` along axis 2, so a damping formula
+    evaluated on it with ``eta[:, :, None]`` returns ``(n, n, flux.size)``."""
+    mode = np.array([[r.kappa_tot, r.kappa_1, r.kappa_2, r.transmittance] for r in readouts])
+    site = np.array([[s.mech_freq, s.mech_linewidth, s.g0] for s in sites])
+    mode, site = mode.T[:, :, None, None], site.T[:, :, None]
+    return DampingConfig(
+        detuning=site[0], kappa_tot=mode[0], kappa_1=mode[1], kappa_2=mode[2],
+        drive_flux=np.atleast_1d(flux), transmittance=mode[3],
+        mech_freq=site[0], mech_linewidth=site[1], g0=site[2],
+    )
+
+
 def calibrate_drive_flux(
     h: CouplingHamiltonian,
     sites: tuple[SiteParams, ...],
@@ -302,14 +413,7 @@ def calibrate_drive_flux(
 ) -> float:
     """Source flux at which the median optomechanical damping rate reaches
     ``damping_boost`` times the median intrinsic mechanical linewidth."""
-    modes = diagonalize(h)
-    eta = participation(modes).eta
-    slopes = []
-    for k in range(h.n_sites):
-        for i in range(h.n_sites):
-            cfg = _true_config_from_parts(readouts[k], sites[i], 1.0)
-            slopes.append(damping_slope(cfg, eta[k, i]))
-    slopes = np.array(slopes)
+    slopes = analytic_slope_matrix(h, sites, readouts)
     positive = slopes[slopes > 0]
     if positive.size == 0:
         raise ValueError("all damping slopes vanish; check g0 and couplings")
@@ -347,30 +451,44 @@ def simulate_measurement(
     ``snr`` is the ratio of initial sideband power to additive noise standard
     deviation (None or inf for noiseless traces).  Trace length covers
     ``RINGDOWN_DECAY_SPAN`` power-decay times of the true effective damping.
+    Trace ``(k, i, p)`` is the one :func:`~omlattice.measure.simulate_ringdown`
+    gives for the pair's effective damping at ``drive_fluxes[p]`` with
+    ``duration = RINGDOWN_DECAY_SPAN / (2 pi max(gamma_eff, 1e-3))``,
+    ``dt = duration / samples_per_trace``, the noise floor of
+    ``NOISE_FLOOR_SIGMAS`` noise sigmas and the seed
+    ``SeedSequence(master_seed, spawn_key=(k, i, p))``; all traces are
+    computed as one ``(n, n, powers, samples)`` block.
     """
     if len(sites) != h.n_sites or len(readouts) != h.n_sites:
         raise ValueError("need one SiteParams and one ModeReadout per site/mode")
     fluxes = np.asarray(drive_fluxes, dtype=float)
     if fluxes.ndim != 1 or fluxes.size < 2 or np.any(fluxes <= 0):
         raise ValueError("drive_fluxes must hold at least two positive values")
+    if samples_per_trace < 2:
+        raise ValueError("samples_per_trace must be at least 2")
     modes = diagonalize(h)
     eta = participation(modes).eta
     noise_sigma = 0.0 if snr is None or np.isinf(snr) else p0 / snr
     floor = NOISE_FLOOR_SIGMAS * noise_sigma
 
-    traces: dict[tuple[int, int, int], RingdownTrace] = {}
-    for k in range(h.n_sites):
-        for i in range(h.n_sites):
-            for p, flux in enumerate(fluxes):
-                cfg = _true_config_from_parts(readouts[k], sites[i], flux)
-                gamma_eff = effective_damping(cfg, eta[k, i])
-                duration = RINGDOWN_DECAY_SPAN / (2 * np.pi * max(gamma_eff, 1e-3))
-                seed = np.random.SeedSequence(entropy=master_seed, spawn_key=(k, i, p))
-                traces[(k, i, p)] = simulate_ringdown(
-                    gamma_eff, p0, noise_sigma,
-                    duration=duration, dt=duration / samples_per_trace,
-                    seed=seed, noise_floor=floor,
-                )
+    gamma = effective_damping(_pair_configs(readouts, sites, fluxes), eta[:, :, None])
+    duration = RINGDOWN_DECAY_SPAN / (TWO_PI * np.maximum(gamma, 1e-3))
+    # duration / dt rounds to exactly samples_per_trace, the length
+    # simulate_ringdown gives
+    times = np.arange(samples_per_trace) * (duration / samples_per_trace)[..., None]
+    powers = (-TWO_PI * gamma)[..., None] * times
+    np.exp(powers, out=powers)
+    powers *= p0
+    powers += floor
+    if noise_sigma > 0:
+        for key in np.ndindex(gamma.shape):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=key))
+            powers[key] += rng.normal(0.0, noise_sigma, samples_per_trace)
+    powers = np.clip(powers, 0.0, None)
+    traces = {
+        key: RingdownTrace(times[key], powers[key], true_gamma_eff=gamma[key], noise_floor=floor)
+        for key in np.ndindex(gamma.shape)
+    }
     return MeasurementDataset(
         mode_freqs=modes.eigenfreqs.copy(),
         readouts=tuple(readouts),
@@ -391,14 +509,8 @@ def analytic_slope_matrix(
 ) -> np.ndarray:
     """Noise-free damping-power slopes of every (mode, site) pair, from the
     closed-form damping formula (no ringdown simulation)."""
-    modes = diagonalize(h)
-    eta = participation(modes).eta
-    slopes = np.empty((h.n_sites, h.n_sites))
-    for k in range(h.n_sites):
-        for i in range(h.n_sites):
-            cfg = _true_config_from_parts(readouts[k], sites[i], 1.0)
-            slopes[k, i] = damping_slope(cfg, eta[k, i])
-    return slopes
+    eta = participation(diagonalize(h)).eta
+    return damping_slope(_pair_configs(readouts, sites), eta[:, :, None])[:, :, 0]
 
 
 def recover_from_slopes(

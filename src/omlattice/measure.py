@@ -15,6 +15,7 @@ and converted back at the API boundary.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -51,6 +52,12 @@ class OrthogonalizationError(ValueError):
     """
 
 
+def _anywhere(condition) -> bool:
+    """Whether a scalar or array condition holds anywhere (scalar configs
+    are built per (mode, site) pair, so they skip numpy's reductions)."""
+    return bool(condition.any()) if isinstance(condition, np.ndarray) else bool(condition)
+
+
 @dataclass(frozen=True)
 class DampingConfig:
     """Drive and mode/site parameters entering the damping formulas.
@@ -59,6 +66,9 @@ class DampingConfig:
     (mode frequency minus drive frequency, Hz).  ``drive_flux`` is the photon
     flux at the source output (1/s) and ``transmittance`` the source-to-device
     power transmission of the driven mode.
+
+    Fields may also be arrays that broadcast against each other; the damping
+    formulas then return one value per element of the broadcast shape.
     """
 
     detuning: float
@@ -72,18 +82,40 @@ class DampingConfig:
     g0: float
 
     def __post_init__(self):
-        if self.kappa_tot <= 0:
+        if _anywhere(self.kappa_tot <= 0):
             raise ValueError("kappa_tot must be positive")
         for name in ("kappa_1", "kappa_2", "drive_flux", "transmittance", "mech_freq",
                      "mech_linewidth", "g0"):
-            if getattr(self, name) < 0:
+            if _anywhere(getattr(self, name) < 0):
                 raise ValueError(f"{name} must be >= 0")
-        if self.kappa_1 + self.kappa_2 > self.kappa_tot * (1 + 1e-12):
+        if _anywhere(self.kappa_1 + self.kappa_2 > self.kappa_tot * (1 + 1e-12)):
             raise ValueError("kappa_1 + kappa_2 cannot exceed kappa_tot")
 
     @property
     def sideband_resolved(self) -> bool:
         return self.kappa_tot < self.mech_freq
+
+
+_pow = np.frompyfunc(math.pow, 2, 1)
+
+
+def _square(x):
+    """``x ** 2`` by C ``pow``, element by element.
+
+    Python and numpy scalars square by ``pow``, numpy arrays by ``x * x``,
+    and the two differ in the last bit for about 0.1% of inputs.  The damping
+    formulas square through here, so an array call returns bit for bit the
+    values of the scalar calls, and of the datasets those wrote.
+    """
+    if np.ndim(x) == 0:
+        return x**2
+    return _pow(x, 2.0).astype(float)
+
+
+def _check_eta(eta) -> None:
+    eta = np.asarray(eta)
+    if _anywhere(~((eta >= 0.0) & (eta <= 1.0))):
+        raise ValueError("eta must lie in [0, 1]")
 
 
 def intracavity_photons(cfg: DampingConfig) -> float:
@@ -93,7 +125,7 @@ def intracavity_photons(cfg: DampingConfig) -> float:
     delta = TWO_PI * cfg.detuning
     kappa = TWO_PI * cfg.kappa_tot
     return (TWO_PI * cfg.kappa_1) * cfg.transmittance * cfg.drive_flux / (
-        delta**2 + kappa**2 / 4.0
+        _square(delta) + _square(kappa) / 4.0
     )
 
 
@@ -104,36 +136,37 @@ def _sideband_weight(cfg: DampingConfig) -> float:
     delta = TWO_PI * cfg.detuning
     kappa = TWO_PI * cfg.kappa_tot
     omega = TWO_PI * cfg.mech_freq
-    return kappa / ((omega - delta) ** 2 + kappa**2 / 4.0) - kappa / (
-        (omega + delta) ** 2 + kappa**2 / 4.0
+    return kappa / (_square(omega - delta) + _square(kappa) / 4.0) - kappa / (
+        _square(omega + delta) + _square(kappa) / 4.0
     )
 
 
 def optomech_damping(cfg: DampingConfig, eta: float) -> float:
     """Optomechanical damping rate (Hz) of a mechanical mode with participation
     ``eta`` in the driven collective mode (full two-Lorentzian expression,
-    valid outside the sideband-resolved regime)."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
+    valid outside the sideband-resolved regime).  Broadcasts over array
+    ``eta`` and array fields of ``cfg``."""
+    _check_eta(eta)
     g_eff = TWO_PI * eta * cfg.g0
-    return intracavity_photons(cfg) * g_eff**2 * _sideband_weight(cfg) / TWO_PI
+    return intracavity_photons(cfg) * _square(g_eff) * _sideband_weight(cfg) / TWO_PI
 
 
 def effective_damping(cfg: DampingConfig, eta: float) -> float:
-    """Total mechanical damping rate: intrinsic linewidth plus the optomechanical term."""
+    """Total mechanical damping rate: intrinsic linewidth plus the
+    optomechanical term; broadcasts as :func:`optomech_damping` does."""
     return cfg.mech_linewidth + optomech_damping(cfg, eta)
 
 
 def damping_slope(cfg: DampingConfig, eta: float) -> float:
     """Slope of the effective damping rate with respect to the source photon
-    flux, d Gamma_eff / d nd in Hz * s; linear in R kappa_1 (eta g0)^2."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
+    flux, d Gamma_eff / d nd in Hz * s; linear in R kappa_1 (eta g0)^2.
+    Broadcasts as :func:`optomech_damping` does."""
+    _check_eta(eta)
     delta = TWO_PI * cfg.detuning
     kappa = TWO_PI * cfg.kappa_tot
     g_eff = TWO_PI * eta * cfg.g0
-    slope_ang = (TWO_PI * cfg.kappa_1) * cfg.transmittance * g_eff**2 / (
-        delta**2 + kappa**2 / 4.0
+    slope_ang = (TWO_PI * cfg.kappa_1) * cfg.transmittance * _square(g_eff) / (
+        _square(delta) + _square(kappa) / 4.0
     ) * _sideband_weight(cfg)
     return slope_ang / TWO_PI
 
@@ -180,7 +213,7 @@ class RingdownTrace:
         p = np.asarray(self.powers, dtype=float)
         if t.ndim != 1 or t.shape != p.shape or t.size < 2:
             raise ValueError("times and powers must be matching 1D arrays")
-        if np.any(np.diff(t) <= 0):
+        if (t[1:] <= t[:-1]).any():
             raise ValueError("times must be strictly increasing")
         if p.min() < 0:
             raise ValueError("powers must be >= 0")
@@ -217,6 +250,8 @@ def simulate_ringdown(
     return RingdownTrace(times, powers, true_gamma_eff=gamma_eff, noise_floor=noise_floor)
 
 
+# Shortest ringdown :func:`fit_ringdowns` accepts.
+MIN_FIT_SAMPLES = 10
 # Traces fitted together per kernel call: large enough to amortize numpy's
 # per-call overhead, small enough that the (chunk, samples) temporaries stay
 # in cache.
@@ -253,8 +288,8 @@ def fit_ringdowns(times, powers, skip_fraction: float = 0.1):
     p = np.atleast_2d(np.asarray(powers, dtype=float))
     if t.shape != p.shape or t.ndim != 2:
         raise ValueError("times and powers must be matching (traces, samples) arrays")
-    if t.shape[1] < 10:
-        raise ValueError("need at least 10 samples to fit a ringdown")
+    if t.shape[1] < MIN_FIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples to fit a ringdown")
     if not 0.0 <= skip_fraction < 0.9:
         raise ValueError("skip_fraction must lie in [0, 0.9)")
     start = int(round(skip_fraction * t.shape[1]))

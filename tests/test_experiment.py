@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,65 @@ class TestSimulateMeasurement:
             assert np.array_equal(loaded.traces[key].times, ds.traces[key].times)
             assert np.array_equal(loaded.traces[key].powers, ds.traces[key].powers)
         assert np.array_equal(loaded.h_true.matrix, h.matrix)
+
+    def test_saves_every_trace_in_one_array(self, tmp_path):
+        h, sites, readouts = small_setup(seed=5)
+        ds = om.simulate_measurement(h, sites, readouts, np.linspace(1e14, 5e14, 3), master_seed=2,
+                                     snr=80.0, samples_per_trace=30)
+        ds.save(tmp_path)
+        assert sorted(p.name for p in (tmp_path / "traces").iterdir()) == ["traces.npy"]
+        data = np.load(tmp_path / "traces" / "traces.npy", allow_pickle=False)
+        assert data.dtype == np.float64 and data.shape == (2, 30 * len(ds.traces))
+        entries = json.loads((tmp_path / "manifest.json").read_text())["traces"]
+        keys = [(e["mode"], e["site"], e["power_index"]) for e in entries]
+        assert keys == sorted(ds.traces)
+        for entry, key in zip(entries, keys):
+            assert entry["file"] == "traces/traces.npy"
+            assert (entry["offset"], entry["samples"]) == (30 * keys.index(key), 30)
+            window = slice(entry["offset"], entry["offset"] + entry["samples"])
+            assert np.array_equal(data[0, window], ds.traces[key].times)
+            assert np.array_equal(data[1, window], ds.traces[key].powers)
+
+    def test_legacy_csv_dataset_loads_the_same(self, tmp_path, save_legacy_csv):
+        h, sites, readouts = small_setup(seed=5)
+        flux = om.calibrate_drive_flux(h, sites, readouts)
+        ds = om.simulate_measurement(h, sites, readouts, np.linspace(flux / 4, flux, 4),
+                                     master_seed=2, snr=80.0, samples_per_trace=60)
+        ds.save(tmp_path / "new")
+        save_legacy_csv(ds, tmp_path / "legacy")
+        new = om.MeasurementDataset.load(tmp_path / "new")
+        legacy = om.MeasurementDataset.load(tmp_path / "legacy")
+        assert set(legacy.traces) == set(new.traces) == set(ds.traces)
+        for key, trace in legacy.traces.items():
+            assert np.array_equal(trace.times, new.traces[key].times)
+            assert np.array_equal(trace.powers, new.traces[key].powers)
+            assert trace.true_gamma_eff == new.traces[key].true_gamma_eff
+        reference = om.diagonalize(h)
+        a, b = om.recover(new, reference), om.recover(legacy, reference)
+        assert np.array_equal(a.h_hat.matrix, b.h_hat.matrix)
+        assert a.residuals == b.residuals
+
+    @pytest.mark.parametrize("snr", [60.0, None])
+    def test_trace_equals_simulate_ringdown_with_documented_seed(self, snr):
+        h, sites, readouts = small_setup(seed=3)
+        fluxes = np.linspace(1e14, 6e14, 3)
+        ds = om.simulate_measurement(h, sites, readouts, fluxes, master_seed=21, snr=snr,
+                                     p0=1.5, samples_per_trace=45)
+        eta = om.participation(om.diagonalize(h)).eta
+        noise_sigma = 0.0 if snr is None else 1.5 / snr
+        for (k, i, p), trace in ds.traces.items():
+            cfg = ds.damping_config(k, i, flux=fluxes[p], g0=sites[i].g0)
+            gamma = om.effective_damping(cfg, eta[k, i])
+            duration = om.experiment.RINGDOWN_DECAY_SPAN / (2 * np.pi * max(gamma, 1e-3))
+            expected = om.simulate_ringdown(
+                gamma, 1.5, noise_sigma, duration=duration, dt=duration / 45,
+                seed=np.random.SeedSequence(21, spawn_key=(k, i, p)),
+                noise_floor=om.experiment.NOISE_FLOOR_SIGMAS * noise_sigma,
+            )
+            assert np.array_equal(trace.times, expected.times)
+            assert np.array_equal(trace.powers, expected.powers)
+            assert trace.true_gamma_eff == expected.true_gamma_eff
+            assert trace.noise_floor == expected.noise_floor
 
 
 class TestRecover:
@@ -191,6 +251,35 @@ class TestFitAll:
         slopes = ds.fit_all()
         assert slopes[0, 1] == 0.0
         assert np.count_nonzero(slopes) > slopes.size // 2
+
+    def test_mixed_length_dataset_round_trips_bit_for_bit(self, tmp_path):
+        _, ds = self.noisy_dataset(samples=400, powers=4)
+        for key in list(ds.traces)[::3]:
+            old = ds.traces[key]
+            dt = old.times[1]
+            ds.traces[key] = om.simulate_ringdown(old.true_gamma_eff, 1.0, 0.01,
+                                                  duration=400.5 * dt, dt=dt, seed=7,
+                                                  noise_floor=old.noise_floor)
+        ds.save(tmp_path)
+        loaded = om.MeasurementDataset.load(tmp_path)
+        assert {t.times.size for t in loaded.traces.values()} == {400, 401}
+        assert set(loaded.traces) == set(ds.traces)
+        for key, trace in ds.traces.items():
+            assert np.array_equal(loaded.traces[key].times, trace.times)
+            assert np.array_equal(loaded.traces[key].powers, trace.powers)
+            assert loaded.traces[key].true_gamma_eff == trace.true_gamma_eff
+            assert loaded.traces[key].noise_floor == trace.noise_floor
+        assert np.array_equal(loaded.fit_all(), ds.fit_all())
+        assert np.array_equal(loaded.fitted_gammas, ds.fitted_gammas)
+
+    def test_too_short_trace_counts_as_failed_fit(self):
+        h, ds = self.noisy_dataset()
+        short = ds.traces[(2, 0, 5)]
+        ds.traces[(2, 0, 5)] = om.RingdownTrace(short.times[:5], short.powers[:5])
+        result = om.recover(ds, om.diagonalize(h))
+        assert np.isnan(ds.fitted_gammas[2, 0, 5]) and ds.fitted_errors[2, 0, 5] == np.inf
+        assert result.residuals["fits_failed"] == 1
+        assert result.residuals["h_rel_frobenius_error"] < 0.01
 
     def test_all_fits_failed_raises(self):
         _, ds = self.noisy_dataset(powers=3)

@@ -53,6 +53,50 @@ def small_cfg(tmp_path):
     return path
 
 
+def legacy_dataset(config: Path, tmp_path: Path, save_legacy_csv) -> Path:
+    """``measure-sim`` output (left in ``tmp_path / "npy"``) rewritten as a
+    per-trace CSV dataset."""
+    assert main(["measure-sim", "--config", str(config), "--out", str(tmp_path / "npy")]) == 0
+    save_legacy_csv(om.MeasurementDataset.load(tmp_path / "npy"), tmp_path / "legacy")
+    return tmp_path / "legacy"
+
+
+def _edit_csv(edit):
+    def apply(path):
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n")
+    return apply
+
+
+def _edit_npy(edit):
+    def apply(path):
+        np.save(path, edit(np.load(path)))
+    return apply
+
+
+def _out_of_range(path):
+    manifest_path = path.parent.parent / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["traces"][-1]["samples"] += 1
+    manifest_path.write_text(json.dumps(manifest))
+
+
+# Each class of malformed trace data, as an edit of the trace file at ``path``.
+MALFORMED_TRACES = {
+    "csv-header-only": _edit_csv(lambda lines: lines[:1]),
+    "csv-one-row": _edit_csv(lambda lines: lines[:2]),
+    "csv-non-numeric": _edit_csv(lambda lines: lines[:3] + ["0.5,abc"] + lines[4:]),
+    "csv-three-columns": _edit_csv(lambda lines: [line + ",1" for line in lines]),
+    "csv-times-not-increasing": _edit_csv(lambda lines: lines[:1] + lines[1:][::-1]),
+    "npy-missing": lambda path: path.unlink(),
+    "npy-truncated": lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
+    "npy-not-an-array": lambda path: path.write_text("time_s,power\n0,1\n"),
+    "npy-wrong-dtype": _edit_npy(lambda data: data.astype(np.float32)),
+    "npy-wrong-ndim": _edit_npy(lambda data: data.ravel()),
+    "npy-offset-out-of-range": _out_of_range,
+}
+
+
 class TestConfigParsing:
     def test_parse_small(self, small_cfg):
         config = om_io.load_config(small_cfg)
@@ -221,6 +265,21 @@ class TestCliMeasureAndRecover:
     def test_unfittable_dataset_exits_3_without_traceback(self, small_cfg, tmp_path, capsys):
         dataset, out = tmp_path / "dataset", tmp_path / "out"
         assert main(["measure-sim", "--config", str(small_cfg), "--out", str(dataset)]) == 0
+        path = dataset / "traces" / "traces.npy"
+        data = np.load(path)
+        data[1] = 0.5
+        np.save(path, data)
+        capsys.readouterr()
+        assert main(["recover", "--config", str(small_cfg), "--dataset", str(dataset),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert "ringdown" in err
+        assert not out.exists()
+
+    def test_unfittable_legacy_dataset_exits_3_without_traceback(self, small_cfg, tmp_path,
+                                                                 capsys, save_legacy_csv):
+        dataset, out = legacy_dataset(small_cfg, tmp_path, save_legacy_csv), tmp_path / "out"
         for path in (dataset / "traces").iterdir():
             rows = path.read_text().splitlines()
             path.write_text("\n".join([rows[0]] + [r.split(",")[0] + ",0.5" for r in rows[1:]]))
@@ -232,12 +291,52 @@ class TestCliMeasureAndRecover:
         assert "ringdown" in err
         assert not out.exists()
 
+    def test_legacy_dataset_recovers_as_the_new_one(self, small_cfg, tmp_path, save_legacy_csv):
+        legacy = legacy_dataset(small_cfg, tmp_path, save_legacy_csv)
+        for dataset in (tmp_path / "npy", legacy):
+            assert main(["recover", "--config", str(small_cfg), "--dataset", str(dataset),
+                         "--out", str(dataset.with_name(dataset.name + "-out"))]) == 0
+        for name in ("recovered_h.csv", "recovered_h_rotating_frame.csv", "eta_hat.csv",
+                     "report.json"):
+            assert (tmp_path / "npy-out" / name).read_bytes() == \
+                (tmp_path / "legacy-out" / name).read_bytes()
+
+    def test_too_short_legacy_trace_degrades_recovery(self, small_cfg, tmp_path, save_legacy_csv):
+        dataset, out = legacy_dataset(small_cfg, tmp_path, save_legacy_csv), tmp_path / "out"
+        path = dataset / "traces" / "k01_i02_p03.csv"
+        path.write_text("\n".join(path.read_text().splitlines()[:6]) + "\n")
+        assert main(["recover", "--config", str(small_cfg), "--dataset", str(dataset),
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["fits_failed"] == 1
+
+    @pytest.mark.parametrize("case", list(MALFORMED_TRACES))
+    def test_malformed_trace_data_exits_2_naming_the_file(self, small_cfg, tmp_path, capsys,
+                                                          save_legacy_csv, case):
+        if case.startswith("csv"):
+            dataset = legacy_dataset(small_cfg, tmp_path, save_legacy_csv)
+            path = dataset / "traces" / "k01_i02_p03.csv"
+        else:
+            dataset = tmp_path / "dataset"
+            assert main(["measure-sim", "--config", str(small_cfg), "--out", str(dataset)]) == 0
+            path = dataset / "traces" / "traces.npy"
+        MALFORMED_TRACES[case](path)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["recover", "--config", str(small_cfg), "--dataset", str(dataset),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert str(path) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("drop, expected", [
         (None, "missing key 'readouts'"),
         ("traces", "missing key 'traces'"),
         ("drive_fluxes", "missing key 'drive_fluxes'"),
         ("traces[0].file", "missing key 'traces[0].file'"),
         ("json", "not valid JSON"),
+        ("traces[0].offset", "missing key 'traces[0].offset'"),
+        ("traces[0].samples", "missing key 'traces[0].samples'"),
     ])
     def test_malformed_manifest_exits_2_without_traceback(self, small_cfg, tmp_path,
                                                           capsys, drop, expected):
@@ -248,8 +347,8 @@ class TestCliMeasureAndRecover:
             text = "{}"
         elif drop == "json":
             text = "{"
-        elif drop == "traces[0].file":
-            del manifest["traces"][0]["file"]
+        elif drop.startswith("traces[0]."):
+            del manifest["traces"][0][drop.split(".")[1]]
             text = json.dumps(manifest)
         else:
             del manifest[drop]
@@ -269,9 +368,9 @@ class TestCliMeasureAndRecover:
         d1, d2 = tmp_path / "d1", tmp_path / "d2"
         assert main(["measure-sim", "--config", str(noisy), "--out", str(d1), "--seed", "9"]) == 0
         assert main(["measure-sim", "--config", str(noisy), "--out", str(d2), "--seed", "10"]) == 0
-        t1 = (d1 / "traces" / "k00_i00_p00.csv").read_text()
-        t2 = (d2 / "traces" / "k00_i00_p00.csv").read_text()
-        assert t1 != t2
+        t1 = np.load(d1 / "traces" / "traces.npy")
+        t2 = np.load(d2 / "traces" / "traces.npy")
+        assert np.array_equal(t1[0], t2[0]) and not np.array_equal(t1[1], t2[1])
 
 
 class TestCliDisorder:

@@ -85,6 +85,58 @@ class TestDampingSlope:
         assert slope * cfg.drive_flux == pytest.approx(om.optomech_damping(cfg, 0.35), rel=1e-12)
 
 
+class TestBroadcasting:
+    """Array calls of the damping formulas equal scalar calls bit for bit."""
+
+    @staticmethod
+    def random_fields(rng, shape):
+        kappa = rng.uniform(0.5e6, 4e6, shape)
+        return dict(
+            detuning=rng.uniform(1.9e6, 2.5e6, shape), kappa_tot=kappa,
+            kappa_1=kappa * rng.uniform(0.05, 0.5, shape), kappa_2=kappa * rng.uniform(0, 0.4, shape),
+            drive_flux=rng.uniform(1e12, 1e16, shape), transmittance=rng.uniform(0.3, 1, shape),
+            mech_freq=rng.uniform(2e6, 2.4e6, shape), mech_linewidth=rng.uniform(5, 15, shape),
+            g0=rng.uniform(8, 14, shape),
+        )
+
+    @pytest.mark.parametrize("func", [om.optomech_damping, om.effective_damping,
+                                      om.damping_slope])
+    def test_array_call_equals_scalar_calls(self, func):
+        rng = np.random.default_rng(11)
+        fields = self.random_fields(rng, 4000)
+        eta = rng.uniform(0, 1, 4000)
+        eta[:3] = (0.0, 1.0, 0.5)
+        batch = func(om.DampingConfig(**fields), eta)
+        scalar = [func(om.DampingConfig(**{k: float(v[j]) for k, v in fields.items()}), float(eta[j]))
+                  for j in range(eta.size)]
+        assert batch.shape == eta.shape
+        assert batch.tobytes() == np.array(scalar).tobytes()
+
+    def test_fields_broadcast_against_each_other(self):
+        rng = np.random.default_rng(12)
+        mode = {k: v[:, None] for k, v in self.random_fields(rng, 3).items()
+                if k in ("kappa_tot", "kappa_1", "kappa_2", "transmittance")}
+        site = {k: v[None, :] for k, v in self.random_fields(rng, 5).items()
+                if k in ("detuning", "mech_freq", "mech_linewidth", "g0")}
+        eta = rng.uniform(0, 1, (3, 5))
+        gamma = om.effective_damping(om.DampingConfig(drive_flux=2e15, **mode, **site), eta)
+        assert gamma.shape == (3, 5)
+        for k in range(3):
+            for i in range(5):
+                cfg = om.DampingConfig(drive_flux=2e15, **{n: v[k, 0] for n, v in mode.items()},
+                                       **{n: v[0, i] for n, v in site.items()})
+                assert gamma[k, i] == om.effective_damping(cfg, eta[k, i])
+
+    def test_any_bad_element_is_rejected(self):
+        fields = self.random_fields(np.random.default_rng(13), 3)
+        fields["g0"] = np.array([1.0, -1.0, 1.0])
+        with pytest.raises(ValueError, match="g0"):
+            om.DampingConfig(**fields)
+        fields["g0"] = np.ones(3)
+        with pytest.raises(ValueError, match="eta"):
+            om.optomech_damping(om.DampingConfig(**fields), np.array([0.2, 1.2, 0.3]))
+
+
 class TestUnnormalizedEta:
     def test_roundtrip_recovers_prefactors(self):
         rng = np.random.default_rng(2)
