@@ -36,6 +36,7 @@ from .measure import (
     OrthogonalizationError,
     RingdownFitError,
     RingdownTrace,
+    _hamiltonian_from_modes,
     assign_signs,
     damping_slope,
     effective_damping,
@@ -73,6 +74,9 @@ _MANIFEST_KEYS = ("readouts", "traces", "mode_freqs_hz", "mech_freqs_hz", "mech_
                   "drive_fluxes", "master_seed", "site_labels")
 _READOUT_KEYS = ("kappa_tot_hz", "kappa_1_hz", "kappa_2_hz", "transmittance")
 _TRACE_KEYS = ("mode", "site", "power_index", "file")
+# Trace-entry indices and the manifest lists they index.
+_TRACE_INDICES = (("mode", "mode_freqs_hz"), ("site", "mech_freqs_hz"),
+                  ("power_index", "drive_fluxes"))
 # Where MeasurementDataset.save puts every trace, relative to the dataset.
 TRACE_FILE = "traces/traces.npy"
 
@@ -80,9 +84,11 @@ TRACE_FILE = "traces/traces.npy"
 def _read_manifest(path: Path) -> dict:
     """Load a dataset manifest.  Raise ``io.ConfigError`` when it is not JSON,
     when it, or one of its readout or trace entries, lacks a key that
-    :meth:`MeasurementDataset.load` reads (the message names the key), or
-    when a trace entry's ``file`` is neither a ``.npy`` nor a ``.csv`` file.
-    Entries of a ``.npy`` file also need ``offset`` and ``samples``."""
+    :meth:`MeasurementDataset.load` reads (the message names the key), when
+    a trace entry's ``mode``, ``site`` or ``power_index`` is not an integer
+    index into ``mode_freqs_hz``, ``mech_freqs_hz`` or ``drive_fluxes``, or
+    when its ``file`` is neither a ``.npy`` nor a ``.csv`` file.  Entries of
+    a ``.npy`` file also need ``offset`` and ``samples``."""
     from .io import ConfigError  # io imports this module
 
     with open(path) as fh:
@@ -99,12 +105,18 @@ def _read_manifest(path: Path) -> dict:
                 raise ConfigError(f"dataset manifest {path} is missing key '{where}{key}'")
 
     require(manifest, _MANIFEST_KEYS, "")
-    for field, keys in (("readouts", _READOUT_KEYS), ("traces", _TRACE_KEYS)):
+    for field in ("readouts", "traces") + tuple(axis for _, axis in _TRACE_INDICES):
         if not isinstance(manifest[field], list):
             raise ConfigError(f"dataset manifest {path}: '{field}' is not a list")
+    for field, keys in (("readouts", _READOUT_KEYS), ("traces", _TRACE_KEYS)):
         for i, item in enumerate(manifest[field]):
             require(item, keys, f"{field}[{i}].")
     for i, item in enumerate(manifest["traces"]):
+        for key, axis in _TRACE_INDICES:
+            index, size = item[key], len(manifest[axis])
+            if type(index) is not int or not 0 <= index < size:
+                raise ConfigError(f"dataset manifest {path}: traces[{i}].{key} {index!r} is not "
+                                  f"an index into '{axis}' ({size} entries)")
         name = item["file"]
         if not isinstance(name, str) or not name.endswith((".npy", ".csv")):
             raise ConfigError(f"dataset manifest {path}: traces[{i}].file {name!r} "
@@ -191,22 +203,6 @@ class MeasurementDataset:
     @property
     def n_sites(self) -> int:
         return len(self.mech_freqs)
-
-    def damping_config(self, k: int, i: int, flux: float = 1.0, g0: float = 0.0) -> DampingConfig:
-        """Measurable drive parameters for mode ``k`` and site ``i`` (red
-        detuning equal to the mechanical frequency)."""
-        r = self.readouts[k]
-        return DampingConfig(
-            detuning=self.mech_freqs[i],
-            kappa_tot=r.kappa_tot,
-            kappa_1=r.kappa_1,
-            kappa_2=r.kappa_2,
-            drive_flux=flux,
-            transmittance=r.transmittance,
-            mech_freq=self.mech_freqs[i],
-            mech_linewidth=self.mech_linewidths[i],
-            g0=g0,
-        )
 
     def fit_all(self, skip_fraction: float = 0.1, gate_sigma: float = 2.0) -> np.ndarray:
         """Fit every ringdown and regress each (mode, site) damping rate
@@ -389,19 +385,28 @@ class RecoveryResult:
     residuals: dict
 
 
-def _pair_configs(readouts: tuple[ModeReadout, ...], sites: tuple[SiteParams, ...],
+def _site_fields(sites: tuple[SiteParams, ...]) -> np.ndarray:
+    """Mechanical frequencies, linewidths and g0 of ``sites``, the rows of a
+    ``(3, n)`` array."""
+    return np.array([[s.mech_freq for s in sites], [s.mech_linewidth for s in sites],
+                     [s.g0 for s in sites]])
+
+
+def _pair_configs(readouts: tuple[ModeReadout, ...], mech_freqs, mech_linewidths, g0,
                   flux=1.0) -> DampingConfig:
-    """The drive configurations of every (mode k, site i) pair as one
-    broadcasting :class:`DampingConfig`: mode fields vary along axis 0, site
-    fields along axis 1 and ``flux`` along axis 2, so a damping formula
-    evaluated on it with ``eta[:, :, None]`` returns ``(n, n, flux.size)``."""
+    """The red-detuned drive configurations (detuning equal to the mechanical
+    frequency) of every (mode k, site i) pair as one broadcasting
+    :class:`DampingConfig`: mode fields vary along axis 0, the site arrays
+    ``mech_freqs``, ``mech_linewidths`` and ``g0`` (or scalars) along axis 1
+    and ``flux`` along axis 2, so a damping formula evaluated on it with
+    ``eta[:, :, None]`` returns ``(n, n, flux.size)``."""
     mode = np.array([[r.kappa_tot, r.kappa_1, r.kappa_2, r.transmittance] for r in readouts])
-    site = np.array([[s.mech_freq, s.mech_linewidth, s.g0] for s in sites])
-    mode, site = mode.T[:, :, None, None], site.T[:, :, None]
+    mode = mode.T[:, :, None, None]
+    freq, width, g = (np.asarray(x, dtype=float)[..., None] for x in (mech_freqs, mech_linewidths, g0))
     return DampingConfig(
-        detuning=site[0], kappa_tot=mode[0], kappa_1=mode[1], kappa_2=mode[2],
+        detuning=freq, kappa_tot=mode[0], kappa_1=mode[1], kappa_2=mode[2],
         drive_flux=np.atleast_1d(flux), transmittance=mode[3],
-        mech_freq=site[0], mech_linewidth=site[1], g0=site[2],
+        mech_freq=freq, mech_linewidth=width, g0=g,
     )
 
 
@@ -419,20 +424,6 @@ def calibrate_drive_flux(
         raise ValueError("all damping slopes vanish; check g0 and couplings")
     target = damping_boost * float(np.median([s.mech_linewidth for s in sites]))
     return target / float(np.median(positive))
-
-
-def _true_config_from_parts(readout: ModeReadout, site: SiteParams, flux: float) -> DampingConfig:
-    return DampingConfig(
-        detuning=site.mech_freq,
-        kappa_tot=readout.kappa_tot,
-        kappa_1=readout.kappa_1,
-        kappa_2=readout.kappa_2,
-        drive_flux=flux,
-        transmittance=readout.transmittance,
-        mech_freq=site.mech_freq,
-        mech_linewidth=site.mech_linewidth,
-        g0=site.g0,
-    )
 
 
 def simulate_measurement(
@@ -471,7 +462,9 @@ def simulate_measurement(
     noise_sigma = 0.0 if snr is None or np.isinf(snr) else p0 / snr
     floor = NOISE_FLOOR_SIGMAS * noise_sigma
 
-    gamma = effective_damping(_pair_configs(readouts, sites, fluxes), eta[:, :, None])
+    mech_freqs, mech_linewidths, g0 = _site_fields(sites)
+    gamma = effective_damping(_pair_configs(readouts, mech_freqs, mech_linewidths, g0, fluxes),
+                              eta[:, :, None])
     duration = RINGDOWN_DECAY_SPAN / (TWO_PI * np.maximum(gamma, 1e-3))
     # duration / dt rounds to exactly samples_per_trace, the length
     # simulate_ringdown gives
@@ -492,8 +485,8 @@ def simulate_measurement(
     return MeasurementDataset(
         mode_freqs=modes.eigenfreqs.copy(),
         readouts=tuple(readouts),
-        mech_freqs=np.array([s.mech_freq for s in sites]),
-        mech_linewidths=np.array([s.mech_linewidth for s in sites]),
+        mech_freqs=mech_freqs,
+        mech_linewidths=mech_linewidths,
         drive_fluxes=fluxes,
         traces=traces,
         master_seed=master_seed,
@@ -510,39 +503,48 @@ def analytic_slope_matrix(
     """Noise-free damping-power slopes of every (mode, site) pair, from the
     closed-form damping formula (no ringdown simulation)."""
     eta = participation(diagonalize(h)).eta
-    return damping_slope(_pair_configs(readouts, sites), eta[:, :, None])[:, :, 0]
+    return damping_slope(_pair_configs(readouts, *_site_fields(sites)), eta[:, :, None])[:, :, 0]
 
 
 def recover_from_slopes(
     slopes: np.ndarray,
-    dataset_like,
+    readouts: tuple[ModeReadout, ...],
+    mech_freqs,
+    mode_freqs,
     reference: ModeSet,
+    site_labels: tuple[str, ...] = (),
+    h_true: CouplingHamiltonian | None = None,
     sinkhorn_tol: float = 1e-12,
     sinkhorn_max_iter: int = 10_000,
-    h_true: CouplingHamiltonian | None = None,
 ) -> RecoveryResult:
     """Core recovery chain from per-(mode, site) slopes.
 
-    ``dataset_like`` provides ``mode_freqs``, ``damping_config`` and
-    ``site_labels`` (a :class:`MeasurementDataset` or equivalent).  Mode rows
-    and the theory reference are matched by ascending eigenfrequency.  If the
+    ``slopes[k, i]`` is the damping-power slope of site ``i`` driven through
+    mode ``k``; ``readouts`` (one per mode), ``mech_freqs`` (Hz, one per
+    site) and the measured ``mode_freqs`` (Hz) are the measurable parameters
+    that invert it, ``site_labels`` label the reconstructed Hamiltonian, and
+    ``h_true``, when given, adds its errors to the residuals.  Negative
+    slopes are clipped to zero before the inversion.  Mode rows and the
+    theory reference are matched by ascending eigenfrequency.  If the
     sign-assigned matrix has negative determinant the last row sign is
     flipped before orthogonalization (participation ratios and the
     reconstructed Hamiltonian are invariant under row sign flips, and the
     matrix-logarithm correction requires a special-orthogonal neighborhood).
+    When orthogonalization fails, the sign-assigned matrix is used as it is.
     """
     n = slopes.shape[0]
-    if slopes.shape != (n, n) or reference.n_modes != n:
-        raise ValueError("slope matrix and reference mode set sizes disagree")
+    mech_freqs = np.asarray(mech_freqs, dtype=float)
+    mode_freqs = np.asarray(mode_freqs, dtype=float)
+    if slopes.shape != (n, n) or reference.n_modes != n or len(readouts) != n \
+            or mech_freqs.shape != (n,) or mode_freqs.shape != (n,):
+        raise ValueError("slope matrix, readouts, frequencies and reference mode set sizes disagree")
     order = np.argsort(reference.eigenfreqs, kind="stable")
     if not np.array_equal(order, np.arange(n)):
         raise ValueError("reference mode set must be in ascending frequency order")
 
-    eta_tilde = np.empty_like(slopes)
-    for k in range(n):
-        for i in range(n):
-            cfg = dataset_like.damping_config(k, i)
-            eta_tilde[k, i] = unnormalized_eta(max(slopes[k, i], 0.0), cfg)
+    # the inversion reads neither the mechanical linewidths nor g0
+    config = _pair_configs(readouts, mech_freqs, 0.0, 0.0)
+    eta_tilde = unnormalized_eta(np.maximum(slopes, 0.0)[:, :, None], config)[:, :, 0]
 
     eta_hat, iterations = sinkhorn_normalize(
         eta_tilde, tol=sinkhorn_tol, max_iter=sinkhorn_max_iter
@@ -560,32 +562,23 @@ def recover_from_slopes(
     }
     try:
         u_hat = orthogonalize(u_tilde)
+        h_hat = reconstruct_hamiltonian(u_hat, mode_freqs, site_labels)
         residuals["orthogonalized"] = True
     except OrthogonalizationError as exc:
         u_hat = u_tilde
+        h_hat = _hamiltonian_from_modes(u_hat, mode_freqs, site_labels)
         residuals["orthogonalized"] = False
         residuals["orthogonalization_error"] = str(exc)
     residuals["orthogonality_defect"] = float(np.abs(u_hat @ u_hat.T - np.eye(n)).max())
 
-    h_hat = reconstruct_hamiltonian(u_hat, dataset_like.mode_freqs, dataset_like.site_labels) \
-        if residuals["orthogonalized"] else _reconstruct_unchecked(
-            u_hat, dataset_like.mode_freqs, dataset_like.site_labels)
-    truth = h_true if h_true is not None else getattr(dataset_like, "h_true", None)
-    if truth is not None:
-        diff = h_hat.matrix - truth.matrix
+    if h_true is not None:
+        diff = h_hat.matrix - h_true.matrix
         residuals["h_rel_frobenius_error"] = float(
-            np.linalg.norm(diff) / np.linalg.norm(truth.matrix)
+            np.linalg.norm(diff) / np.linalg.norm(h_true.matrix)
         )
-        rot = h_hat.rotating_frame().matrix - truth.rotating_frame().matrix
+        rot = h_hat.rotating_frame().matrix - h_true.rotating_frame().matrix
         residuals["h_rotframe_max_error_hz"] = float(np.abs(rot).max())
     return RecoveryResult(eta_hat, u_hat, h_hat, iterations, residuals)
-
-
-def _reconstruct_unchecked(u, freqs, labels) -> CouplingHamiltonian:
-    # fallback path when orthogonalization was skipped: symmetrize without
-    # demanding tight orthogonality of u
-    h = u.conj().T @ (np.asarray(freqs, float)[:, None] * u)
-    return CouplingHamiltonian(0.5 * (h + h.conj().T), tuple(labels) if labels else ())
 
 
 def recover(
@@ -604,26 +597,13 @@ def recover(
     """
     slopes = dataset.slopes if dataset.slopes is not None else dataset.fit_all(skip_fraction)
     result = recover_from_slopes(
-        slopes, dataset, reference,
+        slopes, dataset.readouts, dataset.mech_freqs, dataset.mode_freqs, reference,
+        dataset.site_labels, dataset.h_true,
         sinkhorn_tol=sinkhorn_tol, sinkhorn_max_iter=sinkhorn_max_iter,
     )
     if dataset.fitted_gammas is not None:
         result.residuals["fits_failed"] = int(np.sum(~np.isfinite(dataset.fitted_gammas)))
     return result
-
-
-@dataclass
-class _SlopeContext:
-    """Minimal dataset-like view for :func:`recover_from_slopes`."""
-
-    mode_freqs: np.ndarray
-    site_labels: tuple[str, ...]
-    readouts: tuple[ModeReadout, ...]
-    sites: tuple[SiteParams, ...]
-    h_true: CouplingHamiltonian | None = None
-
-    def damping_config(self, k: int, i: int) -> DampingConfig:
-        return _true_config_from_parts(self.readouts[k], self.sites[i], 1.0)
 
 
 def recover_noiseless(
@@ -638,6 +618,6 @@ def recover_noiseless(
     slopes = analytic_slope_matrix(h, sites, readouts)
     truth_modes = diagonalize(h)
     reference = reference if reference is not None else truth_modes
-    context = _SlopeContext(truth_modes.eigenfreqs, h.site_labels, tuple(readouts),
-                            tuple(sites), h_true=h)
-    return recover_from_slopes(slopes, context, reference, sinkhorn_tol=sinkhorn_tol)
+    return recover_from_slopes(slopes, readouts, [s.mech_freq for s in sites],
+                               truth_modes.eigenfreqs, reference, h.site_labels, h,
+                               sinkhorn_tol=sinkhorn_tol)

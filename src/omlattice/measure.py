@@ -178,17 +178,19 @@ def unnormalized_eta(slope: float, cfg: DampingConfig) -> float:
     Only the measurable parameters (detuning, total linewidth, mechanical
     frequency) enter; the result equals ``g0 * eta * sqrt(kappa_1 * R)`` (Hz
     units) and carries the unknown per-site and per-mode prefactors that the
-    iterative normalization removes afterwards.
+    iterative normalization removes afterwards.  Broadcasts over array
+    ``slope`` and array fields of ``cfg``, as :func:`damping_slope` does; a
+    scalar call returns a float.
     """
-    if slope < 0:
+    if _anywhere(slope < 0):
         raise ValueError("slope must be >= 0 (clip noise-driven negatives before inverting)")
     delta = TWO_PI * cfg.detuning
     kappa = TWO_PI * cfg.kappa_tot
     weight = _sideband_weight(cfg)
-    if weight <= 0:
+    if _anywhere(weight <= 0):
         raise ValueError("sideband weight is non-positive at this detuning; cannot invert")
-    value_ang = np.sqrt(TWO_PI * slope * (delta**2 + kappa**2 / 4.0) / weight)
-    return float(value_ang / TWO_PI**1.5)
+    value = np.sqrt(TWO_PI * slope * (_square(delta) + _square(kappa) / 4.0) / weight) / TWO_PI**1.5
+    return float(value) if np.ndim(value) == 0 else value
 
 
 # ---------------------------------------------------------------------------
@@ -602,9 +604,14 @@ def reconstruct_hamiltonian(
     defect = np.abs(u @ u.conj().T - np.eye(u.shape[0])).max()
     if defect > RECONSTRUCT_ORTHO_ATOL:
         raise ValueError(f"modeshape matrix is not orthogonal (defect {defect:.3e})")
+    return _hamiltonian_from_modes(u, freqs, site_labels)
+
+
+def _hamiltonian_from_modes(u: np.ndarray, freqs: np.ndarray, site_labels=None) -> CouplingHamiltonian:
+    """U^dag diag(freqs) U, symmetrized, without checking that ``u`` is
+    orthogonal (the recovery chain's fallback when orthogonalization fails)."""
     h = u.conj().T @ (freqs[:, None] * u)
-    h = 0.5 * (h + h.conj().T)
-    return CouplingHamiltonian(h, tuple(site_labels) if site_labels else ())
+    return CouplingHamiltonian(0.5 * (h + h.conj().T), tuple(site_labels) if site_labels else ())
 
 
 def relative_g0(eta_tilde: np.ndarray, eta_hat) -> np.ndarray:

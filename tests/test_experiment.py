@@ -136,7 +136,12 @@ class TestSimulateMeasurement:
         eta = om.participation(om.diagonalize(h)).eta
         noise_sigma = 0.0 if snr is None else 1.5 / snr
         for (k, i, p), trace in ds.traces.items():
-            cfg = ds.damping_config(k, i, flux=fluxes[p], g0=sites[i].g0)
+            r, site = readouts[k], sites[i]
+            cfg = om.DampingConfig(
+                detuning=site.mech_freq, kappa_tot=r.kappa_tot, kappa_1=r.kappa_1,
+                kappa_2=r.kappa_2, drive_flux=fluxes[p], transmittance=r.transmittance,
+                mech_freq=site.mech_freq, mech_linewidth=site.mech_linewidth, g0=site.g0,
+            )
             gamma = om.effective_damping(cfg, eta[k, i])
             duration = om.experiment.RINGDOWN_DECAY_SPAN / (2 * np.pi * max(gamma, 1e-3))
             expected = om.simulate_ringdown(
@@ -175,11 +180,29 @@ class TestRecover:
         bad = om.ModeSet.__new__(om.ModeSet)
         object.__setattr__(bad, "eigenfreqs", modes.eigenfreqs[::-1])
         object.__setattr__(bad, "modeshapes", modes.modeshapes[::-1])
-        from omlattice.experiment import _SlopeContext
+        with pytest.raises(ValueError, match="ascending"):
+            om.recover_from_slopes(slopes, readouts, [s.mech_freq for s in sites],
+                                   modes.eigenfreqs, bad)
 
-        context = _SlopeContext(modes.eigenfreqs, h.site_labels, readouts, sites)
-        with pytest.raises(ValueError):
-            om.recover_from_slopes(slopes, context, bad)
+    def test_orthogonalization_fallback_reconstructs_from_sign_assigned_matrix(self):
+        # an all-positive reference puts eigenvalues of the sign-assigned
+        # matrix on the negative real axis, where the matrix logarithm of
+        # orthogonalize has no real principal branch
+        h, sites, readouts = small_setup(seed=0, n_cells=5)
+        truth = om.diagonalize(h)
+        positive = om.ModeSet.__new__(om.ModeSet)
+        object.__setattr__(positive, "eigenfreqs", truth.eigenfreqs)
+        object.__setattr__(positive, "modeshapes", np.abs(truth.modeshapes))
+        result = om.recover_noiseless(h, sites, readouts, reference=positive)
+        assert result.residuals["orthogonalized"] is False
+        assert "negative real axis" in result.residuals["orthogonalization_error"]
+        u = om.assign_signs(result.eta_hat, positive)
+        if np.linalg.det(u) < 0:
+            u[-1] *= -1.0
+        assert result.u_hat.tobytes() == u.tobytes()
+        expected = u.conj().T @ (truth.eigenfreqs[:, None] * u)
+        expected = 0.5 * (expected + expected.conj().T)
+        assert result.h_hat.matrix.tobytes() == expected.tobytes()
 
     def test_det_flip_keeps_reconstruction_exact(self):
         # a reference with one row sign flipped (row signs are conventions)
@@ -327,17 +350,13 @@ def test_relative_g0_through_pipeline_with_anchor():
         om.ModeReadout(kappa_tot=k, kappa_1=0.125 * k, kappa_2=0.125 * k)
         for k in rng.uniform(0.5e6, 5e6, 10)
     )
-    from omlattice.experiment import _SlopeContext
-
     slopes = om.analytic_slope_matrix(h, sites, readouts)
-    dataset_like = _SlopeContext(
-        om.diagonalize(h).eigenfreqs, h.site_labels, readouts, sites, h_true=h
-    )
-    eta_tilde = np.array([
-        [om.unnormalized_eta(slopes[k, i], dataset_like.damping_config(k, i))
-         for i in range(10)]
-        for k in range(10)
-    ])
+    # modes along axis 0, sites along axis 1
+    mode = {name: np.array([getattr(r, name) for r in readouts])[:, None]
+            for name in ("kappa_tot", "kappa_1", "kappa_2", "transmittance")}
+    config = om.DampingConfig(detuning=mech, mech_freq=mech, mech_linewidth=10.0, g0=g0_true,
+                              drive_flux=1.0, **mode)
+    eta_tilde = om.unnormalized_eta(slopes, config)
     eta_hat, _ = om.sinkhorn_normalize(eta_tilde, tol=1e-13)
     relative = om.relative_g0(eta_tilde, eta_hat)
     assert np.allclose(relative, g0_true / g0_true.sum(), rtol=1e-6)

@@ -337,6 +337,15 @@ class TestCliMeasureAndRecover:
         ("json", "not valid JSON"),
         ("traces[0].offset", "missing key 'traces[0].offset'"),
         ("traces[0].samples", "missing key 'traces[0].samples'"),
+        # a trace index outside its list, negative (it used to wrap around
+        # silently), of the wrong type or a bool; "=" sets instead of drops
+        ("traces[0].mode=99", "traces[0].mode 99 is not an index into 'mode_freqs_hz'"),
+        ("traces[0].mode=-1", "traces[0].mode -1 is not an index into 'mode_freqs_hz'"),
+        ("traces[0].site=\"a\"", "traces[0].site 'a' is not an index into 'mech_freqs_hz'"),
+        ("traces[0].site=4", "traces[0].site 4 is not an index into 'mech_freqs_hz'"),
+        ("traces[0].power_index=1.5", "traces[0].power_index 1.5 is not an index into 'drive_fluxes'"),
+        ("traces[0].power_index=true", "traces[0].power_index True is not an index"),
+        ("mode_freqs_hz=3", "'mode_freqs_hz' is not a list"),
     ])
     def test_malformed_manifest_exits_2_without_traceback(self, small_cfg, tmp_path,
                                                           capsys, drop, expected):
@@ -347,6 +356,11 @@ class TestCliMeasureAndRecover:
             text = "{}"
         elif drop == "json":
             text = "{"
+        elif "=" in drop:
+            key, value = drop.split("=")
+            entry = manifest["traces"][0] if key.startswith("traces[0].") else manifest
+            entry[key.split(".")[-1]] = json.loads(value)
+            text = json.dumps(manifest)
         elif drop.startswith("traces[0]."):
             del manifest["traces"][0][drop.split(".")[1]]
             text = json.dumps(manifest)

@@ -99,8 +99,11 @@ class TestBroadcasting:
             g0=rng.uniform(8, 14, shape),
         )
 
-    @pytest.mark.parametrize("func", [om.optomech_damping, om.effective_damping,
-                                      om.damping_slope])
+    @pytest.mark.parametrize("func", [
+        om.optomech_damping, om.effective_damping, om.damping_slope,
+        # the inversion takes the slope first; the values in [0, 1] serve as slopes
+        pytest.param(lambda cfg, slope: om.unnormalized_eta(slope, cfg), id="unnormalized_eta"),
+    ])
     def test_array_call_equals_scalar_calls(self, func):
         rng = np.random.default_rng(11)
         fields = self.random_fields(rng, 4000)
@@ -111,6 +114,19 @@ class TestBroadcasting:
                   for j in range(eta.size)]
         assert batch.shape == eta.shape
         assert batch.tobytes() == np.array(scalar).tobytes()
+
+    def test_unnormalized_eta_ignores_unmeasured_fields(self):
+        # the slope inversion reads only detuning, kappa_tot and mech_freq, so
+        # a config with g0 = 0 and one with the site g0 invert alike
+        rng = np.random.default_rng(14)
+        fields = self.random_fields(rng, 500)
+        slope = rng.uniform(0, 1e-12, 500)
+        expected = om.unnormalized_eta(slope, om.DampingConfig(**fields)).tobytes()
+        unread = ("g0", "kappa_1", "kappa_2", "transmittance", "mech_linewidth", "drive_flux")
+        for scale in (0.0, 0.5, rng.uniform(0, 1, 500)):
+            changed = dict(fields, **{name: fields[name] * scale for name in unread})
+            assert om.unnormalized_eta(slope, om.DampingConfig(**changed)).tobytes() == expected
+        assert type(om.unnormalized_eta(1e-13, make_cfg())) is float
 
     def test_fields_broadcast_against_each_other(self):
         rng = np.random.default_rng(12)
@@ -513,7 +529,7 @@ class TestSidebandThermometry:
             om.sideband_thermometry(cfg, 0.0, np.array([1.0, 2.0]))
 
 
-def test_damping_config_validation():
+def test_dampingconfig_validation():
     with pytest.raises(ValueError):
         make_cfg(kappa_tot=0.0)
     with pytest.raises(ValueError):
