@@ -4,7 +4,8 @@ Subcommands: ``spectrum``, ``topology``, ``measure-sim``, ``recover``,
 ``disorder``, ``circuit``.  Each reads an INI configuration (see
 :mod:`omlattice.io`), writes data files into ``--out``, and is deterministic
 for a fixed (config, seed).  Outputs are staged in a temporary directory and
-moved into place only on success, so failures leave no partial files.
+moved into place only on success, so failures leave no partial files; the
+files they replace are moved aside first and put back if any move fails.
 
 Exit codes: 0 success, 2 configuration error or a missing or unreadable
 file (such as a ``--dataset`` directory), 3 numerical failure (including a
@@ -249,6 +250,36 @@ def cmd_circuit(config: io_mod.RunConfig, out: Path) -> None:
     _write_json(out / "report.json", report)
 
 
+def _install(staging: Path, out: Path) -> None:
+    """Move every item of ``staging`` into ``out``, all or none: the items of
+    ``out`` they replace are first moved aside, and when any move fails the
+    items already moved in are removed and every item moved aside is put
+    back.  Other items of ``out`` are not touched."""
+    items = sorted(staging.iterdir())
+    aside = Path(tempfile.mkdtemp(prefix=".omlattice-old-", dir=out.parent))
+    replaced, installed = [], []
+    try:
+        for item in items:
+            target = out / item.name
+            if target.exists() or target.is_symlink():
+                shutil.move(str(target), str(aside / item.name))
+                replaced.append(item.name)
+        for item in items:
+            shutil.move(str(item), str(out / item.name))
+            installed.append(item.name)
+    except BaseException:
+        for name in installed:
+            if (out / name).is_dir():
+                shutil.rmtree(out / name)
+            else:
+                (out / name).unlink()
+        for name in replaced:
+            shutil.move(str(aside / name), str(out / name))
+        aside.rmdir()  # left in place, with the old items, if a restore failed
+        raise
+    shutil.rmtree(aside)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omlattice",
@@ -294,13 +325,7 @@ def main(argv=None) -> int:
         elif args.command == "circuit":
             cmd_circuit(config, staging)
         out.mkdir(parents=True, exist_ok=True)
-        for item in staging.iterdir():
-            target = out / item.name
-            if target.is_dir():
-                shutil.rmtree(target)
-            elif target.exists():
-                target.unlink()
-            shutil.move(str(item), str(target))
+        _install(staging, out)
         return EXIT_OK
     except io_mod.ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

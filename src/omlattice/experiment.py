@@ -11,18 +11,30 @@ reconstruction of the site-basis Hamiltonian.
 Per-trace random seeds derive deterministically from the dataset master
 seed, so simulation results are independent of evaluation order.
 
+A dataset holds its traces as dense arrays: ``times`` and ``powers`` of
+shape ``(modes, sites, powers, S)``, the trace lengths ``samples`` of shape
+``(modes, sites, powers)`` (0 for a missing trace; a trace's samples past
+its length are padding), the generator's ``true_gamma_eff`` of the same
+shape and one ``noise_floor``.  ``MeasurementDataset.traces`` is a mapping
+view over them that gives each present trace as a ``RingdownTrace``.
+
 A saved dataset is a directory holding ``manifest.json``, ``h_true.csv``
-and ``traces/traces.npy``, one float64 array of shape ``(2, total
-samples)``: row 0 the times, row 1 the powers of every trace, concatenated
-in manifest order; each manifest trace entry gives its ``offset`` and
-``samples`` in that array.  Datasets of earlier versions, one CSV per trace
-named by its entry's ``file``, still load.
+and ``traces/traces.npy``.  The manifest (``"format": 3``) holds the
+dataset's parameters, ``samples``, ``true_gamma_eff_hz`` (null where
+unknown) and ``noise_floor``.  ``traces.npy`` is one float64 array of shape
+``(2, total samples)``: row 0 the times, row 1 the powers of every present
+trace, concatenated in C order over (mode, site, power).  Manifests of
+earlier versions, without a ``format`` key and with one entry per trace
+that names its own CSV file (v1) or its ``offset`` and ``samples`` in
+``traces.npy`` (v2), still load.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import warnings
+from collections.abc import MutableMapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,6 +56,7 @@ from .measure import (
     orthogonalize,
     reconstruct_hamiltonian,
     sinkhorn_normalize,
+    trace_fault,
     unnormalized_eta,
 )
 
@@ -69,9 +82,13 @@ class ModeReadout:
             raise ValueError("transmittance must be positive")
 
 
-# Keys that MeasurementDataset.load reads from manifest.json and its entries.
-_MANIFEST_KEYS = ("readouts", "traces", "mode_freqs_hz", "mech_freqs_hz", "mech_linewidths_hz",
+# The manifest format MeasurementDataset.save writes.
+MANIFEST_FORMAT = 3
+# Keys that MeasurementDataset.load reads from every manifest, from a
+# format-3 manifest only, and from readout and trace entries (earlier formats).
+_MANIFEST_KEYS = ("readouts", "mode_freqs_hz", "mech_freqs_hz", "mech_linewidths_hz",
                   "drive_fluxes", "master_seed", "site_labels")
+_FORMAT_KEYS = ("samples", "true_gamma_eff_hz", "noise_floor")
 _READOUT_KEYS = ("kappa_tot_hz", "kappa_1_hz", "kappa_2_hz", "transmittance")
 _TRACE_KEYS = ("mode", "site", "power_index", "file")
 # Trace-entry indices and the manifest lists they index.
@@ -79,16 +96,23 @@ _TRACE_INDICES = (("mode", "mode_freqs_hz"), ("site", "mech_freqs_hz"),
                   ("power_index", "drive_fluxes"))
 # Where MeasurementDataset.save puts every trace, relative to the dataset.
 TRACE_FILE = "traces/traces.npy"
+# MeasurementDataset.load refuses a dataset whose traces, padded to the
+# longest, would take more than MAX_PADDING times their own samples plus
+# PADDING_ALLOWANCE.
+MAX_PADDING = 4
+PADDING_ALLOWANCE = 2**16
 
 
 def _read_manifest(path: Path) -> dict:
     """Load a dataset manifest.  Raise ``io.ConfigError`` when it is not JSON,
     when it, or one of its readout or trace entries, lacks a key that
-    :meth:`MeasurementDataset.load` reads (the message names the key), when
-    a trace entry's ``mode``, ``site`` or ``power_index`` is not an integer
-    index into ``mode_freqs_hz``, ``mech_freqs_hz`` or ``drive_fluxes``, or
-    when its ``file`` is neither a ``.npy`` nor a ``.csv`` file.  Entries of
-    a ``.npy`` file also need ``offset`` and ``samples``."""
+    :meth:`MeasurementDataset.load` reads (the message names the key), or
+    when its ``format`` is not :data:`MANIFEST_FORMAT`.  A manifest without
+    ``format`` (earlier versions) needs a ``traces`` list whose entries'
+    ``mode``, ``site`` and ``power_index`` are integer indices into
+    ``mode_freqs_hz``, ``mech_freqs_hz`` and ``drive_fluxes``, no two
+    entries with the same three, and whose ``file`` is a ``.npy`` file (then
+    with ``offset`` and ``samples``) or a ``.csv`` file."""
     from .io import ConfigError  # io imports this module
 
     with open(path) as fh:
@@ -105,18 +129,41 @@ def _read_manifest(path: Path) -> dict:
                 raise ConfigError(f"dataset manifest {path} is missing key '{where}{key}'")
 
     require(manifest, _MANIFEST_KEYS, "")
-    for field in ("readouts", "traces") + tuple(axis for _, axis in _TRACE_INDICES):
+    legacy = "format" not in manifest
+    if not legacy and (type(manifest["format"]) is not int or manifest["format"] != MANIFEST_FORMAT):
+        raise ConfigError(f"dataset manifest {path} has unknown format {manifest['format']!r}; "
+                          f"this version reads format {MANIFEST_FORMAT} and the earlier "
+                          "manifests without a 'format' key")
+    require(manifest, ("traces",) if legacy else _FORMAT_KEYS, "")
+    lists = ("readouts",) + (("traces",) if legacy else ()) + tuple(a for _, a in _TRACE_INDICES)
+    for field in lists:
         if not isinstance(manifest[field], list):
             raise ConfigError(f"dataset manifest {path}: '{field}' is not a list")
-    for field, keys in (("readouts", _READOUT_KEYS), ("traces", _TRACE_KEYS)):
-        for i, item in enumerate(manifest[field]):
-            require(item, keys, f"{field}[{i}].")
+    for i, item in enumerate(manifest["readouts"]):
+        require(item, _READOUT_KEYS, f"readouts[{i}].")
+    if not legacy:
+        return manifest
+    seen: dict[tuple, int] = {}
     for i, item in enumerate(manifest["traces"]):
+        require(item, _TRACE_KEYS, f"traces[{i}].")
         for key, axis in _TRACE_INDICES:
             index, size = item[key], len(manifest[axis])
             if type(index) is not int or not 0 <= index < size:
                 raise ConfigError(f"dataset manifest {path}: traces[{i}].{key} {index!r} is not "
                                   f"an index into '{axis}' ({size} entries)")
+        key = (item["mode"], item["site"], item["power_index"])
+        if key in seen:
+            raise ConfigError(f"dataset manifest {path}: traces[{seen[key]}] and traces[{i}] "
+                              "are both mode {}, site {}, power_index {}".format(*key))
+        seen[key] = i
+        gamma, floor = item.get("true_gamma_eff_hz"), item.get("noise_floor", 0.0)
+        if type(gamma) not in (int, float, type(None)):
+            raise ConfigError(f"dataset manifest {path}: traces[{i}].true_gamma_eff_hz {gamma!r} "
+                              "is not a number")
+        first = manifest["traces"][0].get("noise_floor", 0.0)
+        if type(floor) not in (int, float) or floor != first:
+            raise ConfigError(f"dataset manifest {path}: traces[{i}].noise_floor {floor!r} is not "
+                              "a number equal to traces[0]'s; a dataset has one noise floor")
         name = item["file"]
         if not isinstance(name, str) or not name.endswith((".npy", ".csv")):
             raise ConfigError(f"dataset manifest {path}: traces[{i}].file {name!r} "
@@ -142,6 +189,70 @@ def _read_trace_array(path: Path) -> np.ndarray:
                           f"(2, samples), not {getattr(data, 'dtype', type(data).__name__)} "
                           f"{getattr(data, 'shape', '')}")
     return data
+
+
+def _manifest_array(manifest: dict, key: str, shape: tuple, path: Path, counts: bool):
+    """``manifest[key]`` as an array of ``shape``: non-negative integers when
+    ``counts``, else floats (null read as NaN); ``io.ConfigError`` naming the
+    manifest otherwise."""
+    from .io import ConfigError
+
+    try:
+        array = np.array(manifest[key], dtype=None if counts else float)
+    except (ValueError, TypeError):
+        array = None
+    if array is None or array.shape != shape \
+            or (counts and (array.dtype.kind not in "iu" or (array < 0).any())):
+        kind = "non-negative integers" if counts else "numbers"
+        raise ConfigError(f"dataset manifest {path}: '{key}' is not a {shape} array of {kind}")
+    return array
+
+
+def _check_padding(lengths: np.ndarray, slots: int, path: Path) -> None:
+    """``io.ConfigError`` naming the manifest ``path`` when ``slots`` traces
+    padded to the longest of ``lengths`` would hold more than
+    :data:`MAX_PADDING` times the samples of the traces themselves, plus
+    :data:`PADDING_ALLOWANCE` (one long trace among many short or missing
+    ones would otherwise blow the dense arrays up)."""
+    from .io import ConfigError
+
+    longest, total = int(lengths.max(initial=0)), int(lengths.sum())
+    if slots * longest > MAX_PADDING * total + PADDING_ALLOWANCE:
+        raise ConfigError(f"dataset manifest {path}: padding its {slots} traces to the longest "
+                          f"({longest} samples) would hold {slots * longest} samples for "
+                          f"{total} samples of data")
+
+
+def _read_format3(manifest: dict, path: Path, trace_path: Path, shape: tuple) -> dict:
+    """The trace arrays of a format-3 dataset (``MeasurementDataset`` fields);
+    ``io.ConfigError`` naming the manifest or the trace file when they are
+    malformed or disagree, or when a present trace would not make a valid
+    :class:`~omlattice.measure.RingdownTrace`."""
+    from .io import ConfigError
+
+    samples = _manifest_array(manifest, "samples", shape, path, counts=True)
+    true_gamma = _manifest_array(manifest, "true_gamma_eff_hz", shape, path, counts=False)
+    floor = manifest["noise_floor"]
+    if type(floor) not in (int, float):
+        raise ConfigError(f"dataset manifest {path}: 'noise_floor' {floor!r} is not a number")
+    data = _read_trace_array(trace_path)
+    width = data.shape[1]
+    # a length beyond the file's width is checked first: it cannot fit, and
+    # it keeps the sum clear of integer overflow
+    if samples.max(initial=0) > width or samples.sum() != width:
+        raise ConfigError(f"dataset trace file {trace_path} holds {width} samples per row, but "
+                          f"the trace lengths in {path} ('samples') add up to {samples.sum()}")
+    _check_padding(samples, samples.size, path)
+    present = np.arange(samples.max(initial=0)) < samples[..., None]
+    times, powers = np.zeros((2,) + present.shape)
+    times[present], powers[present] = data
+    fault = trace_fault(times, powers, samples)
+    if fault is not None:
+        (k, i, p), rule = fault
+        raise ConfigError(f"dataset trace file {trace_path}, trace of mode {k}, site {i}, "
+                          f"power_index {p}: {rule}")
+    return dict(times=times, powers=powers, samples=samples, true_gamma_eff=true_gamma,
+                noise_floor=float(floor))
 
 
 def _slice_trace(data: np.ndarray, entry: dict, path: Path, index: int):
@@ -174,13 +285,110 @@ def _read_csv_trace(path: Path):
     return data[:, 0], data[:, 1]
 
 
+def _read_legacy_traces(manifest: dict, directory: Path) -> dict[tuple, RingdownTrace]:
+    """The traces of a manifest without ``format``, keyed by (mode, site,
+    power_index).  Each entry's trace is its own CSV file (v1) or its
+    ``offset``/``samples`` window of a ``.npy`` file (v2).  Raises
+    ``io.ConfigError`` naming the file when a trace is malformed."""
+    from .io import ConfigError
+
+    arrays: dict[str, tuple[Path, np.ndarray]] = {}
+    traces = {}
+    for index, entry in enumerate(manifest["traces"]):
+        name = entry["file"]
+        if name.endswith(".csv"):
+            trace_path = directory / name
+            times, powers = _read_csv_trace(trace_path)
+        else:
+            if name not in arrays:
+                arrays[name] = directory / name, _read_trace_array(directory / name)
+            trace_path, data = arrays[name]
+            times, powers = _slice_trace(data, entry, trace_path, index)
+        try:
+            trace = RingdownTrace(times, powers, true_gamma_eff=entry.get("true_gamma_eff_hz"))
+        except ValueError as exc:
+            raise ConfigError(f"dataset trace file {trace_path}, traces[{index}]: {exc}") from None
+        traces[(entry["mode"], entry["site"], entry["power_index"])] = trace
+    return traces
+
+
+class _TraceView(MutableMapping):
+    """The traces of a :class:`MeasurementDataset` as a mapping from (mode,
+    site, power_index) to :class:`~omlattice.measure.RingdownTrace`.
+
+    Reading a key builds the trace from the dataset's arrays (a copy, with
+    the dataset's noise floor); storing one writes it into them, growing the
+    sample axis when the trace is longer, and deleting one marks it missing.
+    Only present traces (``samples > 0``) are keys.  A stored trace's own
+    ``noise_floor`` is not kept: a dataset has one noise floor.
+    """
+
+    def __init__(self, dataset: "MeasurementDataset"):
+        self._dataset = dataset
+
+    def _index(self, key) -> tuple[int, int, int]:
+        try:
+            index = tuple(operator.index(x) for x in key)
+        except TypeError:
+            raise KeyError(key) from None
+        shape = self._dataset.samples.shape
+        if len(index) != len(shape) or not all(0 <= x < size for x, size in zip(index, shape)):
+            raise KeyError(key)
+        return index
+
+    def __getitem__(self, key) -> RingdownTrace:
+        ds = self._dataset
+        index = self._index(key)
+        size = ds.samples[index]
+        if size == 0:
+            raise KeyError(key)
+        gamma = ds.true_gamma_eff[index]
+        return RingdownTrace(ds.times[index][:size].copy(), ds.powers[index][:size].copy(),
+                             true_gamma_eff=None if np.isnan(gamma) else float(gamma),
+                             noise_floor=ds.noise_floor)
+
+    def __setitem__(self, key, trace: RingdownTrace) -> None:
+        if not isinstance(trace, RingdownTrace):
+            raise TypeError(f"dataset traces are RingdownTrace objects, not {type(trace).__name__}")
+        ds = self._dataset
+        index = self._index(key)
+        size = trace.times.size
+        if size > ds.times.shape[-1]:
+            pad = [(0, 0)] * (ds.times.ndim - 1) + [(0, size - ds.times.shape[-1])]
+            ds.times, ds.powers = np.pad(ds.times, pad), np.pad(ds.powers, pad)
+        for array, values in ((ds.times, trace.times), (ds.powers, trace.powers)):
+            array[index][:size] = values
+            array[index][size:] = 0.0
+        ds.samples[index] = size
+        ds.true_gamma_eff[index] = np.nan if trace.true_gamma_eff is None else trace.true_gamma_eff
+
+    def __delitem__(self, key) -> None:
+        index = self._index(key)
+        if self._dataset.samples[index] == 0:
+            raise KeyError(key)
+        self._dataset.samples[index] = 0
+
+    def __iter__(self):
+        return iter(map(tuple, np.argwhere(self._dataset.samples > 0).tolist()))
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._dataset.samples))
+
+    def clear(self) -> None:
+        self._dataset.samples[...] = 0
+
+
 @dataclass
 class MeasurementDataset:
     """Synthetic ringdown traces plus everything needed to invert them.
 
-    ``traces[(k, i, p)]`` is the ringdown of site ``i`` while driving mode
-    ``k`` at source flux ``drive_fluxes[p]``.  ``fit_all`` fills the fitted
-    damping rates and per-(mode, site) slope estimates.
+    Trace ``(k, i, p)`` is the ringdown of site ``i`` while driving mode
+    ``k`` at source flux ``drive_fluxes[p]``: the first ``samples[k, i, p]``
+    entries of ``times[k, i, p]`` and ``powers[k, i, p]`` (none when the
+    trace is missing), with the generator's damping rate
+    ``true_gamma_eff[k, i, p]`` (NaN when unknown).  ``traces`` gives them as
+    :class:`~omlattice.measure.RingdownTrace` objects.  ``fit_all`` fills
+    the fitted damping rates and per-(mode, site) slope estimates.
     """
 
     mode_freqs: np.ndarray
@@ -188,13 +396,29 @@ class MeasurementDataset:
     mech_freqs: np.ndarray
     mech_linewidths: np.ndarray
     drive_fluxes: np.ndarray
-    traces: dict[tuple[int, int, int], RingdownTrace]
+    times: np.ndarray
+    powers: np.ndarray
+    samples: np.ndarray
+    true_gamma_eff: np.ndarray
+    noise_floor: float
     master_seed: int
     site_labels: tuple[str, ...]
     h_true: CouplingHamiltonian | None = None
     fitted_gammas: np.ndarray | None = None
     fitted_errors: np.ndarray | None = None
     slopes: np.ndarray | None = None
+
+    @property
+    def traces(self) -> _TraceView:
+        """Mapping view of the present traces (see :class:`_TraceView`)."""
+        return _TraceView(self)
+
+    @traces.setter
+    def traces(self, mapping) -> None:
+        mapping = dict(mapping)  # the mapping may be a view of this dataset
+        view = _TraceView(self)
+        view.clear()
+        view.update(mapping)
 
     @property
     def n_modes(self) -> int:
@@ -208,14 +432,15 @@ class MeasurementDataset:
         """Fit every ringdown and regress each (mode, site) damping rate
         against the source flux; returns and caches the slope matrix.
 
-        Traces of equal length are stacked and fitted together by the batched
-        Levenberg-Marquardt kernel :func:`~omlattice.measure.fit_ringdowns`.
+        All traces are fitted by one call of the batched Levenberg-Marquardt
+        kernel :func:`~omlattice.measure.fit_ringdowns`, or one call per
+        trace length when lengths differ.
         A trace whose fit fails (no convergence, singular normal equations,
-        fewer than ``MIN_FIT_SAMPLES`` samples) gets ``fitted_gammas`` NaN and
-        ``fitted_errors`` inf and is left out of its pair's regression.  A
-        pair left with fewer than 3 fitted powers gets slope 0, except that a
-        sweep of only 2 powers keeps the ungated slope of pairs with both
-        fitted.
+        fewer than ``MIN_FIT_SAMPLES`` samples) or that is missing gets
+        ``fitted_gammas`` NaN and ``fitted_errors`` inf and is left out of
+        its pair's regression.  A pair left with fewer than 3 fitted powers
+        gets slope 0, except that a sweep of only 2 powers keeps the ungated
+        slope of pairs with both fitted.
         Raises :class:`~omlattice.measure.RingdownFitError` only when no
         trace at all could be fitted.
 
@@ -224,23 +449,18 @@ class MeasurementDataset:
         the square root taken during inversion would otherwise turn fit noise
         into a positive participation bias.
         """
-        n, m, npow = self.n_modes, self.n_sites, len(self.drive_fluxes)
-        gammas = np.full((n, m, npow), np.nan)
-        errors = np.full((n, m, npow), np.inf)
-        by_length: dict[int, list[tuple[int, int, int]]] = {}
-        for key, trace in self.traces.items():
-            by_length.setdefault(trace.times.size, []).append(key)
-        for size, keys in by_length.items():
-            if size < MIN_FIT_SAMPLES:
-                continue
-            gamma, stderr, _ = fit_ringdowns(
-                np.stack([self.traces[key].times for key in keys]),
-                np.stack([self.traces[key].powers for key in keys]),
-                skip_fraction,
-            )
-            index = tuple(np.array(keys).T)
-            gammas[index] = gamma
-            errors[index] = stderr
+        shape, npow = self.samples.shape, len(self.drive_fluxes)
+        lengths = self.samples.reshape(-1)
+        times = self.times.reshape(lengths.size, self.times.shape[-1])
+        powers = self.powers.reshape(lengths.size, self.powers.shape[-1])
+        gammas = np.full(lengths.size, np.nan)
+        errors = np.full(lengths.size, np.inf)
+        sizes = np.unique(lengths)
+        for size in sizes[sizes >= MIN_FIT_SAMPLES]:
+            rows = lengths == size
+            gammas[rows], errors[rows], _ = fit_ringdowns(times[rows, :size], powers[rows, :size],
+                                                          skip_fraction)
+        gammas, errors = gammas.reshape(shape), errors.reshape(shape)
         fitted = np.isfinite(gammas)
         if not fitted.any():
             raise RingdownFitError(f"none of the {len(self.traces)} ringdowns could be fitted")
@@ -271,18 +491,15 @@ class MeasurementDataset:
     # -- persistence ---------------------------------------------------------
 
     def save(self, directory) -> None:
-        """Write the dataset as ``manifest.json``, ``h_true.csv`` and every
-        trace in one ``traces/traces.npy`` (layout in the module docstring)."""
+        """Write the dataset as ``manifest.json`` (format 3), ``h_true.csv``
+        and ``traces/traces.npy`` (layouts in the module docstring)."""
         directory = Path(directory)
         (directory / "traces").mkdir(parents=True, exist_ok=True)
-        keys = sorted(self.traces)
-        offsets = np.cumsum([0] + [self.traces[key].times.size for key in keys]).tolist()
-        data = np.empty((2, offsets[-1]))
-        for key, offset in zip(keys, offsets):
-            trace = self.traces[key]
-            data[0, offset:offset + trace.times.size] = trace.times
-            data[1, offset:offset + trace.times.size] = trace.powers
+        present = np.arange(self.times.shape[-1]) < self.samples[..., None]
+        true_gamma = self.true_gamma_eff.astype(object)
+        true_gamma[np.isnan(self.true_gamma_eff)] = None
         manifest = {
+            "format": MANIFEST_FORMAT,
             "mode_freqs_hz": self.mode_freqs.tolist(),
             "readouts": [
                 {
@@ -298,62 +515,39 @@ class MeasurementDataset:
             "drive_fluxes": self.drive_fluxes.tolist(),
             "master_seed": self.master_seed,
             "site_labels": list(self.site_labels),
-            "traces": [
-                {
-                    "mode": k,
-                    "site": i,
-                    "power_index": p,
-                    "drive_flux": self.drive_fluxes[p],
-                    "file": TRACE_FILE,
-                    "offset": offset,
-                    "samples": end - offset,
-                    "true_gamma_eff_hz": self.traces[(k, i, p)].true_gamma_eff,
-                    "noise_floor": self.traces[(k, i, p)].noise_floor,
-                }
-                for (k, i, p), offset, end in zip(keys, offsets, offsets[1:])
-            ],
+            "samples": self.samples.tolist(),
+            "true_gamma_eff_hz": true_gamma.tolist(),
+            "noise_floor": float(self.noise_floor),
         }
+        # json.dumps without indent runs the C encoder; json.dump never does
         with open(directory / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write(json.dumps(manifest, sort_keys=True))
         if self.h_true is not None:
             self.h_true.to_csv(directory / "h_true.csv")
-        np.save(directory / TRACE_FILE, data)
+        np.save(directory / TRACE_FILE, np.stack((self.times[present], self.powers[present])))
 
     @classmethod
     def load(cls, directory) -> "MeasurementDataset":
-        """Read a dataset written by :meth:`save`, or by earlier versions
-        (one CSV per trace).  Raises ``io.ConfigError`` naming the file when
+        """Read a dataset written by :meth:`save`, or by earlier versions (v1:
+        one CSV per trace; v2: per-trace manifest entries locating each trace
+        in ``traces.npy``).  Raises ``io.ConfigError`` naming the file when
         the manifest or trace data are malformed, ``OSError`` when a file is
         missing."""
-        from .io import ConfigError
-
         directory = Path(directory)
-        manifest = _read_manifest(directory / "manifest.json")
-        readouts = tuple(
-            ModeReadout(r["kappa_tot_hz"], r["kappa_1_hz"], r["kappa_2_hz"], r["transmittance"])
-            for r in manifest["readouts"]
-        )
-        arrays: dict[str, tuple[Path, np.ndarray]] = {}
-        traces = {}
-        for index, entry in enumerate(manifest["traces"]):
-            name = entry["file"]
-            if name.endswith(".csv"):
-                path = directory / name
-                times, powers = _read_csv_trace(path)
-            else:
-                if name not in arrays:
-                    arrays[name] = directory / name, _read_trace_array(directory / name)
-                path, data = arrays[name]
-                times, powers = _slice_trace(data, entry, path, index)
-            try:
-                trace = RingdownTrace(
-                    times, powers,
-                    true_gamma_eff=entry.get("true_gamma_eff_hz"),
-                    noise_floor=entry.get("noise_floor", 0.0),
-                )
-            except ValueError as exc:
-                raise ConfigError(f"dataset trace file {path}, traces[{index}]: {exc}") from None
-            traces[(entry["mode"], entry["site"], entry["power_index"])] = trace
+        path = directory / "manifest.json"
+        manifest = _read_manifest(path)
+        shape = tuple(len(manifest[axis]) for _, axis in _TRACE_INDICES)
+        if "format" in manifest:
+            traces, arrays = None, _read_format3(manifest, path, directory / TRACE_FILE, shape)
+        else:
+            traces = _read_legacy_traces(manifest, directory)
+            lengths = np.array([t.times.size for t in traces.values()], dtype=int)
+            _check_padding(lengths, int(np.prod(shape)), path)
+            padded = shape + (lengths.max(initial=0),)
+            entries = manifest["traces"]
+            arrays = dict(times=np.zeros(padded), powers=np.zeros(padded),
+                          samples=np.zeros(shape, dtype=int), true_gamma_eff=np.full(shape, np.nan),
+                          noise_floor=float(entries[0].get("noise_floor", 0.0)) if entries else 0.0)
         h_true = None
         h_path = directory / "h_true.csv"
         if h_path.exists():
@@ -361,17 +555,23 @@ class MeasurementDataset:
 
             matrix, labels = _io.matrix_from_csv(h_path)
             h_true = CouplingHamiltonian(matrix, labels)
-        return cls(
+        dataset = cls(
             mode_freqs=np.array(manifest["mode_freqs_hz"]),
-            readouts=readouts,
+            readouts=tuple(
+                ModeReadout(r["kappa_tot_hz"], r["kappa_1_hz"], r["kappa_2_hz"], r["transmittance"])
+                for r in manifest["readouts"]
+            ),
             mech_freqs=np.array(manifest["mech_freqs_hz"]),
             mech_linewidths=np.array(manifest["mech_linewidths_hz"]),
             drive_fluxes=np.array(manifest["drive_fluxes"]),
-            traces=traces,
             master_seed=manifest["master_seed"],
             site_labels=tuple(manifest["site_labels"]),
             h_true=h_true,
+            **arrays,
         )
+        if traces is not None:
+            dataset.traces = traces
+        return dataset
 
 
 @dataclass(frozen=True)
@@ -448,7 +648,8 @@ def simulate_measurement(
     ``dt = duration / samples_per_trace``, the noise floor of
     ``NOISE_FLOOR_SIGMAS`` noise sigmas and the seed
     ``SeedSequence(master_seed, spawn_key=(k, i, p))``; all traces are
-    computed as one ``(n, n, powers, samples)`` block.
+    computed as one ``(n, n, powers, samples)`` block, the dataset's
+    ``times`` and ``powers``.
     """
     if len(sites) != h.n_sites or len(readouts) != h.n_sites:
         raise ValueError("need one SiteParams and one ModeReadout per site/mode")
@@ -478,17 +679,17 @@ def simulate_measurement(
             rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=key))
             powers[key] += rng.normal(0.0, noise_sigma, samples_per_trace)
     powers = np.clip(powers, 0.0, None)
-    traces = {
-        key: RingdownTrace(times[key], powers[key], true_gamma_eff=gamma[key], noise_floor=floor)
-        for key in np.ndindex(gamma.shape)
-    }
     return MeasurementDataset(
         mode_freqs=modes.eigenfreqs.copy(),
         readouts=tuple(readouts),
         mech_freqs=mech_freqs,
         mech_linewidths=mech_linewidths,
         drive_fluxes=fluxes,
-        traces=traces,
+        times=times,
+        powers=powers,
+        samples=np.full(gamma.shape, samples_per_trace),
+        true_gamma_eff=gamma,
+        noise_floor=floor,
         master_seed=master_seed,
         site_labels=h.site_labels,
         h_true=h,

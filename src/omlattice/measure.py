@@ -213,14 +213,38 @@ class RingdownTrace:
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         p = np.asarray(self.powers, dtype=float)
-        if t.ndim != 1 or t.shape != p.shape or t.size < 2:
-            raise ValueError("times and powers must be matching 1D arrays")
-        if (t[1:] <= t[:-1]).any():
-            raise ValueError("times must be strictly increasing")
-        if p.min() < 0:
-            raise ValueError("powers must be >= 0")
+        if t.ndim != 1 or t.shape != p.shape or t.size == 0:
+            raise ValueError("times and powers must be matching non-empty 1D arrays")
+        fault = trace_fault(t, p, t.size)
+        if fault is not None:
+            raise ValueError(fault[1])
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "powers", p)
+
+
+def trace_fault(times: np.ndarray, powers: np.ndarray, samples) -> tuple[tuple[int, ...], str] | None:
+    """The first trace of a block that breaks the :class:`RingdownTrace`
+    rules, as (its index, the rule), or None.
+
+    ``times`` and ``powers`` hold one trace per index of their leading axes,
+    padded along the last; trace ``j`` is the first ``samples[j]`` entries,
+    and a trace of 0 samples is missing and passes.  A present trace needs
+    at least 2 samples, strictly increasing times and powers >= 0; a NaN
+    time or power breaks its rule.  For a single trace (1D arrays) the
+    index is ``()``.
+    """
+    samples = np.asarray(samples)
+    present = np.arange(times.shape[-1]) < samples[..., None]
+    rules = (
+        (samples == 1, "fewer than 2 samples"),
+        ((~(times[..., 1:] > times[..., :-1]) & present[..., 1:]).any(axis=-1),
+         "times must be strictly increasing"),
+        ((~(powers >= 0) & present).any(axis=-1), "powers must be >= 0"),
+    )
+    for bad, rule in rules:
+        if bad.any():
+            return tuple(np.argwhere(bad)[0].tolist()), rule
+    return None
 
 
 def simulate_ringdown(

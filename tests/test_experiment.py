@@ -1,8 +1,11 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import omlattice as om
 from omlattice import io as om_io
@@ -90,14 +93,22 @@ class TestSimulateMeasurement:
             assert np.array_equal(loaded.traces[key].powers, ds.traces[key].powers)
         assert np.array_equal(loaded.h_true.matrix, h.matrix)
 
-    def test_saves_every_trace_in_one_array(self, tmp_path):
+    def test_saves_every_trace_in_one_array(self, tmp_path, save_v2):
         h, sites, readouts = small_setup(seed=5)
         ds = om.simulate_measurement(h, sites, readouts, np.linspace(1e14, 5e14, 3), master_seed=2,
                                      snr=80.0, samples_per_trace=30)
-        ds.save(tmp_path)
+        ds.save(tmp_path / "v3")
+        save_v2(ds, tmp_path)
         assert sorted(p.name for p in (tmp_path / "traces").iterdir()) == ["traces.npy"]
         data = np.load(tmp_path / "traces" / "traces.npy", allow_pickle=False)
         assert data.dtype == np.float64 and data.shape == (2, 30 * len(ds.traces))
+        # format 3 keeps the v2 trace file and replaces the per-trace entries
+        assert (tmp_path / "v3" / "traces" / "traces.npy").read_bytes() == \
+            (tmp_path / "traces" / "traces.npy").read_bytes()
+        manifest = json.loads((tmp_path / "v3" / "manifest.json").read_text())
+        assert manifest["format"] == 3 and "traces" not in manifest
+        assert manifest["samples"] == np.full(ds.samples.shape, 30).tolist()
+        assert manifest["true_gamma_eff_hz"] == ds.true_gamma_eff.tolist()
         entries = json.loads((tmp_path / "manifest.json").read_text())["traces"]
         keys = [(e["mode"], e["site"], e["power_index"]) for e in entries]
         assert keys == sorted(ds.traces)
@@ -310,6 +321,80 @@ class TestFitAll:
                      for key, t in ds.traces.items()}
         with pytest.raises(om.RingdownFitError):
             ds.fit_all()
+
+
+class TestTraceMapping:
+    """``MeasurementDataset.traces`` is a mapping of the present traces: the
+    contract that callers counting traces and samples through it rely on."""
+
+    @pytest.mark.parametrize("source", ["simulated", "v1", "v2", "v3"])
+    def test_view_holds_the_present_traces(self, tmp_path, source, save_legacy_csv, save_v2):
+        h, sites, readouts = small_setup(seed=5)
+        flux = om.calibrate_drive_flux(h, sites, readouts)
+        ds = om.simulate_measurement(h, sites, readouts, np.linspace(flux / 4, flux, 4),
+                                     master_seed=2, snr=80.0, samples_per_trace=30)
+        keys = sorted(ds.traces)
+        del ds.traces[(1, 2, 3)]
+        writers = {"v1": save_legacy_csv, "v2": save_v2, "v3": om.MeasurementDataset.save}
+        if source in writers:
+            writers[source](ds, tmp_path)
+            ds = om.MeasurementDataset.load(tmp_path)
+        assert ds.samples[1, 2, 3] == 0 and (1, 2, 3) not in ds.traces
+        assert list(ds.traces) == [key for key in keys if key != (1, 2, 3)]
+        assert len(ds.traces) == 4 * 4 * 4 - 1
+        assert sum(t.times.size for t in ds.traces.values()) == 30 * (4 * 4 * 4 - 1)
+        assert all(type(ds.traces[key]) is om.RingdownTrace for key in ds.traces)
+        for key in ((1, 2, 3), (-1, 0, 0), (0, 0, 4), (0, 0)):
+            with pytest.raises(KeyError):
+                ds.traces[key]
+        result = om.recover(ds, om.diagonalize(h))
+        assert np.isnan(ds.fitted_gammas[1, 2, 3])
+        assert result.residuals["fits_failed"] == 1
+
+    @pytest.mark.parametrize("source", ["v1", "v2", "v3"])
+    def test_load_refuses_one_long_trace_among_short_ones(self, tmp_path, source,
+                                                          save_legacy_csv, save_v2):
+        # the dense arrays pad every trace to the longest: 64 x 2000 samples
+        # for 2126 samples of data is refused rather than allocated
+        h, sites, readouts = small_setup(seed=5)
+        ds = om.simulate_measurement(h, sites, readouts, np.linspace(1e14, 5e14, 4),
+                                     master_seed=2, snr=None, samples_per_trace=30)
+        ds.traces = {key: om.RingdownTrace(t.times[:2], t.powers[:2])
+                     for key, t in ds.traces.items()}
+        ds.traces[(0, 0, 0)] = om.RingdownTrace(np.arange(2000.0), np.ones(2000))
+        writers = {"v1": save_legacy_csv, "v2": save_v2, "v3": om.MeasurementDataset.save}
+        writers[source](ds, tmp_path)
+        with pytest.raises(om_io.ConfigError, match="padding its 64 traces to the longest"):
+            om.MeasurementDataset.load(tmp_path)
+
+
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**16), n_cells=st.integers(2, 4),
+       snr=st.sampled_from([None, 100.0, 300.0]), powers=st.integers(3, 4),
+       samples=st.integers(20, 60))
+def test_every_dataset_format_round_trips_bit_for_bit(save_legacy_csv, save_v2, seed, n_cells,
+                                                      snr, powers, samples):
+    h, sites, readouts = small_setup(seed=seed, n_cells=n_cells)
+    flux = om.calibrate_drive_flux(h, sites, readouts)
+    ds = om.simulate_measurement(h, sites, readouts, np.linspace(flux / powers, flux, powers),
+                                 master_seed=seed, snr=snr, samples_per_trace=samples)
+    reference = om.diagonalize(h)
+    expected = om.recover(ds, reference)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, write in (("v1", save_legacy_csv), ("v2", save_v2),
+                            ("v3", om.MeasurementDataset.save)):
+            write(ds, tmp / name)
+            loaded = om.MeasurementDataset.load(tmp / name)
+            result = om.recover(loaded, reference)
+            assert loaded.fitted_gammas.tobytes() == ds.fitted_gammas.tobytes()
+            assert loaded.fitted_errors.tobytes() == ds.fitted_errors.tobytes()
+            assert result.h_hat.matrix.tobytes() == expected.h_hat.matrix.tobytes()
+            assert result.eta_hat.eta.tobytes() == expected.eta_hat.eta.tobytes()
+            assert result.residuals == expected.residuals
+        om.MeasurementDataset.load(tmp / "v3").save(tmp / "again")
+        for name in ("manifest.json", "h_true.csv", "traces/traces.npy"):
+            assert (tmp / "again" / name).read_bytes() == (tmp / "v3" / name).read_bytes()
 
 
 def test_flake_pipeline_end_to_end():

@@ -1,4 +1,8 @@
+import functools
 import json
+import operator
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +65,23 @@ def legacy_dataset(config: Path, tmp_path: Path, save_legacy_csv) -> Path:
     return tmp_path / "legacy"
 
 
+def v2_dataset(config: Path, tmp_path: Path, save_v2) -> Path:
+    """``measure-sim`` output (left in ``tmp_path / "npy"``) rewritten as a
+    dataset with per-trace manifest entries locating each trace in
+    ``traces.npy``."""
+    assert main(["measure-sim", "--config", str(config), "--out", str(tmp_path / "npy")]) == 0
+    save_v2(om.MeasurementDataset.load(tmp_path / "npy"), tmp_path / "v2")
+    return tmp_path / "v2"
+
+
+def _locate(manifest: dict, key: str):
+    """The container and index of the manifest item that ``key`` names, as
+    in ``traces[0].mode`` or ``samples[0][0][0]``."""
+    *path, last = [int(t[1:-1]) if t.startswith("[") else t
+                   for t in re.findall(r"\[\d+\]|[^.\[\]]+", key)]
+    return functools.reduce(operator.getitem, path, manifest), last
+
+
 def _edit_csv(edit):
     def apply(path):
         lines = path.read_text().splitlines()
@@ -81,7 +102,31 @@ def _out_of_range(path):
     manifest_path.write_text(json.dumps(manifest))
 
 
-# Each class of malformed trace data, as an edit of the trace file at ``path``.
+def _one_sample_first_trace(path):
+    manifest_path = path.parent.parent / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    size = manifest["samples"][0][0][0]
+    manifest["samples"][0][0][0] = 1
+    manifest_path.write_text(json.dumps(manifest))
+    np.save(path, np.delete(np.load(path), range(1, size), axis=1))
+
+
+def _one_trace_holds_all(manifest):
+    """Give trace (0, 0, 0) every sample of the trace file and the others none."""
+    total = int(np.sum(manifest["samples"]))
+    manifest["samples"] = np.zeros_like(manifest["samples"]).tolist()
+    manifest["samples"][0][0][0] = total
+
+
+def _set_sample(row, column, value):
+    def apply(data):
+        data[row, column] = value
+        return data
+    return apply
+
+
+# Each class of malformed trace data, as an edit of the trace file at ``path``
+# of a v1 ("csv-" cases), v2 (V2_TRACE_CASES) or format-3 dataset.
 MALFORMED_TRACES = {
     "csv-header-only": _edit_csv(lambda lines: lines[:1]),
     "csv-one-row": _edit_csv(lambda lines: lines[:2]),
@@ -94,7 +139,13 @@ MALFORMED_TRACES = {
     "npy-wrong-dtype": _edit_npy(lambda data: data.astype(np.float32)),
     "npy-wrong-ndim": _edit_npy(lambda data: data.ravel()),
     "npy-offset-out-of-range": _out_of_range,
+    "npy-times-not-increasing": _edit_npy(_set_sample(0, 2, 0.0)),
+    "npy-negative-power": _edit_npy(_set_sample(1, 5, -1.0)),
+    "npy-nan-time": _edit_npy(_set_sample(0, 2, np.nan)),
+    "npy-nan-power": _edit_npy(_set_sample(1, 5, np.nan)),
+    "npy-one-sample-trace": _one_sample_first_trace,
 }
+V2_TRACE_CASES = ("npy-offset-out-of-range",)
 
 
 class TestConfigParsing:
@@ -243,7 +294,8 @@ class TestCliMeasureAndRecover:
         out = tmp_path / "out"
         assert main(["measure-sim", "--config", str(small_cfg), "--out", str(dataset)]) == 0
         manifest = json.loads((dataset / "manifest.json").read_text())
-        assert len(manifest["traces"]) == 4 * 4 * 5
+        assert manifest["format"] == 3 and "traces" not in manifest
+        assert np.array(manifest["samples"]).shape == (4, 4, 5)
         assert (dataset / "h_true.csv").exists()
         assert main(["recover", "--config", str(small_cfg), "--dataset", str(dataset),
                      "--out", str(out)]) == 0
@@ -311,10 +363,13 @@ class TestCliMeasureAndRecover:
 
     @pytest.mark.parametrize("case", list(MALFORMED_TRACES))
     def test_malformed_trace_data_exits_2_naming_the_file(self, small_cfg, tmp_path, capsys,
-                                                          save_legacy_csv, case):
+                                                          save_legacy_csv, save_v2, case):
         if case.startswith("csv"):
             dataset = legacy_dataset(small_cfg, tmp_path, save_legacy_csv)
             path = dataset / "traces" / "k01_i02_p03.csv"
+        elif case in V2_TRACE_CASES:
+            dataset = v2_dataset(small_cfg, tmp_path, save_v2)
+            path = dataset / "traces" / "traces.npy"
         else:
             dataset = tmp_path / "dataset"
             assert main(["measure-sim", "--config", str(small_cfg), "--out", str(dataset)]) == 0
@@ -346,26 +401,49 @@ class TestCliMeasureAndRecover:
         ("traces[0].power_index=1.5", "traces[0].power_index 1.5 is not an index into 'drive_fluxes'"),
         ("traces[0].power_index=true", "traces[0].power_index True is not an index"),
         ("mode_freqs_hz=3", "'mode_freqs_hz' is not a list"),
+        # two entries for one trace; per-trace values the dataset's arrays cannot hold
+        ("traces[0].power_index=1", "traces[0] and traces[1] are both mode 0, site 0, power_index 1"),
+        ("traces[1].noise_floor=0.5", "traces[1].noise_floor 0.5 is not a number equal to traces[0]'s"),
+        ("traces[0].true_gamma_eff_hz=\"a\"", "traces[0].true_gamma_eff_hz 'a' is not a number"),
+        # format 3
+        ("format=4", "unknown format 4"),
+        ("format=\"3\"", "unknown format '3'"),
+        ("samples", "missing key 'samples'"),
+        ("samples=[[60]]", "'samples' is not a (4, 4, 5) array of non-negative integers"),
+        ("samples[0][0][0]=-60", "'samples' is not a (4, 4, 5) array of non-negative integers"),
+        ("samples[0][0][0]=59", "add up to 4799"),
+        ("true_gamma_eff_hz=[1.0]", "'true_gamma_eff_hz' is not a (4, 4, 5) array of numbers"),
+        ("noise_floor=\"x\"", "'noise_floor' 'x' is not a number"),
+        # lengths that add up, but padding to the longest would take 80 x 4800 samples
+        pytest.param(_one_trace_holds_all, "padding its 80 traces to the longest (4800 samples)",
+                     id="one-trace-holds-all"),
     ])
-    def test_malformed_manifest_exits_2_without_traceback(self, small_cfg, tmp_path,
+    def test_malformed_manifest_exits_2_without_traceback(self, small_cfg, tmp_path, save_v2,
                                                           capsys, drop, expected):
-        dataset, out = tmp_path / "dataset", tmp_path / "out"
-        assert main(["measure-sim", "--config", str(small_cfg), "--out", str(dataset)]) == 0
+        # cases that edit trace entries run on a v2 dataset, the rest on
+        # measure-sim's format-3 output
+        if isinstance(drop, str) and drop.startswith("traces"):
+            dataset = v2_dataset(small_cfg, tmp_path, save_v2)
+        else:
+            dataset = tmp_path / "dataset"
+            assert main(["measure-sim", "--config", str(small_cfg), "--out", str(dataset)]) == 0
+        out = tmp_path / "out"
         manifest = json.loads((dataset / "manifest.json").read_text())
         if drop is None:
             text = "{}"
         elif drop == "json":
             text = "{"
+        elif callable(drop):
+            drop(manifest)
+            text = json.dumps(manifest)
         elif "=" in drop:
             key, value = drop.split("=")
-            entry = manifest["traces"][0] if key.startswith("traces[0].") else manifest
-            entry[key.split(".")[-1]] = json.loads(value)
-            text = json.dumps(manifest)
-        elif drop.startswith("traces[0]."):
-            del manifest["traces"][0][drop.split(".")[1]]
+            container, last = _locate(manifest, key)
+            container[last] = json.loads(value)
             text = json.dumps(manifest)
         else:
-            del manifest[drop]
+            container, last = _locate(manifest, drop)
+            del container[last]
             text = json.dumps(manifest)
         (dataset / "manifest.json").write_text(text)
         capsys.readouterr()
@@ -375,6 +453,33 @@ class TestCliMeasureAndRecover:
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert err.startswith("configuration error:") and expected in err
         assert not out.exists()
+
+    def test_failed_move_into_out_restores_the_old_outputs(self, small_cfg, tmp_path, capsys,
+                                                           monkeypatch):
+        out = tmp_path / "out"
+        assert main(["measure-sim", "--config", str(small_cfg), "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("not ours")
+        before = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        real_move, moves_in = shutil.move, []
+
+        def failing_move(src, dst):
+            # the second of the three staged items fails to move in
+            if Path(dst).parent == out:
+                moves_in.append(Path(src).name)
+                if len(moves_in) == 2:
+                    raise OSError("disk full")
+            return real_move(src, dst)
+
+        monkeypatch.setattr(shutil, "move", failing_move)
+        capsys.readouterr()
+        assert main(["measure-sim", "--config", str(small_cfg), "--out", str(out),
+                     "--seed", "4"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "disk full" in err
+        assert moves_in[:2] == ["h_true.csv", "manifest.json"]
+        after = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert after == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "small.cfg"]
 
     def test_seed_flag_overrides_config(self, small_cfg, tmp_path):
         noisy = tmp_path / "noisy.cfg"

@@ -220,6 +220,17 @@ class TestRingdown:
         with pytest.raises(ValueError):
             om.fit_ringdown(trace)
 
+    @pytest.mark.parametrize("times, powers, rule", [
+        ([0.0], [1.0], "fewer than 2 samples"),
+        ([0.0, 1.0, 1.0], [1.0, 0.5, 0.2], "strictly increasing"),
+        ([0.0, np.nan, 2.0], [1.0, 0.5, 0.2], "strictly increasing"),
+        ([0.0, 1.0, 2.0], [1.0, -0.5, 0.2], "powers must be >= 0"),
+        ([0.0, 1.0, 2.0], [1.0, np.nan, 0.2], "powers must be >= 0"),
+    ])
+    def test_malformed_trace_rejected(self, times, powers, rule):
+        with pytest.raises(ValueError, match=rule):
+            om.RingdownTrace(np.array(times), np.array(powers))
+
 
 def _reference_fit(trace, skip_fraction):
     """The least-squares ringdown fit by scipy's MINPACK wrapper, from the
