@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 MU_0 = 4e-7 * np.pi  # vacuum permeability [H/m]
+# Segment pairs per block of the Neumann quadrature.
+_NEUMANN_CHUNK_PAIRS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -166,16 +168,22 @@ def mutual_inductance_neumann(a: WireCurve, b: WireCurve, n_segments: int = 1000
         raise ValueError("identical curves: self-inductance out of scope")
     mid_a, vec_a = _resample(a.points, n_segments)
     mid_b, vec_b = _resample(b.points, n_segments)
-    diff = mid_a[:, None, :] - mid_b[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
     max_seg = max(np.linalg.norm(vec_a, axis=1).max(), np.linalg.norm(vec_b, axis=1).max())
-    if dist.min() <= max_seg:
+    # segments of a in row blocks of about _NEUMANN_CHUNK_PAIRS pairs, so that
+    # the (rows, n_segments) temporaries stay a few MB at any n_segments
+    rows = max(1, _NEUMANN_CHUNK_PAIRS // n_segments)
+    total, closest = 0.0, np.inf
+    for start in range(0, n_segments, rows):
+        block = slice(start, start + rows)
+        dist = np.sqrt(sum((mid_a[block, None, k] - mid_b[None, :, k]) ** 2 for k in range(3)))
+        closest = min(closest, dist.min())
+        total += float(np.sum((vec_a[block] @ vec_b.T) / dist))
+    if closest <= max_seg:
         raise ValueError(
-            f"curves are closer ({dist.min():.3e} m) than one segment length "
+            f"curves are closer ({closest:.3e} m) than one segment length "
             f"({max_seg:.3e} m): intersecting or self-inductance out of scope"
         )
-    dots = vec_a @ vec_b.T
-    return MU_0 / (4 * np.pi) * float(np.sum(dots / dist))
+    return MU_0 / (4 * np.pi) * total
 
 
 def coaxial_loop_mutual(r1: float, r2: float, separation: float) -> float:

@@ -312,6 +312,8 @@ def main(argv=None) -> int:
     out = Path(args.out)
     staging = Path(tempfile.mkdtemp(prefix=".omlattice-", dir=out.parent if out.parent.exists() else None))
     try:
+        if args.seed is not None and args.seed < 0:
+            raise io_mod.ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         if args.command == "spectrum":
             cmd_spectrum(config, staging, args.format, args.svg)
         elif args.command == "topology":

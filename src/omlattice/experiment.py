@@ -8,8 +8,9 @@ damping-slope regression, slope inversion, iterative normalization, sign
 assignment from a theory reference, orthogonality correction, and
 reconstruction of the site-basis Hamiltonian.
 
-Per-trace random seeds derive deterministically from the dataset master
-seed, so simulation results are independent of evaluation order.
+The measurement noise of a dataset is one counter-based Philox block drawn
+from its master seed, so a simulation is bit-reproducible for a fixed seed
+and sizes (see ``simulate_measurement``).
 
 A dataset holds its traces as dense arrays: ``times`` and ``powers`` of
 shape ``(modes, sites, powers, S)``, the trace lengths ``samples`` of shape
@@ -639,25 +640,44 @@ def simulate_measurement(
     """Simulate the ringdown measurement of every (mode, site) pair over a
     power sweep.
 
-    ``snr`` is the ratio of initial sideband power to additive noise standard
-    deviation (None or inf for noiseless traces).  Trace length covers
-    ``RINGDOWN_DECAY_SPAN`` power-decay times of the true effective damping.
-    Trace ``(k, i, p)`` is the one :func:`~omlattice.measure.simulate_ringdown`
-    gives for the pair's effective damping at ``drive_fluxes[p]`` with
+    ``snr`` (> 0) is the ratio of the initial sideband power ``p0`` (finite,
+    > 0) to the additive noise standard deviation (None or inf for noiseless
+    traces).  Trace length covers ``RINGDOWN_DECAY_SPAN`` power-decay times of
+    the true effective damping.  Trace ``(k, i, p)`` is the noiseless one
+    :func:`~omlattice.measure.simulate_ringdown` gives for the pair's
+    effective damping at ``drive_fluxes[p]`` with
     ``duration = RINGDOWN_DECAY_SPAN / (2 pi max(gamma_eff, 1e-3))``,
-    ``dt = duration / samples_per_trace``, the noise floor of
-    ``NOISE_FLOOR_SIGMAS`` noise sigmas and the seed
-    ``SeedSequence(master_seed, spawn_key=(k, i, p))``; all traces are
-    computed as one ``(n, n, powers, samples)`` block, the dataset's
-    ``times`` and ``powers``.
+    ``dt = duration / samples_per_trace`` and the noise floor of
+    ``NOISE_FLOOR_SIGMAS`` noise sigmas, plus noise, clipped at zero; all
+    traces are computed as one ``(n, n, powers, samples)`` block, the
+    dataset's ``times`` and ``powers``.
+
+    The noise of a dataset comes from one counter-based Philox stream,
+    ``Generator(Philox(SeedSequence(master_seed)))``, drawn as one
+    ``normal(0, p0 / snr, (samples_per_trace, n, n, powers))`` block, and
+    trace ``(k, i, p)`` gets column ``[:, k, i, p]``.  Hence:
+
+    * the same (master_seed, sizes, p0, snr) give bit-identical traces;
+    * sample ``s`` of every trace is row ``s`` of the block, so a dataset
+      with fewer samples per trace draws a prefix of the same rows;
+    * the stream has no spawn key, so it is never one of the disorder
+      ensemble's streams, which are keyed ``spawn_key=(j,)``.
+
+    ``master_seed`` must be a non-negative integer, also for noiseless runs.
     """
     if len(sites) != h.n_sites or len(readouts) != h.n_sites:
         raise ValueError("need one SiteParams and one ModeReadout per site/mode")
     fluxes = np.asarray(drive_fluxes, dtype=float)
-    if fluxes.ndim != 1 or fluxes.size < 2 or np.any(fluxes <= 0):
-        raise ValueError("drive_fluxes must hold at least two positive values")
+    if fluxes.ndim != 1 or fluxes.size < 2 or not np.all((fluxes > 0) & np.isfinite(fluxes)):
+        raise ValueError("drive_fluxes must hold at least two positive finite values")
     if samples_per_trace < 2:
         raise ValueError("samples_per_trace must be at least 2")
+    if snr is not None and not snr > 0:
+        raise ValueError(f"snr must be > 0 (inf or None for no noise), got {snr}")
+    if not (np.isfinite(p0) and p0 > 0):
+        raise ValueError(f"p0 must be finite and > 0, got {p0}")
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be a non-negative integer, got {master_seed}")
     modes = diagonalize(h)
     eta = participation(modes).eta
     noise_sigma = 0.0 if snr is None or np.isinf(snr) else p0 / snr
@@ -675,10 +695,9 @@ def simulate_measurement(
     powers *= p0
     powers += floor
     if noise_sigma > 0:
-        for key in np.ndindex(gamma.shape):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=key))
-            powers[key] += rng.normal(0.0, noise_sigma, samples_per_trace)
-    powers = np.clip(powers, 0.0, None)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed)))
+        powers += np.moveaxis(rng.normal(0.0, noise_sigma, (samples_per_trace, *gamma.shape)), 0, -1)
+    np.clip(powers, 0.0, None, out=powers)
     return MeasurementDataset(
         mode_freqs=modes.eigenfreqs.copy(),
         readouts=tuple(readouts),

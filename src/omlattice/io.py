@@ -180,18 +180,37 @@ def _parse_readout(parser, spec: LatticeSpec | None) -> tuple[ModeReadout, ...]:
     )
 
 
+def _parse_seed(section) -> int:
+    seed = int(section.get("seed", 0))
+    if seed < 0:
+        raise ConfigError(f"[{section.name}] seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _parse_measurement(parser) -> dict:
     m = parser["measurement"]
     snr_raw = m.get("snr", "100")
-    return {
+    out = {
         "n_powers": int(m.get("n_powers", 10)),
         "drive_flux_max": None if m.get("drive_flux_max", "auto") == "auto"
         else float(m["drive_flux_max"]),
         "snr": None if snr_raw in ("inf", "none") else float(snr_raw),
         "p0": float(m.get("p0", 1.0)),
         "samples_per_trace": int(m.get("samples_per_trace", 140)),
-        "seed": int(m.get("seed", 0)),
+        "seed": _parse_seed(m),
     }
+    flux_max, snr, p0 = out["drive_flux_max"], out["snr"], out["p0"]
+    for key, ok, rule in [
+        ("n_powers", out["n_powers"] >= 2, "at least 2"),
+        ("drive_flux_max", flux_max is None or (np.isfinite(flux_max) and flux_max > 0),
+         "finite and > 0, or auto"),
+        ("snr", snr is None or snr > 0, "> 0, inf or none"),
+        ("p0", np.isfinite(p0) and p0 > 0, "finite and > 0"),
+        ("samples_per_trace", out["samples_per_trace"] >= 2, "at least 2"),
+    ]:
+        if not ok:
+            raise ConfigError(f"[measurement] {key} must be {rule}, got {out[key]}")
+    return out
 
 
 def _parse_disorder(parser) -> dict:
@@ -199,7 +218,7 @@ def _parse_disorder(parser) -> dict:
     out = {
         "sigma_grid": np.array(_float_list(d["sigma_grid"])),
         "samples": int(d.get("samples", 4000)),
-        "seed": int(d.get("seed", 0)),
+        "seed": _parse_seed(d),
         "confidence": float(d.get("confidence", 0.9)),
     }
     if "zeta_measured" in d:

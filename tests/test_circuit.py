@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import eig
@@ -211,6 +213,18 @@ class TestNeumann:
         oracle = om.coaxial_loop_mutual(1e-3, 1e-3, 2e-3)
         assert abs(fine - oracle) < abs(coarse - oracle)
 
+    def test_peak_memory_stays_bounded(self):
+        # the quadrature runs over row blocks: no (n, n, 3) tensor is built
+        a = om.WireCurve.circle(1e-3, (0, 0, 0))
+        b = om.WireCurve.circle(1e-3, (0, 0, 1e-2))
+        tracemalloc.start()
+        try:
+            om.mutual_inductance_neumann(a, b, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_rejects_identical_and_touching_curves(self):
         a = om.WireCurve.circle(1e-3, (0, 0, 0))
         with pytest.raises(ValueError):
@@ -218,6 +232,10 @@ class TestNeumann:
         nearby = om.WireCurve.circle(1e-3, (0, 0, 1e-6))
         with pytest.raises(ValueError):
             om.mutual_inductance_neumann(a, nearby, 200)
+        # tangent at a's middle segments, past the quadrature's first row block
+        tangent = om.WireCurve.circle(1e-3, (0, -2e-3, 0))
+        with pytest.raises(ValueError, match="closer"):
+            om.mutual_inductance_neumann(a, tangent, 2000)
 
 
 def test_wire_curve_from_csv(tmp_path):

@@ -140,12 +140,18 @@ class TestSimulateMeasurement:
 
     @pytest.mark.parametrize("snr", [60.0, None])
     def test_trace_equals_simulate_ringdown_with_documented_seed(self, snr):
+        # trace (k, i, p) is the noiseless simulate_ringdown trace plus column
+        # [:, k, i, p] of one normal block from the documented Philox stream
         h, sites, readouts = small_setup(seed=3)
         fluxes = np.linspace(1e14, 6e14, 3)
         ds = om.simulate_measurement(h, sites, readouts, fluxes, master_seed=21, snr=snr,
                                      p0=1.5, samples_per_trace=45)
         eta = om.participation(om.diagonalize(h)).eta
         noise_sigma = 0.0 if snr is None else 1.5 / snr
+        block = np.zeros((45, h.n_sites, h.n_sites, 3))
+        if snr is not None:
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(21)))
+            block = rng.normal(0.0, noise_sigma, block.shape)
         for (k, i, p), trace in ds.traces.items():
             r, site = readouts[k], sites[i]
             cfg = om.DampingConfig(
@@ -156,14 +162,43 @@ class TestSimulateMeasurement:
             gamma = om.effective_damping(cfg, eta[k, i])
             duration = om.experiment.RINGDOWN_DECAY_SPAN / (2 * np.pi * max(gamma, 1e-3))
             expected = om.simulate_ringdown(
-                gamma, 1.5, noise_sigma, duration=duration, dt=duration / 45,
-                seed=np.random.SeedSequence(21, spawn_key=(k, i, p)),
+                gamma, 1.5, 0.0, duration=duration, dt=duration / 45, seed=None,
                 noise_floor=om.experiment.NOISE_FLOOR_SIGMAS * noise_sigma,
             )
             assert np.array_equal(trace.times, expected.times)
-            assert np.array_equal(trace.powers, expected.powers)
+            assert np.array_equal(trace.powers,
+                                  np.clip(expected.powers + block[:, k, i, p], 0.0, None))
             assert trace.true_gamma_eff == expected.true_gamma_eff
             assert trace.noise_floor == expected.noise_floor
+
+    def test_fewer_samples_draw_a_prefix_of_the_noise_rows(self):
+        h, sites, readouts = small_setup(seed=3)
+        fluxes = np.linspace(1e14, 6e14, 3)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(21)))
+        block = rng.normal(0.0, 1.5 / 60.0, (45, h.n_sites, h.n_sites, 3))
+        quiet, noisy = (om.simulate_measurement(h, sites, readouts, fluxes, master_seed=21,
+                                                snr=snr, p0=1.5, samples_per_trace=30)
+                        for snr in (None, 60.0))
+        expected = quiet.powers + noisy.noise_floor + np.moveaxis(block[:30], 0, -1)
+        assert np.array_equal(noisy.powers, np.clip(expected, 0.0, None))
+
+    OUTSIDE_THE_MODEL = [
+        {"snr": 0.0}, {"snr": -5.0}, {"snr": float("nan")},
+        {"p0": 0.0}, {"p0": -1.0}, {"p0": float("nan")}, {"p0": float("inf")},
+        {"master_seed": -1}, {"master_seed": -1, "snr": None},
+        {"samples_per_trace": 1},
+        {"drive_fluxes": [1e14]}, {"drive_fluxes": [0.0, 1e14]},
+        {"drive_fluxes": [1e14, float("nan")]}, {"drive_fluxes": [1e14, float("inf")]},
+    ]
+
+    @pytest.mark.parametrize("change", OUTSIDE_THE_MODEL,
+                             ids=[",".join(f"{k}={v}" for k, v in c.items()) for c in OUTSIDE_THE_MODEL])
+    def test_inputs_outside_the_model_rejected(self, change):
+        h, sites, readouts = small_setup(seed=3)
+        kwargs = {"drive_fluxes": [1e14, 6e14], "master_seed": 21, "snr": 60.0, "p0": 1.5,
+                  "samples_per_trace": 45, **change}
+        with pytest.raises(ValueError, match=next(iter(change))):
+            om.simulate_measurement(h, sites, readouts, **kwargs)
 
 
 class TestRecover:

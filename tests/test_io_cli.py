@@ -1,3 +1,4 @@
+import configparser
 import functools
 import json
 import operator
@@ -55,6 +56,39 @@ def small_cfg(tmp_path):
     path = tmp_path / "small.cfg"
     path.write_text(SMALL_CFG)
     return path
+
+
+def edited_config(tmp_path: Path, section: str, key: str, value: str) -> Path:
+    """SMALL_CFG with ``key`` of ``[section]`` set to ``value``."""
+    parser = configparser.ConfigParser()
+    parser.read_string(SMALL_CFG)
+    parser[section][key] = value
+    path = tmp_path / "edited.cfg"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    return path
+
+
+# Values outside the measurement or disorder model, with the subcommand
+# that reads them: each is a configuration error.
+OUTSIDE_THE_MODEL = [
+    ("measure-sim", "measurement", "snr", "0"),
+    ("measure-sim", "measurement", "snr", "-5"),
+    ("measure-sim", "measurement", "snr", "nan"),
+    ("measure-sim", "measurement", "n_powers", "0"),
+    ("measure-sim", "measurement", "n_powers", "1"),
+    ("measure-sim", "measurement", "p0", "0"),
+    ("measure-sim", "measurement", "p0", "-1"),
+    ("measure-sim", "measurement", "p0", "nan"),
+    ("measure-sim", "measurement", "p0", "inf"),
+    ("measure-sim", "measurement", "samples_per_trace", "1"),
+    ("measure-sim", "measurement", "drive_flux_max", "0"),
+    ("measure-sim", "measurement", "drive_flux_max", "-1e14"),
+    ("measure-sim", "measurement", "drive_flux_max", "nan"),
+    ("measure-sim", "measurement", "drive_flux_max", "inf"),
+    ("measure-sim", "measurement", "seed", "-3"),
+    ("disorder", "disorder", "seed", "-3"),
+]
 
 
 def legacy_dataset(config: Path, tmp_path: Path, save_legacy_csv) -> Path:
@@ -480,6 +514,39 @@ class TestCliMeasureAndRecover:
         after = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
         assert after == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "small.cfg"]
+
+    @pytest.mark.parametrize("command, section, key, value", OUTSIDE_THE_MODEL,
+                             ids=[f"{c}-{k}={v}" for c, _, k, v in OUTSIDE_THE_MODEL])
+    def test_input_outside_the_model_exits_2_without_traceback(self, tmp_path, capsys, command,
+                                                               section, key, value):
+        cfg = edited_config(tmp_path, section, key, value)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith(f"configuration error: [{section}] {key} ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["measure-sim", "disorder"])
+    def test_negative_seed_flag_exits_2(self, small_cfg, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([command, "--config", str(small_cfg), "--out", str(out), "--seed", "-3"]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "configuration error: --seed must be a non-negative integer, got -3"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", ["paper_1d.cfg", "paper_2d.cfg"])
+    def test_reruns_on_shipped_configs_are_byte_identical(self, tmp_path, config):
+        runs = []
+        for run in (tmp_path / "a", tmp_path / "b"):
+            assert main(["measure-sim", "--config", str(CONFIG_DIR / config),
+                         "--out", str(run / "dataset")]) == 0
+            assert main(["recover", "--config", str(CONFIG_DIR / config),
+                         "--dataset", str(run / "dataset"), "--out", str(run / "recovered")]) == 0
+            runs.append({p.relative_to(run): p.read_bytes() for p in run.rglob("*") if p.is_file()})
+        assert Path("dataset/traces/traces.npy") in runs[0]
+        assert Path("recovered/report.json") in runs[0]
+        assert runs[0] == runs[1]
 
     def test_seed_flag_overrides_config(self, small_cfg, tmp_path):
         noisy = tmp_path / "noisy.cfg"
