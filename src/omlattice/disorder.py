@@ -124,8 +124,9 @@ def run_ensemble(
         raise ValueError("disorder ensembles operate on real chain Hamiltonians")
     n_cells = h.n_sites // 2
     sigma_grid = np.asarray(sigma_grid, dtype=float)
-    if sigma_grid.ndim != 1 or sigma_grid.size == 0 or np.any(sigma_grid < 0):
-        raise ValueError("sigma_grid must be a 1D array of non-negative values")
+    valid = np.isfinite(sigma_grid) & (sigma_grid >= 0)
+    if sigma_grid.ndim != 1 or sigma_grid.size == 0 or not valid.all():
+        raise ValueError("sigma_grid must be a 1D array of finite non-negative values")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if samples < MIN_SAMPLES_FOR_PERCENTILES:

@@ -433,11 +433,12 @@ class MeasurementDataset:
         """Fit every ringdown and regress each (mode, site) damping rate
         against the source flux; returns and caches the slope matrix.
 
-        All traces are fitted by one call of the batched Levenberg-Marquardt
+        All traces are fitted by one call of the batched variable-projection
         kernel :func:`~omlattice.measure.fit_ringdowns`, or one call per
         trace length when lengths differ.
         A trace whose fit fails (no convergence, singular normal equations,
-        fewer than ``MIN_FIT_SAMPLES`` samples) or that is missing gets
+        no decay the initial guess can locate, fewer than
+        ``MIN_FIT_SAMPLES`` samples) or that is missing gets
         ``fitted_gammas`` NaN and ``fitted_errors`` inf and is left out of
         its pair's regression.  A pair left with fewer than 3 fitted powers
         gets slope 0, except that a sweep of only 2 powers keeps the ungated

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .lattice import Couplings, LatticeSpec, SiteParams, Topology
+from .disorder import _BAND_PERCENTILES
 from .experiment import ModeReadout
 
 
@@ -223,6 +224,17 @@ def _parse_disorder(parser) -> dict:
     }
     if "zeta_measured" in d:
         out["zeta_measured"] = float(d["zeta_measured"])
+    sigma, zeta = out["sigma_grid"], out.get("zeta_measured", 0.0)
+    for key, ok, rule in [
+        ("sigma_grid", sigma.size > 0 and bool(np.all(np.isfinite(sigma) & (sigma >= 0))),
+         "one or more finite values >= 0"),
+        ("samples", out["samples"] >= 1, "at least 1"),
+        ("confidence", out["confidence"] in _BAND_PERCENTILES,
+         f"one of {sorted(_BAND_PERCENTILES)}"),
+        ("zeta_measured", 0.0 <= zeta <= 1.0, "in [0, 1]"),
+    ]:
+        if not ok:
+            raise ConfigError(f"[disorder] {key} must be {rule}, got {d[key]}")
     return out
 
 

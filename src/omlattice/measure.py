@@ -279,16 +279,17 @@ def simulate_ringdown(
 # Shortest ringdown :func:`fit_ringdowns` accepts.
 MIN_FIT_SAMPLES = 10
 # Traces fitted together per kernel call: large enough to amortize numpy's
-# per-call overhead, small enough that the (chunk, samples) temporaries stay
-# in cache.
+# per-call overhead, small enough that the (chunk, samples) buffers stay in
+# cache.
 _FIT_CHUNK = 256
-# Stopping rules in the style of MINPACK's lmder, but tighter than the
-# 1.49e-8 that scipy passes it: converged when the actual and predicted
-# relative SSR reductions are below _LM_FTOL, or the scaled step below
-# _LM_XTOL of the scaled parameters.  Chain traces at SNR 100 take 5 or 6.
-_LM_MAX_ITER = 200
-_LM_FTOL = 1e-14
-_LM_XTOL = 1e-10
+# Stopping rule: converged when the Gauss-Newton step in the rate is below
+# _XTOL of the rate.  Chain traces at SNR 100 take 5 to 7 iterations, the
+# first at the initial rate.
+_MAX_ITER = 200
+_XTOL = 1e-10
+# A trial rate is accepted unless its projected SSR exceeds the current one
+# by more than this fraction of sum(p^2), the rounding of the closed form.
+_SSR_SLACK = 1e-13
 # Normal matrices whose unit-diagonal (correlation) form has a smaller
 # determinant are singular to rounding: the rate is not identifiable, as in
 # a flat trace where amplitude and floor trade off.
@@ -298,17 +299,24 @@ _SINGULAR_DET = 1e-12
 def fit_ringdowns(times, powers, skip_fraction: float = 0.1):
     """Fit ``amplitude * exp(-2 pi gamma t) + floor`` to a stack of ringdowns.
 
-    ``times`` and ``powers`` are ``(B, S)`` arrays, one trace per row.  Every
+    ``times`` and ``powers`` are ``(B, S)`` arrays, one trace per row, each
+    row's times strictly increasing but not necessarily uniform.  Every
     trace gets the least-squares fit of :func:`fit_ringdown` (same skipped
-    head, same log-linear initial guess), computed for all rows at once by
-    a vectorized Levenberg-Marquardt iteration on the per-trace 3x3 normal
-    equations; traces are fitted in chunks of a fixed size.
+    head, same log-linear initial rate), computed for all rows at once by
+    variable projection: for a fixed rate, amplitude and floor are the
+    linear least-squares solution, and the rate takes Kaufman's
+    Gauss-Newton steps on the projected residual, halved while they raise
+    it.  Traces are fitted in chunks of a fixed size.
     Returns ``(gamma, stderr, converged)`` arrays of length B.  A trace that
     does not converge or whose normal matrix is singular (a flat or all-zero
     trace) has ``converged`` False, gamma NaN and stderr inf; one such trace
-    leaves the other rows' results unchanged.  The standard error is
-    ``sqrt(inv(J^T J)[gamma, gamma] * SSR / (S - 3))``.  Negative fitted rates
-    are clipped to zero with a warning.
+    leaves the other rows' results unchanged.  So does a trace with fewer
+    than 5 samples more than a tenth of its peak above the tail floor, or
+    whose log-linear start rises: the start cannot locate its decay, and
+    the rate 0 it would start from leaves amplitude and floor inseparable.
+    The standard error is the full 3-parameter
+    ``sqrt(inv(J^T J)[gamma, gamma] * SSR / (S - 3))``.  Negative fitted
+    rates are clipped to zero with a warning.
     """
     t = np.atleast_2d(np.asarray(times, dtype=float))
     p = np.atleast_2d(np.asarray(powers, dtype=float))
@@ -331,87 +339,33 @@ def fit_ringdowns(times, powers, skip_fraction: float = 0.1):
     return gamma, stderr, converged
 
 
-def _normal_equations(tau, p, x):
-    """SSR, scaled normal matrix entries and scaled gradient at ``x``.
-
-    ``x`` rows are (amplitude, rate k, floor) of ``a exp(-k tau) + c``.  The
-    normal matrix J^T J and J^T r come from closed-form sums over ``e``,
-    ``tau e`` and the residual; they are returned Jacobi-scaled by
-    ``d = sqrt(diag(J^T J))`` as the off-diagonal entries (m01, m02, m12) of
-    a unit-diagonal matrix, with ``b = J^T r / d``.
-    """
-    a, k, c = x
-    e = np.exp(-k[:, None] * tau)
-    te = tau * e
-    r = p - a[:, None] * e - c[:, None]
-    ssr = np.einsum("ij,ij->i", r, r)
-    h = (
-        np.einsum("ij,ij->i", e, e),                  # (a, a)
-        -a * np.einsum("ij,ij->i", te, e),            # (a, k)
-        e.sum(axis=1),                                # (a, c)
-        a * a * np.einsum("ij,ij->i", te, te),        # (k, k)
-        -a * te.sum(axis=1),                          # (k, c)
-        np.full(a.shape, float(tau.shape[1])),        # (c, c)
-    )
-    g = (np.einsum("ij,ij->i", e, r), -a * np.einsum("ij,ij->i", te, r), r.sum(axis=1))
-    d = np.sqrt(np.stack([h[0], h[3], h[5]]))
-    m = np.stack([h[1] / (d[0] * d[1]), h[2] / (d[0] * d[2]), h[4] / (d[1] * d[2])])
-    return ssr, d, m, np.stack(g) / d
+def _row_dot(x, y):
+    """Per-row dot products of two (rows, samples) arrays.  No product mixes
+    rows (no GEMM), so each row's result does not depend on the others."""
+    return np.einsum("ij,ij->i", x, y)
 
 
-def _solve_unit_diag(m, diag, b):
-    """Solve the symmetric 3x3 systems with off-diagonals ``m`` = (m01, m02,
-    m12), diagonal ``diag`` and right-hand side ``b`` by the adjugate; a
-    singular system gives non-finite entries instead of raising."""
-    m01, m02, m12 = m
-    c00 = diag * diag - m12 * m12
-    c01 = m02 * m12 - m01 * diag
-    c02 = m01 * m12 - m02 * diag
-    c11 = diag * diag - m02 * m02
-    c12 = m01 * m02 - diag * m12
-    c22 = diag * diag - m01 * m01
-    det = diag * c00 + m01 * c01 + m02 * c02
-    return np.stack([
-        c00 * b[0] + c01 * b[1] + c02 * b[2],
-        c01 * b[0] + c11 * b[1] + c12 * b[2],
-        c02 * b[0] + c12 * b[1] + c22 * b[2],
-    ]) / det
-
-
-def _rate_variance(m, d, ssr, dof):
-    """inv(J^T J)[k, k] * SSR / dof from the scaled normal matrix; inf where
-    that matrix is singular."""
-    m01, m02, m12 = m
-    det = 1.0 + 2.0 * m01 * m02 * m12 - m01 * m01 - m02 * m02 - m12 * m12
-    return np.where(det > _SINGULAR_DET, (1.0 - m02 * m02) / det / d[1] ** 2 * ssr / dof, np.inf)
-
-
-def _initial_guess(tau, p):
+def _initial_rate(tau, p):
     """Tail-mean floor, then a log-linear regression of the samples more than
-    a tenth of the peak above it (at least 5 of them, else rate 0)."""
+    a tenth of the peak above it; NaN with fewer than 5 such samples or a
+    rising slope."""
     n = tau.shape[1]
-    floor0 = p[:, -max(3, n // 8):].mean(axis=1)
-    amp = p - floor0[:, None]
-    peak = amp.max(axis=1)
-    above = amp > 0.1 * np.maximum(peak, 1e-300)[:, None]
+    amp = p - p[:, -max(3, n // 8):].mean(axis=1)[:, None]
+    above = amp > 0.1 * np.maximum(amp.max(axis=1), 1e-300)[:, None]
     count = above.sum(axis=1)
-    w = above / np.maximum(count, 1)[:, None]
-    y = np.log(np.where(above, amp, 1.0))
-    x_mean = (w * tau).sum(axis=1)
-    y_mean = (w * y).sum(axis=1)
+    x_mean = np.where(above, tau, 0.0).sum(axis=1) / count
     dx = np.where(above, tau - x_mean[:, None], 0.0)
-    slope = (dx * y).sum(axis=1) / (dx * dx).sum(axis=1)
-    use = count >= 5
-    k0 = np.where(use, np.maximum(-slope, 0.0), 0.0)
-    a0 = np.where(use, np.exp(y_mean - slope * x_mean), np.maximum(peak, 1e-300))
-    return np.stack([a0, k0, floor0])
+    slope = (dx * np.log(np.where(above, amp, 1.0))).sum(axis=1) / (dx * dx).sum(axis=1)
+    return np.where((count >= 5) & (slope < 0), -slope, np.nan)
 
 
 def _fit_chunk(t, p):
-    """Levenberg-Marquardt (Marquardt's diagonal damping) on every row of one
-    chunk.  Time is scaled to ``tau = t / max|t|`` per row, so the fitted
-    rate is ``k = 2 pi gamma max|t|``.  Converged rows, and rows whose step
-    is not finite, leave the active set."""
+    """Variable projection on every row of one chunk.  Time is scaled to
+    ``tau = t / max|t|`` per row, so the fitted rate is
+    ``k = 2 pi gamma max|t|`` of ``a exp(-k tau) + c``.  Each iteration makes
+    one pass of ``e = exp(-k tau)`` and seven per-row sums; amplitude and
+    floor come from the 2x2 normal equations in ``(e, 1)``.  Converged rows,
+    and rows whose step is not finite, leave the active set."""
     scale = np.abs(t).max(axis=1)
     tau = t / scale[:, None]
     n_rows, n_samples = t.shape
@@ -420,45 +374,51 @@ def _fit_chunk(t, p):
     converged = np.zeros(n_rows, dtype=bool)
     rows = np.arange(n_rows)
     with np.errstate(all="ignore"):
-        x = _initial_guess(tau, p)
-        ssr, d, m, b = _normal_equations(tau, p, x)
-        lam = np.full(n_rows, 1e-3)
-        nu = np.full(n_rows, 2.0)
-        for _ in range(_LM_MAX_ITER):
-            y = _solve_unit_diag(m, 1.0 + lam, b)
-            step = y / d
-            trial = x + step
-            ssr_t, d_t, m_t, b_t = _normal_equations(tau, p, trial)
-            predicted = (y * b).sum(axis=0) + lam * (y * y).sum(axis=0)
-            actual = ssr - ssr_t
-            accept = actual > 0
-            small_f = (predicted <= _LM_FTOL * ssr) & (np.abs(actual) <= _LM_FTOL * ssr)
-            small_x = np.sqrt((y * y).sum(axis=0)) <= _LM_XTOL * np.sqrt(((d * x) ** 2).sum(axis=0))
-            done = small_f | small_x | (accept & (ssr_t == 0))
-            bad = ~np.isfinite(step).all(axis=0)
-            x = np.where(accept, trial, x)
+        k = _initial_rate(tau, p)
+        e_buf, te_buf = np.empty_like(tau), np.empty_like(tau)
+        sum_p, sum_pp = p.sum(axis=1), _row_dot(p, p)
+        ssr = np.full(n_rows, np.inf)
+        step = np.zeros(n_rows)
+        for _ in range(_MAX_ITER):
+            trial = k + step
+            e, te = e_buf[:rows.size], te_buf[:rows.size]
+            np.multiply(-trial[:, None], tau, out=e)
+            np.exp(e, out=e)
+            np.multiply(tau, e, out=te)
+            se, ste = e.sum(axis=1), te.sum(axis=1)
+            see, stee, stte = _row_dot(e, e), _row_dot(te, e), _row_dot(te, te)
+            spe, spte = _row_dot(p, e), _row_dot(p, te)
+            # the normal matrix of (e, -a tau e, 1) in unit-diagonal form
+            d_e, d_te, d_1 = np.sqrt(see), np.sqrt(stte), math.sqrt(n_samples)
+            m01, m02, m12 = stee / (d_e * d_te), se / (d_e * d_1), ste / (d_te * d_1)
+            det = 1.0 + 2.0 * m01 * m02 * m12 - m01 * m01 - m02 * m02 - m12 * m12
+            det_m = see * n_samples * (1.0 - m02 * m02)
+            a = (n_samples * spe - se * sum_p) / det_m
+            c = (see * sum_p - se * spe) / det_m
+            # Schur complement of the (e, 1) block: a^2 s is the Gauss-Newton
+            # curvature in k, and 1 / (a^2 s) = inv(J^T J)[k, k]
+            s = stte * det / (1.0 - m02 * m02)
+            ssr_t = sum_pp - a * spe - c * sum_p
+            accept = ssr_t <= ssr + _SSR_SLACK * sum_pp
+            dk = -(spte - a * stee - c * ste) / (a * s)
+            done = accept & (np.abs(dk) <= _XTOL * np.abs(trial))
+            bad = ~np.isfinite(trial) | (accept & ~np.isfinite(dk))
+            k = np.where(accept, trial, k)
             ssr = np.where(accept, ssr_t, ssr)
-            d = np.where(accept, d_t, d)
-            m = np.where(accept, m_t, m)
-            b = np.where(accept, b_t, b)
-            # Nielsen's damping update: shrink by the gain ratio on success,
-            # grow geometrically faster on repeated failures
-            gain = actual / predicted
-            lam = np.where(accept, lam * np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), lam * nu)
-            nu = np.where(accept, 2.0, 2.0 * nu)
+            step = np.where(accept, dk, 0.5 * step)
             finished = done & ~bad
             if finished.any():
-                var = _rate_variance(m[:, finished], d[:, finished], ssr[finished], n_samples - 3)
-                ok = np.isfinite(x[1, finished]) & np.isfinite(var)
+                r = p[finished] - a[finished, None] * e[finished] - c[finished, None]
+                var = _row_dot(r, r) / (n_samples - 3) / (a[finished] ** 2 * s[finished])
+                ok = (det[finished] > _SINGULAR_DET) & np.isfinite(var)
                 idx = rows[finished]
-                rate[idx] = np.where(ok, x[1, finished], np.nan)
+                rate[idx] = np.where(ok, trial[finished], np.nan)
                 rate_var[idx] = np.where(ok, var, np.inf)
                 converged[idx] = ok
             keep = ~(done | bad)
             if not keep.all():
                 rows, tau, p = rows[keep], tau[keep], p[keep]
-                x, ssr, d, m, b = x[:, keep], ssr[keep], d[:, keep], m[:, keep], b[:, keep]
-                lam, nu = lam[keep], nu[keep]
+                k, ssr, step, sum_p, sum_pp = k[keep], ssr[keep], step[keep], sum_p[keep], sum_pp[keep]
             if rows.size == 0:
                 break
     return rate / (TWO_PI * scale), np.sqrt(rate_var) / (TWO_PI * scale), converged
@@ -469,10 +429,11 @@ def fit_ringdown(trace: RingdownTrace, skip_fraction: float = 0.1) -> tuple[floa
 
     A one-trace call of :func:`fit_ringdowns`.  The first ``skip_fraction``
     of the trace is excluded (the initial high-amplitude decay can be
-    nonlinear).  Initial guesses come from a log-linear regression of the
+    nonlinear).  The initial rate comes from a log-linear regression of the
     above-floor region.  A negative fitted rate is clipped to zero with a
     warning.  Raises :class:`RingdownFitError` when the fit does not
-    converge or its normal equations are singular.
+    converge, its normal equations are singular, or fewer than 5 samples
+    lie more than a tenth of the peak above the floor.
     """
     gamma, stderr, converged = fit_ringdowns(trace.times, trace.powers, skip_fraction)
     if not converged[0]:

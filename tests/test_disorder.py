@@ -171,6 +171,11 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match="ssh-chain"):
             om.run_ensemble(flake, [0.001], 200, master_seed=1)
 
+    @pytest.mark.parametrize("grid", [[0.001, -0.001], [np.nan], [0.001, np.inf], []])
+    def test_rejects_sigma_outside_the_model(self, grid):
+        with pytest.raises(ValueError, match="sigma_grid"):
+            om.run_ensemble(chain_spec(), grid, 200, master_seed=1)
+
     def test_percentile_bands_nested(self):
         ens = om.run_ensemble(chain_spec(), [0.001, 0.003], 300, master_seed=9)
         assert (ens.zeta_p5 <= ens.zeta_p15).all()

@@ -432,6 +432,29 @@ def test_every_dataset_format_round_trips_bit_for_bit(save_legacy_csv, save_v2, 
             assert (tmp / "again" / name).read_bytes() == (tmp / "v3" / name).read_bytes()
 
 
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**16), spread=st.floats(0.0, 0.005),
+       kappa_1=st.floats(0.02, 0.45), kappa_2=st.floats(0.0, 0.5))
+def test_noiseless_flake_recovery_is_the_identity(seed, spread, kappa_1, kappa_2):
+    # random cavity-frequency spreads (0 leaves the flake's degenerate modes),
+    # couplings g0 and readouts on the 24-site flake
+    config = om_io.load_config(Path(om.__file__).resolve().parent / "configs" / "paper_2d.cfg")
+    rng = np.random.default_rng(seed)
+    sites = tuple(
+        om.SiteParams(s.cavity_freq * (1 + rng.normal(0, spread)), s.mech_freq,
+                      rng.uniform(3, 45), rng.uniform(8, 14))
+        for s in config.spec.sites
+    )
+    h = om.build_honeycomb_flake(config.spec.couplings, [s.cavity_freq for s in sites])
+    readouts = tuple(
+        om.ModeReadout(kappa_tot=k, kappa_1=kappa_1 * k, kappa_2=kappa_2 * k,
+                       transmittance=rng.uniform(0.3, 1.0))
+        for k in rng.uniform(0.1e6, 7e6, h.n_sites)
+    )
+    result = om.recover_noiseless(h, sites, readouts)
+    assert result.residuals["h_rel_frobenius_error"] < 1e-10
+
+
 def test_flake_pipeline_end_to_end():
     # 24-site honeycomb device: noisier than the chain but still faithful
     config = om_io.load_config(Path(om.__file__).resolve().parent / "configs" / "paper_2d.cfg")

@@ -88,6 +88,15 @@ OUTSIDE_THE_MODEL = [
     ("measure-sim", "measurement", "drive_flux_max", "inf"),
     ("measure-sim", "measurement", "seed", "-3"),
     ("disorder", "disorder", "seed", "-3"),
+    ("disorder", "disorder", "samples", "0"),
+    ("disorder", "disorder", "samples", "-5"),
+    ("disorder", "disorder", "confidence", "0.5"),
+    ("disorder", "disorder", "sigma_grid", "-0.001"),
+    ("disorder", "disorder", "sigma_grid", "nan"),
+    ("disorder", "disorder", "sigma_grid", "0, inf"),
+    ("disorder", "disorder", "zeta_measured", "1.5"),
+    ("disorder", "disorder", "zeta_measured", "-0.1"),
+    ("disorder", "disorder", "zeta_measured", "nan"),
 ]
 
 
@@ -547,6 +556,37 @@ class TestCliMeasureAndRecover:
         assert Path("dataset/traces/traces.npy") in runs[0]
         assert Path("recovered/report.json") in runs[0]
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("command, config", [
+        ("topology", "paper_1d.cfg"), ("topology", "paper_2d.cfg"),
+        ("disorder", "paper_1d.cfg"), ("circuit", "paper_1d.cfg"), ("circuit", "paper_2d.cfg"),
+    ])
+    def test_other_subcommand_reruns_are_byte_identical(self, tmp_path, command, config):
+        text = (CONFIG_DIR / config).read_text()
+        if command == "disorder":
+            # the shipped ensemble with fewer samples per point
+            assert "samples = 4000" in text
+            text = text.replace("samples = 4000", "samples = 100")
+        if command == "circuit":
+            # the shipped configs have no [circuit] section; add one with
+            # every parameter group
+            for name, z in (("a.csv", 0.0), ("b.csv", 2e-3)):
+                curve = om.WireCurve.circle(1e-3, (0, 0, z))
+                np.savetxt(tmp_path / name, curve.points, delimiter=",", header="x_m,y_m,z_m")
+            text += ("\n[circuit]\ninductance_h = 3.0e-9\ncapacitance_f = 1.665339e-13\n"
+                     "mutual_h = 3.0e-10\nmutual_prime_h = 4.5e-10\ndrum_radius_m = 3.1e-5\n"
+                     "film_stress_pa = 8.1e7\nfilm_density_kg_m3 = 2700\n"
+                     "loop_csv_a = a.csv\nloop_csv_b = b.csv\nneumann_segments = 200\n")
+        cfg = tmp_path / config
+        cfg.write_text(text)
+        runs = []
+        for run in (tmp_path / "a", tmp_path / "b"):
+            args = ["--svg"] if command != "circuit" else []
+            assert main([command, "--config", str(cfg), "--out", str(run)] + args) == 0
+            runs.append({p.relative_to(run): p.read_bytes() for p in run.rglob("*") if p.is_file()})
+        assert runs[0] and runs[0] == runs[1]
+        if command == "circuit":
+            assert "mutual_inductance_h" in json.loads(runs[0][Path("report.json")])
 
     def test_seed_flag_overrides_config(self, small_cfg, tmp_path):
         noisy = tmp_path / "noisy.cfg"

@@ -263,16 +263,24 @@ def _reference_fit(trace, skip_fraction):
     return params[1], np.sqrt(cov[1, 1])
 
 
-def _random_traces(rng, count, samples, snr_choices=(30.0, 100.0, 300.0, np.inf)):
+def _random_traces(rng, count, samples, snr_choices=(30.0, 100.0, 300.0, np.inf), jitter=False):
+    """Random ringdowns on uniform grids from 0, or with ``jitter`` on
+    non-uniform, strictly increasing times from a random offset."""
     traces, snrs = [], []
     for _ in range(count):
         gamma = rng.uniform(50.0, 2000.0)
         snr = snr_choices[rng.integers(len(snr_choices))]
         duration = rng.uniform(2.0, 6.0) / (TWO_PI * gamma)
         sigma = 0.0 if np.isinf(snr) else 1.0 / snr
-        traces.append(om.simulate_ringdown(
-            gamma, 1.0, sigma, duration=duration, dt=duration / samples,
-            seed=int(rng.integers(1 << 31)), noise_floor=5 * sigma))
+        if jitter:
+            times = rng.uniform(0.0, 0.2) / gamma + np.cumsum(rng.uniform(0.2, 1.8, samples)) * (
+                duration / samples)
+            powers = np.exp(-TWO_PI * gamma * times) + 5 * sigma + rng.normal(0, sigma, samples)
+            traces.append(om.RingdownTrace(times, np.clip(powers, 0.0, None)))
+        else:
+            traces.append(om.simulate_ringdown(
+                gamma, 1.0, sigma, duration=duration, dt=duration / samples,
+                seed=int(rng.integers(1 << 31)), noise_floor=5 * sigma))
         snrs.append(snr)
     return traces, np.array(snrs)
 
@@ -282,11 +290,8 @@ def _stacked(traces):
 
 
 class TestBatchedRingdownFit:
-    @pytest.mark.parametrize("samples", [20, 60, 140, 400])
-    @pytest.mark.parametrize("skip_fraction", [0.0, 0.1])
-    def test_matches_curve_fit_oracle(self, samples, skip_fraction):
-        rng = np.random.default_rng(samples + int(100 * skip_fraction))
-        traces, snrs = _random_traces(rng, 40, samples)
+    @staticmethod
+    def check_against_oracle(traces, snrs, skip_fraction):
         gamma, stderr, converged = om.fit_ringdowns(*_stacked(traces), skip_fraction)
         assert converged.all()
         reference = np.array([_reference_fit(t, skip_fraction) for t in traces])
@@ -296,6 +301,39 @@ class TestBatchedRingdownFit:
         # noiseless traces: both standard errors are rounding-level
         assert np.all(stderr[~noisy] < 1e-9 * gamma[~noisy])
         assert np.all(reference[~noisy, 1] < 1e-9 * reference[~noisy, 0])
+
+    @pytest.mark.parametrize("samples", [20, 60, 140, 400])
+    @pytest.mark.parametrize("skip_fraction", [0.0, 0.1])
+    def test_matches_curve_fit_oracle(self, samples, skip_fraction):
+        rng = np.random.default_rng(samples + int(100 * skip_fraction))
+        self.check_against_oracle(*_random_traces(rng, 40, samples), skip_fraction)
+
+    @pytest.mark.parametrize("samples", [20, 140])
+    def test_matches_curve_fit_oracle_on_jittered_times(self, samples):
+        # non-uniform times take the same kernel as the uniform grids
+        rng = np.random.default_rng(1000 + samples)
+        self.check_against_oracle(*_random_traces(rng, 40, samples, jitter=True), 0.1)
+
+    def test_too_few_samples_above_the_floor_fail(self):
+        # a decay to a tenth of the peak within 4 samples gives the log-linear
+        # start fewer than 5 points: the start rate is 0, where amplitude and
+        # floor cannot be told apart, and the fit fails instead of guessing;
+        # at 5 points the same decay is fitted
+        rng = np.random.default_rng(17)
+        gamma = 8000.0
+        for per_sample, count, fits in ((0.6, 4, False), (0.5, 5, True)):
+            times = np.tile(np.arange(100) * per_sample / (TWO_PI * gamma), (5, 1))
+            powers = np.clip(np.exp(-TWO_PI * gamma * times) + 0.05
+                             + rng.normal(0, 0.003, times.shape), 0.0, None)
+            amp = powers - powers[:, -12:].mean(axis=1)[:, None]
+            assert ((amp > 0.1 * amp.max(axis=1)[:, None]).sum(axis=1) == count).all()
+            fitted, stderr, converged = om.fit_ringdowns(times, powers, skip_fraction=0.0)
+            if fits:
+                assert converged.all() and np.abs(fitted / gamma - 1).max() < 0.05
+                continue
+            assert not converged.any() and np.isnan(fitted).all() and (stderr == np.inf).all()
+            with pytest.raises(om.RingdownFitError):
+                om.fit_ringdown(om.RingdownTrace(times[0], powers[0]), skip_fraction=0.0)
 
     def test_single_trace_call_is_the_batched_kernel(self):
         traces, _ = _random_traces(np.random.default_rng(5), 12, 140)
