@@ -16,27 +16,25 @@ A dataset holds its traces as dense arrays: ``times`` and ``powers`` of
 shape ``(modes, sites, powers, S)``, the trace lengths ``samples`` of shape
 ``(modes, sites, powers)`` (0 for a missing trace; a trace's samples past
 its length are padding), the generator's ``true_gamma_eff`` of the same
-shape and one ``noise_floor``.  ``MeasurementDataset.traces`` is a mapping
-view over them that gives each present trace as a ``RingdownTrace``.
+shape and one ``noise_floor``.  ``MeasurementDataset.traces`` is a read-only
+mapping view over them that gives each present trace as a ``RingdownTrace``.
 
 A saved dataset is a directory holding ``manifest.json``, ``h_true.csv``
 and ``traces/traces.npy``.  The manifest (``"format": 3``) holds the
 dataset's parameters, ``samples``, ``true_gamma_eff_hz`` (null where
 unknown) and ``noise_floor``.  ``traces.npy`` is one float64 array of shape
 ``(2, total samples)``: row 0 the times, row 1 the powers of every present
-trace, concatenated in C order over (mode, site, power).  Manifests of
-earlier versions, without a ``format`` key and with one entry per trace
-that names its own CSV file (v1) or its ``offset`` and ``samples`` in
-``traces.npy`` (v2), still load.
+trace, concatenated in C order over (mode, site, power).  ``load`` reads
+format 3 only.  A manifest of an earlier version (no ``format`` key, one
+entry per trace) is rewritten as format 3 by ``tools/upgrade_dataset.py``.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-import warnings
-from collections.abc import MutableMapping
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -83,16 +81,15 @@ class ModeReadout:
             raise ValueError("transmittance must be positive")
 
 
-# The manifest format MeasurementDataset.save writes.
+# The manifest format MeasurementDataset.save writes and load reads.
 MANIFEST_FORMAT = 3
-# Keys that MeasurementDataset.load reads from every manifest, from a
-# format-3 manifest only, and from readout and trace entries (earlier formats).
+# Keys that MeasurementDataset.load reads from a manifest, from its
+# format-3 fields and from each readout entry (in ModeReadout's field order).
 _MANIFEST_KEYS = ("readouts", "mode_freqs_hz", "mech_freqs_hz", "mech_linewidths_hz",
                   "drive_fluxes", "master_seed", "site_labels")
 _FORMAT_KEYS = ("samples", "true_gamma_eff_hz", "noise_floor")
 _READOUT_KEYS = ("kappa_tot_hz", "kappa_1_hz", "kappa_2_hz", "transmittance")
-_TRACE_KEYS = ("mode", "site", "power_index", "file")
-# Trace-entry indices and the manifest lists they index.
+# The trace indices and the manifest lists whose lengths bound them.
 _TRACE_INDICES = (("mode", "mode_freqs_hz"), ("site", "mech_freqs_hz"),
                   ("power_index", "drive_fluxes"))
 # Where MeasurementDataset.save puts every trace, relative to the dataset.
@@ -104,73 +101,52 @@ MAX_PADDING = 4
 PADDING_ALLOWANCE = 2**16
 
 
-def _read_manifest(path: Path) -> dict:
-    """Load a dataset manifest.  Raise ``io.ConfigError`` when it is not JSON,
-    when it, or one of its readout or trace entries, lacks a key that
-    :meth:`MeasurementDataset.load` reads (the message names the key), or
-    when its ``format`` is not :data:`MANIFEST_FORMAT`.  A manifest without
-    ``format`` (earlier versions) needs a ``traces`` list whose entries'
-    ``mode``, ``site`` and ``power_index`` are integer indices into
-    ``mode_freqs_hz``, ``mech_freqs_hz`` and ``drive_fluxes``, no two
-    entries with the same three, and whose ``file`` is a ``.npy`` file (then
-    with ``offset`` and ``samples``) or a ``.csv`` file."""
+def _require(entry, keys, where: str, path: Path) -> None:
+    """``io.ConfigError`` naming the manifest ``path`` when ``entry`` is not
+    an object or lacks one of ``keys`` (named with the prefix ``where``)."""
     from .io import ConfigError  # io imports this module
+
+    if not isinstance(entry, dict):
+        raise ConfigError(f"dataset manifest {path}: {where or 'top level'} is not an object")
+    for key in keys:
+        if key not in entry:
+            raise ConfigError(f"dataset manifest {path} is missing key '{where}{key}'")
+
+
+def _read_fields(path: Path) -> dict:
+    """Load a dataset manifest and check the fields every version has:
+    ``io.ConfigError`` naming the manifest and the key when it is not JSON,
+    lacks a key or has a list field that is not a list."""
+    from .io import ConfigError
 
     with open(path) as fh:
         try:
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"dataset manifest {path} is not valid JSON: {exc}") from None
-
-    def require(entry, keys, where):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"dataset manifest {path}: {where or 'top level'} is not an object")
-        for key in keys:
-            if key not in entry:
-                raise ConfigError(f"dataset manifest {path} is missing key '{where}{key}'")
-
-    require(manifest, _MANIFEST_KEYS, "")
-    legacy = "format" not in manifest
-    if not legacy and (type(manifest["format"]) is not int or manifest["format"] != MANIFEST_FORMAT):
-        raise ConfigError(f"dataset manifest {path} has unknown format {manifest['format']!r}; "
-                          f"this version reads format {MANIFEST_FORMAT} and the earlier "
-                          "manifests without a 'format' key")
-    require(manifest, ("traces",) if legacy else _FORMAT_KEYS, "")
-    lists = ("readouts",) + (("traces",) if legacy else ()) + tuple(a for _, a in _TRACE_INDICES)
-    for field in lists:
+    _require(manifest, _MANIFEST_KEYS, "", path)
+    for field in ("readouts", "site_labels") + tuple(axis for _, axis in _TRACE_INDICES):
         if not isinstance(manifest[field], list):
             raise ConfigError(f"dataset manifest {path}: '{field}' is not a list")
     for i, item in enumerate(manifest["readouts"]):
-        require(item, _READOUT_KEYS, f"readouts[{i}].")
-    if not legacy:
-        return manifest
-    seen: dict[tuple, int] = {}
-    for i, item in enumerate(manifest["traces"]):
-        require(item, _TRACE_KEYS, f"traces[{i}].")
-        for key, axis in _TRACE_INDICES:
-            index, size = item[key], len(manifest[axis])
-            if type(index) is not int or not 0 <= index < size:
-                raise ConfigError(f"dataset manifest {path}: traces[{i}].{key} {index!r} is not "
-                                  f"an index into '{axis}' ({size} entries)")
-        key = (item["mode"], item["site"], item["power_index"])
-        if key in seen:
-            raise ConfigError(f"dataset manifest {path}: traces[{seen[key]}] and traces[{i}] "
-                              "are both mode {}, site {}, power_index {}".format(*key))
-        seen[key] = i
-        gamma, floor = item.get("true_gamma_eff_hz"), item.get("noise_floor", 0.0)
-        if type(gamma) not in (int, float, type(None)):
-            raise ConfigError(f"dataset manifest {path}: traces[{i}].true_gamma_eff_hz {gamma!r} "
-                              "is not a number")
-        first = manifest["traces"][0].get("noise_floor", 0.0)
-        if type(floor) not in (int, float) or floor != first:
-            raise ConfigError(f"dataset manifest {path}: traces[{i}].noise_floor {floor!r} is not "
-                              "a number equal to traces[0]'s; a dataset has one noise floor")
-        name = item["file"]
-        if not isinstance(name, str) or not name.endswith((".npy", ".csv")):
-            raise ConfigError(f"dataset manifest {path}: traces[{i}].file {name!r} "
-                              "is neither a .npy nor a .csv file")
-        if name.endswith(".npy"):
-            require(item, ("offset", "samples"), f"traces[{i}].")
+        _require(item, _READOUT_KEYS, f"readouts[{i}].", path)
+    return manifest
+
+
+def _read_manifest(path: Path) -> dict:
+    """Load a format-3 dataset manifest: :func:`_read_fields`, then
+    ``io.ConfigError`` when it has no ``format`` (an earlier version, which
+    ``tools/upgrade_dataset.py`` converts), another format or lacks a key."""
+    from .io import ConfigError
+
+    manifest = _read_fields(path)
+    if "format" not in manifest:
+        raise ConfigError(f"dataset manifest {path} is from an earlier version (no 'format' key); "
+                          "convert it to format 3 with `python tools/upgrade_dataset.py OLD NEW`")
+    if type(manifest["format"]) is not int or manifest["format"] != MANIFEST_FORMAT:
+        raise ConfigError(f"dataset manifest {path} has unknown format {manifest['format']!r}; "
+                          f"this version reads format {MANIFEST_FORMAT}")
+    _require(manifest, _FORMAT_KEYS, "", path)
     return manifest
 
 
@@ -256,91 +232,21 @@ def _read_format3(manifest: dict, path: Path, trace_path: Path, shape: tuple) ->
                 noise_floor=float(floor))
 
 
-def _slice_trace(data: np.ndarray, entry: dict, path: Path, index: int):
-    """Times and powers of manifest trace ``index`` in the array of ``path``."""
-    from .io import ConfigError
-
-    offset, samples = entry["offset"], entry["samples"]
-    if type(offset) is not int or type(samples) is not int or offset < 0 or samples < 0 \
-            or offset + samples > data.shape[1]:
-        raise ConfigError(f"dataset trace file {path}: traces[{index}] offset {offset!r} and "
-                          f"samples {samples!r} lie outside its {data.shape[1]} samples")
-    return data[0, offset:offset + samples], data[1, offset:offset + samples]
-
-
-def _read_csv_trace(path: Path):
-    """Times and powers of a one-trace CSV file (the format of earlier
-    versions: a header line, then ``time_s,power`` rows); ``io.ConfigError``
-    naming the file when it does not parse as two numeric columns."""
-    from .io import ConfigError
-
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # header-only files
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise ConfigError(f"dataset trace file {path} does not parse: {exc}") from None
-    if data.size and data.shape[1] != 2:
-        raise ConfigError(f"dataset trace file {path} has {data.shape[1]} columns, not 2")
-    data = data.reshape(-1, 2)
-    return data[:, 0], data[:, 1]
-
-
-def _read_legacy_traces(manifest: dict, directory: Path) -> dict[tuple, RingdownTrace]:
-    """The traces of a manifest without ``format``, keyed by (mode, site,
-    power_index).  Each entry's trace is its own CSV file (v1) or its
-    ``offset``/``samples`` window of a ``.npy`` file (v2).  Raises
-    ``io.ConfigError`` naming the file when a trace is malformed."""
-    from .io import ConfigError
-
-    arrays: dict[str, tuple[Path, np.ndarray]] = {}
-    traces = {}
-    for index, entry in enumerate(manifest["traces"]):
-        name = entry["file"]
-        if name.endswith(".csv"):
-            trace_path = directory / name
-            times, powers = _read_csv_trace(trace_path)
-        else:
-            if name not in arrays:
-                arrays[name] = directory / name, _read_trace_array(directory / name)
-            trace_path, data = arrays[name]
-            times, powers = _slice_trace(data, entry, trace_path, index)
-        try:
-            trace = RingdownTrace(times, powers, true_gamma_eff=entry.get("true_gamma_eff_hz"))
-        except ValueError as exc:
-            raise ConfigError(f"dataset trace file {trace_path}, traces[{index}]: {exc}") from None
-        traces[(entry["mode"], entry["site"], entry["power_index"])] = trace
-    return traces
-
-
-class _TraceView(MutableMapping):
-    """The traces of a :class:`MeasurementDataset` as a mapping from (mode,
-    site, power_index) to :class:`~omlattice.measure.RingdownTrace`.
-
-    Reading a key builds the trace from the dataset's arrays (a copy, with
-    the dataset's noise floor); storing one writes it into them, growing the
-    sample axis when the trace is longer, and deleting one marks it missing.
-    Only present traces (``samples > 0``) are keys.  A stored trace's own
-    ``noise_floor`` is not kept: a dataset has one noise floor.
-    """
+class _TraceView(Mapping):
+    """The present traces (``samples > 0``) of a :class:`MeasurementDataset`
+    as a read-only mapping from (mode, site, power_index) to a
+    :class:`~omlattice.measure.RingdownTrace` copied from its arrays."""
 
     def __init__(self, dataset: "MeasurementDataset"):
         self._dataset = dataset
 
-    def _index(self, key) -> tuple[int, int, int]:
-        try:
-            index = tuple(operator.index(x) for x in key)
-        except TypeError:
-            raise KeyError(key) from None
-        shape = self._dataset.samples.shape
-        if len(index) != len(shape) or not all(0 <= x < size for x, size in zip(index, shape)):
-            raise KeyError(key)
-        return index
-
     def __getitem__(self, key) -> RingdownTrace:
         ds = self._dataset
-        index = self._index(key)
-        size = ds.samples[index]
+        try:
+            index = tuple(operator.index(x) for x in key)
+            size = ds.samples[index] if len(index) == ds.samples.ndim and min(index) >= 0 else 0
+        except (TypeError, IndexError):
+            size = 0
         if size == 0:
             raise KeyError(key)
         gamma = ds.true_gamma_eff[index]
@@ -348,35 +254,11 @@ class _TraceView(MutableMapping):
                              true_gamma_eff=None if np.isnan(gamma) else float(gamma),
                              noise_floor=ds.noise_floor)
 
-    def __setitem__(self, key, trace: RingdownTrace) -> None:
-        if not isinstance(trace, RingdownTrace):
-            raise TypeError(f"dataset traces are RingdownTrace objects, not {type(trace).__name__}")
-        ds = self._dataset
-        index = self._index(key)
-        size = trace.times.size
-        if size > ds.times.shape[-1]:
-            pad = [(0, 0)] * (ds.times.ndim - 1) + [(0, size - ds.times.shape[-1])]
-            ds.times, ds.powers = np.pad(ds.times, pad), np.pad(ds.powers, pad)
-        for array, values in ((ds.times, trace.times), (ds.powers, trace.powers)):
-            array[index][:size] = values
-            array[index][size:] = 0.0
-        ds.samples[index] = size
-        ds.true_gamma_eff[index] = np.nan if trace.true_gamma_eff is None else trace.true_gamma_eff
-
-    def __delitem__(self, key) -> None:
-        index = self._index(key)
-        if self._dataset.samples[index] == 0:
-            raise KeyError(key)
-        self._dataset.samples[index] = 0
-
     def __iter__(self):
         return iter(map(tuple, np.argwhere(self._dataset.samples > 0).tolist()))
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self._dataset.samples))
-
-    def clear(self) -> None:
-        self._dataset.samples[...] = 0
 
 
 @dataclass
@@ -411,15 +293,8 @@ class MeasurementDataset:
 
     @property
     def traces(self) -> _TraceView:
-        """Mapping view of the present traces (see :class:`_TraceView`)."""
+        """Read-only mapping of the present traces (see :class:`_TraceView`)."""
         return _TraceView(self)
-
-    @traces.setter
-    def traces(self, mapping) -> None:
-        mapping = dict(mapping)  # the mapping may be a view of this dataset
-        view = _TraceView(self)
-        view.clear()
-        view.update(mapping)
 
     @property
     def n_modes(self) -> int:
@@ -465,7 +340,7 @@ class MeasurementDataset:
         gammas, errors = gammas.reshape(shape), errors.reshape(shape)
         fitted = np.isfinite(gammas)
         if not fitted.any():
-            raise RingdownFitError(f"none of the {len(self.traces)} ringdowns could be fitted")
+            raise RingdownFitError(f"none of the {np.count_nonzero(self.samples)} ringdowns could be fitted")
         count = fitted.sum(axis=2)
 
         def centered(values):
@@ -503,15 +378,7 @@ class MeasurementDataset:
         manifest = {
             "format": MANIFEST_FORMAT,
             "mode_freqs_hz": self.mode_freqs.tolist(),
-            "readouts": [
-                {
-                    "kappa_tot_hz": r.kappa_tot,
-                    "kappa_1_hz": r.kappa_1,
-                    "kappa_2_hz": r.kappa_2,
-                    "transmittance": r.transmittance,
-                }
-                for r in self.readouts
-            ],
+            "readouts": [dict(zip(_READOUT_KEYS, astuple(r))) for r in self.readouts],
             "mech_freqs_hz": self.mech_freqs.tolist(),
             "mech_linewidths_hz": self.mech_linewidths.tolist(),
             "drive_fluxes": self.drive_fluxes.tolist(),
@@ -530,26 +397,21 @@ class MeasurementDataset:
 
     @classmethod
     def load(cls, directory) -> "MeasurementDataset":
-        """Read a dataset written by :meth:`save`, or by earlier versions (v1:
-        one CSV per trace; v2: per-trace manifest entries locating each trace
-        in ``traces.npy``).  Raises ``io.ConfigError`` naming the file when
-        the manifest or trace data are malformed, ``OSError`` when a file is
-        missing."""
+        """Read a dataset written by :meth:`save` (format 3).  Raises
+        ``io.ConfigError`` naming the file when the manifest or trace data
+        are malformed or the manifest is of an earlier version (the message
+        names the converter), ``OSError`` when a file is missing."""
         directory = Path(directory)
         path = directory / "manifest.json"
         manifest = _read_manifest(path)
         shape = tuple(len(manifest[axis]) for _, axis in _TRACE_INDICES)
-        if "format" in manifest:
-            traces, arrays = None, _read_format3(manifest, path, directory / TRACE_FILE, shape)
-        else:
-            traces = _read_legacy_traces(manifest, directory)
-            lengths = np.array([t.times.size for t in traces.values()], dtype=int)
-            _check_padding(lengths, int(np.prod(shape)), path)
-            padded = shape + (lengths.max(initial=0),)
-            entries = manifest["traces"]
-            arrays = dict(times=np.zeros(padded), powers=np.zeros(padded),
-                          samples=np.zeros(shape, dtype=int), true_gamma_eff=np.full(shape, np.nan),
-                          noise_floor=float(entries[0].get("noise_floor", 0.0)) if entries else 0.0)
+        return cls._from_manifest(manifest, directory,
+                                  _read_format3(manifest, path, directory / TRACE_FILE, shape))
+
+    @classmethod
+    def _from_manifest(cls, manifest: dict, directory: Path, arrays: dict) -> "MeasurementDataset":
+        """The dataset of a checked ``manifest``, its trace ``arrays`` (fields
+        ``times`` to ``noise_floor``) and ``directory``'s ``h_true.csv``, if any."""
         h_true = None
         h_path = directory / "h_true.csv"
         if h_path.exists():
@@ -557,12 +419,9 @@ class MeasurementDataset:
 
             matrix, labels = _io.matrix_from_csv(h_path)
             h_true = CouplingHamiltonian(matrix, labels)
-        dataset = cls(
+        return cls(
             mode_freqs=np.array(manifest["mode_freqs_hz"]),
-            readouts=tuple(
-                ModeReadout(r["kappa_tot_hz"], r["kappa_1_hz"], r["kappa_2_hz"], r["transmittance"])
-                for r in manifest["readouts"]
-            ),
+            readouts=tuple(ModeReadout(*(r[key] for key in _READOUT_KEYS)) for r in manifest["readouts"]),
             mech_freqs=np.array(manifest["mech_freqs_hz"]),
             mech_linewidths=np.array(manifest["mech_linewidths_hz"]),
             drive_fluxes=np.array(manifest["drive_fluxes"]),
@@ -571,9 +430,6 @@ class MeasurementDataset:
             h_true=h_true,
             **arrays,
         )
-        if traces is not None:
-            dataset.traces = traces
-        return dataset
 
 
 @dataclass(frozen=True)

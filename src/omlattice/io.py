@@ -35,16 +35,24 @@ def _find_line(path: Path | None, needle: str) -> str:
     return ""
 
 
-def _float_list(raw: str) -> list[float]:
+MAX_RANGE_STEPS = 10_000  # the most steps a start:stop:step range may take
+
+
+def _float_list(raw: str, name: str) -> list[float]:
+    """The values of the list or ``start:stop:step`` range ``raw`` (``stop``
+    included); ``ConfigError`` naming the key ``name`` for a range that is
+    not finite, runs backwards or takes more than :data:`MAX_RANGE_STEPS`."""
     if ":" in raw and "," not in raw:
         parts = [float(p) for p in raw.split(":")]
-        if len(parts) != 3:
-            raise ValueError("range syntax is start:stop:step")
+        if len(parts) != 3 or not np.all(np.isfinite(parts)) or parts[2] <= 0 or parts[1] < parts[0]:
+            raise ConfigError(f"{name} must be a range start:stop:step of finite numbers with "
+                              f"step > 0 and stop >= start, got {raw}")
         start, stop, step = parts
-        if step <= 0 or stop < start:
-            raise ValueError("range needs step > 0 and stop >= start")
-        count = int(round((stop - start) / step)) + 1
-        return [start + k * step for k in range(count)]
+        steps = (stop - start) / step  # inf when the step underflows the span
+        if steps > MAX_RANGE_STEPS:
+            raise ConfigError(f"{name} range {raw} takes {steps:.3g} steps, more than "
+                              f"{MAX_RANGE_STEPS}")
+        return [start + k * step for k in range(round(steps) + 1)]
     return [float(p) for p in raw.split(",") if p.strip()]
 
 
@@ -118,7 +126,7 @@ def _parse_lattice(parser: configparser.ConfigParser) -> LatticeSpec:
     else:
         raise ConfigError("ribbon lattices are built from the API, not from config files")
     if "cavity_freqs_hz" in lat:
-        cavity = _float_list(lat["cavity_freqs_hz"])
+        cavity = _float_list(lat["cavity_freqs_hz"], "[lattice] cavity_freqs_hz")
         if len(cavity) != n_sites:
             raise ConfigError(f"cavity_freqs_hz must list {n_sites} values")
     else:
@@ -135,9 +143,9 @@ def _parse_lattice(parser: configparser.ConfigParser) -> LatticeSpec:
 
     if parser.has_section("mechanics"):
         mech = parser["mechanics"]
-        freqs = _expand(mech["freqs_hz"], n_sites, "freqs_hz")
-        widths = _expand(mech["linewidths_hz"], n_sites, "linewidths_hz")
-        g0s = _expand(mech.get("g0_hz", "0"), n_sites, "g0_hz")
+        freqs = _expand(mech["freqs_hz"], n_sites, "[mechanics] freqs_hz")
+        widths = _expand(mech["linewidths_hz"], n_sites, "[mechanics] linewidths_hz")
+        g0s = _expand(mech.get("g0_hz", "0"), n_sites, "[mechanics] g0_hz")
     else:
         freqs = [1.0] * n_sites  # placeholder mechanics for purely microwave runs
         widths = [0.0] * n_sites
@@ -150,7 +158,7 @@ def _parse_lattice(parser: configparser.ConfigParser) -> LatticeSpec:
 
 
 def _expand(raw: str, n: int, name: str) -> list[float]:
-    values = _float_list(raw)
+    values = _float_list(raw, name)
     if len(values) == 1:
         return values * n
     if len(values) != n:
@@ -163,18 +171,18 @@ def _parse_readout(parser, spec: LatticeSpec | None) -> tuple[ModeReadout, ...]:
         raise ConfigError("[readout] requires a [lattice] section")
     ro = parser["readout"]
     n = spec.n_sites
-    kappas = _expand(ro["kappa_tot_hz"], n, "kappa_tot_hz")
+    kappas = _expand(ro["kappa_tot_hz"], n, "[readout] kappa_tot_hz")
     if "kappa_1_hz" in ro:
-        k1 = _expand(ro["kappa_1_hz"], n, "kappa_1_hz")
+        k1 = _expand(ro["kappa_1_hz"], n, "[readout] kappa_1_hz")
     else:
         frac = float(ro.get("kappa_1_fraction", 0.25))
         k1 = [frac * k for k in kappas]
     if "kappa_2_hz" in ro:
-        k2 = _expand(ro["kappa_2_hz"], n, "kappa_2_hz")
+        k2 = _expand(ro["kappa_2_hz"], n, "[readout] kappa_2_hz")
     else:
         frac = float(ro.get("kappa_2_fraction", 0.25))
         k2 = [frac * k for k in kappas]
-    trans = _expand(ro.get("transmittance", "1.0"), n, "transmittance")
+    trans = _expand(ro.get("transmittance", "1.0"), n, "[readout] transmittance")
     return tuple(
         ModeReadout(kappa_tot=k, kappa_1=a, kappa_2=b, transmittance=t)
         for k, a, b, t in zip(kappas, k1, k2, trans)
@@ -217,7 +225,7 @@ def _parse_measurement(parser) -> dict:
 def _parse_disorder(parser) -> dict:
     d = parser["disorder"]
     out = {
-        "sigma_grid": np.array(_float_list(d["sigma_grid"])),
+        "sigma_grid": np.array(_float_list(d["sigma_grid"], "[disorder] sigma_grid")),
         "samples": int(d.get("samples", 4000)),
         "seed": _parse_seed(d),
         "confidence": float(d.get("confidence", 0.9)),

@@ -22,7 +22,6 @@ of honeycomb ribbons.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,10 +196,6 @@ class CouplingHamiltonian:
             data["matrix_re_hz"] = self.matrix.real.tolist()
             data["matrix_im_hz"] = self.matrix.imag.tolist()
         return data
-
-    def to_json_file(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
 
     def to_csv(self, path):
         from . import io as _io
@@ -510,8 +505,6 @@ def _canonicalize_degenerate(freqs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Replace eigenvector rows within degenerate clusters by a basis derived
     from the (basis-independent) subspace projector, so ties do not depend on
     the eigensolver's arbitrary choice."""
-    from scipy.linalg import qr
-
     scale = max(np.abs(freqs).max(), 1.0)
     out = rows.copy()
     start = 0
@@ -519,6 +512,8 @@ def _canonicalize_degenerate(freqs: np.ndarray, rows: np.ndarray) -> np.ndarray:
         if stop < len(freqs) and abs(freqs[stop] - freqs[stop - 1]) <= DEGENERACY_RTOL * scale:
             continue
         if stop - start > 1:
+            from scipy.linalg import qr  # here, so spectra without a cluster never import scipy
+
             block = out[start:stop]
             projector = block.conj().T @ block
             q, _, _ = qr(projector, pivoting=True)

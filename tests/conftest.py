@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -67,14 +68,47 @@ def _save_v2(dataset, directory) -> None:
     np.save(directory / "traces" / "traces.npy", data)
 
 
+def _set_trace(dataset, key, trace) -> None:
+    """Store the ``RingdownTrace`` ``trace`` as trace ``key`` of ``dataset``'s
+    arrays, growing their sample axis when it is longer than the others."""
+    size = trace.times.size
+    if size > dataset.times.shape[-1]:
+        pad = [(0, 0)] * (dataset.times.ndim - 1) + [(0, size - dataset.times.shape[-1])]
+        dataset.times, dataset.powers = np.pad(dataset.times, pad), np.pad(dataset.powers, pad)
+    for array, values in ((dataset.times, trace.times), (dataset.powers, trace.powers)):
+        array[key][:size], array[key][size:] = values, 0.0
+    dataset.samples[key] = size
+    dataset.true_gamma_eff[key] = np.nan if trace.true_gamma_eff is None else trace.true_gamma_eff
+
+
 @pytest.fixture(scope="session")
 def save_legacy_csv():
-    """Reference writer of the per-trace CSV datasets (v1) that ``load`` still reads."""
+    """Reference writer of the per-trace CSV datasets (v1) that
+    ``tools/upgrade_dataset.py`` converts."""
     return _save_legacy_csv
 
 
 @pytest.fixture(scope="session")
 def save_v2():
     """Reference writer of the one-array datasets with per-trace manifest
-    entries (v2) that ``load`` still reads."""
+    entries (v2) that ``tools/upgrade_dataset.py`` converts."""
     return _save_v2
+
+
+@pytest.fixture(scope="session")
+def set_trace():
+    """Writer of one trace into a dataset's arrays (``traces`` is read-only)."""
+    return _set_trace
+
+
+UPGRADE_SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "upgrade_dataset.py"
+
+
+@pytest.fixture(scope="session")
+def upgrade_dataset():
+    """The converter ``tools/upgrade_dataset.py`` as a module: ``upgrade(src,
+    dst)`` raises, ``main([src, dst])`` returns the exit code."""
+    spec = importlib.util.spec_from_file_location("upgrade_dataset", UPGRADE_SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

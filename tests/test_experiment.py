@@ -1,5 +1,6 @@
 import json
 import tempfile
+from collections.abc import Mapping, MutableMapping
 from pathlib import Path
 
 import numpy as np
@@ -119,15 +120,17 @@ class TestSimulateMeasurement:
             assert np.array_equal(data[0, window], ds.traces[key].times)
             assert np.array_equal(data[1, window], ds.traces[key].powers)
 
-    def test_legacy_csv_dataset_loads_the_same(self, tmp_path, save_legacy_csv):
+    def test_legacy_csv_dataset_loads_the_same(self, tmp_path, save_legacy_csv, upgrade_dataset):
+        # once converted to format 3
         h, sites, readouts = small_setup(seed=5)
         flux = om.calibrate_drive_flux(h, sites, readouts)
         ds = om.simulate_measurement(h, sites, readouts, np.linspace(flux / 4, flux, 4),
                                      master_seed=2, snr=80.0, samples_per_trace=60)
         ds.save(tmp_path / "new")
         save_legacy_csv(ds, tmp_path / "legacy")
+        upgrade_dataset.upgrade(tmp_path / "legacy", tmp_path / "converted")
         new = om.MeasurementDataset.load(tmp_path / "new")
-        legacy = om.MeasurementDataset.load(tmp_path / "legacy")
+        legacy = om.MeasurementDataset.load(tmp_path / "converted")
         assert set(legacy.traces) == set(new.traces) == set(ds.traces)
         for key, trace in legacy.traces.items():
             assert np.array_equal(trace.times, new.traces[key].times)
@@ -280,15 +283,14 @@ class TestFitAll:
         _, ds = self.noisy_dataset(samples=400)
         assert {t.times.size for t in ds.traces.values()} == {400}
 
-    def test_mixed_lengths_fit_as_separate_groups(self):
+    def test_mixed_lengths_fit_as_separate_groups(self, set_trace):
         _, ds = self.noisy_dataset(samples=400)
-        longer = {}
         for key in list(ds.traces)[::3]:
             old = ds.traces[key]
             dt = old.times[1]
-            longer[key] = om.simulate_ringdown(old.true_gamma_eff, 1.0, 0.01, duration=400.5 * dt,
-                                               dt=dt, seed=7, noise_floor=old.noise_floor)
-        ds.traces.update(longer)
+            set_trace(ds, key, om.simulate_ringdown(old.true_gamma_eff, 1.0, 0.01,
+                                                    duration=400.5 * dt, dt=dt, seed=7,
+                                                    noise_floor=old.noise_floor))
         ds.fit_all()
         for size in (400, 401):
             keys = [key for key, t in ds.traces.items() if t.times.size == size]
@@ -302,8 +304,7 @@ class TestFitAll:
         h, ds = self.noisy_dataset()
         reference = om.diagonalize(h)
         clean = om.recover(ds, reference)
-        flat = ds.traces[(1, 2, 3)]
-        ds.traces[(1, 2, 3)] = om.RingdownTrace(flat.times, np.full(flat.times.size, 0.2))
+        ds.powers[1, 2, 3] = 0.2
         ds.slopes = None
         result = om.recover(ds, reference)
         assert np.isnan(ds.fitted_gammas[1, 2, 3]) and ds.fitted_errors[1, 2, 3] == np.inf
@@ -314,21 +315,19 @@ class TestFitAll:
 
     def test_pair_with_fewer_than_three_fits_gets_zero_slope(self):
         _, ds = self.noisy_dataset(powers=4)
-        for p in (0, 1):
-            trace = ds.traces[(0, 1, p)]
-            ds.traces[(0, 1, p)] = om.RingdownTrace(trace.times, np.zeros(trace.times.size))
+        ds.powers[0, 1, :2] = 0.0
         slopes = ds.fit_all()
         assert slopes[0, 1] == 0.0
         assert np.count_nonzero(slopes) > slopes.size // 2
 
-    def test_mixed_length_dataset_round_trips_bit_for_bit(self, tmp_path):
+    def test_mixed_length_dataset_round_trips_bit_for_bit(self, tmp_path, set_trace):
         _, ds = self.noisy_dataset(samples=400, powers=4)
         for key in list(ds.traces)[::3]:
             old = ds.traces[key]
             dt = old.times[1]
-            ds.traces[key] = om.simulate_ringdown(old.true_gamma_eff, 1.0, 0.01,
-                                                  duration=400.5 * dt, dt=dt, seed=7,
-                                                  noise_floor=old.noise_floor)
+            set_trace(ds, key, om.simulate_ringdown(old.true_gamma_eff, 1.0, 0.01,
+                                                    duration=400.5 * dt, dt=dt, seed=7,
+                                                    noise_floor=old.noise_floor))
         ds.save(tmp_path)
         loaded = om.MeasurementDataset.load(tmp_path)
         assert {t.times.size for t in loaded.traces.values()} == {400, 401}
@@ -343,8 +342,7 @@ class TestFitAll:
 
     def test_too_short_trace_counts_as_failed_fit(self):
         h, ds = self.noisy_dataset()
-        short = ds.traces[(2, 0, 5)]
-        ds.traces[(2, 0, 5)] = om.RingdownTrace(short.times[:5], short.powers[:5])
+        ds.samples[2, 0, 5] = 5
         result = om.recover(ds, om.diagonalize(h))
         assert np.isnan(ds.fitted_gammas[2, 0, 5]) and ds.fitted_errors[2, 0, 5] == np.inf
         assert result.residuals["fits_failed"] == 1
@@ -352,63 +350,86 @@ class TestFitAll:
 
     def test_all_fits_failed_raises(self):
         _, ds = self.noisy_dataset(powers=3)
-        ds.traces = {key: om.RingdownTrace(t.times, np.zeros(t.times.size))
-                     for key, t in ds.traces.items()}
+        ds.powers[...] = 0.0
         with pytest.raises(om.RingdownFitError):
             ds.fit_all()
 
 
 class TestTraceMapping:
-    """``MeasurementDataset.traces`` is a mapping of the present traces: the
-    contract that callers counting traces and samples through it rely on."""
+    """``MeasurementDataset.traces`` is a read-only mapping of the present
+    traces: the contract that callers counting traces and samples through it
+    rely on."""
 
     @pytest.mark.parametrize("source", ["simulated", "v1", "v2", "v3"])
-    def test_view_holds_the_present_traces(self, tmp_path, source, save_legacy_csv, save_v2):
+    def test_view_holds_the_present_traces(self, tmp_path, source, save_legacy_csv, save_v2,
+                                           upgrade_dataset):
         h, sites, readouts = small_setup(seed=5)
         flux = om.calibrate_drive_flux(h, sites, readouts)
         ds = om.simulate_measurement(h, sites, readouts, np.linspace(flux / 4, flux, 4),
                                      master_seed=2, snr=80.0, samples_per_trace=30)
         keys = sorted(ds.traces)
-        del ds.traces[(1, 2, 3)]
+        ds.samples[1, 2, 3] = 0
         writers = {"v1": save_legacy_csv, "v2": save_v2, "v3": om.MeasurementDataset.save}
         if source in writers:
-            writers[source](ds, tmp_path)
-            ds = om.MeasurementDataset.load(tmp_path)
+            writers[source](ds, tmp_path / source)
+            if source != "v3":
+                upgrade_dataset.upgrade(tmp_path / source, tmp_path / "v3")
+            ds = om.MeasurementDataset.load(tmp_path / "v3")
         assert ds.samples[1, 2, 3] == 0 and (1, 2, 3) not in ds.traces
         assert list(ds.traces) == [key for key in keys if key != (1, 2, 3)]
         assert len(ds.traces) == 4 * 4 * 4 - 1
         assert sum(t.times.size for t in ds.traces.values()) == 30 * (4 * 4 * 4 - 1)
         assert all(type(ds.traces[key]) is om.RingdownTrace for key in ds.traces)
-        for key in ((1, 2, 3), (-1, 0, 0), (0, 0, 4), (0, 0)):
+        for key in ((1, 2, 3), (-1, 0, 0), (0, 0, 4), (0, 0), ("a", 0, 0)):
             with pytest.raises(KeyError):
                 ds.traces[key]
         result = om.recover(ds, om.diagonalize(h))
         assert np.isnan(ds.fitted_gammas[1, 2, 3])
         assert result.residuals["fits_failed"] == 1
 
+    def test_view_is_read_only(self):
+        h, sites, readouts = small_setup(seed=5)
+        ds = om.simulate_measurement(h, sites, readouts, np.linspace(1e14, 5e14, 3),
+                                     master_seed=2, snr=None, samples_per_trace=30)
+        assert isinstance(ds.traces, Mapping) and not isinstance(ds.traces, MutableMapping)
+        trace = ds.traces[(0, 0, 1)]
+        with pytest.raises(TypeError):
+            ds.traces[(0, 0, 0)] = trace
+        with pytest.raises(TypeError):
+            del ds.traces[(0, 0, 0)]
+        with pytest.raises(AttributeError):
+            ds.traces = {}
+        trace.powers[:] = 0.0  # a trace is a copy
+        assert ds.powers[0, 0, 1].any()
+
     @pytest.mark.parametrize("source", ["v1", "v2", "v3"])
-    def test_load_refuses_one_long_trace_among_short_ones(self, tmp_path, source,
-                                                          save_legacy_csv, save_v2):
+    def test_load_refuses_one_long_trace_among_short_ones(self, tmp_path, source, save_legacy_csv,
+                                                          save_v2, set_trace, upgrade_dataset):
         # the dense arrays pad every trace to the longest: 64 x 2000 samples
-        # for 2126 samples of data is refused rather than allocated
+        # for 2126 samples of data is refused rather than allocated, also by
+        # the converter of earlier versions
         h, sites, readouts = small_setup(seed=5)
         ds = om.simulate_measurement(h, sites, readouts, np.linspace(1e14, 5e14, 4),
                                      master_seed=2, snr=None, samples_per_trace=30)
-        ds.traces = {key: om.RingdownTrace(t.times[:2], t.powers[:2])
-                     for key, t in ds.traces.items()}
-        ds.traces[(0, 0, 0)] = om.RingdownTrace(np.arange(2000.0), np.ones(2000))
+        ds.samples[...] = 2
+        set_trace(ds, (0, 0, 0), om.RingdownTrace(np.arange(2000.0), np.ones(2000)))
         writers = {"v1": save_legacy_csv, "v2": save_v2, "v3": om.MeasurementDataset.save}
-        writers[source](ds, tmp_path)
+        writers[source](ds, tmp_path / "dataset")
+        read = om.MeasurementDataset.load if source == "v3" else \
+            (lambda src: upgrade_dataset.upgrade(src, tmp_path / "converted"))
         with pytest.raises(om_io.ConfigError, match="padding its 64 traces to the longest"):
-            om.MeasurementDataset.load(tmp_path)
+            read(tmp_path / "dataset")
+        assert not (tmp_path / "converted").exists()
 
 
 @settings(max_examples=12, derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2**16), n_cells=st.integers(2, 4),
        snr=st.sampled_from([None, 100.0, 300.0]), powers=st.integers(3, 4),
        samples=st.integers(20, 60))
-def test_every_dataset_format_round_trips_bit_for_bit(save_legacy_csv, save_v2, seed, n_cells,
-                                                      snr, powers, samples):
+def test_every_dataset_format_round_trips_bit_for_bit(save_legacy_csv, save_v2, upgrade_dataset,
+                                                      seed, n_cells, snr, powers, samples):
+    # v1 and v2 datasets are converted to format 3 first: the converted
+    # files are the format-3 files, byte for byte
     h, sites, readouts = small_setup(seed=seed, n_cells=n_cells)
     flux = om.calibrate_drive_flux(h, sites, readouts)
     ds = om.simulate_measurement(h, sites, readouts, np.linspace(flux / powers, flux, powers),
@@ -417,9 +438,14 @@ def test_every_dataset_format_round_trips_bit_for_bit(save_legacy_csv, save_v2, 
     expected = om.recover(ds, reference)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for name, write in (("v1", save_legacy_csv), ("v2", save_v2),
-                            ("v3", om.MeasurementDataset.save)):
+        for name, write in (("v3", om.MeasurementDataset.save), ("v1", save_legacy_csv),
+                            ("v2", save_v2)):
             write(ds, tmp / name)
+            if name != "v3":
+                upgrade_dataset.upgrade(tmp / name, tmp / f"{name}-converted")
+                name = f"{name}-converted"
+                for file in ("manifest.json", "h_true.csv", "traces/traces.npy"):
+                    assert (tmp / name / file).read_bytes() == (tmp / "v3" / file).read_bytes()
             loaded = om.MeasurementDataset.load(tmp / name)
             result = om.recover(loaded, reference)
             assert loaded.fitted_gammas.tobytes() == ds.fitted_gammas.tobytes()

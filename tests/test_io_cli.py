@@ -2,8 +2,11 @@ import configparser
 import functools
 import json
 import operator
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ from omlattice import io as om_io
 from omlattice.cli import main
 
 CONFIG_DIR = Path(om.__file__).resolve().parent / "configs"
+SRC_DIR = Path(om.__file__).resolve().parent.parent
 
 SMALL_CFG = """
 [lattice]
@@ -94,6 +98,12 @@ OUTSIDE_THE_MODEL = [
     ("disorder", "disorder", "sigma_grid", "-0.001"),
     ("disorder", "disorder", "sigma_grid", "nan"),
     ("disorder", "disorder", "sigma_grid", "0, inf"),
+    ("disorder", "disorder", "sigma_grid", "0:inf:0.001"),
+    ("disorder", "disorder", "sigma_grid", "0:nan:0.001"),
+    ("disorder", "disorder", "sigma_grid", "0:0.001:nan"),
+    # about 1e297 values, refused before any is built
+    ("disorder", "disorder", "sigma_grid", "0.001:0.002:1e-300"),
+    ("disorder", "disorder", "sigma_grid", "0:1:0.00001"),
     ("disorder", "disorder", "zeta_measured", "1.5"),
     ("disorder", "disorder", "zeta_measured", "-0.1"),
     ("disorder", "disorder", "zeta_measured", "nan"),
@@ -108,6 +118,12 @@ def legacy_dataset(config: Path, tmp_path: Path, save_legacy_csv) -> Path:
     return tmp_path / "legacy"
 
 
+def converted(dataset: Path, upgrade_dataset) -> Path:
+    """``dataset`` (an earlier version) converted to format 3 next to it."""
+    assert upgrade_dataset.main([str(dataset), str(dataset.with_name(dataset.name + "-3"))]) == 0
+    return dataset.with_name(dataset.name + "-3")
+
+
 def v2_dataset(config: Path, tmp_path: Path, save_v2) -> Path:
     """``measure-sim`` output (left in ``tmp_path / "npy"``) rewritten as a
     dataset with per-trace manifest entries locating each trace in
@@ -115,6 +131,21 @@ def v2_dataset(config: Path, tmp_path: Path, save_v2) -> Path:
     assert main(["measure-sim", "--config", str(config), "--out", str(tmp_path / "npy")]) == 0
     save_v2(om.MeasurementDataset.load(tmp_path / "npy"), tmp_path / "v2")
     return tmp_path / "v2"
+
+
+def recover_or_convert(config: Path, dataset: Path, out: Path, upgrade_dataset, convert: bool) -> int:
+    """The exit code of the converter (``convert``; ``out`` is its
+    destination) or of ``recover`` on ``dataset``."""
+    if convert:
+        return upgrade_dataset.main([str(dataset), str(out)])
+    return main(["recover", "--config", str(config), "--dataset", str(dataset), "--out", str(out)])
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports this omlattice."""
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=300)
 
 
 def _locate(manifest: dict, key: str):
@@ -169,7 +200,8 @@ def _set_sample(row, column, value):
 
 
 # Each class of malformed trace data, as an edit of the trace file at ``path``
-# of a v1 ("csv-" cases), v2 (V2_TRACE_CASES) or format-3 dataset.
+# of a v1 ("csv-" cases) or v2 (V2_TRACE_CASES) dataset, which the converter
+# refuses, or of a format-3 dataset, which recover refuses.
 MALFORMED_TRACES = {
     "csv-header-only": _edit_csv(lambda lines: lines[:1]),
     "csv-one-row": _edit_csv(lambda lines: lines[:2]),
@@ -224,6 +256,12 @@ class TestConfigParsing:
         )
         with pytest.raises(om_io.ConfigError):
             om_io.load_config(path)
+
+    def test_range_takes_at_most_max_range_steps(self):
+        cap = om_io.MAX_RANGE_STEPS
+        assert om_io._float_list(f"0:{cap}:1", "[x] y") == [float(k) for k in range(cap + 1)]
+        with pytest.raises(om_io.ConfigError, match=rf"^\[x\] y range 0:{cap + 1}:1 takes"):
+            om_io._float_list(f"0:{cap + 1}:1", "[x] y")
 
     def test_bundled_device_configs_parse(self):
         chain = om_io.load_config(CONFIG_DIR / "paper_1d.cfg")
@@ -372,12 +410,13 @@ class TestCliMeasureAndRecover:
         assert "ringdown" in err
         assert not out.exists()
 
-    def test_unfittable_legacy_dataset_exits_3_without_traceback(self, small_cfg, tmp_path,
-                                                                 capsys, save_legacy_csv):
+    def test_unfittable_legacy_dataset_exits_3_without_traceback(self, small_cfg, tmp_path, capsys,
+                                                                 save_legacy_csv, upgrade_dataset):
         dataset, out = legacy_dataset(small_cfg, tmp_path, save_legacy_csv), tmp_path / "out"
         for path in (dataset / "traces").iterdir():
             rows = path.read_text().splitlines()
             path.write_text("\n".join([rows[0]] + [r.split(",")[0] + ",0.5" for r in rows[1:]]))
+        dataset = converted(dataset, upgrade_dataset)
         capsys.readouterr()
         assert main(["recover", "--config", str(small_cfg), "--dataset", str(dataset),
                      "--out", str(out)]) == 3
@@ -386,27 +425,31 @@ class TestCliMeasureAndRecover:
         assert "ringdown" in err
         assert not out.exists()
 
-    def test_legacy_dataset_recovers_as_the_new_one(self, small_cfg, tmp_path, save_legacy_csv):
-        legacy = legacy_dataset(small_cfg, tmp_path, save_legacy_csv)
+    def test_legacy_dataset_recovers_as_the_new_one(self, small_cfg, tmp_path, save_legacy_csv,
+                                                    upgrade_dataset):
+        legacy = converted(legacy_dataset(small_cfg, tmp_path, save_legacy_csv), upgrade_dataset)
         for dataset in (tmp_path / "npy", legacy):
             assert main(["recover", "--config", str(small_cfg), "--dataset", str(dataset),
                          "--out", str(dataset.with_name(dataset.name + "-out"))]) == 0
         for name in ("recovered_h.csv", "recovered_h_rotating_frame.csv", "eta_hat.csv",
                      "report.json"):
             assert (tmp_path / "npy-out" / name).read_bytes() == \
-                (tmp_path / "legacy-out" / name).read_bytes()
+                (tmp_path / "legacy-3-out" / name).read_bytes()
 
-    def test_too_short_legacy_trace_degrades_recovery(self, small_cfg, tmp_path, save_legacy_csv):
+    def test_too_short_legacy_trace_degrades_recovery(self, small_cfg, tmp_path, save_legacy_csv,
+                                                      upgrade_dataset):
         dataset, out = legacy_dataset(small_cfg, tmp_path, save_legacy_csv), tmp_path / "out"
         path = dataset / "traces" / "k01_i02_p03.csv"
         path.write_text("\n".join(path.read_text().splitlines()[:6]) + "\n")
+        dataset = converted(dataset, upgrade_dataset)
         assert main(["recover", "--config", str(small_cfg), "--dataset", str(dataset),
                      "--out", str(out)]) == 0
         assert json.loads((out / "report.json").read_text())["fits_failed"] == 1
 
     @pytest.mark.parametrize("case", list(MALFORMED_TRACES))
     def test_malformed_trace_data_exits_2_naming_the_file(self, small_cfg, tmp_path, capsys,
-                                                          save_legacy_csv, save_v2, case):
+                                                          save_legacy_csv, save_v2, upgrade_dataset,
+                                                          case):
         if case.startswith("csv"):
             dataset = legacy_dataset(small_cfg, tmp_path, save_legacy_csv)
             path = dataset / "traces" / "k01_i02_p03.csv"
@@ -420,8 +463,8 @@ class TestCliMeasureAndRecover:
         MALFORMED_TRACES[case](path)
         out = tmp_path / "out"
         capsys.readouterr()
-        assert main(["recover", "--config", str(small_cfg), "--dataset", str(dataset),
-                     "--out", str(out)]) == 2
+        convert = case.startswith("csv") or case in V2_TRACE_CASES
+        assert recover_or_convert(small_cfg, dataset, out, upgrade_dataset, convert) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert str(path) in err
@@ -444,6 +487,7 @@ class TestCliMeasureAndRecover:
         ("traces[0].power_index=1.5", "traces[0].power_index 1.5 is not an index into 'drive_fluxes'"),
         ("traces[0].power_index=true", "traces[0].power_index True is not an index"),
         ("mode_freqs_hz=3", "'mode_freqs_hz' is not a list"),
+        ("site_labels=5", "'site_labels' is not a list"),
         # two entries for one trace; per-trace values the dataset's arrays cannot hold
         ("traces[0].power_index=1", "traces[0] and traces[1] are both mode 0, site 0, power_index 1"),
         ("traces[1].noise_floor=0.5", "traces[1].noise_floor 0.5 is not a number equal to traces[0]'s"),
@@ -462,9 +506,9 @@ class TestCliMeasureAndRecover:
                      id="one-trace-holds-all"),
     ])
     def test_malformed_manifest_exits_2_without_traceback(self, small_cfg, tmp_path, save_v2,
-                                                          capsys, drop, expected):
-        # cases that edit trace entries run on a v2 dataset, the rest on
-        # measure-sim's format-3 output
+                                                          upgrade_dataset, capsys, drop, expected):
+        # cases that edit trace entries run the converter on a v2 dataset,
+        # the rest recover on measure-sim's format-3 output
         if isinstance(drop, str) and drop.startswith("traces"):
             dataset = v2_dataset(small_cfg, tmp_path, save_v2)
         else:
@@ -490,11 +534,26 @@ class TestCliMeasureAndRecover:
             text = json.dumps(manifest)
         (dataset / "manifest.json").write_text(text)
         capsys.readouterr()
-        assert main(["recover", "--config", str(small_cfg), "--dataset", str(dataset),
-                     "--out", str(out)]) == 2
+        convert = isinstance(drop, str) and drop.startswith("traces")
+        assert recover_or_convert(small_cfg, dataset, out, upgrade_dataset, convert) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert err.startswith("configuration error:") and expected in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("writer", ["save_legacy_csv", "save_v2"])
+    def test_manifest_without_format_names_the_converter(self, small_cfg, tmp_path, capsys,
+                                                         request, writer):
+        dataset = tmp_path / "dataset"
+        assert main(["measure-sim", "--config", str(small_cfg), "--out", str(dataset)]) == 0
+        request.getfixturevalue(writer)(om.MeasurementDataset.load(dataset), tmp_path / "old")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["recover", "--config", str(small_cfg), "--dataset", str(tmp_path / "old"),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert "earlier version" in err and "python tools/upgrade_dataset.py OLD NEW" in err
         assert not out.exists()
 
     def test_failed_move_into_out_restores_the_old_outputs(self, small_cfg, tmp_path, capsys,
@@ -597,6 +656,36 @@ class TestCliMeasureAndRecover:
         t1 = np.load(d1 / "traces" / "traces.npy")
         t2 = np.load(d2 / "traces" / "traces.npy")
         assert np.array_equal(t1[0], t2[0]) and not np.array_equal(t1[1], t2[1])
+
+
+@pytest.mark.parametrize("command, config", [
+    ("spectrum", "paper_1d.cfg"), ("spectrum", "paper_2d.cfg"),
+    ("measure-sim", "paper_1d.cfg"), ("measure-sim", "paper_2d.cfg"), ("disorder", None),
+])
+def test_subcommand_does_not_import_scipy(tmp_path, small_cfg, command, config):
+    # scipy is imported only where it is needed, such as a degenerate
+    # eigenvalue cluster, which neither shipped configuration has
+    code = ("import sys; from omlattice.cli import main; code = main(sys.argv[1:]); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    cfg = small_cfg if config is None else CONFIG_DIR / config
+    done = run_python("-c", code, command, "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert done.stdout.strip() == "0 []", done.stderr
+
+
+def test_upgrade_script_entry_point(small_cfg, tmp_path, save_v2, upgrade_dataset):
+    assert main(["measure-sim", "--config", str(small_cfg), "--out", str(tmp_path / "npy")]) == 0
+    save_v2(om.MeasurementDataset.load(tmp_path / "npy"), tmp_path / "v2")
+    done = run_python(upgrade_dataset.__file__, str(tmp_path / "v2"), str(tmp_path / "v3"))
+    assert done.returncode == 0 and done.stdout == done.stderr == ""
+    for name in ("manifest.json", "h_true.csv", "traces/traces.npy"):
+        assert (tmp_path / "v3" / name).read_bytes() == (tmp_path / "npy" / name).read_bytes()
+    # an existing destination, a missing source, a format-3 source, one argument
+    for args, message in [(("v2", "v3"), "already exists"), (("none", "a"), "No such file"),
+                          (("npy", "b"), "has format 3"), (("v2",), "usage")]:
+        done = run_python(upgrade_dataset.__file__, *(str(tmp_path / arg) for arg in args))
+        assert done.returncode == 2 and done.stdout == ""
+        assert len(done.stderr.strip().splitlines()) == 1 and message in done.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["npy", "small.cfg", "v2", "v3"]
 
 
 class TestCliDisorder:

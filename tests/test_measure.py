@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import omlattice as om
-from omlattice.measure import TWO_PI
+from omlattice.measure import SINKHORN_FLOOR_DEFAULT, TWO_PI
 
 WC = 7.12e9
 
@@ -397,11 +400,19 @@ class TestSinkhorn:
         assert result.floored is not None
         assert np.diag(result.eta).min() > 0.999
 
-    def test_invariant_under_row_column_rescaling(self):
-        rng = np.random.default_rng(13)
-        base = rng.uniform(0.1, 1.0, (8, 8))
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 8))
+    def test_invariant_under_row_column_rescaling(self, data, n):
+        # entries and scalings keep every input entry far above
+        # SINKHORN_FLOOR_DEFAULT, where no entry is floored and the
+        # normalized matrix is invariant
+        def positive(low, high, shape):
+            return data.draw(arrays(float, shape, elements=st.floats(low, high)))
+
+        base = positive(0.01, 1.0, (n, n))
+        rescaled = positive(0.1, 10.0, (n, 1)) * base * positive(0.1, 10.0, (1, n))
+        assert rescaled.min() > SINKHORN_FLOOR_DEFAULT
         ref, _ = om.sinkhorn_normalize(base, tol=1e-12)
-        rescaled = rng.uniform(0.5, 2.0, (8, 1)) * base * rng.uniform(0.5, 2.0, (1, 8))
         again, _ = om.sinkhorn_normalize(rescaled, tol=1e-12)
         assert np.abs(again.eta - ref.eta).max() < 1e-10
 
