@@ -53,7 +53,6 @@ from .measure import (
     effective_damping,
     fit_ringdowns,
     orthogonalize,
-    reconstruct_hamiltonian,
     sinkhorn_normalize,
     trace_fault,
     unnormalized_eta,
@@ -73,12 +72,13 @@ class ModeReadout:
     transmittance: float = 1.0
 
     def __post_init__(self):
-        if self.kappa_tot <= 0 or min(self.kappa_1, self.kappa_2) < 0:
-            raise ValueError("kappa_tot must be positive, kappa_1/kappa_2 >= 0")
+        # written so that NaN fails every check
+        if not (0 < self.kappa_tot < np.inf and self.kappa_1 >= 0 and self.kappa_2 >= 0):
+            raise ValueError("kappa_tot must be positive and finite, kappa_1/kappa_2 >= 0")
         if self.kappa_1 + self.kappa_2 > self.kappa_tot * (1 + 1e-12):
             raise ValueError("kappa_1 + kappa_2 cannot exceed kappa_tot")
-        if self.transmittance <= 0:
-            raise ValueError("transmittance must be positive")
+        if not 0 < self.transmittance < np.inf:
+            raise ValueError("transmittance must be positive and finite")
 
 
 # The manifest format MeasurementDataset.save writes and load reads.
@@ -116,7 +116,8 @@ def _require(entry, keys, where: str, path: Path) -> None:
 def _read_fields(path: Path) -> dict:
     """Load a dataset manifest and check the fields every version has:
     ``io.ConfigError`` naming the manifest and the key when it is not JSON,
-    lacks a key or has a list field that is not a list."""
+    lacks a key, has a list field that is not a list, a readout out of
+    range or a ``master_seed`` that is not a non-negative integer."""
     from .io import ConfigError
 
     with open(path) as fh:
@@ -130,6 +131,14 @@ def _read_fields(path: Path) -> dict:
             raise ConfigError(f"dataset manifest {path}: '{field}' is not a list")
     for i, item in enumerate(manifest["readouts"]):
         _require(item, _READOUT_KEYS, f"readouts[{i}].", path)
+        try:
+            ModeReadout(*(item[key] for key in _READOUT_KEYS))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"dataset manifest {path}: readouts[{i}]: {exc}") from None
+    seed = manifest["master_seed"]
+    if type(seed) is not int or seed < 0:
+        raise ConfigError(f"dataset manifest {path}: 'master_seed' {seed!r} is not a "
+                          "non-negative integer")
     return manifest
 
 
@@ -334,7 +343,8 @@ class MeasurementDataset:
         errors = np.full(lengths.size, np.inf)
         sizes = np.unique(lengths)
         for size in sizes[sizes >= MIN_FIT_SAMPLES]:
-            rows = lengths == size
+            # a boolean mask copies the rows it picks; a slice does not
+            rows = lengths == size if sizes.size > 1 else slice(None)
             gammas[rows], errors[rows], _ = fit_ringdowns(times[rows, :size], powers[rows, :size],
                                                           skip_fraction)
         gammas, errors = gammas.reshape(shape), errors.reshape(shape)
@@ -639,13 +649,13 @@ def recover_from_slopes(
     }
     try:
         u_hat = orthogonalize(u_tilde)
-        h_hat = reconstruct_hamiltonian(u_hat, mode_freqs, site_labels)
         residuals["orthogonalized"] = True
     except OrthogonalizationError as exc:
         u_hat = u_tilde
-        h_hat = _hamiltonian_from_modes(u_hat, mode_freqs, site_labels)
         residuals["orthogonalized"] = False
         residuals["orthogonalization_error"] = str(exc)
+    # orthogonalize's defect bound is tighter than reconstruct_hamiltonian's
+    h_hat = _hamiltonian_from_modes(u_hat, mode_freqs, site_labels)
     residuals["orthogonality_defect"] = float(np.abs(u_hat @ u_hat.T - np.eye(n)).max())
 
     if h_true is not None:

@@ -28,6 +28,7 @@ SINKHORN_TOL_DEFAULT = 1e-10
 SINKHORN_MAX_ITER_DEFAULT = 10_000
 SINKHORN_FLOOR_DEFAULT = 1e-15
 ORTHOGONALITY_ATOL = 1e-10
+EIGVEC_COND_MAX = 1e4  # orthogonalize's bound on cond(V); see there
 RECONSTRUCT_ORTHO_ATOL = 1e-8
 
 
@@ -532,21 +533,25 @@ def assign_signs(eta_hat, reference: ModeSet) -> np.ndarray:
 def orthogonalize(u_tilde: np.ndarray) -> np.ndarray:
     """Project a nearly orthogonal matrix onto the orthogonal group by
     dropping the symmetric part of its matrix-logarithm generator:
-    U = exp((G - G^T)/2) with G = log(U~).
+    U = exp((G - G^T)/2) with G = log(U~).  The principal log is
+    ``V diag(log lambda) V^-1`` from ``np.linalg.eig(U~)``; the exponential
+    of the antisymmetric ``A`` is ``W diag(exp(-i mu)) W^H`` from
+    ``np.linalg.eigh`` of the Hermitian ``iA``, orthogonal to rounding.
 
     Requires the eigenvalues of ``u_tilde`` to stay off the closed negative
     real axis (principal-branch condition) -- in particular det(U~) must be
     positive; flip the sign of one row first if needed (the reconstruction
-    and the participation ratios are invariant under row sign flips).
+    and the participation ratios are invariant under row sign flips).  Also
+    requires cond(V) <= EIGVEC_COND_MAX = 1e4: the log's rounding error grows
+    like cond(V) eps, about 2e-12 at the bound, and nearly orthogonal inputs
+    have cond(V) near 1.
     Raises :class:`OrthogonalizationError` otherwise; the caller may fall
     back to reporting the unorthogonalized matrix.
     """
-    from scipy.linalg import expm, logm
-
     u = np.asarray(u_tilde, dtype=float)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("input must be a square matrix")
-    eigvals = np.linalg.eigvals(u)
+    eigvals, vecs = np.linalg.eig(u)
     scale = np.abs(eigvals).max()
     if scale == 0 or np.abs(eigvals).min() < 1e-12 * scale:
         raise OrthogonalizationError(
@@ -558,14 +563,19 @@ def orthogonalize(u_tilde: np.ndarray) -> np.ndarray:
             f"eigenvalue(s) {eigvals[on_cut]} lie on the negative real axis (log branch "
             "cut); flip one row sign if det < 0, else report without orthogonalization"
         )
-    generator = logm(u)
+    cond = np.linalg.cond(vecs)
+    if not cond <= EIGVEC_COND_MAX:
+        raise OrthogonalizationError(f"eigenvector condition number {cond:.3e} exceeds "
+                                     f"{EIGVEC_COND_MAX:.0e}; report without orthogonalization")
+    generator = (vecs * np.log(eigvals)) @ np.linalg.inv(vecs)
     if np.iscomplexobj(generator):
         if np.abs(generator.imag).max() > 1e-8:
             raise OrthogonalizationError(
                 "matrix logarithm is not real; report without orthogonalization"
             )
         generator = generator.real
-    ortho = expm(0.5 * (generator - generator.T))
+    mu, w = np.linalg.eigh(0.5j * (generator - generator.T))
+    ortho = ((w * np.exp(-1j * mu)) @ w.conj().T).real
     defect = np.abs(ortho @ ortho.T - np.eye(u.shape[0])).max()
     if defect > ORTHOGONALITY_ATOL:
         raise OrthogonalizationError(f"orthogonality defect {defect:.3e} after correction")

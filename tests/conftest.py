@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import omlattice as om
+
 
 def _write_legacy(dataset, directory, entries) -> None:
     """Write ``dataset`` with the manifest of earlier versions: no ``format``
@@ -112,3 +114,28 @@ def upgrade_dataset():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _random_chain(seed, couplings, disorder=0.003):
+    """A random 10-site chain of acceptance criterion 5: cavity frequencies
+    spread by ``disorder`` around 7.12 GHz, mechanics and readouts drawn
+    from ``default_rng(seed)``; returns ``(h, sites, readouts)``."""
+    rng = np.random.default_rng(seed)
+    freqs = 7.12e9 * (1 + rng.normal(0, disorder, 10))
+    h = om.build_ssh_chain(5, couplings, freqs)
+    sites = tuple(
+        om.SiteParams(cavity_freq=f, mech_freq=2.1e6 + 2.5e4 * i,
+                      mech_linewidth=rng.uniform(4, 16), g0=10.0)
+        for i, f in enumerate(freqs)
+    )
+    readouts = tuple(
+        om.ModeReadout(kappa_tot=k, kappa_1=0.125 * k, kappa_2=0.125 * k)
+        for k in rng.uniform(0.5e6, 5e6, 10)
+    )
+    return h, sites, readouts
+
+
+@pytest.fixture(scope="session")
+def random_chain():
+    """Builder of the random chains of acceptance criterion 5."""
+    return _random_chain

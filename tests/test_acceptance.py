@@ -163,23 +163,7 @@ def test_criterion_4_iterative_normalization_convergence():
            timer.start)
 
 
-def _random_instance(seed, couplings, disorder=0.003):
-    rng = np.random.default_rng(seed)
-    freqs = WC * (1 + rng.normal(0, disorder, 10))
-    h = om.build_ssh_chain(5, couplings, freqs)
-    sites = tuple(
-        om.SiteParams(cavity_freq=f, mech_freq=2.1e6 + 2.5e4 * i,
-                      mech_linewidth=rng.uniform(4, 16), g0=10.0)
-        for i, f in enumerate(freqs)
-    )
-    readouts = tuple(
-        om.ModeReadout(kappa_tot=k, kappa_1=0.125 * k, kappa_2=0.125 * k)
-        for k in rng.uniform(0.5e6, 5e6, 10)
-    )
-    return h, sites, readouts
-
-
-def test_criterion_5_end_to_end_reconstruction():
+def test_criterion_5_end_to_end_reconstruction(random_chain):
     timer = Timer(300.0)
     # noiseless identity over 50 random chain instances
     rng = np.random.default_rng(77)
@@ -188,7 +172,7 @@ def test_criterion_5_end_to_end_reconstruction():
         j = rng.uniform(2e8, 6e8)
         couplings = om.Couplings(j=j, j_prime=rng.uniform(1.1, 2.0) * j,
                                  j2=rng.uniform(0, 1e8))
-        h, sites, readouts = _random_instance(rng.integers(1 << 31), couplings)
+        h, sites, readouts = random_chain(rng.integers(1 << 31), couplings)
         result = om.recover_noiseless(h, sites, readouts)
         worst = max(worst, result.residuals["h_rel_frobenius_error"])
         assert result.residuals["h_rel_frobenius_error"] < 1e-6
@@ -198,7 +182,7 @@ def test_criterion_5_end_to_end_reconstruction():
     reference = om.diagonalize(om.build_ssh_chain(5, paper, [WC] * 10))
     passes = 0
     for seed in range(100):
-        h, sites, readouts = _random_instance(1000 + seed, paper)
+        h, sites, readouts = random_chain(1000 + seed, paper)
         flux = om.calibrate_drive_flux(h, sites, readouts)
         dataset = om.simulate_measurement(
             h, sites, readouts, np.linspace(flux / 10, flux, 10),

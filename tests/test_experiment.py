@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from collections.abc import Mapping, MutableMapping
 from pathlib import Path
 
@@ -272,8 +273,8 @@ class TestRecover:
 
 class TestFitAll:
     @staticmethod
-    def noisy_dataset(seed=6, samples=200, powers=8):
-        h, sites, readouts = small_setup(seed=seed)
+    def noisy_dataset(seed=6, samples=200, powers=8, n_cells=2):
+        h, sites, readouts = small_setup(seed=seed, n_cells=n_cells)
         flux = om.calibrate_drive_flux(h, sites, readouts)
         ds = om.simulate_measurement(h, sites, readouts, np.linspace(flux / powers, flux, powers),
                                      master_seed=4, snr=100.0, samples_per_trace=samples)
@@ -282,6 +283,22 @@ class TestFitAll:
     def test_every_trace_has_the_requested_length(self):
         _, ds = self.noisy_dataset(samples=400)
         assert {t.times.size for t in ds.traces.values()} == {400}
+
+    def test_uniform_traces_are_fitted_without_copies(self):
+        # 1,000 traces of 400 samples; copies of both trace arrays alone
+        # would allocate their full size
+        _, ds = self.noisy_dataset(samples=400, powers=10, n_cells=5)
+        tracemalloc.start()
+        try:
+            ds.fit_all()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.times.nbytes + ds.powers.nbytes
+        gamma, stderr, _ = om.fit_ringdowns(ds.times.reshape(-1, 400).copy(),
+                                            ds.powers.reshape(-1, 400).copy())
+        assert np.array_equal(ds.fitted_gammas.ravel(), gamma)
+        assert np.array_equal(ds.fitted_errors.ravel(), stderr)
 
     def test_mixed_lengths_fit_as_separate_groups(self, set_trace):
         _, ds = self.noisy_dataset(samples=400)

@@ -541,6 +541,40 @@ class TestCliMeasureAndRecover:
         assert err.startswith("configuration error:") and expected in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("convert", [False, True], ids=["recover", "converter"])
+    @pytest.mark.parametrize("key, value, expected", [
+        ("readouts[0].kappa_tot_hz", -1, "readouts[0]: kappa_tot must be positive"),
+        ("readouts[3].kappa_tot_hz", float("nan"), "readouts[3]: kappa_tot must be positive"),
+        ("readouts[1].kappa_1_hz", 1e9, "readouts[1]: kappa_1 + kappa_2 cannot exceed kappa_tot"),
+        ("readouts[2].transmittance", "x", "readouts[2]: "),
+        ("master_seed", "x", "'master_seed' 'x' is not a non-negative integer"),
+        ("master_seed", -1, "'master_seed' -1 is not a non-negative integer"),
+        ("master_seed", 1.5, "'master_seed' 1.5 is not a non-negative integer"),
+        ("master_seed", True, "'master_seed' True is not a non-negative integer"),
+    ], ids=["kappa-tot-negative", "kappa-tot-nan", "kappa-1-too-large", "transmittance-string",
+            "seed-string", "seed-negative", "seed-float", "seed-bool"])
+    def test_manifest_value_outside_the_model_exits_2_naming_the_file(
+            self, small_cfg, tmp_path, save_v2, upgrade_dataset, capsys, convert, key, value,
+            expected):
+        # recover reads measure-sim's format-3 output, the converter a v2 dataset
+        if convert:
+            dataset = v2_dataset(small_cfg, tmp_path, save_v2)
+        else:
+            dataset = tmp_path / "dataset"
+            assert main(["measure-sim", "--config", str(small_cfg), "--out", str(dataset)]) == 0
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        container, last = _locate(manifest, key)
+        container[last] = value
+        (dataset / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert recover_or_convert(small_cfg, dataset, out, upgrade_dataset, convert) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith(f"configuration error: dataset manifest {dataset / 'manifest.json'}")
+        assert expected in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("writer", ["save_legacy_csv", "save_v2"])
     def test_manifest_without_format_names_the_converter(self, small_cfg, tmp_path, capsys,
                                                          request, writer):
@@ -661,15 +695,24 @@ class TestCliMeasureAndRecover:
 @pytest.mark.parametrize("command, config", [
     ("spectrum", "paper_1d.cfg"), ("spectrum", "paper_2d.cfg"),
     ("measure-sim", "paper_1d.cfg"), ("measure-sim", "paper_2d.cfg"), ("disorder", None),
+    ("recover", "paper_1d.cfg"), ("recover", "paper_2d.cfg"),
 ])
 def test_subcommand_does_not_import_scipy(tmp_path, small_cfg, command, config):
     # scipy is imported only where it is needed, such as a degenerate
-    # eigenvalue cluster, which neither shipped configuration has
-    code = ("import sys; from omlattice.cli import main; code = main(sys.argv[1:]); "
+    # eigenvalue cluster, which neither shipped configuration has; recover
+    # runs after measure-sim in the same interpreter
+    code = ("import json, sys; from omlattice.cli import main; "
+            "code = max(main(args) for args in json.loads(sys.argv[1])); "
             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    cfg = small_cfg if config is None else CONFIG_DIR / config
-    done = run_python("-c", code, command, "--config", str(cfg), "--out", str(tmp_path / "out"))
+    cfg = str(small_cfg if config is None else CONFIG_DIR / config)
+    out, data = tmp_path / "out", str(tmp_path / "dataset")
+    runs = [[command, "--config", cfg, "--out", str(out)]]
+    if command == "recover":
+        runs = [["measure-sim", "--config", cfg, "--out", data], runs[0] + ["--dataset", data]]
+    done = run_python("-c", code, json.dumps(runs))
     assert done.stdout.strip() == "0 []", done.stderr
+    if command == "recover":
+        assert json.loads((out / "report.json").read_text())["orthogonalized"] is True
 
 
 def test_upgrade_script_entry_point(small_cfg, tmp_path, save_v2, upgrade_dataset):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import omlattice as om
-from omlattice.measure import SINKHORN_FLOOR_DEFAULT, TWO_PI
+from omlattice import experiment
+from omlattice.cli import main
+from omlattice.measure import EIGVEC_COND_MAX, SINKHORN_FLOOR_DEFAULT, TWO_PI
 
 WC = 7.12e9
+CONFIG_DIR = Path(om.__file__).resolve().parent / "configs"
 
 
 def make_cfg(detuning=2.2e6, kappa_tot=4e6, kappa_1=0.5e6, kappa_2=0.5e6,
@@ -509,6 +514,57 @@ class TestOrthogonalize:
     def test_singular_rejected(self):
         with pytest.raises(om.OrthogonalizationError):
             om.orthogonalize(np.diag([1.0, 0.0, 1.0]))
+
+    @staticmethod
+    def scipy_reference(u):
+        """The same projection by scipy's ``logm`` and ``expm``."""
+        from scipy.linalg import expm, logm
+
+        generator = logm(u).real
+        return expm(0.5 * (generator - generator.T))
+
+    def test_agrees_with_scipy_on_recovery_matrices(self, tmp_path, monkeypatch, random_chain):
+        # the sign-assigned matrices that recover hands to orthogonalize: the
+        # shipped configurations' and those of 20 noisy criterion-5 chains
+        inputs = []
+
+        def record(u):
+            inputs.append(np.array(u))
+            return om.orthogonalize(u)
+
+        monkeypatch.setattr(experiment, "orthogonalize", record)
+        for config in ("paper_1d.cfg", "paper_2d.cfg"):
+            cfg, data = str(CONFIG_DIR / config), str(tmp_path / config / "data")
+            assert main(["measure-sim", "--config", cfg, "--out", data]) == 0
+            assert main(["recover", "--config", cfg, "--dataset", data,
+                         "--out", str(tmp_path / config / "out")]) == 0
+        paper = om.Couplings(j=470e6, j_prime=700e6, j2=100e6, j3=27e6, j3_prime=37e6)
+        reference = om.diagonalize(om.build_ssh_chain(5, paper, [WC] * 10))
+        for seed in range(20):
+            h, sites, readouts = random_chain(1000 + seed, paper)
+            flux = om.calibrate_drive_flux(h, sites, readouts)
+            dataset = om.simulate_measurement(h, sites, readouts, np.linspace(flux / 10, flux, 10),
+                                              master_seed=seed, snr=100.0, samples_per_trace=400)
+            assert om.recover(dataset, reference).residuals["orthogonalized"]
+        assert [u.shape[0] for u in inputs] == [10, 24] + [10] * 20
+        for u in inputs:
+            assert np.abs(om.orthogonalize(u) - self.scipy_reference(u)).max() < 1e-12
+
+    @pytest.mark.parametrize("ratio", [0.5, 2.0])
+    def test_eigenvector_condition_bound(self, ratio):
+        # [[1, 1], [0, 1 + d]] has the unit eigenvectors (1, 0) and
+        # (1, d) / |(1, d)|, whose condition number is about 2 / d
+        d = 2.0 / (ratio * EIGVEC_COND_MAX)
+        u = np.array([[1.0, 1.0], [0.0, 1.0 + d]])
+        cond = np.linalg.cond(np.linalg.eig(u)[1])
+        assert cond == pytest.approx(ratio * EIGVEC_COND_MAX, rel=1e-3)
+        if ratio < 1:
+            ortho = om.orthogonalize(u)
+            assert np.abs(ortho - self.scipy_reference(u)).max() < 1e-12
+            assert np.abs(ortho @ ortho.T - np.eye(2)).max() < 1e-14
+        else:
+            with pytest.raises(om.OrthogonalizationError, match="condition number"):
+                om.orthogonalize(u)
 
 
 class TestReconstruct:

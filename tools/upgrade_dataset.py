@@ -129,7 +129,7 @@ def main(argv=None) -> int:
         return 2
     try:
         upgrade(*args)
-    except (ValueError, OSError) as exc:  # ValueError: io.ConfigError, or a readout out of range
+    except (ValueError, OSError) as exc:  # ValueError: io.ConfigError
         print(f"{'file' if isinstance(exc, OSError) else 'configuration'} error: {exc}", file=sys.stderr)
         return 2
     return 0
