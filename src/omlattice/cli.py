@@ -16,6 +16,7 @@ to standard error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import shutil
 import sys
@@ -108,7 +109,7 @@ def cmd_topology(config: io_mod.RunConfig, out: Path, fmt: str, svg: bool) -> No
             curve.to_rows(cp),
         )
         prediction = edge_prediction_finite(cp, spec.n_sites // 2)
-        _write_json(out / "prediction.json", prediction.to_json())
+        _write_json(out / "prediction.json", dataclasses.asdict(prediction))
         if svg:
             svgplot.line_plot(
                 out / "rho_curve.svg", curve.rho.real, [curve.rho.imag],
@@ -116,22 +117,19 @@ def cmd_topology(config: io_mod.RunConfig, out: Path, fmt: str, svg: bool) -> No
             )
     else:
         k_grid = np.linspace(-np.pi, np.pi, 129)
-        rows = []
-        for orientation in RibbonOrientation:
-            width = _FLAKE_RIBBON_WIDTHS[orientation]
-            for k_par in k_grid:
-                pred = ribbon_edge_prediction(orientation, float(k_par), width, cp.j, cp.j_prime)
-                rows.append((
-                    orientation.value, f"{k_par:.10g}", width,
-                    "" if pred.zak is None else f"{pred.zak:.10g}",
-                    "" if pred.slope_at_kmin is None else f"{pred.slope_at_kmin:.10g}",
-                    {True: "1", False: "0", None: ""}[pred.edge_states_exist],
-                    pred.status,
-                ))
         with open(out / "ribbon_predictions.csv", "w") as fh:
             fh.write("orientation,k_par_rad,width_cells,zak_rad,slope,edge_states,status\n")
-            for row in rows:
-                fh.write(",".join(str(v) for v in row) + "\n")
+            for orientation in RibbonOrientation:
+                width = _FLAKE_RIBBON_WIDTHS[orientation]
+                predictions = ribbon_edge_prediction(orientation, k_grid, width, cp.j, cp.j_prime)
+                for k_par, pred in zip(k_grid, predictions):
+                    fh.write(",".join((
+                        orientation.value, f"{k_par:.10g}", str(width),
+                        "" if pred.zak is None else f"{pred.zak:.10g}",
+                        "" if pred.slope_at_kmin is None else f"{pred.slope_at_kmin:.10g}",
+                        {True: "1", False: "0", None: ""}[pred.edge_states_exist],
+                        pred.status,
+                    )) + "\n")
 
 
 def cmd_measure_sim(config: io_mod.RunConfig, out: Path, seed: int | None) -> None:

@@ -60,6 +60,7 @@ from .measure import (
 
 RINGDOWN_DECAY_SPAN = 4.0  # trace length in 1/e power-decay times
 NOISE_FLOOR_SIGMAS = 5.0   # keeps the additive floor clear of the clip at zero
+_NOISE_DRAW_VALUES = 2**16  # about this many noise values per Generator call
 
 
 @dataclass(frozen=True)
@@ -522,7 +523,9 @@ def simulate_measurement(
     The noise of a dataset comes from one counter-based Philox stream,
     ``Generator(Philox(SeedSequence(master_seed)))``, drawn as one
     ``normal(0, p0 / snr, (samples_per_trace, n, n, powers))`` block, and
-    trace ``(k, i, p)`` gets column ``[:, k, i, p]``.  Hence:
+    trace ``(k, i, p)`` gets column ``[:, k, i, p]``.  The block is drawn
+    in runs of consecutive rows of about 2**16 values, which consume the
+    stream exactly as one call would.  Hence:
 
     * the same (master_seed, sizes, p0, snr) give bit-identical traces;
     * sample ``s`` of every trace is row ``s`` of the block, so a dataset
@@ -563,7 +566,11 @@ def simulate_measurement(
     powers += floor
     if noise_sigma > 0:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed)))
-        powers += np.moveaxis(rng.normal(0.0, noise_sigma, (samples_per_trace, *gamma.shape)), 0, -1)
+        rows = max(1, _NOISE_DRAW_VALUES // gamma.size)  # consecutive rows of the one block
+        for lo in range(0, samples_per_trace, rows):
+            hi = min(lo + rows, samples_per_trace)
+            block = rng.normal(0.0, noise_sigma, (hi - lo, *gamma.shape))
+            powers[..., lo:hi] += np.moveaxis(block, 0, -1)
     np.clip(powers, 0.0, None, out=powers)
     return MeasurementDataset(
         mode_freqs=modes.eigenfreqs.copy(),

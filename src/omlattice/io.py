@@ -150,6 +150,15 @@ def _parse_lattice(parser: configparser.ConfigParser) -> LatticeSpec:
         freqs = [1.0] * n_sites  # placeholder mechanics for purely microwave runs
         widths = [0.0] * n_sites
         g0s = [0.0] * n_sites
+    cavity_key = "cavity_freqs_hz" if "cavity_freqs_hz" in lat else "cavity_freq_hz"
+    for section, key, values, strict in [
+        ("lattice", cavity_key, cavity, True), ("mechanics", "freqs_hz", freqs, True),
+        ("mechanics", "linewidths_hz", widths, False), ("mechanics", "g0_hz", g0s, False),
+    ]:
+        v = np.array(values)
+        if not np.all(((v > 0) if strict else (v >= 0)) & (v < np.inf)):  # NaN fails both
+            raise ConfigError(f"[{section}] {key} must be finite and {'>' if strict else '>='} 0, "
+                              f"got {parser[section][key]}")
     sites = tuple(
         SiteParams(cavity_freq=c, mech_freq=f, mech_linewidth=w, g0=g)
         for c, f, w, g in zip(cavity, freqs, widths, g0s)

@@ -97,10 +97,11 @@ class SiteParams:
     g0: float
 
     def __post_init__(self):
-        if self.cavity_freq <= 0.0 or self.mech_freq <= 0.0:
-            raise ValueError("cavity_freq and mech_freq must be strictly positive")
-        if self.mech_linewidth < 0.0 or self.g0 < 0.0:
-            raise ValueError("mech_linewidth and g0 must be >= 0")
+        # written so that NaN fails every check
+        if not (0.0 < self.cavity_freq < np.inf and 0.0 < self.mech_freq < np.inf):
+            raise ValueError("cavity_freq and mech_freq must be finite and > 0")
+        if not (0.0 <= self.mech_linewidth < np.inf and 0.0 <= self.g0 < np.inf):
+            raise ValueError("mech_linewidth and g0 must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -54,8 +54,8 @@ class OrthogonalizationError(ValueError):
 
 
 def _anywhere(condition) -> bool:
-    """Whether a scalar or array condition holds anywhere (scalar configs
-    are built per (mode, site) pair, so they skip numpy's reductions)."""
+    """Whether a scalar or array condition holds anywhere (a scalar config
+    comes from a public scalar call, so it skips numpy's reductions)."""
     return bool(condition.any()) if isinstance(condition, np.ndarray) else bool(condition)
 
 

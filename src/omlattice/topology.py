@@ -22,9 +22,13 @@ from .lattice import Couplings, RibbonOrientation, ribbon_cell_couplings
 
 BZ_SAMPLES_DEFAULT = 4096
 GAP_RTOL = 1e-9
-ZAK_SNAP_TOL = np.pi * 1e-6
-ZAK_FAIL_TOL = np.pi * 1e-3
 MARGINAL_BAND = 0.5
+# scipy's golden-section constants and iteration cap, kept so that k_min
+# matches its result, and the tolerance the refinement runs with
+_gR = 0.61803399
+_gC = 1.0 - _gR
+_KMIN_XTOL = 1e-12
+_KMIN_MAXITER = 5000
 
 # Honeycomb lattice vectors (unit bond length); the two reciprocal phases
 # a1.k and a2.k independently cover [0, 2pi) as k runs over the BZ.
@@ -39,13 +43,20 @@ class OutOfModelError(ValueError):
     """The curve is outside the two-band model class (|winding| > 1)."""
 
 
+def _item(value):
+    """A 0-d reduction as a Python scalar; one value per lane otherwise."""
+    return value.item() if np.ndim(value) == 0 else value
+
+
 @dataclass(frozen=True)
 class BulkCurve:
     """Off-diagonal bulk element sampled over one Brillouin zone.
 
     ``k`` is a uniform strictly increasing grid over [-pi, pi); the closing
-    value rho(pi) = rho(-pi) is checked at construction.  ``phase`` is the
-    unwrapped phi(k) with rho = |rho| e^{-i phi}, continued around the loop.
+    value rho(pi) = rho(-pi) is checked at construction.  ``rho`` is either
+    one curve of ``k.size`` samples or a ``(lanes, k.size)`` stack of curves;
+    every quantity below reduces over the last axis, giving one value per
+    lane (a Python scalar for a single curve).
     """
 
     k: np.ndarray
@@ -54,8 +65,8 @@ class BulkCurve:
     def __post_init__(self):
         k = np.asarray(self.k, dtype=float)
         rho = np.asarray(self.rho, dtype=complex)
-        if k.ndim != 1 or k.shape != rho.shape or k.size < 8:
-            raise ValueError("need matching 1D k and rho arrays with at least 8 samples")
+        if k.ndim != 1 or rho.ndim not in (1, 2) or rho.shape[-1:] != k.shape or k.size < 8:
+            raise ValueError("need a 1D k and a 1D or 2D rho over it, with at least 8 samples")
         if np.any(np.diff(k) <= 0):
             raise ValueError("k must be strictly increasing")
         object.__setattr__(self, "k", k)
@@ -65,40 +76,33 @@ class BulkCurve:
     def from_function(cls, rho_fn, n_samples: int = BZ_SAMPLES_DEFAULT) -> "BulkCurve":
         k = -np.pi + 2 * np.pi * np.arange(n_samples) / n_samples
         rho = np.asarray(rho_fn(k), dtype=complex)
-        lo, hi = complex(rho_fn(-np.pi)), complex(rho_fn(np.pi))
-        scale = max(float(np.abs(rho).max()), 1e-300)
-        if abs(hi - lo) > 1e-12 * scale:
+        lo, hi = np.asarray(rho_fn(-np.pi)), np.asarray(rho_fn(np.pi))
+        scale = np.maximum(np.abs(rho).max(axis=-1, keepdims=True), 1e-300)
+        if np.any(np.abs(hi - lo) > 1e-12 * scale):
             raise ValueError("curve does not close: rho(-pi) != rho(pi)")
         return cls(k, rho)
 
     @property
-    def min_abs(self) -> float:
-        return float(np.abs(self.rho).min())
+    def min_abs(self):
+        return _item(np.abs(self.rho).min(axis=-1))
 
-    def is_gapped(self, rtol: float | None = None) -> bool:
+    def is_gapped(self):
         """True when the sampled curve stays clear of the origin.
 
         The default threshold accounts for the sampling resolution: a zero
         can hide between samples whenever min |rho| is comparable to the
         largest per-step movement of the curve.
         """
-        if rtol is not None:
-            return self.min_abs > rtol * float(np.abs(self.rho).max())
-        closed = np.concatenate([self.rho, self.rho[:1]])
-        max_step = float(np.abs(np.diff(closed)).max())
-        return self.min_abs > max(GAP_RTOL * float(np.abs(self.rho).max()), max_step)
+        mag = np.abs(self.rho)
+        max_step = np.abs(np.diff(self.rho, axis=-1, append=self.rho[..., :1])).max(axis=-1)
+        return _item(mag.min(axis=-1) > np.maximum(GAP_RTOL * mag.max(axis=-1), max_step))
 
-    @property
-    def phase(self) -> np.ndarray:
-        """Unwrapped phi(k) over the sampled grid (phi = -arg rho)."""
-        return np.unwrap(-np.angle(self.rho))
-
-    def total_phase_change(self) -> float:
+    def total_phase_change(self):
         """Net change of phi around the closed loop (a multiple of 2 pi)."""
         arg = np.angle(self.rho)
-        steps = np.diff(np.concatenate([arg, arg[:1]]))
+        steps = np.diff(arg, axis=-1, append=arg[..., :1])
         steps = (steps + np.pi) % (2 * np.pi) - np.pi
-        return float(-np.sum(steps))
+        return _item(-np.sum(steps, axis=-1))
 
     def to_rows(self, couplings: Couplings | None = None):
         """(k, Re rho, Im rho, E-, E+) rows for CSV export."""
@@ -122,16 +126,6 @@ class EdgePrediction:
     slope_bound: float
     edge_states_exist: bool | None
     status: str
-
-    def to_json(self) -> dict:
-        return {
-            "zak": self.zak,
-            "winding": self.winding,
-            "slope_at_kmin": self.slope_at_kmin,
-            "slope_bound": self.slope_bound,
-            "edge_states_exist": self.edge_states_exist,
-            "status": self.status,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +174,9 @@ def graphene_bulk(kvec, j_a: float, j_b: float, j_c: float):
     return -mag, mag
 
 
-def ribbon_rho(orientation: RibbonOrientation, k_perp, k_par: float, j: float, j_prime: float):
-    """Wavenumber-resolved bulk element rho(k_perp | k_par) of a ribbon cut."""
+def ribbon_rho(orientation: RibbonOrientation, k_perp, k_par, j: float, j_prime: float):
+    """Wavenumber-resolved bulk element rho(k_perp | k_par) of a ribbon cut
+    (``k_perp`` and ``k_par`` broadcast against each other)."""
     ja, jb, jc = ribbon_cell_couplings(orientation, j, j_prime)
     k_perp = np.asarray(k_perp, dtype=float)
     if orientation.is_armchair_family:
@@ -205,88 +200,85 @@ def ribbon_bulk_curve(
 # Invariants
 # ---------------------------------------------------------------------------
 
-def winding_number(curve: BulkCurve) -> int:
-    """Number of times the closed curve rho(k) encircles the complex origin."""
-    if not curve.is_gapped():
-        raise GaplessCurveError(
-            f"curve reaches |rho| = {curve.min_abs:.3e}; winding undefined on a gapless curve"
-        )
-    turns = curve.total_phase_change() / (2 * np.pi)
-    winding = int(round(abs(turns)))
-    if abs(abs(turns) - winding) > 1e-6:
-        raise ValueError(f"phase change is not an integer number of turns: {turns!r}")
-    return winding
+def winding_number(curve: BulkCurve):
+    """Number of times the closed curve rho(k) encircles the complex origin
+    (an int array for a stack of curves)."""
+    if not np.all(curve.is_gapped()):
+        raise GaplessCurveError(f"curve reaches |rho| = {np.min(curve.min_abs):.3e}; "
+                                "winding undefined on a gapless curve")
+    # wrapped steps around a closed loop sum to whole turns, up to rounding
+    return _item(np.round(np.abs(curve.total_phase_change()) / (2 * np.pi)).astype(int))
 
 
-def zak_phase(curve: BulkCurve) -> float:
-    """Zak phase (1/2) closed-integral of d phi, snapped to {0, pi}.
-
-    Raises :class:`OutOfModelError` when the raw value is not within
-    tolerance of 0 or pi (e.g. |winding| >= 2 curves are outside the
-    two-band model class handled here).
-    """
-    if not curve.is_gapped():
-        raise GaplessCurveError("Zak phase undefined on a gapless curve")
-    raw = abs(curve.total_phase_change()) / 2.0
-    for target in (0.0, np.pi):
-        if abs(raw - target) < ZAK_SNAP_TOL:
-            _check_consistency(curve, target)
-            return target
-    if abs(raw - 0.0) < ZAK_FAIL_TOL or abs(raw - np.pi) < ZAK_FAIL_TOL:
-        snapped = 0.0 if abs(raw) < abs(raw - np.pi) else np.pi
-        _check_consistency(curve, snapped)
-        return snapped
-    raise OutOfModelError(
-        f"Zak integral {raw:.6f} rad is not near 0 or pi; curve is outside the two-band model"
-    )
+def _zak_from_winding(winding):
+    if np.any(winding > 1):
+        raise OutOfModelError(f"winding {np.max(winding)} >= 2 is outside the two-band model")
+    return _item(np.where(winding == 1, np.pi, 0.0))
 
 
-def _check_consistency(curve: BulkCurve, zak: float):
-    w = winding_number(curve)
-    if (w % 2 == 1) != (zak == np.pi):
-        raise OutOfModelError(f"Zak phase {zak} inconsistent with winding {w}")
+def zak_phase(curve: BulkCurve):
+    """Zak phase (1/2) closed-integral of d phi, which is pi times the winding:
+    pi for winding 1, 0 for winding 0.  Raises :class:`OutOfModelError` for
+    |winding| >= 2, outside the two-band model class handled here."""
+    return _zak_from_winding(winding_number(curve))
 
 
-def _phase_slope(rho_fn, k: float, step: float = 1e-5) -> float:
-    """d phi / dk by a wrapped central difference (phi = -arg rho)."""
+def _phase_slope(rho_fn, k, step: float = 1e-5) -> np.ndarray:
+    """d phi / dk at one wavenumber per lane by a wrapped central difference
+    (phi = -arg rho)."""
+    k = np.asarray(k, dtype=float)[:, None]
     d_arg = np.angle(rho_fn(k + step)) - np.angle(rho_fn(k - step))
     d_arg = (d_arg + np.pi) % (2 * np.pi) - np.pi
-    return float(-d_arg / (2 * step))
+    return -d_arg[:, 0] / (2 * step)
 
 
-def _locate_kmin(rho_fn, n_coarse: int = 2048) -> float:
-    """Wavenumber of minimum |rho|: coarse scan then golden-section refinement."""
-    from scipy.optimize import minimize_scalar
-
+def _locate_kmin(rho_fn, n_coarse: int = 2048) -> np.ndarray:
+    """Wavenumber of minimum |rho| per lane: a coarse scan, then scipy's
+    ``minimize_scalar(method="golden")`` from the bracket around the coarse
+    minimum, step for step and over all lanes at once.  A lane whose bracket
+    fails, or whose |rho| is constant, keeps its coarse point."""
     k = -np.pi + 2 * np.pi * np.arange(n_coarse) / n_coarse
     mag = np.abs(rho_fn(k))
-    i = int(np.argmin(mag))
-    if mag.max() - mag.min() <= 1e-12 * mag.max():
-        return float(k[i])  # |rho| constant: any wavenumber is a minimum
+    k_coarse = k[np.argmin(mag, axis=-1)]
+    hi = mag.max(axis=-1)
+    flat = hi - mag.min(axis=-1) <= 1e-12 * hi  # any wavenumber is a minimum
+    f = lambda x: np.abs(rho_fn(x[:, None]))[:, 0]
     span = 2 * np.pi / n_coarse
-    bracket = (k[i] - span, k[i], k[i] + span)
-    try:
-        res = minimize_scalar(
-            lambda x: float(np.abs(rho_fn(x))), bracket=bracket, method="golden",
-            options={"xtol": 1e-12},
-        )
-    except ValueError:
-        return float(k[i])  # locally flat around the coarse minimum
-    return float(res.x)
+    x0, xb, x3 = k_coarse - span, k_coarse, k_coarse + span
+    fb = f(xb)
+    bracketed = ~flat & (fb < f(x0)) & (fb < f(x3))
+    wide_right = np.abs(x3 - xb) > np.abs(xb - x0)
+    x1 = np.where(wide_right, xb, xb - _gC * (xb - x0))
+    x2 = np.where(wide_right, xb + _gC * (x3 - xb), xb)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(_KMIN_MAXITER):
+        active = bracketed & ~(np.abs(x3 - x0) <= _KMIN_XTOL * (np.abs(x1) + np.abs(x2)))
+        if not active.any():
+            break
+        right, left = active & (f2 < f1), active & ~(f2 < f1)
+        x0[right], x3[left] = x1[right], x2[left]
+        x_new = np.where(right, _gR * x2 + _gC * x3, _gR * x1 + _gC * x0)  # left: the old x1
+        f_new = f(x_new)
+        x1[right], x2[right], f1[right], f2[right] = x2[right], x_new[right], f2[right], f_new[right]
+        x2[left], x1[left], f2[left], f1[left] = x1[left], x_new[left], f1[left], f_new[left]
+    return np.where(bracketed, np.where(f1 < f2, x1, x2), k_coarse)
 
 
-def _predict(rho_fn, n_cells: int, n_samples: int) -> EdgePrediction:
+def _predict(rho_fn, n_cells: int, n_samples: int) -> list[EdgePrediction]:
+    """One prediction per lane of ``rho_fn``, which maps a shared 1D grid, or
+    one ``(lanes, 1)`` wavenumber per lane, to a ``(lanes, k)`` array."""
     curve = BulkCurve.from_function(rho_fn, n_samples)
-    if not curve.is_gapped():
-        return EdgePrediction(None, None, None, float(n_cells + 1), None, "gapless")
-    z = zak_phase(curve)
-    w = winding_number(curve)
-    k_min = _locate_kmin(rho_fn)
-    slope = _phase_slope(rho_fn, k_min)
+    gapped = curve.is_gapped()
     bound = float(n_cells + 1)
-    exists = (z == np.pi) and (abs(slope) < bound)
-    status = "marginal" if abs(abs(slope) - bound) < MARGINAL_BAND else "ok"
-    return EdgePrediction(z, w, slope, bound, exists, status)
+    winding = winding_number(BulkCurve(curve.k, curve.rho[gapped]))
+    zak = _zak_from_winding(winding)
+    slope = _phase_slope(rho_fn, _locate_kmin(rho_fn))[gapped]
+    exists = (zak == np.pi) & (np.abs(slope) < bound)
+    status = np.where(np.abs(np.abs(slope) - bound) < MARGINAL_BAND, "marginal", "ok")
+    lanes = iter(map(EdgePrediction, zak.tolist(), winding.tolist(), slope.tolist(),
+                     [bound] * len(slope), exists.tolist(), status.tolist()))
+    gapless = EdgePrediction(None, None, None, bound, None, "gapless")
+    return [next(lanes) if ok else gapless for ok in gapped]
 
 
 def edge_prediction_finite(
@@ -300,7 +292,8 @@ def edge_prediction_finite(
     """
     if n_cells < 1:
         raise ValueError("n_cells must be >= 1")
-    prediction = _predict(lambda k: bulk_rho_ssh(k, couplings), n_cells, n_samples)
+    (prediction,) = _predict(lambda k: np.atleast_2d(bulk_rho_ssh(k, couplings)),
+                             n_cells, n_samples)
     if prediction.status == "gapless":
         raise GaplessCurveError("bulk curve is gapless; no edge-state prediction")
     return prediction
@@ -308,19 +301,26 @@ def edge_prediction_finite(
 
 def ribbon_edge_prediction(
     orientation: RibbonOrientation,
-    k_par: float,
+    k_par,
     width: int,
     j: float,
     j_prime: float,
     n_samples: int = BZ_SAMPLES_DEFAULT,
-) -> EdgePrediction:
+):
     """Edge-state prediction for a ribbon of ``width`` cells at fixed ``k_par``.
 
-    Gapless (k_par at a band-touching point) returns status "gapless" with
-    ``edge_states_exist`` None instead of raising.
+    ``k_par`` is a float, which gives one :class:`EdgePrediction`, or a 1D
+    array, which gives a list of them, one per value, from one array
+    computation.  Gapless (k_par at a band-touching point) returns status
+    "gapless" with ``edge_states_exist`` None instead of raising.
     """
     if width < 1:
         raise ValueError("width must be >= 1")
-    return _predict(
-        lambda k: ribbon_rho(orientation, k, k_par, j, j_prime), width, n_samples
+    k_lanes = np.asarray(k_par, dtype=float)
+    if k_lanes.ndim > 1:
+        raise ValueError("k_par must be a float or a 1D array")
+    predictions = _predict(
+        lambda k: ribbon_rho(orientation, k, np.atleast_1d(k_lanes)[:, None], j, j_prime),
+        width, n_samples,
     )
+    return predictions if k_lanes.ndim else predictions[0]

@@ -175,6 +175,17 @@ class TestSimulateMeasurement:
             assert trace.true_gamma_eff == expected.true_gamma_eff
             assert trace.noise_floor == expected.noise_floor
 
+    def test_noise_drawn_in_runs_of_rows_equals_one_draw(self, monkeypatch):
+        h, sites, readouts = small_setup(seed=3)
+        fluxes = np.linspace(1e14, 6e14, 3)
+        runs = [om.simulate_measurement(h, sites, readouts, fluxes, master_seed=21, snr=60.0,
+                                        p0=1.5, samples_per_trace=45)]
+        # runs of 2 rows, the last of 1, instead of one draw of all 45
+        monkeypatch.setattr(om.experiment, "_NOISE_DRAW_VALUES", 2 * h.n_sites ** 2 * 3 + 1)
+        runs.append(om.simulate_measurement(h, sites, readouts, fluxes, master_seed=21, snr=60.0,
+                                            p0=1.5, samples_per_trace=45))
+        assert np.array_equal(runs[0].powers, runs[1].powers)
+
     def test_fewer_samples_draw_a_prefix_of_the_noise_rows(self):
         h, sites, readouts = small_setup(seed=3)
         fluxes = np.linspace(1e14, 6e14, 3)

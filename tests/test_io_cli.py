@@ -73,9 +73,22 @@ def edited_config(tmp_path: Path, section: str, key: str, value: str) -> Path:
     return path
 
 
-# Values outside the measurement or disorder model, with the subcommand
-# that reads them: each is a configuration error.
+# Values outside the lattice, measurement or disorder model, with the
+# subcommand that reads them: each is a configuration error.
 OUTSIDE_THE_MODEL = [
+    ("spectrum", "lattice", "cavity_freq_hz", "inf"),
+    ("spectrum", "lattice", "cavity_freq_hz", "nan"),
+    ("spectrum", "lattice", "cavity_freq_hz", "0"),
+    ("measure-sim", "lattice", "cavity_freq_hz", "inf"),
+    ("disorder", "lattice", "cavity_freq_hz", "inf"),
+    ("measure-sim", "mechanics", "freqs_hz", "nan"),
+    ("measure-sim", "mechanics", "freqs_hz", "inf"),
+    ("measure-sim", "mechanics", "linewidths_hz", "nan"),
+    ("measure-sim", "mechanics", "linewidths_hz", "inf"),
+    ("measure-sim", "mechanics", "linewidths_hz", "-1"),
+    ("measure-sim", "mechanics", "g0_hz", "nan"),
+    ("measure-sim", "mechanics", "g0_hz", "inf"),
+    ("measure-sim", "mechanics", "g0_hz", "-1"),
     ("measure-sim", "measurement", "snr", "0"),
     ("measure-sim", "measurement", "snr", "-5"),
     ("measure-sim", "measurement", "snr", "nan"),
@@ -696,6 +709,7 @@ class TestCliMeasureAndRecover:
     ("spectrum", "paper_1d.cfg"), ("spectrum", "paper_2d.cfg"),
     ("measure-sim", "paper_1d.cfg"), ("measure-sim", "paper_2d.cfg"), ("disorder", None),
     ("recover", "paper_1d.cfg"), ("recover", "paper_2d.cfg"),
+    ("topology", "paper_1d.cfg"), ("topology", "paper_2d.cfg"),
 ])
 def test_subcommand_does_not_import_scipy(tmp_path, small_cfg, command, config):
     # scipy is imported only where it is needed, such as a degenerate

@@ -150,7 +150,7 @@ class TestEdgePredictionFinite:
             curve = om.ssh_bulk_curve(cp, 1024)
             if not curve.is_gapped() or curve.min_abs < 0.05 * np.abs(curve.rho).max():
                 continue
-            rho_fn = lambda k: om.bulk_rho_ssh(k, cp)
+            rho_fn = lambda k: np.atleast_2d(om.bulk_rho_ssh(k, cp))  # one lane: (1, m)
             k_min = _locate_kmin(rho_fn)
             full = _phase_slope(rho_fn, k_min, step=1e-5)
             half = _phase_slope(rho_fn, k_min, step=5e-6)
@@ -182,6 +182,55 @@ class TestEdgePredictionFinite:
                 )
                 brute = int(np.sum(np.abs(freqs - 5e9) < gap)) == 2
                 assert brute == pred.edge_states_exist, (cp, n_cells, pred)
+
+
+def _scipy_kmin(rho_fn, n_coarse=2048):
+    """The scalar reference: coarse scan, then scipy's golden section from
+    the bracket around the coarse minimum (the coarse point when the
+    bracket fails or |rho| is constant)."""
+    from scipy.optimize import minimize_scalar
+
+    k = -np.pi + 2 * np.pi * np.arange(n_coarse) / n_coarse
+    mag = np.abs(rho_fn(k))
+    i = int(np.argmin(mag))
+    if mag.max() - mag.min() <= 1e-12 * mag.max():
+        return float(k[i])
+    span = 2 * np.pi / n_coarse
+    try:
+        res = minimize_scalar(lambda x: float(np.abs(rho_fn(x))), method="golden",
+                              bracket=(k[i] - span, k[i], k[i] + span), options={"xtol": 1e-12})
+    except ValueError:
+        return float(k[i])
+    return float(res.x)
+
+
+def test_lane_kmin_matches_scipy_golden_section_bit_for_bit():
+    from omlattice.topology import _locate_kmin, ribbon_rho
+
+    rng = np.random.default_rng(17)
+    chains = [om.Couplings(j=j, j_prime=jp, j3=j3, j3_prime=j3p)
+              for j, jp, j3, j3p in rng.uniform([0, 0, 0, 0], [1, 1, 0.2, 0.2], (60, 4))]
+    chains.append(om.Couplings(j=0.0, j_prime=0.7))  # constant |rho|: the coarse point
+
+    def chain_lanes(k):
+        # a shared grid, or one (lanes, 1) wavenumber per lane
+        rows = k if np.ndim(k) == 2 else [k] * len(chains)
+        return np.stack([om.bulk_rho_ssh(kk, cp) for kk, cp in zip(rows, chains)])
+
+    expected = [_scipy_kmin(lambda k, cp=cp: om.bulk_rho_ssh(k, cp)) for cp in chains]
+    assert _locate_kmin(chain_lanes).tolist() == expected
+
+    for orientation in om.RibbonOrientation:
+        j, jp = 1.0, rng.uniform(0.3, 1.0)
+        # the grid of the CLI, with its gapless points, and random wavenumbers
+        k_par = np.concatenate([np.linspace(-np.pi, np.pi, 33), rng.uniform(-np.pi, np.pi, 16)])
+        lanes = _locate_kmin(lambda k: ribbon_rho(orientation, k, k_par[:, None], j, jp))
+        expected = [_scipy_kmin(lambda k, kp=kp: ribbon_rho(orientation, k, kp, j, jp))
+                    for kp in k_par.tolist()]
+        assert lanes.tolist() == expected, orientation
+        predictions = om.ribbon_edge_prediction(orientation, k_par, 4, j, jp)
+        assert predictions == [om.ribbon_edge_prediction(orientation, kp, 4, j, jp)
+                               for kp in k_par.tolist()]
 
 
 class TestGrapheneBulk:
