@@ -7,10 +7,14 @@ for a fixed (config, seed).  Outputs are staged in a temporary directory and
 moved into place only on success, so failures leave no partial files; the
 files they replace are moved aside first and put back if any move fails.
 
-Exit codes: 0 success, 2 configuration error or a missing or unreadable
-file (such as a ``--dataset`` directory), 3 numerical failure (including a
-dataset none of whose ringdowns could be fitted).  Failures print one line
-to standard error.
+Each subcommand takes ``--config``, ``--out`` and only the options it reads
+(:data:`SUBCOMMANDS`); any other option is a usage error.
+
+Exit codes: 0 success, 2 usage or configuration error or a missing or
+unreadable file (such as a ``--dataset`` directory), 3 numerical failure
+(including a dataset none of whose ringdowns could be fitted).  Failures
+print one line to standard error; a usage error prints argparse's usage
+message.
 """
 
 from __future__ import annotations
@@ -99,7 +103,7 @@ def cmd_spectrum(config: io_mod.RunConfig, out: Path, fmt: str, svg: bool) -> No
         )
 
 
-def cmd_topology(config: io_mod.RunConfig, out: Path, fmt: str, svg: bool) -> None:
+def cmd_topology(config: io_mod.RunConfig, out: Path, svg: bool) -> None:
     spec = _require(config.spec, "lattice")
     cp = spec.couplings
     if spec.kind is Topology.SSH_CHAIN:
@@ -150,7 +154,7 @@ def cmd_measure_sim(config: io_mod.RunConfig, out: Path, seed: int | None) -> No
     dataset.save(out)
 
 
-def cmd_recover(config: io_mod.RunConfig, dataset_dir: Path, out: Path, fmt: str) -> None:
+def cmd_recover(config: io_mod.RunConfig, out: Path, dataset_dir: Path, fmt: str) -> None:
     spec = _require(config.spec, "lattice")
     dataset = MeasurementDataset.load(dataset_dir)
     reference = diagonalize(build_lattice(spec))
@@ -278,52 +282,58 @@ def _install(staging: Path, out: Path) -> None:
     shutil.rmtree(aside)
 
 
+# How each option of a subcommand is declared; ``dest`` is the name of the
+# keyword the subcommand's function takes it by.
+_OPTIONS = {
+    "--format": dict(dest="fmt", choices=("csv", "json"), default="csv"),
+    "--svg": dict(action="store_true", help="also emit SVG line plots"),
+    "--seed": dict(type=int, default=None),
+    "--dataset": dict(dest="dataset_dir", required=True, type=Path),
+}
+
+# Each subcommand's function, called as ``function(config, out, **options)``,
+# and the options it reads besides --config and --out.  Its subparser has
+# exactly these, so any other option is a usage error.
+SUBCOMMANDS = {
+    "spectrum": (cmd_spectrum, ("--format", "--svg")),
+    "topology": (cmd_topology, ("--svg",)),
+    "measure-sim": (cmd_measure_sim, ("--seed",)),
+    "recover": (cmd_recover, ("--dataset", "--format")),
+    "disorder": (cmd_disorder, ("--seed", "--svg")),
+    "circuit": (cmd_circuit, ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omlattice",
         description="Coupled optomechanical LC lattice simulator and analysis toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_dataset in [
-        ("spectrum", False), ("topology", False), ("measure-sim", False),
-        ("recover", True), ("disorder", False), ("circuit", False),
-    ]:
+    for name, (_, options) in SUBCOMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, type=Path)
         p.add_argument("--out", required=True, type=Path)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--svg", action="store_true", help="also emit SVG line plots")
-        if needs_dataset:
-            p.add_argument("--dataset", required=True, type=Path)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    command, config_path, out = args.pop("command"), args.pop("config"), args.pop("out")
     try:
-        config = io_mod.load_config(args.config)
+        config = io_mod.load_config(config_path)
     except io_mod.ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out = Path(args.out)
     staging = Path(tempfile.mkdtemp(prefix=".omlattice-", dir=out.parent if out.parent.exists() else None))
     try:
-        if args.seed is not None and args.seed < 0:
-            raise io_mod.ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
-        if args.command == "spectrum":
-            cmd_spectrum(config, staging, args.format, args.svg)
-        elif args.command == "topology":
-            cmd_topology(config, staging, args.format, args.svg)
-        elif args.command == "measure-sim":
-            cmd_measure_sim(config, staging, args.seed)
-        elif args.command == "recover":
-            cmd_recover(config, args.dataset, staging, args.format)
-        elif args.command == "disorder":
-            cmd_disorder(config, staging, args.seed, args.svg)
-        elif args.command == "circuit":
-            cmd_circuit(config, staging)
+        seed = args.get("seed")
+        if seed is not None and seed < 0:
+            raise io_mod.ConfigError(f"--seed must be a non-negative integer, got {seed}")
+        SUBCOMMANDS[command][0](config, staging, **args)
         out.mkdir(parents=True, exist_ok=True)
         _install(staging, out)
         return EXIT_OK

@@ -60,6 +60,8 @@ from .measure import (
 
 RINGDOWN_DECAY_SPAN = 4.0  # trace length in 1/e power-decay times
 NOISE_FLOOR_SIGMAS = 5.0   # keeps the additive floor clear of the clip at zero
+SLOPE_GATE_SIGMAS = 2.0    # slopes below this many standard errors are set to zero
+DRIVE_DAMPING_BOOST = 200.0  # calibrated damping over the median intrinsic linewidth
 _NOISE_DRAW_VALUES = 2**16  # about this many noise values per Generator call
 
 
@@ -314,7 +316,7 @@ class MeasurementDataset:
     def n_sites(self) -> int:
         return len(self.mech_freqs)
 
-    def fit_all(self, skip_fraction: float = 0.1, gate_sigma: float = 2.0) -> np.ndarray:
+    def fit_all(self) -> np.ndarray:
         """Fit every ringdown and regress each (mode, site) damping rate
         against the source flux; returns and caches the slope matrix.
 
@@ -331,10 +333,10 @@ class MeasurementDataset:
         Raises :class:`~omlattice.measure.RingdownFitError` only when no
         trace at all could be fitted.
 
-        Slopes smaller than ``gate_sigma`` times their regression standard
-        error are set to zero: at modeshape nodes the true slope vanishes and
-        the square root taken during inversion would otherwise turn fit noise
-        into a positive participation bias.
+        Slopes smaller than ``SLOPE_GATE_SIGMAS`` times their regression
+        standard error are set to zero: at modeshape nodes the true slope
+        vanishes and the square root taken during inversion would otherwise
+        turn fit noise into a positive participation bias.
         """
         shape, npow = self.samples.shape, len(self.drive_fluxes)
         lengths = self.samples.reshape(-1)
@@ -346,8 +348,7 @@ class MeasurementDataset:
         for size in sizes[sizes >= MIN_FIT_SAMPLES]:
             # a boolean mask copies the rows it picks; a slice does not
             rows = lengths == size if sizes.size > 1 else slice(None)
-            gammas[rows], errors[rows], _ = fit_ringdowns(times[rows, :size], powers[rows, :size],
-                                                          skip_fraction)
+            gammas[rows], errors[rows], _ = fit_ringdowns(times[rows, :size], powers[rows, :size])
         gammas, errors = gammas.reshape(shape), errors.reshape(shape)
         fitted = np.isfinite(gammas)
         if not fitted.any():
@@ -369,7 +370,7 @@ class MeasurementDataset:
             slopes = (x * y).sum(axis=2) / sxx
             residual = y - slopes[:, :, None] * x
             slope_err = np.sqrt((residual**2).sum(axis=2) / (count - 2) / sxx)
-        slopes = np.where((count > 2) & (slopes < gate_sigma * slope_err), 0.0, slopes)
+        slopes = np.where((count > 2) & (slopes < SLOPE_GATE_SIGMAS * slope_err), 0.0, slopes)
         slopes = np.where(count >= max(2, min(3, npow)), slopes, 0.0)
         self.fitted_gammas = gammas
         self.fitted_errors = errors
@@ -483,15 +484,14 @@ def calibrate_drive_flux(
     h: CouplingHamiltonian,
     sites: tuple[SiteParams, ...],
     readouts: tuple[ModeReadout, ...],
-    damping_boost: float = 200.0,
 ) -> float:
     """Source flux at which the median optomechanical damping rate reaches
-    ``damping_boost`` times the median intrinsic mechanical linewidth."""
+    ``DRIVE_DAMPING_BOOST`` times the median intrinsic mechanical linewidth."""
     slopes = analytic_slope_matrix(h, sites, readouts)
     positive = slopes[slopes > 0]
     if positive.size == 0:
         raise ValueError("all damping slopes vanish; check g0 and couplings")
-    target = damping_boost * float(np.median([s.mech_linewidth for s in sites]))
+    target = DRIVE_DAMPING_BOOST * float(np.median([s.mech_linewidth for s in sites]))
     return target / float(np.median(positive))
 
 
@@ -608,8 +608,6 @@ def recover_from_slopes(
     reference: ModeSet,
     site_labels: tuple[str, ...] = (),
     h_true: CouplingHamiltonian | None = None,
-    sinkhorn_tol: float = 1e-12,
-    sinkhorn_max_iter: int = 10_000,
 ) -> RecoveryResult:
     """Core recovery chain from per-(mode, site) slopes.
 
@@ -640,9 +638,7 @@ def recover_from_slopes(
     config = _pair_configs(readouts, mech_freqs, 0.0, 0.0)
     eta_tilde = unnormalized_eta(np.maximum(slopes, 0.0)[:, :, None], config)[:, :, 0]
 
-    eta_hat, iterations = sinkhorn_normalize(
-        eta_tilde, tol=sinkhorn_tol, max_iter=sinkhorn_max_iter
-    )
+    eta_hat, iterations = sinkhorn_normalize(eta_tilde)
     u_tilde = assign_signs(eta_hat, reference)
     if np.linalg.det(u_tilde) < 0:
         u_tilde = u_tilde.copy()
@@ -678,9 +674,6 @@ def recover_from_slopes(
 def recover(
     dataset: MeasurementDataset,
     reference: ModeSet,
-    skip_fraction: float = 0.1,
-    sinkhorn_tol: float = 1e-12,
-    sinkhorn_max_iter: int = 10_000,
 ) -> RecoveryResult:
     """Full recovery from a measurement dataset: ringdown fits, slope
     regression, slope inversion, iterative normalization, sign assignment,
@@ -689,11 +682,10 @@ def recover(
     Failed ringdown fits are left out of the slope regression and counted in
     ``residuals["fits_failed"]``.
     """
-    slopes = dataset.slopes if dataset.slopes is not None else dataset.fit_all(skip_fraction)
+    slopes = dataset.slopes if dataset.slopes is not None else dataset.fit_all()
     result = recover_from_slopes(
         slopes, dataset.readouts, dataset.mech_freqs, dataset.mode_freqs, reference,
         dataset.site_labels, dataset.h_true,
-        sinkhorn_tol=sinkhorn_tol, sinkhorn_max_iter=sinkhorn_max_iter,
     )
     if dataset.fitted_gammas is not None:
         result.residuals["fits_failed"] = int(np.sum(~np.isfinite(dataset.fitted_gammas)))
@@ -705,7 +697,6 @@ def recover_noiseless(
     sites: tuple[SiteParams, ...],
     readouts: tuple[ModeReadout, ...],
     reference: ModeSet | None = None,
-    sinkhorn_tol: float = 1e-12,
 ) -> RecoveryResult:
     """Analytic-slope (noise-free) end-to-end identity run; the reference
     defaults to the diagonalization of ``h`` itself."""
@@ -713,5 +704,4 @@ def recover_noiseless(
     truth_modes = diagonalize(h)
     reference = reference if reference is not None else truth_modes
     return recover_from_slopes(slopes, readouts, [s.mech_freq for s in sites],
-                               truth_modes.eigenfreqs, reference, h.site_labels, h,
-                               sinkhorn_tol=sinkhorn_tol)
+                               truth_modes.eigenfreqs, reference, h.site_labels, h)

@@ -118,13 +118,17 @@ def load_config(path) -> RunConfig:
 
 def _parse_lattice(parser: configparser.ConfigParser) -> LatticeSpec:
     lat = parser["lattice"]
+    kinds = [t.value for t in Topology]
+    if lat["kind"] not in kinds:
+        raise ConfigError(f"[lattice] kind must be one of {', '.join(kinds)}, got {lat['kind']}")
     kind = Topology(lat["kind"])
     if kind is Topology.SSH_CHAIN:
-        n_sites = 2 * int(lat["n_cells"])
-    elif kind is Topology.HONEYCOMB_FLAKE:
-        n_sites = 24
+        cells = lat["n_cells"]
+        if not (cells.isdecimal() and int(cells) >= 1):
+            raise ConfigError(f"[lattice] n_cells must be an integer >= 1, got {cells}")
+        n_sites = 2 * int(cells)
     else:
-        raise ConfigError("ribbon lattices are built from the API, not from config files")
+        n_sites = 24
     if "cavity_freqs_hz" in lat:
         cavity = _float_list(lat["cavity_freqs_hz"], "[lattice] cavity_freqs_hz")
         if len(cavity) != n_sites:

@@ -13,10 +13,10 @@ Collective modes are rows of a unitary matrix ``U`` with ``U H U^dag``
 diagonal; the energy participation ratio of site ``i`` in mode ``k`` is
 ``|U[k, i]|**2``.
 
-Three lattice topologies are supported: the alternating-coupling 1D chain
-(two-site unit cells), a 24-site honeycomb flake with anisotropic couplings,
-and wavenumber-resolved two-site ribbon unit cells for edge-state analysis
-of honeycomb ribbons.
+Two lattice topologies are built from a :class:`LatticeSpec`: the
+alternating-coupling 1D chain (two-site unit cells) and a 24-site honeycomb
+flake with anisotropic couplings.  :func:`build_ribbon_hamiltonian` builds
+the wavenumber-resolved chain of a honeycomb ribbon for edge-state analysis.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ class Topology(enum.Enum):
 
     SSH_CHAIN = "ssh-chain"
     HONEYCOMB_FLAKE = "honeycomb-flake"
-    RIBBON_UNIT_CELL = "ribbon-unit-cell"
 
 
 class RibbonOrientation(enum.Enum):
@@ -112,8 +111,6 @@ class LatticeSpec:
     n_sites: int
     sites: tuple[SiteParams, ...]
     couplings: Couplings
-    ribbon_orientation: RibbonOrientation | None = None
-    ribbon_k_par: float = 0.0
 
     def __post_init__(self):
         if self.n_sites < 1:
@@ -124,11 +121,6 @@ class LatticeSpec:
             raise ValueError("chain lattices consist of two-site cells; n_sites must be even")
         if self.kind is Topology.HONEYCOMB_FLAKE and self.n_sites != 24:
             raise ValueError("the honeycomb flake has exactly 24 sites")
-        if self.kind is Topology.RIBBON_UNIT_CELL:
-            if self.ribbon_orientation is None:
-                raise ValueError("ribbon lattices require ribbon_orientation")
-            if self.n_sites % 2 != 0:
-                raise ValueError("ribbon unit cells have two sites; n_sites must be even")
 
     @property
     def cavity_freqs(self) -> np.ndarray:
@@ -488,14 +480,7 @@ def build_lattice(spec: LatticeSpec) -> CouplingHamiltonian:
     """Build the coupling Hamiltonian described by a :class:`LatticeSpec`."""
     if spec.kind is Topology.SSH_CHAIN:
         return build_ssh_chain(spec.n_sites // 2, spec.couplings, spec.cavity_freqs)
-    if spec.kind is Topology.HONEYCOMB_FLAKE:
-        return build_honeycomb_flake(spec.couplings, spec.cavity_freqs)
-    freqs = spec.cavity_freqs
-    if np.ptp(freqs) > 0:
-        raise ValueError("ribbon cells take a uniform cavity frequency")
-    return build_ribbon_hamiltonian(
-        spec.ribbon_orientation, spec.n_sites // 2, spec.ribbon_k_par, spec.couplings, freqs[0]
-    )
+    return build_honeycomb_flake(spec.couplings, spec.cavity_freqs)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 from .lattice import ModeSet, CouplingHamiltonian, ParticipationMatrix, SIGN_EPS
 
 TWO_PI = 2.0 * np.pi
-SINKHORN_TOL_DEFAULT = 1e-10
+SINKHORN_TOL_DEFAULT = 1e-12
 SINKHORN_MAX_ITER_DEFAULT = 10_000
 SINKHORN_FLOOR_DEFAULT = 1e-15
 ORTHOGONALITY_ATOL = 1e-10
@@ -453,14 +453,13 @@ def sinkhorn_normalize(
     eta_tilde: np.ndarray,
     tol: float = SINKHORN_TOL_DEFAULT,
     max_iter: int = SINKHORN_MAX_ITER_DEFAULT,
-    floor: float = SINKHORN_FLOOR_DEFAULT,
 ) -> tuple[ParticipationMatrix, int]:
     """Alternating row/column normalization of an unnormalized participation
     matrix (modes along rows, sites along columns).
 
-    Entries below ``floor`` are raised to it first (measured slopes vanish at
-    modeshape nodes; strict positivity is needed for convergence) and flagged
-    in the result.  One iteration is one single-axis normalization, starting
+    Entries below ``SINKHORN_FLOOR_DEFAULT`` are raised to it first
+    (measured slopes vanish at modeshape nodes; strict positivity is needed
+    for convergence) and flagged in the result.  One iteration is one single-axis normalization, starting
     with rows.  Stops when both row and column sums deviate from 1 by less
     than ``tol``; raises :class:`SinkhornError` carrying the residual when
     ``max_iter`` is exhausted.
@@ -470,8 +469,8 @@ def sinkhorn_normalize(
         raise ValueError("eta_tilde must be a square matrix")
     if np.any(x < 0):
         raise ValueError("eta_tilde entries must be >= 0")
-    floored = x < floor
-    x[floored] = floor
+    floored = x < SINKHORN_FLOOR_DEFAULT
+    x[floored] = SINKHORN_FLOOR_DEFAULT
 
     iterations = 0
     residual = np.inf

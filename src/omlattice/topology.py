@@ -48,6 +48,16 @@ def _item(value):
     return value.item() if np.ndim(value) == 0 else value
 
 
+def _winding(rho):
+    """Whole turns of each lane of ``rho`` around the origin, with no gap
+    check: the caller has established that every lane is gapped."""
+    arg = np.angle(rho)
+    steps = np.diff(arg, axis=-1, append=arg[..., :1])
+    steps = (steps + np.pi) % (2 * np.pi) - np.pi
+    # wrapped steps around a closed loop sum to whole turns, up to rounding
+    return np.round(np.abs(np.sum(steps, axis=-1)) / (2 * np.pi)).astype(int)
+
+
 @dataclass(frozen=True)
 class BulkCurve:
     """Off-diagonal bulk element sampled over one Brillouin zone.
@@ -96,13 +106,6 @@ class BulkCurve:
         mag = np.abs(self.rho)
         max_step = np.abs(np.diff(self.rho, axis=-1, append=self.rho[..., :1])).max(axis=-1)
         return _item(mag.min(axis=-1) > np.maximum(GAP_RTOL * mag.max(axis=-1), max_step))
-
-    def total_phase_change(self):
-        """Net change of phi around the closed loop (a multiple of 2 pi)."""
-        arg = np.angle(self.rho)
-        steps = np.diff(arg, axis=-1, append=arg[..., :1])
-        steps = (steps + np.pi) % (2 * np.pi) - np.pi
-        return _item(-np.sum(steps, axis=-1))
 
     def to_rows(self, couplings: Couplings | None = None):
         """(k, Re rho, Im rho, E-, E+) rows for CSV export."""
@@ -206,8 +209,7 @@ def winding_number(curve: BulkCurve):
     if not np.all(curve.is_gapped()):
         raise GaplessCurveError(f"curve reaches |rho| = {np.min(curve.min_abs):.3e}; "
                                 "winding undefined on a gapless curve")
-    # wrapped steps around a closed loop sum to whole turns, up to rounding
-    return _item(np.round(np.abs(curve.total_phase_change()) / (2 * np.pi)).astype(int))
+    return _item(_winding(curve.rho))
 
 
 def _zak_from_winding(winding):
@@ -270,7 +272,7 @@ def _predict(rho_fn, n_cells: int, n_samples: int) -> list[EdgePrediction]:
     curve = BulkCurve.from_function(rho_fn, n_samples)
     gapped = curve.is_gapped()
     bound = float(n_cells + 1)
-    winding = winding_number(BulkCurve(curve.k, curve.rho[gapped]))
+    winding = _winding(curve.rho[gapped])
     zak = _zak_from_winding(winding)
     slope = _phase_slope(rho_fn, _locate_kmin(rho_fn))[gapped]
     exists = (zak == np.pi) & (np.abs(slope) < bound)

@@ -73,11 +73,12 @@ class TestSimulateMeasurement:
 
     def test_flux_calibration_reaches_target_boost(self):
         h, sites, readouts = small_setup(seed=2)
-        flux = om.calibrate_drive_flux(h, sites, readouts, damping_boost=150.0)
+        flux = om.calibrate_drive_flux(h, sites, readouts)
         slopes = om.analytic_slope_matrix(h, sites, readouts)
         median_opt = np.median(slopes[slopes > 0]) * flux
         median_gamma = np.median([s.mech_linewidth for s in sites])
-        assert median_opt == pytest.approx(150.0 * median_gamma, rel=1e-9)
+        assert om.experiment.DRIVE_DAMPING_BOOST == 200.0
+        assert median_opt == pytest.approx(200.0 * median_gamma, rel=1e-9)
 
     def test_dataset_roundtrip_through_disk(self, tmp_path):
         h, sites, readouts = small_setup(seed=5)

@@ -76,6 +76,11 @@ def edited_config(tmp_path: Path, section: str, key: str, value: str) -> Path:
 # Values outside the lattice, measurement or disorder model, with the
 # subcommand that reads them: each is a configuration error.
 OUTSIDE_THE_MODEL = [
+    ("spectrum", "lattice", "kind", "kagome"),
+    ("spectrum", "lattice", "kind", "ribbon-unit-cell"),
+    ("spectrum", "lattice", "n_cells", "0"),
+    ("spectrum", "lattice", "n_cells", "-3"),
+    ("spectrum", "lattice", "n_cells", "2.5"),
     ("spectrum", "lattice", "cavity_freq_hz", "inf"),
     ("spectrum", "lattice", "cavity_freq_hz", "nan"),
     ("spectrum", "lattice", "cavity_freq_hz", "0"),
@@ -814,3 +819,36 @@ def test_json_format_flag(small_cfg, tmp_path):
     payload = json.loads((out / "hamiltonian.json").read_text())
     assert len(payload["matrix_hz"]) == 4
     assert len(payload["site_labels"]) == 4
+
+
+# The options each subcommand takes besides --config, --out and recover's
+# required --dataset.
+CLI_OPTIONS = {
+    "spectrum": {"--format", "--svg"},
+    "topology": {"--svg"},
+    "measure-sim": {"--seed"},
+    "recover": {"--format"},
+    "disorder": {"--seed", "--svg"},
+    "circuit": set(),
+}
+
+
+@pytest.mark.parametrize("flag", [("--seed", "1"), ("--format", "json"), ("--svg",)],
+                         ids=lambda flag: flag[0])
+@pytest.mark.parametrize("command", list(CLI_OPTIONS))
+def test_subcommand_takes_only_its_own_options(small_cfg, tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    argv = [command, "--config", str(small_cfg), "--out", str(out), *flag]
+    if command == "recover":
+        dataset = tmp_path / "dataset"
+        assert main(["measure-sim", "--config", str(small_cfg), "--out", str(dataset)]) == 0
+        argv += ["--dataset", str(dataset)]
+    if flag[0] in CLI_OPTIONS[command]:
+        assert main(argv) == 0
+        assert any(out.iterdir())
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
