@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .io import ConfigError
+
 MU_0 = 4e-7 * np.pi  # vacuum permeability [H/m]
 # Segment pairs per block of the Neumann quadrature.
 _NEUMANN_CHUNK_PAIRS = 1 << 17
@@ -73,18 +75,19 @@ class WireCurve:
 
     @classmethod
     def from_csv(cls, path) -> "WireCurve":
-        """Read an x,y,z polyline (meters, one point per row, optional header)."""
+        """Read an x,y,z polyline (meters, one point per row, the first line may
+        be a header); ``ConfigError`` naming the file and line of a bad row."""
         rows = []
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
+            for lineno, line in enumerate(fh, start=1):
                 try:
-                    rows.append([float(p) for p in parts[:3]])
+                    row = [float(p) for p in line.split(",")]
                 except ValueError:
-                    continue  # header row
+                    row = []
+                if len(row) == 3:
+                    rows.append(row)
+                elif line.strip() and (row or lineno > 1):
+                    raise ConfigError(f"{path} line {lineno}: {line.strip()!r} is not x,y,z")
         return cls(np.array(rows))
 
 

@@ -12,9 +12,9 @@ Each subcommand takes ``--config``, ``--out`` and only the options it reads
 
 Exit codes: 0 success, 2 usage or configuration error or a missing or
 unreadable file (such as a ``--dataset`` directory), 3 numerical failure
-(including a dataset none of whose ringdowns could be fitted).  Failures
-print one line to standard error; a usage error prints argparse's usage
-message.
+(including a dataset none of whose ringdowns could be fitted, and a NaN or
+infinity that a JSON output cannot hold).  Failures print one line to
+standard error; a usage error prints argparse's usage message.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ _FLAKE_RIBBON_WIDTHS = {
 
 
 def _write_json(path: Path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    with open(path, "w") as fh:  # ValueError for a NaN or infinity, which JSON cannot hold
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _require(value, what: str):
@@ -200,7 +200,7 @@ def cmd_disorder(config: io_mod.RunConfig, out: Path, seed: int | None, svg: boo
         "failed_samples": ensemble.failed_samples,
         "n_sigma": int(ensemble.sigma_grid.size),
     }
-    if "zeta_measured" in dis:
+    if dis["zeta_measured"] is not None:
         inv = invert_zeta(dis["zeta_measured"], ensemble, dis["confidence"])
         manifest["inversion"] = {
             "zeta_measured": dis["zeta_measured"],
@@ -221,31 +221,29 @@ def cmd_disorder(config: io_mod.RunConfig, out: Path, seed: int | None, svg: boo
 def cmd_circuit(config: io_mod.RunConfig, out: Path) -> None:
     circ = _require(config.circuit, "circuit")
     report: dict = {}
-    if "inductance_h" in circ and "capacitance_f" in circ:
-        cell = circuit_mod.CircuitCell(float(circ["inductance_h"]), float(circ["capacitance_f"]))
+    if circ["inductance_h"] is not None and circ["capacitance_f"] is not None:
+        cell = circuit_mod.CircuitCell(circ["inductance_h"], circ["capacitance_f"])
         report["resonance_freq_hz"] = cell.resonance_freq
-        if "mutual_h" in circ:
-            mutual = float(circ["mutual_h"])
+        if circ["mutual_h"] is not None:
+            mutual = circ["mutual_h"]
             f_lo, f_hi = circuit_mod.dimer_eigenfrequencies(cell, mutual)
             report["dimer_freqs_hz"] = [f_lo, f_hi]
             report["coupling_rate_hz"] = circuit_mod.coupling_rate(cell, mutual)
-            if "mutual_prime_h" in circ:
+            if circ["mutual_prime_h"] is not None:
                 j = report["coupling_rate_hz"]
-                jp = circuit_mod.coupling_rate(cell, float(circ["mutual_prime_h"]))
+                jp = circuit_mod.coupling_rate(cell, circ["mutual_prime_h"])
                 report["coupling_rate_prime_hz"] = jp
                 bands = circuit_mod.passband_edges(cell.resonance_freq, j, jp)
                 report["passbands_hz"] = {k: list(v) for k, v in bands.items()}
-    if {"drum_radius_m", "film_stress_pa", "film_density_kg_m3"} <= set(circ):
-        report["drumhead_freq_hz"] = circuit_mod.drumhead_frequency(
-            float(circ["drum_radius_m"]), float(circ["film_stress_pa"]),
-            float(circ["film_density_kg_m3"]),
-        )
-    if "loop_csv_a" in circ and "loop_csv_b" in circ:
+    drum = (circ["drum_radius_m"], circ["film_stress_pa"], circ["film_density_kg_m3"])
+    if None not in drum:
+        report["drumhead_freq_hz"] = circuit_mod.drumhead_frequency(*drum)
+    if circ["loop_csv_a"] is not None and circ["loop_csv_b"] is not None:
         base = config.path.parent if config.path else Path(".")
         curve_a = circuit_mod.WireCurve.from_csv(base / circ["loop_csv_a"])
         curve_b = circuit_mod.WireCurve.from_csv(base / circ["loop_csv_b"])
         report["mutual_inductance_h"] = circuit_mod.mutual_inductance_neumann(
-            curve_a, curve_b, int(circ.get("neumann_segments", 1000))
+            curve_a, curve_b, circ["neumann_segments"]
         )
     if not report:
         raise io_mod.ConfigError("[circuit] section holds no computable parameter group")

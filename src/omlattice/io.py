@@ -9,6 +9,7 @@ export to CSV with a header row of site labels; complex matrices emit
 from __future__ import annotations
 
 import configparser
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,15 +24,10 @@ class ConfigError(ValueError):
     """Malformed or unknown configuration content."""
 
 
-def _find_line(path: Path | None, needle: str) -> str:
-    if path is None:
-        return ""
-    try:
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            if needle in line:
-                return f" ({path.name}:{lineno})"
-    except OSError:
-        pass
+def _find_line(path: Path, needle: str) -> str:
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        if needle in line:
+            return f" ({path.name}:{lineno})"
     return ""
 
 
@@ -56,23 +52,119 @@ def _float_list(raw: str, name: str) -> list[float]:
     return [float(p) for p in raw.split(",") if p.strip()]
 
 
-_SECTION_KEYS = {
-    "lattice": {"kind", "n_cells", "cavity_freq_hz", "cavity_freqs_hz"},
-    "couplings": {"j_hz", "j_prime_hz", "j2_hz", "j3_hz", "j3_prime_hz"},
-    "mechanics": {"freqs_hz", "linewidths_hz", "g0_hz"},
-    "readout": {"kappa_tot_hz", "kappa_1_fraction", "kappa_2_fraction",
-                "kappa_1_hz", "kappa_2_hz", "transmittance"},
-    "measurement": {"n_powers", "drive_flux_max", "snr", "p0", "samples_per_trace", "seed"},
-    "disorder": {"sigma_grid", "samples", "seed", "zeta_measured", "confidence"},
-    "circuit": {"inductance_h", "capacitance_f", "mutual_h", "mutual_prime_h",
-                "drum_radius_m", "film_stress_pa", "film_density_kg_m3",
-                "loop_csv_a", "loop_csv_b", "neumann_segments"},
+_REQUIRED = object()  # the default of a key that must be given
+
+
+@dataclass(frozen=True)
+class _Key:
+    """A configuration key: its type (``integer`` of decimal digits, ``number``,
+    ``list`` of numbers or ``start:stop:step`` range, ``text``), its default as
+    a file would hold it (None: absent), the rule that a value (each value of a
+    list) must pass, as text and as a test, and the words that read as None."""
+
+    type: str
+    default: object
+    rule: str
+    ok: Callable[[object], bool]
+    words: tuple[str, ...] = ()
+
+
+_FINITE = "a finite number", lambda v: -np.inf < v < np.inf
+_POSITIVE = "a finite number > 0", lambda v: 0 < v < np.inf
+_NON_NEGATIVE = "a finite number >= 0", lambda v: 0 <= v < np.inf
+_FRACTION = "a number in [0, 1]", lambda v: 0 <= v <= 1
+_KINDS = [t.value for t in Topology]
+_CONFIDENCES = sorted(_BAND_PERCENTILES)
+
+# Every key of every section.  Conditions that tie keys together (list lengths,
+# kappa_1 + kappa_2 <= kappa_tot, |M| < L) are checked by what is built from them.
+_KEYS = {
+    "lattice": {
+        "kind": _Key("text", _REQUIRED, f"one of {', '.join(_KINDS)}", lambda v: v in _KINDS),
+        "n_cells": _Key("integer", None, "an integer >= 1", lambda v: v >= 1),  # required by a chain
+        "cavity_freq_hz": _Key("number", None, *_POSITIVE),
+        "cavity_freqs_hz": _Key("list", None, *_POSITIVE),
+    },
+    "couplings": {key: _Key("number", "0", *_FINITE)
+                  for key in ("j_hz", "j_prime_hz", "j2_hz", "j3_hz", "j3_prime_hz")},
+    "mechanics": {
+        "freqs_hz": _Key("list", _REQUIRED, *_POSITIVE),
+        "linewidths_hz": _Key("list", _REQUIRED, *_NON_NEGATIVE),
+        "g0_hz": _Key("list", "0", *_NON_NEGATIVE),
+    },
+    "readout": {
+        "kappa_tot_hz": _Key("list", _REQUIRED, *_POSITIVE),
+        "kappa_1_fraction": _Key("number", "0.25", *_FRACTION),
+        "kappa_2_fraction": _Key("number", "0.25", *_FRACTION),
+        "kappa_1_hz": _Key("list", None, *_NON_NEGATIVE),
+        "kappa_2_hz": _Key("list", None, *_NON_NEGATIVE),
+        "transmittance": _Key("list", "1.0", *_POSITIVE),
+    },
+    "measurement": {
+        "n_powers": _Key("integer", "10", "an integer >= 2", lambda v: v >= 2),
+        "drive_flux_max": _Key("number", "auto", *_POSITIVE, words=("auto",)),
+        "snr": _Key("number", "100", *_POSITIVE, words=("inf", "none")),
+        "p0": _Key("number", "1.0", *_POSITIVE),
+        "samples_per_trace": _Key("integer", "140", "an integer >= 2", lambda v: v >= 2),
+        "seed": _Key("integer", "0", "an integer >= 0", lambda v: v >= 0),
+    },
+    "disorder": {
+        "sigma_grid": _Key("list", _REQUIRED, *_NON_NEGATIVE),
+        "samples": _Key("integer", "4000", "an integer >= 1", lambda v: v >= 1),
+        "seed": _Key("integer", "0", "an integer >= 0", lambda v: v >= 0),
+        "zeta_measured": _Key("number", None, *_FRACTION),
+        "confidence": _Key("number", "0.9", f"one of {', '.join(map(str, _CONFIDENCES))}",
+                           lambda v: v in _CONFIDENCES),
+    },
+    "circuit": {
+        "inductance_h": _Key("number", None, *_POSITIVE),
+        "capacitance_f": _Key("number", None, *_POSITIVE),
+        "mutual_h": _Key("number", None, *_FINITE),
+        "mutual_prime_h": _Key("number", None, *_FINITE),
+        "drum_radius_m": _Key("number", None, *_POSITIVE),
+        "film_stress_pa": _Key("number", None, *_POSITIVE),
+        "film_density_kg_m3": _Key("number", None, *_POSITIVE),
+        "loop_csv_a": _Key("text", None, "a file name", bool),
+        "loop_csv_b": _Key("text", None, "a file name", bool),
+        "neumann_segments": _Key("integer", "1000", "an integer >= 8", lambda v: v >= 8),
+    },
 }
+
+
+def _read_section(section: str, given) -> dict:
+    """Every key of ``section`` read from ``given``, the mapping of its raw
+    text (None for a special word or an absent key without a default);
+    ``ConfigError`` naming a required key that is absent or a bad value."""
+    values = {}
+    for name, key in _KEYS[section].items():
+        raw = given.get(name, key.default)
+        if raw is _REQUIRED:
+            raise ConfigError(f"[{section}] {name} is required")
+        if raw is None or raw in key.words:
+            values[name] = None
+            continue
+        try:
+            if key.type == "list":  # _float_list's own ConfigError names a bad range
+                parsed = _float_list(raw, f"[{section}] {name}")
+            elif key.type == "integer":
+                parsed = [int(raw)] if raw.isdecimal() else []
+            else:
+                parsed = [float(raw) if key.type == "number" else raw]
+        except ValueError as exc:
+            if isinstance(exc, ConfigError):
+                raise
+            parsed = []
+        if not parsed or not all(map(key.ok, parsed)):
+            must_be = " or ".join((key.rule, *key.words))
+            raise ConfigError(f"[{section}] {name} must be {must_be}, got {raw}")
+        values[name] = parsed if key.type == "list" else parsed[0]
+    return values
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed configuration document; sections that are absent stay None."""
+    """Parsed configuration document; sections that are absent stay None, and
+    the sections kept as dicts map every key of the section to its value."""
 
     spec: LatticeSpec | None
     readouts: tuple[ModeReadout, ...] | None
@@ -87,7 +179,7 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"configuration file {path} does not exist")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -95,74 +187,46 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]{_find_line(path, '[' + section + ']')}")
         for key in parser[section]:
-            if key not in _SECTION_KEYS[section]:
-                raise ConfigError(
-                    f"unknown key {key!r} in section [{section}]{_find_line(path, key)}"
-                )
+            if key not in _KEYS[section]:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]{_find_line(path, key)}")
+    read = {section: _read_section(section, parser[section]) for section in parser.sections()}
 
-    try:
-        spec = _parse_lattice(parser) if parser.has_section("lattice") else None
-        readouts = _parse_readout(parser, spec) if parser.has_section("readout") else None
-        measurement = _parse_measurement(parser) if parser.has_section("measurement") else None
-        dis = _parse_disorder(parser) if parser.has_section("disorder") else None
-        circ = dict(parser["circuit"]) if parser.has_section("circuit") else None
-    except (ValueError, KeyError) as exc:
+    try:  # the checks of the library's dataclasses
+        spec = _parse_lattice(read) if "lattice" in read else None
+        readouts = _parse_readout(read["readout"], spec) if "readout" in read else None
+    except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid configuration {path}: {exc}") from exc
-    return RunConfig(spec, readouts, measurement, dis, circ, path)
+    return RunConfig(spec, readouts, read.get("measurement"), read.get("disorder"),
+                     read.get("circuit"), path)
 
 
-def _parse_lattice(parser: configparser.ConfigParser) -> LatticeSpec:
-    lat = parser["lattice"]
-    kinds = [t.value for t in Topology]
-    if lat["kind"] not in kinds:
-        raise ConfigError(f"[lattice] kind must be one of {', '.join(kinds)}, got {lat['kind']}")
+def _parse_lattice(read: dict) -> LatticeSpec:
+    lat = read["lattice"]
     kind = Topology(lat["kind"])
-    if kind is Topology.SSH_CHAIN:
-        cells = lat["n_cells"]
-        if not (cells.isdecimal() and int(cells) >= 1):
-            raise ConfigError(f"[lattice] n_cells must be an integer >= 1, got {cells}")
-        n_sites = 2 * int(cells)
-    else:
-        n_sites = 24
-    if "cavity_freqs_hz" in lat:
-        cavity = _float_list(lat["cavity_freqs_hz"], "[lattice] cavity_freqs_hz")
-        if len(cavity) != n_sites:
-            raise ConfigError(f"cavity_freqs_hz must list {n_sites} values")
-    else:
-        cavity = [float(lat["cavity_freq_hz"])] * n_sites
+    if kind is Topology.SSH_CHAIN and lat["n_cells"] is None:
+        raise ConfigError(f"[lattice] n_cells is required for an {kind.value} lattice")
+    n_sites = 2 * lat["n_cells"] if kind is Topology.SSH_CHAIN else 24
+    cavity = lat["cavity_freqs_hz"] or [lat["cavity_freq_hz"]] * n_sites
+    if cavity[0] is None:
+        raise ConfigError("[lattice] cavity_freq_hz (or cavity_freqs_hz) is required")
+    if len(cavity) != n_sites:
+        raise ConfigError(f"[lattice] cavity_freqs_hz must list {n_sites} values")
 
-    cp = parser["couplings"] if parser.has_section("couplings") else {}
-    couplings = Couplings(
-        j=float(cp.get("j_hz", 0.0)),
-        j_prime=float(cp.get("j_prime_hz", 0.0)),
-        j2=float(cp.get("j2_hz", 0.0)),
-        j3=float(cp.get("j3_hz", 0.0)),
-        j3_prime=float(cp.get("j3_prime_hz", 0.0)),
-    )
+    cp = read["couplings"] if "couplings" in read else _read_section("couplings", {})
+    couplings = Couplings(**{key.removesuffix("_hz"): value for key, value in cp.items()})
 
-    if parser.has_section("mechanics"):
-        mech = parser["mechanics"]
-        freqs = _expand(mech["freqs_hz"], n_sites, "[mechanics] freqs_hz")
-        widths = _expand(mech["linewidths_hz"], n_sites, "[mechanics] linewidths_hz")
-        g0s = _expand(mech.get("g0_hz", "0"), n_sites, "[mechanics] g0_hz")
+    if "mechanics" in read:
+        mech = read["mechanics"]
+        freqs, widths, g0s = (_expand(mech[key], n_sites, f"[mechanics] {key}")
+                              for key in ("freqs_hz", "linewidths_hz", "g0_hz"))
     else:
-        freqs = [1.0] * n_sites  # placeholder mechanics for purely microwave runs
-        widths = [0.0] * n_sites
-        g0s = [0.0] * n_sites
-    cavity_key = "cavity_freqs_hz" if "cavity_freqs_hz" in lat else "cavity_freq_hz"
-    for section, key, values, strict in [
-        ("lattice", cavity_key, cavity, True), ("mechanics", "freqs_hz", freqs, True),
-        ("mechanics", "linewidths_hz", widths, False), ("mechanics", "g0_hz", g0s, False),
-    ]:
-        v = np.array(values)
-        if not np.all(((v > 0) if strict else (v >= 0)) & (v < np.inf)):  # NaN fails both
-            raise ConfigError(f"[{section}] {key} must be finite and {'>' if strict else '>='} 0, "
-                              f"got {parser[section][key]}")
+        # placeholder mechanics for purely microwave runs
+        freqs, widths, g0s = [1.0] * n_sites, [0.0] * n_sites, [0.0] * n_sites
     sites = tuple(
         SiteParams(cavity_freq=c, mech_freq=f, mech_linewidth=w, g0=g)
         for c, f, w, g in zip(cavity, freqs, widths, g0s)
@@ -170,93 +234,27 @@ def _parse_lattice(parser: configparser.ConfigParser) -> LatticeSpec:
     return LatticeSpec(kind=kind, n_sites=n_sites, sites=sites, couplings=couplings)
 
 
-def _expand(raw: str, n: int, name: str) -> list[float]:
-    values = _float_list(raw, name)
-    if len(values) == 1:
-        return values * n
-    if len(values) != n:
+def _expand(values: list[float], n: int, name: str) -> list[float]:
+    if len(values) not in (1, n):
         raise ConfigError(f"{name} must list 1 or {n} values, got {len(values)}")
-    return values
+    return values * n if len(values) == 1 else values
 
 
-def _parse_readout(parser, spec: LatticeSpec | None) -> tuple[ModeReadout, ...]:
+def _parse_readout(ro: dict, spec: LatticeSpec | None) -> tuple[ModeReadout, ...]:
     if spec is None:
         raise ConfigError("[readout] requires a [lattice] section")
-    ro = parser["readout"]
     n = spec.n_sites
     kappas = _expand(ro["kappa_tot_hz"], n, "[readout] kappa_tot_hz")
-    if "kappa_1_hz" in ro:
-        k1 = _expand(ro["kappa_1_hz"], n, "[readout] kappa_1_hz")
-    else:
-        frac = float(ro.get("kappa_1_fraction", 0.25))
-        k1 = [frac * k for k in kappas]
-    if "kappa_2_hz" in ro:
-        k2 = _expand(ro["kappa_2_hz"], n, "[readout] kappa_2_hz")
-    else:
-        frac = float(ro.get("kappa_2_fraction", 0.25))
-        k2 = [frac * k for k in kappas]
-    trans = _expand(ro.get("transmittance", "1.0"), n, "[readout] transmittance")
+    k1, k2 = (
+        [ro[f"kappa_{i}_fraction"] * k for k in kappas] if ro[f"kappa_{i}_hz"] is None
+        else _expand(ro[f"kappa_{i}_hz"], n, f"[readout] kappa_{i}_hz")
+        for i in (1, 2)
+    )
+    trans = _expand(ro["transmittance"], n, "[readout] transmittance")
     return tuple(
         ModeReadout(kappa_tot=k, kappa_1=a, kappa_2=b, transmittance=t)
         for k, a, b, t in zip(kappas, k1, k2, trans)
     )
-
-
-def _parse_seed(section) -> int:
-    seed = int(section.get("seed", 0))
-    if seed < 0:
-        raise ConfigError(f"[{section.name}] seed must be a non-negative integer, got {seed}")
-    return seed
-
-
-def _parse_measurement(parser) -> dict:
-    m = parser["measurement"]
-    snr_raw = m.get("snr", "100")
-    out = {
-        "n_powers": int(m.get("n_powers", 10)),
-        "drive_flux_max": None if m.get("drive_flux_max", "auto") == "auto"
-        else float(m["drive_flux_max"]),
-        "snr": None if snr_raw in ("inf", "none") else float(snr_raw),
-        "p0": float(m.get("p0", 1.0)),
-        "samples_per_trace": int(m.get("samples_per_trace", 140)),
-        "seed": _parse_seed(m),
-    }
-    flux_max, snr, p0 = out["drive_flux_max"], out["snr"], out["p0"]
-    for key, ok, rule in [
-        ("n_powers", out["n_powers"] >= 2, "at least 2"),
-        ("drive_flux_max", flux_max is None or (np.isfinite(flux_max) and flux_max > 0),
-         "finite and > 0, or auto"),
-        ("snr", snr is None or snr > 0, "> 0, inf or none"),
-        ("p0", np.isfinite(p0) and p0 > 0, "finite and > 0"),
-        ("samples_per_trace", out["samples_per_trace"] >= 2, "at least 2"),
-    ]:
-        if not ok:
-            raise ConfigError(f"[measurement] {key} must be {rule}, got {out[key]}")
-    return out
-
-
-def _parse_disorder(parser) -> dict:
-    d = parser["disorder"]
-    out = {
-        "sigma_grid": np.array(_float_list(d["sigma_grid"], "[disorder] sigma_grid")),
-        "samples": int(d.get("samples", 4000)),
-        "seed": _parse_seed(d),
-        "confidence": float(d.get("confidence", 0.9)),
-    }
-    if "zeta_measured" in d:
-        out["zeta_measured"] = float(d["zeta_measured"])
-    sigma, zeta = out["sigma_grid"], out.get("zeta_measured", 0.0)
-    for key, ok, rule in [
-        ("sigma_grid", sigma.size > 0 and bool(np.all(np.isfinite(sigma) & (sigma >= 0))),
-         "one or more finite values >= 0"),
-        ("samples", out["samples"] >= 1, "at least 1"),
-        ("confidence", out["confidence"] in _BAND_PERCENTILES,
-         f"one of {sorted(_BAND_PERCENTILES)}"),
-        ("zeta_measured", 0.0 <= zeta <= 1.0, "in [0, 1]"),
-    ]:
-        if not ok:
-            raise ConfigError(f"[disorder] {key} must be {rule}, got {d[key]}")
-    return out
 
 
 # ---------------------------------------------------------------------------

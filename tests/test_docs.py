@@ -1,20 +1,25 @@
-"""The README's "Command line" table lists what the parser accepts."""
+"""The README's "Command line" table lists what the parser accepts, and its
+"Configuration format" table the keys the configuration reader reads."""
 
 import argparse
 import re
 from pathlib import Path
 
+from omlattice import io as om_io
 from omlattice.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def readme_section(title: str) -> str:
+    return README.read_text().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def readme_options() -> dict[str, dict[str, bool]]:
     """Options of each subcommand in the README table, mapped to whether they
     are required (an optional one is written in brackets)."""
-    section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     table = {}
-    for line in section.splitlines():
+    for line in readme_section("Command line").splitlines():
         cells = [cell.strip() for cell in line.strip("|").split("|")]
         name = re.fullmatch(r"`([a-z-]+)`", cells[0])
         if line.startswith("|") and name:
@@ -37,3 +42,26 @@ def parser_options() -> dict[str, dict[str, bool]]:
 
 def test_readme_command_line_table_matches_the_parser():
     assert readme_options() == parser_options()
+
+
+def readme_config_keys() -> dict[tuple[str, str], tuple[str, str, str]]:
+    """Type, default and rule of each (section, key) in the README table."""
+    table = {}
+    for line in readme_section("Configuration format").splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        section = re.fullmatch(r"`\[([a-z]+)\]`", cells[0])
+        if line.startswith("|") and section:
+            table[section.group(1), cells[1].strip("`")] = (cells[2], cells[3].strip("`"), cells[4])
+    return table
+
+
+def reader_config_keys() -> dict[tuple[str, str], tuple[str, str, str]]:
+    """The same for the key table the configuration reader reads by."""
+    def default(key):
+        return {om_io._REQUIRED: "required", None: "—"}.get(key.default, key.default)
+    return {(section, name): (key.type, default(key), " or ".join((key.rule, *key.words)))
+            for section, keys in om_io._KEYS.items() for name, key in keys.items()}
+
+
+def test_readme_configuration_table_matches_the_key_table():
+    assert readme_config_keys() == reader_config_keys()

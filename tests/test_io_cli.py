@@ -62,19 +62,26 @@ def small_cfg(tmp_path):
     return path
 
 
-def edited_config(tmp_path: Path, section: str, key: str, value: str) -> Path:
-    """SMALL_CFG with ``key`` of ``[section]`` set to ``value``."""
-    parser = configparser.ConfigParser()
+def edited_config(tmp_path: Path, section: str, key: str, value: str | None) -> Path:
+    """SMALL_CFG with ``key`` of ``[section]`` set to ``value``, or deleted
+    when ``value`` is None; a section SMALL_CFG lacks is added."""
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(SMALL_CFG)
-    parser[section][key] = value
+    if not parser.has_section(section):
+        parser.add_section(section)
+    if value is None:
+        del parser[section][key]
+    else:
+        parser[section][key] = value
     path = tmp_path / "edited.cfg"
     with open(path, "w") as fh:
         parser.write(fh)
     return path
 
 
-# Values outside the lattice, measurement or disorder model, with the
-# subcommand that reads them: each is a configuration error.
+# Values outside the lattice, measurement, disorder or circuit model, values
+# that do not parse and required keys left out (None), with the subcommand
+# that reads them: each is a configuration error.
 OUTSIDE_THE_MODEL = [
     ("spectrum", "lattice", "kind", "kagome"),
     ("spectrum", "lattice", "kind", "ribbon-unit-cell"),
@@ -125,6 +132,21 @@ OUTSIDE_THE_MODEL = [
     ("disorder", "disorder", "zeta_measured", "1.5"),
     ("disorder", "disorder", "zeta_measured", "-0.1"),
     ("disorder", "disorder", "zeta_measured", "nan"),
+    ("measure-sim", "measurement", "seed", "2.5"),
+    ("measure-sim", "measurement", "seed", "%(x)s"),  # read as written, not interpolated
+    ("measure-sim", "measurement", "n_powers", "ten"),
+    ("disorder", "disorder", "samples", "1e3"),
+    ("spectrum", "couplings", "j_hz", "abc"),
+    ("measure-sim", "measurement", "p0", "x"),
+    ("measure-sim", "measurement", "snr", "abc"),
+    ("measure-sim", "readout", "kappa_1_fraction", "2"),
+    ("circuit", "circuit", "inductance_h", "abc"),
+    ("circuit", "circuit", "inductance_h", "nan"),
+    ("circuit", "circuit", "inductance_h", "-1e-9"),
+    ("circuit", "circuit", "neumann_segments", "4"),
+    ("circuit", "circuit", "neumann_segments", "2.5"),
+    ("spectrum", "lattice", "n_cells", None),
+    ("measure-sim", "readout", "kappa_tot_hz", None),
 ]
 
 
@@ -810,6 +832,35 @@ class TestCliCircuit:
         cfg.write_text("[circuit]\nneumann_segments = 100\n")
         out = tmp_path / "out"
         assert main(["circuit", "--config", str(cfg), "--out", str(out)]) == 2
+
+    def test_non_finite_result_exits_3_without_outputs(self, tmp_path, capsys):
+        # L * C underflows to 0, so the resonance frequency is infinite,
+        # which JSON cannot hold
+        cfg = tmp_path / "circ.cfg"
+        cfg.write_text("[circuit]\ninductance_h = 1e-200\ncapacitance_f = 1e-200\n")
+        out = tmp_path / "out"
+        assert main(["circuit", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("numerical failure:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row", ["1e-3,1e-3,abc", "1e-3,1e-3,0,0", "1e-3,1e-3"])
+    def test_malformed_loop_row_exits_2_naming_the_file_and_line(self, tmp_path, capsys, row):
+        for name, z in (("a.csv", 0.0), ("b.csv", 2e-3)):
+            curve = om.WireCurve.circle(1e-3, (0, 0, z), n_points=16)
+            np.savetxt(tmp_path / name, curve.points, delimiter=",", header="x_m,y_m,z_m")
+        lines = (tmp_path / "a.csv").read_text().splitlines()
+        lines[5] = row  # line 6 of the file; line 1 is the header
+        (tmp_path / "a.csv").write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "circ.cfg"
+        cfg.write_text("[circuit]\nloop_csv_a = a.csv\nloop_csv_b = b.csv\n")
+        out = tmp_path / "out"
+        assert main(["circuit", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith(f"configuration error: {tmp_path / 'a.csv'} line 6: ")
+        assert not out.exists()
 
 
 def test_json_format_flag(small_cfg, tmp_path):
