@@ -27,8 +27,10 @@ class CircuitCell:
     capacitance: float  # F
 
     def __post_init__(self):
-        if self.inductance <= 0 or self.capacitance <= 0:
+        if not (self.inductance > 0 and self.capacitance > 0):
             raise ValueError("inductance and capacitance must be positive")
+        if not 0 < self.inductance * self.capacitance < np.inf:
+            raise ValueError(f"L * C = {self.inductance} * {self.capacitance} leaves float range")
 
     @property
     def resonance_freq(self) -> float:

@@ -158,6 +158,9 @@ def cmd_recover(config: io_mod.RunConfig, out: Path, dataset_dir: Path, fmt: str
     spec = _require(config.spec, "lattice")
     dataset = MeasurementDataset.load(dataset_dir)
     reference = diagonalize(build_lattice(spec))
+    if reference.n_modes != dataset.n_modes:
+        raise io_mod.ConfigError(f"configuration {config.path} has {reference.n_modes} sites, but "
+                                 f"dataset {dataset_dir} has {dataset.n_modes} modes")
     result = recover(dataset, reference)
 
     if fmt == "json":

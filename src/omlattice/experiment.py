@@ -8,17 +8,6 @@ damping-slope regression, slope inversion, iterative normalization, sign
 assignment from a theory reference, orthogonality correction, and
 reconstruction of the site-basis Hamiltonian.
 
-The measurement noise of a dataset is one counter-based Philox block drawn
-from its master seed, so a simulation is bit-reproducible for a fixed seed
-and sizes (see ``simulate_measurement``).
-
-A dataset holds its traces as dense arrays: ``times`` and ``powers`` of
-shape ``(modes, sites, powers, S)``, the trace lengths ``samples`` of shape
-``(modes, sites, powers)`` (0 for a missing trace; a trace's samples past
-its length are padding), the generator's ``true_gamma_eff`` of the same
-shape and one ``noise_floor``.  ``MeasurementDataset.traces`` is a read-only
-mapping view over them that gives each present trace as a ``RingdownTrace``.
-
 A saved dataset is a directory holding ``manifest.json``, ``h_true.csv``
 and ``traces/traces.npy``.  The manifest (``"format": 3``) holds the
 dataset's parameters, ``samples``, ``true_gamma_eff_hz`` (null where
@@ -33,7 +22,7 @@ from __future__ import annotations
 
 import json
 import operator
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
@@ -86,15 +75,8 @@ class ModeReadout:
 
 # The manifest format MeasurementDataset.save writes and load reads.
 MANIFEST_FORMAT = 3
-# Keys that MeasurementDataset.load reads from a manifest, from its
-# format-3 fields and from each readout entry (in ModeReadout's field order).
-_MANIFEST_KEYS = ("readouts", "mode_freqs_hz", "mech_freqs_hz", "mech_linewidths_hz",
-                  "drive_fluxes", "master_seed", "site_labels")
-_FORMAT_KEYS = ("samples", "true_gamma_eff_hz", "noise_floor")
+# The keys of a readout entry, in ModeReadout's field order.
 _READOUT_KEYS = ("kappa_tot_hz", "kappa_1_hz", "kappa_2_hz", "transmittance")
-# The trace indices and the manifest lists whose lengths bound them.
-_TRACE_INDICES = (("mode", "mode_freqs_hz"), ("site", "mech_freqs_hz"),
-                  ("power_index", "drive_fluxes"))
 # Where MeasurementDataset.save puts every trace, relative to the dataset.
 TRACE_FILE = "traces/traces.npy"
 # MeasurementDataset.load refuses a dataset whose traces, padded to the
@@ -104,62 +86,121 @@ MAX_PADDING = 4
 PADDING_ALLOWANCE = 2**16
 
 
-def _require(entry, keys, where: str, path: Path) -> None:
-    """``io.ConfigError`` naming the manifest ``path`` when ``entry`` is not
-    an object or lacks one of ``keys`` (named with the prefix ``where``)."""
+@dataclass(frozen=True)
+class _Field:
+    """A manifest field: its JSON type (``number``, ``integer``, ``text`` or
+    ``readout``, an object of the :data:`_READOUT_KEYS`), the axes its array
+    spans (none: a scalar), the rule each entry must pass, as text and as a
+    test of the whole array, and whether only format 3 has it."""
+
+    type: str
+    size: tuple[str, ...]
+    rule: str
+    ok: Callable[[np.ndarray], np.ndarray]
+    format3: bool = False
+
+
+# Every field of a dataset manifest besides its "format", in the order they
+# are checked; an axis takes its size from the first field that spans it.
+# The MeasurementDataset attribute of a field is its name without "_hz".
+_FIELDS = {
+    # recover_from_slopes matches mode rows to the reference by index
+    "mode_freqs_hz": _Field("number", ("n",), "finite > 0 and non-decreasing",
+                            lambda a: (0 < a) & (a < np.inf) & (np.diff(a, prepend=0) >= 0)),
+    "mech_freqs_hz": _Field("number", ("n",), "finite > 0", lambda a: (0 < a) & (a < np.inf)),
+    "mech_linewidths_hz": _Field("number", ("n",), "finite >= 0", lambda a: (0 <= a) & (a < np.inf)),
+    # a site label is a header cell of the CSV files recover writes
+    "site_labels": _Field("text", ("n",), "without ',' or line break",
+                          lambda a: (np.char.find(a, ",") < 0) & (np.char.find(a, "\n") < 0)),
+    "readouts": _Field("readout", ("n",), f"the keys {', '.join(_READOUT_KEYS)}, which ModeReadout "
+                       "accepts", None),
+    "drive_fluxes": _Field("number", ("powers",), "finite > 0, at least 2",
+                           lambda a: (0 < a) & (a < np.inf) & (a.size >= 2)),
+    "master_seed": _Field("integer", (), ">= 0", lambda a: a >= 0),
+    "samples": _Field("integer", ("n", "n", "powers"), ">= 0", lambda a: a >= 0, True),
+    "true_gamma_eff_hz": _Field("number", ("n", "n", "powers"), "finite >= 0, or null",
+                                lambda a: np.isnan(a) | ((0 <= a) & (a < np.inf)), True),
+    "noise_floor": _Field("number", (), "finite >= 0", lambda a: (0 <= a) & (a < np.inf), True),
+}
+
+
+def _as_array(raw, kind: str) -> np.ndarray | None:
+    """``raw`` as an array of the field type ``kind`` (numbers and readout
+    rows as floats, null as NaN), or None when it is not of that type."""
+    try:
+        if kind == "readout":
+            raw = [[entry[key] for key in _READOUT_KEYS] for entry in raw]
+        elif kind == "integer" and type(raw) is int:  # also one that int64 cannot hold
+            return np.array(raw, dtype=object)
+        array = np.array(raw)
+        if array.dtype == object and kind == "number":
+            array = np.array(np.where(np.equal(array, None), np.nan, array).tolist())
+    except (KeyError, TypeError, ValueError):  # ValueError: ragged lists
+        return None
+    if array.dtype.kind not in {"integer": "iu", "text": "U"}.get(kind, "iuf"):
+        return None
+    return array.astype(float) if kind in ("number", "readout") else array
+
+
+def read_manifest(path: Path, version: int | None = MANIFEST_FORMAT) -> tuple[dict, dict]:
+    """The JSON object of the dataset manifest at ``path`` of format
+    ``version`` (None: an earlier version, without the format-3 fields) and
+    the checked values of its :data:`_FIELDS`: arrays, scalars, and tuples
+    for ``site_labels`` and ``readouts`` (of :class:`ModeReadout`).
+    ``io.ConfigError`` naming the manifest and the key on any violation."""
     from .io import ConfigError  # io imports this module
-
-    if not isinstance(entry, dict):
-        raise ConfigError(f"dataset manifest {path}: {where or 'top level'} is not an object")
-    for key in keys:
-        if key not in entry:
-            raise ConfigError(f"dataset manifest {path} is missing key '{where}{key}'")
-
-
-def _read_fields(path: Path) -> dict:
-    """Load a dataset manifest and check the fields every version has:
-    ``io.ConfigError`` naming the manifest and the key when it is not JSON,
-    lacks a key, has a list field that is not a list, a readout out of
-    range or a ``master_seed`` that is not a non-negative integer."""
-    from .io import ConfigError
 
     with open(path) as fh:
         try:
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"dataset manifest {path} is not valid JSON: {exc}") from None
-    _require(manifest, _MANIFEST_KEYS, "", path)
-    for field in ("readouts", "site_labels") + tuple(axis for _, axis in _TRACE_INDICES):
-        if not isinstance(manifest[field], list):
-            raise ConfigError(f"dataset manifest {path}: '{field}' is not a list")
-    for i, item in enumerate(manifest["readouts"]):
-        _require(item, _READOUT_KEYS, f"readouts[{i}].", path)
-        try:
-            ModeReadout(*(item[key] for key in _READOUT_KEYS))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"dataset manifest {path}: readouts[{i}]: {exc}") from None
-    seed = manifest["master_seed"]
-    if type(seed) is not int or seed < 0:
-        raise ConfigError(f"dataset manifest {path}: 'master_seed' {seed!r} is not a "
-                          "non-negative integer")
-    return manifest
-
-
-def _read_manifest(path: Path) -> dict:
-    """Load a format-3 dataset manifest: :func:`_read_fields`, then
-    ``io.ConfigError`` when it has no ``format`` (an earlier version, which
-    ``tools/upgrade_dataset.py`` converts), another format or lacks a key."""
-    from .io import ConfigError
-
-    manifest = _read_fields(path)
-    if "format" not in manifest:
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"dataset manifest {path}: top level is not an object")
+    found = manifest.get("format")
+    if version is None and "format" in manifest:
+        raise ConfigError(f"dataset manifest {path} has format {found!r}; "
+                          "only manifests without a 'format' key are converted")
+    if version is not None and "format" not in manifest:
         raise ConfigError(f"dataset manifest {path} is from an earlier version (no 'format' key); "
                           "convert it to format 3 with `python tools/upgrade_dataset.py OLD NEW`")
-    if type(manifest["format"]) is not int or manifest["format"] != MANIFEST_FORMAT:
-        raise ConfigError(f"dataset manifest {path} has unknown format {manifest['format']!r}; "
-                          f"this version reads format {MANIFEST_FORMAT}")
-    _require(manifest, _FORMAT_KEYS, "", path)
-    return manifest
+    if version is not None and (type(found) is not int or found != version):
+        raise ConfigError(f"dataset manifest {path} has unknown format {found!r}; "
+                          f"this version reads format {version}")
+    sizes, values = {}, {}
+    for key, field in _FIELDS.items():
+        if field.format3 and version is None:
+            continue
+        if key not in manifest:
+            raise ConfigError(f"dataset manifest {path} is missing key '{key}'")
+        # with the sizes known before this field: "4 × 4 × 5 integers", "n numbers", "one number"
+        what = " × ".join(str(sizes.get(axis, axis)) for axis in field.size) + f" {field.type}s" \
+            if field.size else f"one {field.type}"
+        value, got = _as_array(manifest[key], field.type), None
+        ndim = len(field.size) + (field.type == "readout")  # a readout is a row of numbers
+        if value is None or value.ndim != ndim or value.size == 0 \
+                or not all(sizes.setdefault(axis, n) == n for axis, n in zip(field.size, value.shape)):
+            got = repr(manifest[key])[:80]
+        elif field.type == "readout":
+            readouts = []
+            for i, row in enumerate(value.tolist()):
+                try:
+                    readouts.append(ModeReadout(*row))
+                except ValueError as exc:
+                    got = f"readouts[{i}]: {exc}"
+                    break
+            value = tuple(readouts)
+        else:  # the first entry that breaks the rule
+            bad = np.argwhere(~np.atleast_1d(np.asarray(field.ok(value), dtype=bool))).tolist()
+            if bad:
+                got = f"{key}{bad[0]} = {value[tuple(bad[0])].item()!r}" if field.size \
+                    else repr(manifest[key])
+        if got:
+            raise ConfigError(f"dataset manifest {path}: '{key}' must be {what}: {field.rule}; "
+                              f"got {got}")
+        values[key] = tuple(value.tolist()) if field.type == "text" else \
+            value if field.size else value.item()
+    return manifest, values
 
 
 def _read_trace_array(path: Path) -> np.ndarray:
@@ -180,23 +221,6 @@ def _read_trace_array(path: Path) -> np.ndarray:
     return data
 
 
-def _manifest_array(manifest: dict, key: str, shape: tuple, path: Path, counts: bool):
-    """``manifest[key]`` as an array of ``shape``: non-negative integers when
-    ``counts``, else floats (null read as NaN); ``io.ConfigError`` naming the
-    manifest otherwise."""
-    from .io import ConfigError
-
-    try:
-        array = np.array(manifest[key], dtype=None if counts else float)
-    except (ValueError, TypeError):
-        array = None
-    if array is None or array.shape != shape \
-            or (counts and (array.dtype.kind not in "iu" or (array < 0).any())):
-        kind = "non-negative integers" if counts else "numbers"
-        raise ConfigError(f"dataset manifest {path}: '{key}' is not a {shape} array of {kind}")
-    return array
-
-
 def _check_padding(lengths: np.ndarray, slots: int, path: Path) -> None:
     """``io.ConfigError`` naming the manifest ``path`` when ``slots`` traces
     padded to the longest of ``lengths`` would hold more than
@@ -212,18 +236,12 @@ def _check_padding(lengths: np.ndarray, slots: int, path: Path) -> None:
                           f"{total} samples of data")
 
 
-def _read_format3(manifest: dict, path: Path, trace_path: Path, shape: tuple) -> dict:
-    """The trace arrays of a format-3 dataset (``MeasurementDataset`` fields);
-    ``io.ConfigError`` naming the manifest or the trace file when they are
-    malformed or disagree, or when a present trace would not make a valid
-    :class:`~omlattice.measure.RingdownTrace`."""
+def _read_traces(samples: np.ndarray, path: Path, trace_path: Path) -> dict:
+    """The ``times`` and ``powers`` of a format-3 dataset whose manifest
+    ``path`` gives the trace ``samples``; ``io.ConfigError`` naming a file
+    when they disagree or a trace is not a valid ringdown."""
     from .io import ConfigError
 
-    samples = _manifest_array(manifest, "samples", shape, path, counts=True)
-    true_gamma = _manifest_array(manifest, "true_gamma_eff_hz", shape, path, counts=False)
-    floor = manifest["noise_floor"]
-    if type(floor) not in (int, float):
-        raise ConfigError(f"dataset manifest {path}: 'noise_floor' {floor!r} is not a number")
     data = _read_trace_array(trace_path)
     width = data.shape[1]
     # a length beyond the file's width is checked first: it cannot fit, and
@@ -240,8 +258,7 @@ def _read_format3(manifest: dict, path: Path, trace_path: Path, shape: tuple) ->
         (k, i, p), rule = fault
         raise ConfigError(f"dataset trace file {trace_path}, trace of mode {k}, site {i}, "
                           f"power_index {p}: {rule}")
-    return dict(times=times, powers=powers, samples=samples, true_gamma_eff=true_gamma,
-                noise_floor=float(floor))
+    return dict(times=times, powers=powers)
 
 
 class _TraceView(Mapping):
@@ -312,10 +329,6 @@ class MeasurementDataset:
     def n_modes(self) -> int:
         return len(self.mode_freqs)
 
-    @property
-    def n_sites(self) -> int:
-        return len(self.mech_freqs)
-
     def fit_all(self) -> np.ndarray:
         """Fit every ringdown and regress each (mode, site) damping rate
         against the source flux; returns and caches the slope matrix.
@@ -385,21 +398,14 @@ class MeasurementDataset:
         directory = Path(directory)
         (directory / "traces").mkdir(parents=True, exist_ok=True)
         present = np.arange(self.times.shape[-1]) < self.samples[..., None]
-        true_gamma = self.true_gamma_eff.astype(object)
-        true_gamma[np.isnan(self.true_gamma_eff)] = None
-        manifest = {
-            "format": MANIFEST_FORMAT,
-            "mode_freqs_hz": self.mode_freqs.tolist(),
-            "readouts": [dict(zip(_READOUT_KEYS, astuple(r))) for r in self.readouts],
-            "mech_freqs_hz": self.mech_freqs.tolist(),
-            "mech_linewidths_hz": self.mech_linewidths.tolist(),
-            "drive_fluxes": self.drive_fluxes.tolist(),
-            "master_seed": self.master_seed,
-            "site_labels": list(self.site_labels),
-            "samples": self.samples.tolist(),
-            "true_gamma_eff_hz": true_gamma.tolist(),
-            "noise_floor": float(self.noise_floor),
-        }
+        manifest = {"format": MANIFEST_FORMAT}
+        for key, field in _FIELDS.items():
+            value = getattr(self, key.removesuffix("_hz"))
+            if field.type == "readout":
+                value = [dict(zip(_READOUT_KEYS, astuple(r))) for r in value]
+            elif field.type == "number":
+                value = np.where(np.isnan(value), None, value)  # NaN, unknown, is null
+            manifest[key] = np.asarray(value).tolist()
         # json.dumps without indent runs the C encoder; json.dump never does
         with open(directory / "manifest.json", "w") as fh:
             fh.write(json.dumps(manifest, sort_keys=True))
@@ -415,33 +421,20 @@ class MeasurementDataset:
         names the converter), ``OSError`` when a file is missing."""
         directory = Path(directory)
         path = directory / "manifest.json"
-        manifest = _read_manifest(path)
-        shape = tuple(len(manifest[axis]) for _, axis in _TRACE_INDICES)
-        return cls._from_manifest(manifest, directory,
-                                  _read_format3(manifest, path, directory / TRACE_FILE, shape))
+        values = read_manifest(path)[1]
+        return cls._from_manifest(values, directory,
+                                  **_read_traces(values["samples"], path, directory / TRACE_FILE))
 
     @classmethod
-    def _from_manifest(cls, manifest: dict, directory: Path, arrays: dict) -> "MeasurementDataset":
-        """The dataset of a checked ``manifest``, its trace ``arrays`` (fields
-        ``times`` to ``noise_floor``) and ``directory``'s ``h_true.csv``, if any."""
-        h_true = None
-        h_path = directory / "h_true.csv"
-        if h_path.exists():
-            from . import io as _io
+    def _from_manifest(cls, values: dict, directory: Path, **arrays) -> "MeasurementDataset":
+        """The dataset of the checked manifest ``values`` (:func:`read_manifest`),
+        the attributes they lack, ``arrays``, and ``directory``'s ``h_true.csv``."""
+        from .io import matrix_from_csv  # io imports this module
 
-            matrix, labels = _io.matrix_from_csv(h_path)
-            h_true = CouplingHamiltonian(matrix, labels)
-        return cls(
-            mode_freqs=np.array(manifest["mode_freqs_hz"]),
-            readouts=tuple(ModeReadout(*(r[key] for key in _READOUT_KEYS)) for r in manifest["readouts"]),
-            mech_freqs=np.array(manifest["mech_freqs_hz"]),
-            mech_linewidths=np.array(manifest["mech_linewidths_hz"]),
-            drive_fluxes=np.array(manifest["drive_fluxes"]),
-            master_seed=manifest["master_seed"],
-            site_labels=tuple(manifest["site_labels"]),
-            h_true=h_true,
-            **arrays,
-        )
+        h_path = directory / "h_true.csv"
+        h_true = CouplingHamiltonian(*matrix_from_csv(h_path)) if h_path.exists() else None
+        return cls(**{key.removesuffix("_hz"): value for key, value in values.items()}, **arrays,
+                   h_true=h_true)
 
 
 @dataclass(frozen=True)
@@ -470,8 +463,7 @@ def _pair_configs(readouts: tuple[ModeReadout, ...], mech_freqs, mech_linewidths
     ``mech_freqs``, ``mech_linewidths`` and ``g0`` (or scalars) along axis 1
     and ``flux`` along axis 2, so a damping formula evaluated on it with
     ``eta[:, :, None]`` returns ``(n, n, flux.size)``."""
-    mode = np.array([[r.kappa_tot, r.kappa_1, r.kappa_2, r.transmittance] for r in readouts])
-    mode = mode.T[:, :, None, None]
+    mode = np.array([astuple(r) for r in readouts]).T[:, :, None, None]
     freq, width, g = (np.asarray(x, dtype=float)[..., None] for x in (mech_freqs, mech_linewidths, g0))
     return DampingConfig(
         detuning=freq, kappa_tot=mode[0], kappa_1=mode[1], kappa_2=mode[2],

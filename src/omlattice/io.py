@@ -18,6 +18,7 @@ import numpy as np
 from .lattice import Couplings, LatticeSpec, SiteParams, Topology
 from .disorder import _BAND_PERCENTILES
 from .experiment import ModeReadout
+from .measure import MIN_FIT_SAMPLES
 
 
 class ConfigError(ValueError):
@@ -76,8 +77,9 @@ _FRACTION = "a number in [0, 1]", lambda v: 0 <= v <= 1
 _KINDS = [t.value for t in Topology]
 _CONFIDENCES = sorted(_BAND_PERCENTILES)
 
-# Every key of every section.  Conditions that tie keys together (list lengths,
-# kappa_1 + kappa_2 <= kappa_tot, |M| < L) are checked by what is built from them.
+# Every key of every section.  Conditions that tie keys together are checked by
+# load_config (|M| < L) or by what is built from them (list lengths,
+# kappa_1 + kappa_2 <= kappa_tot).
 _KEYS = {
     "lattice": {
         "kind": _Key("text", _REQUIRED, f"one of {', '.join(_KINDS)}", lambda v: v in _KINDS),
@@ -105,7 +107,8 @@ _KEYS = {
         "drive_flux_max": _Key("number", "auto", *_POSITIVE, words=("auto",)),
         "snr": _Key("number", "100", *_POSITIVE, words=("inf", "none")),
         "p0": _Key("number", "1.0", *_POSITIVE),
-        "samples_per_trace": _Key("integer", "140", "an integer >= 2", lambda v: v >= 2),
+        "samples_per_trace": _Key("integer", "140", f"an integer >= {MIN_FIT_SAMPLES}",
+                                  lambda v: v >= MIN_FIT_SAMPLES),
         "seed": _Key("integer", "0", "an integer >= 0", lambda v: v >= 0),
     },
     "disorder": {
@@ -194,6 +197,11 @@ def load_config(path) -> RunConfig:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]{_find_line(path, key)}")
     read = {section: _read_section(section, parser[section]) for section in parser.sections()}
 
+    circuit = read.get("circuit", {})
+    if None not in (circuit.get("inductance_h"), circuit.get("mutual_h")) \
+            and not abs(circuit["mutual_h"]) < circuit["inductance_h"]:
+        raise ConfigError(f"[circuit] mutual_h must be smaller than inductance_h in magnitude, "
+                          f"got {circuit['mutual_h']} and {circuit['inductance_h']}")
     try:  # the checks of the library's dataclasses
         spec = _parse_lattice(read) if "lattice" in read else None
         readouts = _parse_readout(read["readout"], spec) if "readout" in read else None

@@ -97,22 +97,6 @@ class DampingConfig:
         return self.kappa_tot < self.mech_freq
 
 
-_pow = np.frompyfunc(math.pow, 2, 1)
-
-
-def _square(x):
-    """``x ** 2`` by C ``pow``, element by element.
-
-    Python and numpy scalars square by ``pow``, numpy arrays by ``x * x``,
-    and the two differ in the last bit for about 0.1% of inputs.  The damping
-    formulas square through here, so an array call returns bit for bit the
-    values of the scalar calls, and of the datasets those wrote.
-    """
-    if np.ndim(x) == 0:
-        return x**2
-    return _pow(x, 2.0).astype(float)
-
-
 def _check_eta(eta) -> None:
     eta = np.asarray(eta)
     if _anywhere(~((eta >= 0.0) & (eta <= 1.0))):
@@ -126,7 +110,7 @@ def intracavity_photons(cfg: DampingConfig) -> float:
     delta = TWO_PI * cfg.detuning
     kappa = TWO_PI * cfg.kappa_tot
     return (TWO_PI * cfg.kappa_1) * cfg.transmittance * cfg.drive_flux / (
-        _square(delta) + _square(kappa) / 4.0
+        delta * delta + kappa * kappa / 4.0
     )
 
 
@@ -137,9 +121,8 @@ def _sideband_weight(cfg: DampingConfig) -> float:
     delta = TWO_PI * cfg.detuning
     kappa = TWO_PI * cfg.kappa_tot
     omega = TWO_PI * cfg.mech_freq
-    return kappa / (_square(omega - delta) + _square(kappa) / 4.0) - kappa / (
-        _square(omega + delta) + _square(kappa) / 4.0
-    )
+    lo, hi = omega - delta, omega + delta
+    return kappa / (lo * lo + kappa * kappa / 4.0) - kappa / (hi * hi + kappa * kappa / 4.0)
 
 
 def optomech_damping(cfg: DampingConfig, eta: float) -> float:
@@ -149,7 +132,7 @@ def optomech_damping(cfg: DampingConfig, eta: float) -> float:
     ``eta`` and array fields of ``cfg``."""
     _check_eta(eta)
     g_eff = TWO_PI * eta * cfg.g0
-    return intracavity_photons(cfg) * _square(g_eff) * _sideband_weight(cfg) / TWO_PI
+    return intracavity_photons(cfg) * (g_eff * g_eff) * _sideband_weight(cfg) / TWO_PI
 
 
 def effective_damping(cfg: DampingConfig, eta: float) -> float:
@@ -166,8 +149,8 @@ def damping_slope(cfg: DampingConfig, eta: float) -> float:
     delta = TWO_PI * cfg.detuning
     kappa = TWO_PI * cfg.kappa_tot
     g_eff = TWO_PI * eta * cfg.g0
-    slope_ang = (TWO_PI * cfg.kappa_1) * cfg.transmittance * _square(g_eff) / (
-        _square(delta) + _square(kappa) / 4.0
+    slope_ang = (TWO_PI * cfg.kappa_1) * cfg.transmittance * (g_eff * g_eff) / (
+        delta * delta + kappa * kappa / 4.0
     ) * _sideband_weight(cfg)
     return slope_ang / TWO_PI
 
@@ -190,7 +173,7 @@ def unnormalized_eta(slope: float, cfg: DampingConfig) -> float:
     weight = _sideband_weight(cfg)
     if _anywhere(weight <= 0):
         raise ValueError("sideband weight is non-positive at this detuning; cannot invert")
-    value = np.sqrt(TWO_PI * slope * (_square(delta) + _square(kappa) / 4.0) / weight) / TWO_PI**1.5
+    value = np.sqrt(TWO_PI * slope * (delta * delta + kappa * kappa / 4.0) / weight) / TWO_PI**1.5
     return float(value) if np.ndim(value) == 0 else value
 
 

@@ -253,3 +253,6 @@ def test_wire_curve_validation():
         om.WireCurve(np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0]], dtype=float))
     with pytest.raises(ValueError):
         om.CircuitCell(-1e-9, 1e-12)
+    for value in (1e-200, 1e200):  # L * C leaves float range
+        with pytest.raises(ValueError, match="leaves float range"):
+            om.CircuitCell(value, value)

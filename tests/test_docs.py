@@ -1,10 +1,12 @@
-"""The README's "Command line" table lists what the parser accepts, and its
-"Configuration format" table the keys the configuration reader reads."""
+"""The README's "Command line" table lists what the parser accepts, its
+"Configuration format" table the keys the configuration reader reads, and
+its "Dataset format" table the fields the dataset manifest reader reads."""
 
 import argparse
 import re
 from pathlib import Path
 
+from omlattice import experiment as om_experiment
 from omlattice import io as om_io
 from omlattice.cli import build_parser
 
@@ -65,3 +67,26 @@ def reader_config_keys() -> dict[tuple[str, str], tuple[str, str, str]]:
 
 def test_readme_configuration_table_matches_the_key_table():
     assert readme_config_keys() == reader_config_keys()
+
+
+def readme_manifest_fields() -> dict[str, tuple[str, str, str, str]]:
+    """Type, size, rule and formats of each field in the README table."""
+    table = {}
+    for line in readme_section("Dataset format").splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        field = re.fullmatch(r"`([a-z_]+)`", cells[0])
+        if line.startswith("|") and field:
+            table[field.group(1)] = (cells[1], cells[2].strip("`"), cells[3], cells[4])
+    return table
+
+
+def reader_manifest_fields() -> dict[str, tuple[str, str, str, str]]:
+    """The same for the field table the manifest reader reads by."""
+    def size(axes):
+        return "—" if not axes else axes[0] if len(axes) == 1 else f"({', '.join(axes)})"
+    return {key: (field.type, size(field.size), field.rule, "3" if field.format3 else "all")
+            for key, field in om_experiment._FIELDS.items()}
+
+
+def test_readme_dataset_table_matches_the_field_table():
+    assert readme_manifest_fields() == reader_manifest_fields()

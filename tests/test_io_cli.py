@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,8 @@ OUTSIDE_THE_MODEL = [
     ("measure-sim", "measurement", "p0", "nan"),
     ("measure-sim", "measurement", "p0", "inf"),
     ("measure-sim", "measurement", "samples_per_trace", "1"),
+    # every ringdown shorter than measure.MIN_FIT_SAMPLES could not be fitted
+    ("measure-sim", "measurement", "samples_per_trace", "9"),
     ("measure-sim", "measurement", "drive_flux_max", "0"),
     ("measure-sim", "measurement", "drive_flux_max", "-1e14"),
     ("measure-sim", "measurement", "drive_flux_max", "nan"),
@@ -194,6 +197,70 @@ def _locate(manifest: dict, key: str):
     *path, last = [int(t[1:-1]) if t.startswith("[") else t
                    for t in re.findall(r"\[\d+\]|[^.\[\]]+", key)]
     return functools.reduce(operator.getitem, path, manifest), last
+
+
+def _both(name, key, value, expected):
+    """The case of a field that manifests of every version have, for recover
+    and for the converter."""
+    return [pytest.param(convert, key, value, expected,
+                         id=f"{name}-{'converter' if convert else 'recover'}")
+            for convert in (False, True)]
+
+
+NAN = float("nan")
+# Manifest values outside the model: (convert, key, new value or an edit of
+# the old one, part of the message).  recover reads measure-sim's format-3
+# output, the converter a v2 dataset; format-3 fields are per-trace entries
+# there.
+VALUES_OUTSIDE_THE_MODEL = [
+    *_both("kappa-tot-negative", "readouts[0].kappa_tot_hz", -1,
+           "readouts[0]: kappa_tot must be positive"),
+    *_both("kappa-tot-nan", "readouts[3].kappa_tot_hz", NAN, "readouts[3]: kappa_tot must be positive"),
+    *_both("kappa-1-too-large", "readouts[1].kappa_1_hz", 1e9,
+           "readouts[1]: kappa_1 + kappa_2 cannot exceed kappa_tot"),
+    *_both("transmittance-string", "readouts[2].transmittance", "x",
+           "'readouts' must be 4 readouts: the keys kappa_tot_hz"),
+    *_both("seed-string", "master_seed", "x", "'master_seed' must be one integer: >= 0; got 'x'"),
+    *_both("seed-negative", "master_seed", -1, "'master_seed' must be one integer: >= 0; got -1"),
+    *_both("seed-float", "master_seed", 1.5, "'master_seed' must be one integer: >= 0; got 1.5"),
+    *_both("seed-bool", "master_seed", True, "'master_seed' must be one integer: >= 0; got True"),
+    *_both("labels-integers", "site_labels", lambda labels: list(range(len(labels))),
+           "'site_labels' must be 4 texts: without ',' or line break; got [0, 1, 2, 3]"),
+    *_both("labels-short", "site_labels", lambda labels: labels[:3], "'site_labels' must be 4 texts"),
+    *_both("labels-comma", "site_labels[1]", "a,b", "got site_labels[1] = 'a,b'"),
+    *_both("readouts-short", "readouts", lambda readouts: readouts[:3], "'readouts' must be 4 readouts"),
+    *_both("modes-descending", "mode_freqs_hz", lambda freqs: freqs[::-1],
+           "'mode_freqs_hz' must be n numbers: finite > 0 and non-decreasing; got mode_freqs_hz[1] = "),
+    *_both("mode-string", "mode_freqs_hz[0]", "x", "'mode_freqs_hz' must be n numbers"),
+    *_both("mode-nan", "mode_freqs_hz[0]", NAN, "got mode_freqs_hz[0] = nan"),
+    *_both("mode-list", "mode_freqs_hz[0]", [1.0], "'mode_freqs_hz' must be n numbers"),
+    *_both("mech-negative", "mech_freqs_hz[0]", -1, "'mech_freqs_hz' must be 4 numbers: finite > 0; "
+                                                     "got mech_freqs_hz[0] = -1.0"),
+    *_both("widths-strings", "mech_linewidths_hz", lambda widths: [str(w) for w in widths],
+           "'mech_linewidths_hz' must be 4 numbers: finite >= 0; got ['10.0', "),
+    *_both("widths-one", "mech_linewidths_hz", lambda widths: widths[:1],
+           "'mech_linewidths_hz' must be 4 numbers: finite >= 0; got [10.0]"),
+    *_both("flux-string", "drive_fluxes[0]", "x", "'drive_fluxes' must be powers numbers"),
+    *_both("flux-negative", "drive_fluxes[0]", -1, "got drive_fluxes[0] = -1.0"),
+    *_both("flux-nan", "drive_fluxes[0]", NAN, "got drive_fluxes[0] = nan"),
+    *_both("flux-one", "drive_fluxes", lambda fluxes: fluxes[:1], "finite > 0, at least 2; got "),
+    pytest.param(False, "noise_floor", NAN, "'noise_floor' must be one number: finite >= 0; got nan",
+                 id="floor-nan-recover"),
+    pytest.param(True, "traces[0].noise_floor", NAN,
+                 "traces[0].noise_floor nan is not a number finite >= 0", id="floor-nan-converter"),
+    pytest.param(False, "noise_floor", -1, "'noise_floor' must be one number: finite >= 0; got -1",
+                 id="floor-negative-recover"),
+    pytest.param(True, "traces[0].noise_floor", -1,
+                 "traces[0].noise_floor -1 is not a number finite >= 0", id="floor-negative-converter"),
+    # a float cannot hold it
+    pytest.param(True, "traces[0].noise_floor", 10**400,
+                 "traces[0].noise_floor 1000", id="floor-huge-converter"),
+    pytest.param(False, "true_gamma_eff_hz[1][2][3]", -1.0,
+                 "got true_gamma_eff_hz[1, 2, 3] = -1.0", id="gamma-negative-recover"),
+    pytest.param(True, "traces[5].true_gamma_eff_hz", -1.0,
+                 "traces[5].true_gamma_eff_hz -1.0 is not a number finite >= 0, or null",
+                 id="gamma-negative-converter"),
+]
 
 
 def _edit_csv(edit):
@@ -511,7 +578,8 @@ class TestCliMeasureAndRecover:
         assert not out.exists()
 
     @pytest.mark.parametrize("drop, expected", [
-        (None, "missing key 'readouts'"),
+        (None, "is from an earlier version (no 'format' key)"),
+        ("readouts", "missing key 'readouts'"),
         ("traces", "missing key 'traces'"),
         ("drive_fluxes", "missing key 'drive_fluxes'"),
         ("traces[0].file", "missing key 'traces[0].file'"),
@@ -526,8 +594,8 @@ class TestCliMeasureAndRecover:
         ("traces[0].site=4", "traces[0].site 4 is not an index into 'mech_freqs_hz'"),
         ("traces[0].power_index=1.5", "traces[0].power_index 1.5 is not an index into 'drive_fluxes'"),
         ("traces[0].power_index=true", "traces[0].power_index True is not an index"),
-        ("mode_freqs_hz=3", "'mode_freqs_hz' is not a list"),
-        ("site_labels=5", "'site_labels' is not a list"),
+        ("mode_freqs_hz=3", "'mode_freqs_hz' must be n numbers: finite > 0 and non-decreasing; got 3"),
+        ("site_labels=5", "'site_labels' must be 4 texts: without ',' or line break; got 5"),
         # two entries for one trace; per-trace values the dataset's arrays cannot hold
         ("traces[0].power_index=1", "traces[0] and traces[1] are both mode 0, site 0, power_index 1"),
         ("traces[1].noise_floor=0.5", "traces[1].noise_floor 0.5 is not a number equal to traces[0]'s"),
@@ -536,11 +604,13 @@ class TestCliMeasureAndRecover:
         ("format=4", "unknown format 4"),
         ("format=\"3\"", "unknown format '3'"),
         ("samples", "missing key 'samples'"),
-        ("samples=[[60]]", "'samples' is not a (4, 4, 5) array of non-negative integers"),
-        ("samples[0][0][0]=-60", "'samples' is not a (4, 4, 5) array of non-negative integers"),
+        ("samples=[[60]]", "'samples' must be 4 × 4 × 5 integers: >= 0; got [[60]]"),
+        ("samples[0][0][0]=-60", "'samples' must be 4 × 4 × 5 integers: >= 0; "
+                                 "got samples[0, 0, 0] = -60"),
         ("samples[0][0][0]=59", "add up to 4799"),
-        ("true_gamma_eff_hz=[1.0]", "'true_gamma_eff_hz' is not a (4, 4, 5) array of numbers"),
-        ("noise_floor=\"x\"", "'noise_floor' 'x' is not a number"),
+        ("true_gamma_eff_hz=[1.0]", "'true_gamma_eff_hz' must be 4 × 4 × 5 numbers: "
+                                    "finite >= 0, or null; got [1.0]"),
+        ("noise_floor=\"x\"", "'noise_floor' must be one number: finite >= 0; got 'x'"),
         # lengths that add up, but padding to the longest would take 80 x 4800 samples
         pytest.param(_one_trace_holds_all, "padding its 80 traces to the longest (4800 samples)",
                      id="one-trace-holds-all"),
@@ -581,18 +651,7 @@ class TestCliMeasureAndRecover:
         assert err.startswith("configuration error:") and expected in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("convert", [False, True], ids=["recover", "converter"])
-    @pytest.mark.parametrize("key, value, expected", [
-        ("readouts[0].kappa_tot_hz", -1, "readouts[0]: kappa_tot must be positive"),
-        ("readouts[3].kappa_tot_hz", float("nan"), "readouts[3]: kappa_tot must be positive"),
-        ("readouts[1].kappa_1_hz", 1e9, "readouts[1]: kappa_1 + kappa_2 cannot exceed kappa_tot"),
-        ("readouts[2].transmittance", "x", "readouts[2]: "),
-        ("master_seed", "x", "'master_seed' 'x' is not a non-negative integer"),
-        ("master_seed", -1, "'master_seed' -1 is not a non-negative integer"),
-        ("master_seed", 1.5, "'master_seed' 1.5 is not a non-negative integer"),
-        ("master_seed", True, "'master_seed' True is not a non-negative integer"),
-    ], ids=["kappa-tot-negative", "kappa-tot-nan", "kappa-1-too-large", "transmittance-string",
-            "seed-string", "seed-negative", "seed-float", "seed-bool"])
+    @pytest.mark.parametrize("convert, key, value, expected", VALUES_OUTSIDE_THE_MODEL)
     def test_manifest_value_outside_the_model_exits_2_naming_the_file(
             self, small_cfg, tmp_path, save_v2, upgrade_dataset, capsys, convert, key, value,
             expected):
@@ -604,7 +663,7 @@ class TestCliMeasureAndRecover:
             assert main(["measure-sim", "--config", str(small_cfg), "--out", str(dataset)]) == 0
         manifest = json.loads((dataset / "manifest.json").read_text())
         container, last = _locate(manifest, key)
-        container[last] = value
+        container[last] = value(container[last]) if callable(value) else value
         (dataset / "manifest.json").write_text(json.dumps(manifest))
         out = tmp_path / "out"
         capsys.readouterr()
@@ -628,6 +687,20 @@ class TestCliMeasureAndRecover:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert "earlier version" in err and "python tools/upgrade_dataset.py OLD NEW" in err
+        assert not out.exists()
+
+    def test_dataset_of_another_size_exits_2_naming_both_files(self, small_cfg, tmp_path, capsys):
+        dataset, out = tmp_path / "dataset", tmp_path / "out"
+        assert main(["measure-sim", "--config", str(small_cfg), "--out", str(dataset)]) == 0
+        cfg = tmp_path / "six-sites.cfg"
+        cfg.write_text(SMALL_CFG.replace("n_cells = 2", "n_cells = 3")
+                       .replace("freqs_hz = 2.1e6, 2.15e6, 2.2e6, 2.25e6", "freqs_hz = 2.1e6"))
+        capsys.readouterr()
+        assert main(["recover", "--config", str(cfg), "--dataset", str(dataset),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == (f"configuration error: configuration {cfg} has 6 sites, but "
+                               f"dataset {dataset} has 4 modes")
         assert not out.exists()
 
     def test_failed_move_into_out_restores_the_old_outputs(self, small_cfg, tmp_path, capsys,
@@ -833,16 +906,31 @@ class TestCliCircuit:
         out = tmp_path / "out"
         assert main(["circuit", "--config", str(cfg), "--out", str(out)]) == 2
 
-    def test_non_finite_result_exits_3_without_outputs(self, tmp_path, capsys):
-        # L * C underflows to 0, so the resonance frequency is infinite,
-        # which JSON cannot hold
+    @pytest.mark.parametrize("value", ["1e-200", "1e200"])
+    def test_non_finite_result_exits_3_without_outputs(self, tmp_path, capsys, value):
+        # L * C underflows to 0 (or overflows), so the resonance frequency
+        # would be infinite (or 0); pytest captures warnings, which would be
+        # lines of their own on standard error, so here they are errors
         cfg = tmp_path / "circ.cfg"
-        cfg.write_text("[circuit]\ninductance_h = 1e-200\ncapacitance_f = 1e-200\n")
+        cfg.write_text(f"[circuit]\ninductance_h = {value}\ncapacitance_f = {value}\n")
         out = tmp_path / "out"
-        assert main(["circuit", "--config", str(cfg), "--out", str(out)]) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["circuit", "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-        assert err.startswith("numerical failure:")
+        assert err.startswith(f"numerical failure: L * C = {float(value)} * {float(value)} ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mutual", ["2e-9", "-1e-9"])
+    def test_mutual_inductance_not_below_l_exits_2(self, tmp_path, capsys, mutual):
+        cfg = tmp_path / "circ.cfg"
+        cfg.write_text(f"[circuit]\ninductance_h = 1e-9\ncapacitance_f = 1e-13\nmutual_h = {mutual}\n")
+        out = tmp_path / "out"
+        assert main(["circuit", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == ("configuration error: [circuit] mutual_h must be smaller than "
+                               f"inductance_h in magnitude, got {float(mutual)} and 1e-09")
         assert not out.exists()
 
     @pytest.mark.parametrize("row", ["1e-3,1e-3,abc", "1e-3,1e-3,0,0", "1e-3,1e-3"])

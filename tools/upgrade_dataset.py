@@ -16,26 +16,33 @@ from pathlib import Path
 
 import numpy as np
 
-from omlattice.experiment import (_TRACE_INDICES, MeasurementDataset, _check_padding, _read_fields,
-                                  _read_trace_array, _require)
+from omlattice.experiment import (_FIELDS, MeasurementDataset, _as_array, _check_padding,
+                                  _read_trace_array, read_manifest)
 from omlattice.io import ConfigError
 from omlattice.measure import trace_fault
 
+# The keys of a trace entry that index the dataset, and the fields they index.
+INDICES = {"mode": "mode_freqs_hz", "site": "mech_freqs_hz", "power_index": "drive_fluxes"}
 
-def read_entries(path: Path) -> dict:
-    """The manifest of an earlier version at ``path``, trace entries checked."""
-    manifest = _read_fields(path)
-    if "format" in manifest:
-        raise ConfigError(f"dataset manifest {path} has format {manifest['format']!r}; "
-                          "only manifests without a 'format' key are converted")
-    _require(manifest, ("traces",), "", path)
-    if not isinstance(manifest["traces"], list):
-        raise ConfigError(f"dataset manifest {path}: 'traces' is not a list")
+
+def read_entries(path: Path) -> tuple[list, dict]:
+    """The trace entries, checked, and the field values of the manifest of an
+    earlier version at ``path``."""
+    manifest, values = read_manifest(path, version=None)
+    entries = manifest.get("traces")
+    if not isinstance(entries, list):
+        raise ConfigError(f"dataset manifest {path}: 'traces' is not a list" if "traces" in manifest
+                          else f"dataset manifest {path} is missing key 'traces'")
     seen: dict[tuple, int] = {}
-    for i, item in enumerate(manifest["traces"]):
-        _require(item, ("mode", "site", "power_index", "file"), f"traces[{i}].", path)
-        for key, axis in _TRACE_INDICES:
-            index, size = item[key], len(manifest[axis])
+    for i, item in enumerate(entries):
+        if not isinstance(item, dict):
+            raise ConfigError(f"dataset manifest {path}: traces[{i}] is not an object")
+        npy = str(item.get("file")).endswith(".npy")
+        for key in (*INDICES, "file") + (("offset", "samples") if npy else ()):
+            if key not in item:
+                raise ConfigError(f"dataset manifest {path} is missing key 'traces[{i}].{key}'")
+        for key, axis in INDICES.items():
+            index, size = item[key], len(values[axis])
             if type(index) is not int or not 0 <= index < size:
                 raise ConfigError(f"dataset manifest {path}: traces[{i}].{key} {index!r} is not "
                                   f"an index into '{axis}' ({size} entries)")
@@ -44,20 +51,21 @@ def read_entries(path: Path) -> dict:
             raise ConfigError(f"dataset manifest {path}: traces[{seen[key]}] and traces[{i}] "
                               "are both mode {}, site {}, power_index {}".format(*key))
         seen[key] = i
+        # format 3 keeps these per dataset, by the rules of its fields
         gamma, floor = item.get("true_gamma_eff_hz"), item.get("noise_floor", 0.0)
-        if type(gamma) not in (int, float, type(None)):
-            raise ConfigError(f"dataset manifest {path}: traces[{i}].true_gamma_eff_hz {gamma!r} "
-                              "is not a number")
-        if type(floor) not in (int, float) or floor != manifest["traces"][0].get("noise_floor", 0.0):
+        for key, value in (("true_gamma_eff_hz", gamma), ("noise_floor", floor)):
+            number = _as_array(value, "number")  # null is NaN
+            if number is None or number.ndim or not _FIELDS[key].ok(number):
+                raise ConfigError(f"dataset manifest {path}: traces[{i}].{key} {value!r} is not "
+                                  f"a number {_FIELDS[key].rule}")
+        if floor != entries[0].get("noise_floor", 0.0):
             raise ConfigError(f"dataset manifest {path}: traces[{i}].noise_floor {floor!r} is not "
                               "a number equal to traces[0]'s; a dataset has one noise floor")
         name = item["file"]
         if not isinstance(name, str) or not name.endswith((".npy", ".csv")):
             raise ConfigError(f"dataset manifest {path}: traces[{i}].file {name!r} "
                               "is neither a .npy nor a .csv file")
-        if name.endswith(".npy"):
-            _require(item, ("offset", "samples"), f"traces[{i}].", path)
-    return manifest
+    return entries, values
 
 
 def read_trace(directory: Path, entry: dict, index: int, arrays: dict) -> np.ndarray:
@@ -97,11 +105,10 @@ def upgrade(src, dst) -> None:
     if dst.exists():
         raise FileExistsError(f"{dst} already exists")
     path = src / "manifest.json"
-    manifest = read_entries(path)
-    entries, arrays = manifest["traces"], {}
+    (entries, values), arrays = read_entries(path), {}
     traces = [read_trace(src, entry, index, arrays) for index, entry in enumerate(entries)]
     lengths = np.array([trace.shape[1] for trace in traces], dtype=int)
-    shape = tuple(len(manifest[axis]) for _, axis in _TRACE_INDICES)
+    shape = tuple(len(values[axis]) for axis in INDICES.values())
     _check_padding(lengths, int(np.prod(shape)), path)
     samples, true_gamma = np.zeros(shape, dtype=int), np.full(shape, np.nan)
     times, powers = np.zeros((2,) + shape + (lengths.max(initial=0),))
@@ -110,9 +117,9 @@ def upgrade(src, dst) -> None:
         samples[key] = trace.shape[1]
         times[key][:samples[key]], powers[key][:samples[key]] = trace
         true_gamma[key] = entry.get("true_gamma_eff_hz")  # None reads as NaN
-    dataset = MeasurementDataset._from_manifest(manifest, src, dict(
-        times=times, powers=powers, samples=samples, true_gamma_eff=true_gamma,
-        noise_floor=float(entries[0].get("noise_floor", 0.0)) if entries else 0.0))
+    dataset = MeasurementDataset._from_manifest(
+        values, src, times=times, powers=powers, samples=samples, true_gamma_eff=true_gamma,
+        noise_floor=float(entries[0].get("noise_floor", 0.0)) if entries else 0.0)
     stage = Path(tempfile.mkdtemp(prefix=f".{dst.name}-", dir=dst.parent))
     try:
         dataset.save(stage)
