@@ -34,6 +34,10 @@ from .lattice import LatticeSpec, ParticipationMatrix, Topology, build_lattice
 
 MIN_SAMPLES_FOR_PERCENTILES = 100
 MAX_FAILURE_FRACTION = 1e-3
+# The largest disorder strength sigma: at 0.1 a site's factor 1 + N(0, sigma)
+# is non-positive with probability 7.6e-24; a larger sigma draws cavity
+# frequencies <= 0, which are outside the model.
+_MAX_SIGMA = 0.1
 _BAND_PERCENTILES = {0.9: (5.0, 95.0), 0.7: (15.0, 85.0)}
 
 
@@ -124,9 +128,9 @@ def run_ensemble(
         raise ValueError("disorder ensembles operate on real chain Hamiltonians")
     n_cells = h.n_sites // 2
     sigma_grid = np.asarray(sigma_grid, dtype=float)
-    valid = np.isfinite(sigma_grid) & (sigma_grid >= 0)
+    valid = (0 <= sigma_grid) & (sigma_grid <= _MAX_SIGMA)
     if sigma_grid.ndim != 1 or sigma_grid.size == 0 or not valid.all():
-        raise ValueError("sigma_grid must be a 1D array of finite non-negative values")
+        raise ValueError(f"sigma_grid must be a 1D array of values in [0, {_MAX_SIGMA}]")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if samples < MIN_SAMPLES_FOR_PERCENTILES:

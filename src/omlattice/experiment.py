@@ -124,6 +124,12 @@ _FIELDS = {
 }
 
 
+# The JSON types an entry of a field of each type may have; np.array would
+# read true as 1 in a number array and 7 as "7" among texts.
+_ENTRY_TYPES = {"number": {int, float, type(None)}, "readout": {int, float}, "integer": {int},
+                "text": {str}}
+
+
 def _as_array(raw, kind: str) -> np.ndarray | None:
     """``raw`` as an array of the field type ``kind`` (numbers and readout
     rows as floats, null as NaN), or None when it is not of that type."""
@@ -137,7 +143,8 @@ def _as_array(raw, kind: str) -> np.ndarray | None:
             array = np.array(np.where(np.equal(array, None), np.nan, array).tolist())
     except (KeyError, TypeError, ValueError):  # ValueError: ragged lists
         return None
-    if array.dtype.kind not in {"integer": "iu", "text": "U"}.get(kind, "iuf"):
+    if array.dtype.kind not in {"integer": "iu", "text": "U"}.get(kind, "iuf") \
+            or not set(map(type, np.array(raw, dtype=object).flat)) <= _ENTRY_TYPES[kind]:
         return None
     return array.astype(float) if kind in ("number", "readout") else array
 

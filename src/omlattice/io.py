@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .lattice import Couplings, LatticeSpec, SiteParams, Topology
-from .disorder import _BAND_PERCENTILES
+from .disorder import _BAND_PERCENTILES, _MAX_SIGMA
 from .experiment import ModeReadout
 from .measure import MIN_FIT_SAMPLES
 
@@ -112,7 +112,8 @@ _KEYS = {
         "seed": _Key("integer", "0", "an integer >= 0", lambda v: v >= 0),
     },
     "disorder": {
-        "sigma_grid": _Key("list", _REQUIRED, *_NON_NEGATIVE),
+        "sigma_grid": _Key("list", _REQUIRED, f"a number in [0, {_MAX_SIGMA}]",
+                           lambda v: 0 <= v <= _MAX_SIGMA),
         "samples": _Key("integer", "4000", "an integer >= 1", lambda v: v >= 1),
         "seed": _Key("integer", "0", "an integer >= 0", lambda v: v >= 0),
         "zeta_measured": _Key("number", None, *_FRACTION),

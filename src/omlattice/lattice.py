@@ -58,10 +58,6 @@ class RibbonOrientation(enum.Enum):
     TILTED_ZIGZAG = "tilted-zigzag"
     TILTED_ARMCHAIR = "tilted-armchair"
 
-    @property
-    def is_armchair_family(self) -> bool:
-        return self in (RibbonOrientation.ARMCHAIR, RibbonOrientation.TILTED_ARMCHAIR)
-
 
 @dataclass(frozen=True)
 class Couplings:
@@ -121,6 +117,8 @@ class LatticeSpec:
             raise ValueError("chain lattices consist of two-site cells; n_sites must be even")
         if self.kind is Topology.HONEYCOMB_FLAKE and self.n_sites != 24:
             raise ValueError("the honeycomb flake has exactly 24 sites")
+        if self.kind is Topology.HONEYCOMB_FLAKE and (self.couplings.j3 or self.couplings.j3_prime):
+            raise ValueError("j3/j3_prime are chain couplings; the flake takes j, j_prime, j2")
 
     @property
     def cavity_freqs(self) -> np.ndarray:
@@ -272,6 +270,46 @@ class ParticipationMatrix:
 # Builders
 # ---------------------------------------------------------------------------
 
+# The bonds of a chain of two-site cells (sites A, B), each as (coupling,
+# from-site, to-site, cell offset, k_par multiplicity): the Couplings field
+# named joins the from-site of every cell m to the to-site of cell m + offset,
+# with the phase exp(-i multiplicity k_par) on that matrix entry.  The builders
+# place them in an open chain; omlattice.topology sums them over k.
+_CHAIN_BONDS = (("j", "A", "B", 0, 0), ("j_prime", "B", "A", 1, 0), ("j2", "A", "A", 1, 0),
+                ("j2", "B", "B", 1, 0), ("j3", "A", "B", 1, 0), ("j3_prime", "B", "A", 2, 0))
+# A ribbon cell is one A-B pair across the width.  Plain cuts put the strained
+# rate j on the bond along the width, tilted cuts on another; zig-zag-family
+# cuts join neighboring cells by one bond, armchair-family cuts by two.
+_RIBBON_BONDS = {
+    RibbonOrientation.ZIGZAG:
+        (("j_prime", "A", "B", 0, 0), ("j_prime", "A", "B", 0, 1), ("j", "B", "A", 1, 0)),
+    RibbonOrientation.ARMCHAIR:
+        (("j", "A", "B", 0, 0), ("j_prime", "B", "A", 1, 0), ("j_prime", "A", "B", 1, 1)),
+    RibbonOrientation.TILTED_ZIGZAG:
+        (("j", "A", "B", 0, 0), ("j_prime", "A", "B", 0, 1), ("j_prime", "B", "A", 1, 0)),
+    RibbonOrientation.TILTED_ARMCHAIR:
+        (("j_prime", "A", "B", 0, 0), ("j_prime", "B", "A", 1, 0), ("j", "A", "B", 1, 1)),
+}
+
+
+def _cell_pairs(bonds, couplings: Couplings, n_cells: int, k_par: float = 0.0) -> list:
+    """(value, i, j) of every bond placed in an open chain of ``n_cells``
+    cells (sites A1, B1, A2, B2, ...), in each cell whose partner cell exists."""
+    return [(getattr(couplings, name) * np.exp(-1j * par * k_par), 2 * m + "AB".index(site),
+             2 * (m + cells) + "AB".index(to_site))
+            for name, site, to_site, cells, par in bonds for m in range(n_cells - cells)]
+
+
+def _place(diagonal, pairs) -> np.ndarray:
+    """Hermitian matrix with ``diagonal`` and each (value, i, j) of ``pairs``
+    added at [i, j], its conjugate at [j, i]."""
+    h = np.diag(np.asarray(diagonal, dtype=complex))
+    for value, i, j in pairs:
+        h[i, j] += value
+        h[j, i] += np.conj(value)
+    return h
+
+
 def build_ssh_chain(n_cells: int, couplings: Couplings, cavity_freqs) -> CouplingHamiltonian:
     """Chain of ``n_cells`` two-site cells with alternating nearest-neighbor couplings.
 
@@ -284,23 +322,12 @@ def build_ssh_chain(n_cells: int, couplings: Couplings, cavity_freqs) -> Couplin
     """
     if n_cells < 1:
         raise ValueError("n_cells must be >= 1")
-    n = 2 * n_cells
     freqs = np.asarray(cavity_freqs, dtype=float)
-    if freqs.shape != (n,):
-        raise ValueError(f"expected {n} cavity frequencies, got shape {freqs.shape}")
+    if freqs.shape != (2 * n_cells,):
+        raise ValueError(f"expected {2 * n_cells} cavity frequencies, got shape {freqs.shape}")
     if np.any(freqs <= 0):
         raise ValueError("cavity frequencies must be strictly positive")
-
-    h = np.zeros((n, n))
-    np.fill_diagonal(h, freqs)
-    for i in range(n - 1):
-        h[i, i + 1] = h[i + 1, i] = couplings.j if i % 2 == 0 else couplings.j_prime
-    for i in range(n - 2):
-        h[i, i + 2] = h[i + 2, i] = couplings.j2
-    for i in range(n - 3):
-        rate = couplings.j3 if i % 2 == 0 else couplings.j3_prime
-        h[i, i + 3] = h[i + 3, i] = rate
-    return CouplingHamiltonian(h)
+    return CouplingHamiltonian(_place(freqs, _cell_pairs(_CHAIN_BONDS, couplings, n_cells)))
 
 
 def flake_site_positions() -> tuple[np.ndarray, tuple[str, ...]]:
@@ -403,27 +430,9 @@ def build_honeycomb_flake(couplings: Couplings, cavity_freqs) -> CouplingHamilto
     if couplings.j3 != 0.0 or couplings.j3_prime != 0.0:
         raise ValueError("j3/j3_prime are chain couplings; the flake takes j, j_prime, j2")
 
-    bonds = flake_bonds()
-    h = np.zeros((24, 24))
-    np.fill_diagonal(h, freqs)
-    for (a, b) in bonds["strained"]:
-        h[a - 1, b - 1] = h[b - 1, a - 1] = couplings.j
-    for (a, b) in bonds["unstrained"]:
-        h[a - 1, b - 1] = h[b - 1, a - 1] = couplings.j_prime
-    for (a, b) in bonds["second"]:
-        h[a - 1, b - 1] = h[b - 1, a - 1] = couplings.j2
-    return CouplingHamiltonian(h)
-
-
-def ribbon_cell_couplings(orientation: RibbonOrientation, j: float, j_prime: float):
-    """Assignment of the three honeycomb bond rates (ja, jb, jc) for a ribbon cut.
-
-    Plain cuts put the strained rate ``j`` on the bond orientation along the
-    ribbon width (jc); tilted cuts put it on one of the other two (ja).
-    """
-    if orientation in (RibbonOrientation.ZIGZAG, RibbonOrientation.ARMCHAIR):
-        return j_prime, j_prime, j
-    return j, j_prime, j_prime
+    rates = {"strained": couplings.j, "unstrained": couplings.j_prime, "second": couplings.j2}
+    pairs = [(rates[kind], a - 1, b - 1) for kind, bonds in flake_bonds().items() for a, b in bonds]
+    return CouplingHamiltonian(_place(freqs, pairs))
 
 
 def build_ribbon_hamiltonian(
@@ -441,8 +450,8 @@ def build_ribbon_hamiltonian(
     is ``ja + jb * exp(-i k_par)`` and cells are linked by ``jc``; for
     armchair-family cuts the intra-cell coupling is ``jc`` and cells are
     linked both by ``jb`` and by ``ja * exp(-i k_par)`` on the opposite
-    sublattice pairing.  The diagonal holds ``cavity_freq`` (0 gives energies
-    relative to the site resonance).
+    sublattice pairing (``jc = j`` on plain cuts, ``ja = j`` on tilted ones,
+    ``j_prime`` elsewhere).  The diagonal holds ``cavity_freq``.
 
     Sites are ordered A1, B1, ..., A_width, B_width.
     """
@@ -453,25 +462,8 @@ def build_ribbon_hamiltonian(
     if couplings.j2 != 0.0 or couplings.j3 != 0.0 or couplings.j3_prime != 0.0:
         raise ValueError("ribbon cells take only j and j_prime")
 
-    ja, jb, jc = ribbon_cell_couplings(orientation, couplings.j, couplings.j_prime)
-    n = 2 * width
-    h = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(h, cavity_freq)
-    if orientation.is_armchair_family:
-        # rho(kperp | kpar) = jc + jb e^{-i kperp} + ja e^{-i kpar} e^{+i kperp}
-        for m in range(width):
-            h[2 * m, 2 * m + 1] += jc
-            if m + 1 < width:
-                h[2 * m + 2, 2 * m + 1] += jb
-                h[2 * m, 2 * m + 3] += ja * np.exp(-1j * k_par)
-    else:
-        # rho(kperp | kpar) = ja + jb e^{-i kpar} + jc e^{-i kperp}
-        intra = ja + jb * np.exp(-1j * k_par)
-        for m in range(width):
-            h[2 * m, 2 * m + 1] += intra
-            if m + 1 < width:
-                h[2 * m + 2, 2 * m + 1] += jc
-    h = h + h.conj().T - np.diag(np.diag(h))
+    pairs = _cell_pairs(_RIBBON_BONDS[orientation], couplings, width, k_par)
+    h = _place(np.full(2 * width, cavity_freq), pairs)
     labels = tuple(f"{ab}{m + 1}" for m in range(width) for ab in ("A", "B"))
     return CouplingHamiltonian(h, labels)
 

@@ -442,7 +442,8 @@ def sinkhorn_normalize(
 
     Entries below ``SINKHORN_FLOOR_DEFAULT`` are raised to it first
     (measured slopes vanish at modeshape nodes; strict positivity is needed
-    for convergence) and flagged in the result.  One iteration is one single-axis normalization, starting
+    for convergence) and flagged in the result; a non-finite entry is
+    refused.  One iteration is one single-axis normalization, starting
     with rows.  Stops when both row and column sums deviate from 1 by less
     than ``tol``; raises :class:`SinkhornError` carrying the residual when
     ``max_iter`` is exhausted.
@@ -450,6 +451,9 @@ def sinkhorn_normalize(
     x = np.array(eta_tilde, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError("eta_tilde must be a square matrix")
+    if not np.isfinite(x).all():  # NaN would run every iteration, with warnings
+        raise ValueError(f"eta_tilde entries must be finite, got {np.sum(~np.isfinite(x))} "
+                         f"non-finite of {x.size}")
     if np.any(x < 0):
         raise ValueError("eta_tilde entries must be >= 0")
     floored = x < SINKHORN_FLOOR_DEFAULT

@@ -3,7 +3,8 @@
 The in-scope lattices reduce to two-band bulk Hamiltonians of the form
 ``[[eps(k), rho(k)], [conj(rho(k)), eps(k)]]`` with ``rho = |rho| e^{-i phi}``.
 The band energies relative to the site resonance are ``eps(k) +- |rho(k)|``;
-``eps`` only shifts both bands and does not affect the topology.
+``eps`` only shifts both bands and does not affect the topology.  Both are
+summed over the bonds that the builders of :mod:`omlattice.lattice` place.
 
 Edge states of a truncated chain of N cells exist when two conditions hold:
 the Zak phase is pi (equivalently the curve rho(k) winds around the origin),
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Couplings, RibbonOrientation, ribbon_cell_couplings
+from .lattice import _CHAIN_BONDS, _RIBBON_BONDS, Couplings, RibbonOrientation
 
 BZ_SAMPLES_DEFAULT = 4096
 GAP_RTOL = 1e-9
@@ -108,8 +109,9 @@ class BulkCurve:
         return _item(mag.min(axis=-1) > np.maximum(GAP_RTOL * mag.max(axis=-1), max_step))
 
     def to_rows(self, couplings: Couplings | None = None):
-        """(k, Re rho, Im rho, E-, E+) rows for CSV export."""
-        eps = couplings.j2 * np.cos(self.k) if couplings is not None else np.zeros_like(self.k)
+        """(k, Re rho, Im rho, E-, E+) rows for CSV export, E-+ = eps -+ |rho|
+        with eps from the chain bonds of ``couplings`` (0 without them)."""
+        eps = 0.0 if couplings is None else _bloch(_CHAIN_BONDS, couplings, self.k)[0]
         mag = np.abs(self.rho)
         return np.column_stack([self.k, self.rho.real, self.rho.imag, eps - mag, eps + mag])
 
@@ -135,26 +137,34 @@ class EdgePrediction:
 # Bulk elements
 # ---------------------------------------------------------------------------
 
+def _bloch(bonds, couplings: Couplings, k, k_par=0.0):
+    """eps(k) and rho(k) of two-site cells joined by ``bonds`` as the builders
+    place them: rho sums the A-B bonds (conjugated when they run B to A), eps
+    the A-A bonds and their Hermitian partners (the B-B bonds repeat them)."""
+    k = np.asarray(k, dtype=float)
+    eps = rho = 0.0
+    for name, site, to_site, cells, par in bonds:
+        rate, phase = getattr(couplings, name), cells * k - par * k_par
+        if site == to_site == "A":
+            eps = eps + 2 * rate * np.cos(phase)
+        elif site != to_site:
+            rho = rho + rate * np.exp(1j * (phase if site == "A" else -phase))
+    return eps, rho
+
+
 def bulk_rho_ssh(k, couplings: Couplings):
-    """Off-diagonal bulk element of the chain:
+    """Off-diagonal bulk element of the chain build_ssh_chain builds:
     rho(k) = j + j' e^{-ik} + j3 e^{ik} + j3' e^{-2ik}.
     """
-    k = np.asarray(k, dtype=float)
-    return (
-        couplings.j
-        + couplings.j_prime * np.exp(-1j * k)
-        + couplings.j3 * np.exp(1j * k)
-        + couplings.j3_prime * np.exp(-2j * k)
-    )
+    return _bloch(_CHAIN_BONDS, couplings, k)[1]
 
 
 def bulk_bands_ssh(k, couplings: Couplings):
     """Band energies relative to the cavity frequency:
-    E(k) = j2 cos(k) -+ |rho(k)|.
+    E(k) = 2 j2 cos(k) -+ |rho(k)|.
     """
-    k = np.asarray(k, dtype=float)
-    eps = couplings.j2 * np.cos(k)
-    mag = np.abs(bulk_rho_ssh(k, couplings))
+    eps, rho = _bloch(_CHAIN_BONDS, couplings, k)
+    mag = np.abs(rho)
     return eps - mag, eps + mag
 
 
@@ -178,13 +188,9 @@ def graphene_bulk(kvec, j_a: float, j_b: float, j_c: float):
 
 
 def ribbon_rho(orientation: RibbonOrientation, k_perp, k_par, j: float, j_prime: float):
-    """Wavenumber-resolved bulk element rho(k_perp | k_par) of a ribbon cut
-    (``k_perp`` and ``k_par`` broadcast against each other)."""
-    ja, jb, jc = ribbon_cell_couplings(orientation, j, j_prime)
-    k_perp = np.asarray(k_perp, dtype=float)
-    if orientation.is_armchair_family:
-        return jc + jb * np.exp(-1j * k_perp) + ja * np.exp(1j * (k_perp - k_par))
-    return ja + jb * np.exp(-1j * k_par) + jc * np.exp(-1j * k_perp)
+    """Bulk element rho(k_perp | k_par) of the ribbon build_ribbon_hamiltonian
+    builds (``k_perp`` and ``k_par`` broadcast against each other)."""
+    return _bloch(_RIBBON_BONDS[orientation], Couplings(j=j, j_prime=j_prime), k_perp, k_par)[1]
 
 
 def ribbon_bulk_curve(

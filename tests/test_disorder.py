@@ -171,7 +171,8 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match="ssh-chain"):
             om.run_ensemble(flake, [0.001], 200, master_seed=1)
 
-    @pytest.mark.parametrize("grid", [[0.001, -0.001], [np.nan], [0.001, np.inf], []])
+    # above 0.1 a site's frequency factor 1 + N(0, sigma) can reach 0
+    @pytest.mark.parametrize("grid", [[0.001, -0.001], [np.nan], [0.001, np.inf], [], [0.05, 0.2]])
     def test_rejects_sigma_outside_the_model(self, grid):
         with pytest.raises(ValueError, match="sigma_grid"):
             om.run_ensemble(chain_spec(), grid, 200, master_seed=1)

@@ -132,6 +132,10 @@ OUTSIDE_THE_MODEL = [
     # about 1e297 values, refused before any is built
     ("disorder", "disorder", "sigma_grid", "0.001:0.002:1e-300"),
     ("disorder", "disorder", "sigma_grid", "0:1:0.00001"),
+    # above disorder._MAX_SIGMA a site's frequency factor 1 + N(0, sigma) can reach 0
+    ("disorder", "disorder", "sigma_grid", "2"),
+    ("disorder", "disorder", "sigma_grid", "0.001, 0.11"),
+    ("disorder", "disorder", "sigma_grid", "0:0.2:0.05"),
     ("disorder", "disorder", "zeta_measured", "1.5"),
     ("disorder", "disorder", "zeta_measured", "-0.1"),
     ("disorder", "disorder", "zeta_measured", "nan"),
@@ -150,6 +154,15 @@ OUTSIDE_THE_MODEL = [
     ("circuit", "circuit", "neumann_segments", "2.5"),
     ("spectrum", "lattice", "n_cells", None),
     ("measure-sim", "readout", "kappa_tot_hz", None),
+]
+
+
+# Values outside the flake's model, as edits of a flake made from SMALL_CFG:
+# the couplings that only a chain has.  The lattice's own check refuses them.
+OUTSIDE_THE_FLAKE_MODEL = [
+    ("spectrum", "couplings", "j3_hz", "27e6"),
+    ("topology", "couplings", "j3_prime_hz", "37e6"),
+    ("measure-sim", "couplings", "j3_hz", "1"),
 ]
 
 
@@ -227,6 +240,17 @@ VALUES_OUTSIDE_THE_MODEL = [
     *_both("labels-integers", "site_labels", lambda labels: list(range(len(labels))),
            "'site_labels' must be 4 texts: without ',' or line break; got [0, 1, 2, 3]"),
     *_both("labels-short", "site_labels", lambda labels: labels[:3], "'site_labels' must be 4 texts"),
+    # one entry of another JSON type, which one np.array call would coerce
+    *_both("label-integer", "site_labels[0]", 7,
+           "'site_labels' must be 4 texts: without ',' or line break; got [7, "),
+    *_both("width-bool", "mech_linewidths_hz[0]", True,
+           "'mech_linewidths_hz' must be 4 numbers: finite >= 0; got [True, "),
+    *_both("flux-bool", "drive_fluxes[1]", True,
+           "'drive_fluxes' must be powers numbers: finite > 0, at least 2; got ["),
+    *_both("transmittance-bool", "readouts[2].transmittance", True,
+           "'readouts' must be 4 readouts: the keys kappa_tot_hz"),
+    pytest.param(False, "samples[0][1][2]", True, "'samples' must be 4 × 4 × 5 integers: >= 0",
+                 id="samples-bool-recover"),
     *_both("labels-comma", "site_labels[1]", "a,b", "got site_labels[1] = 'a,b'"),
     *_both("readouts-short", "readouts", lambda readouts: readouts[:3], "'readouts' must be 4 readouts"),
     *_both("modes-descending", "mode_freqs_hz", lambda freqs: freqs[::-1],
@@ -689,6 +713,25 @@ class TestCliMeasureAndRecover:
         assert "earlier version" in err and "python tools/upgrade_dataset.py OLD NEW" in err
         assert not out.exists()
 
+    def test_non_finite_slopes_exit_3_with_one_line(self, small_cfg, tmp_path, capsys):
+        # every fit's sum of squares underflows at this drive, so every slope
+        # is NaN; pytest captures warnings, which would be lines of their
+        # own on standard error, so here they are errors
+        cfg = tmp_path / "tiny-drive.cfg"
+        cfg.write_text(SMALL_CFG.replace("drive_flux_max = auto", "drive_flux_max = 1e-300"))
+        dataset, out = tmp_path / "dataset", tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["measure-sim", "--config", str(cfg), "--out", str(dataset)]) == 0
+            capsys.readouterr()
+            assert main(["recover", "--config", str(cfg), "--dataset", str(dataset),
+                         "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("numerical failure: eta_tilde entries must be finite, got 16 "
+                              "non-finite of 16")
+        assert not out.exists()
+
     def test_dataset_of_another_size_exits_2_naming_both_files(self, small_cfg, tmp_path, capsys):
         dataset, out = tmp_path / "dataset", tmp_path / "out"
         assert main(["measure-sim", "--config", str(small_cfg), "--out", str(dataset)]) == 0
@@ -740,6 +783,23 @@ class TestCliMeasureAndRecover:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert err.startswith(f"configuration error: [{section}] {key} ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, section, key, value", OUTSIDE_THE_FLAKE_MODEL,
+                             ids=[f"{c}-{k}={v}" for c, _, k, v in OUTSIDE_THE_FLAKE_MODEL])
+    def test_input_outside_the_flake_model_exits_2_without_traceback(self, tmp_path, capsys,
+                                                                     command, section, key, value):
+        flake = edited_config(tmp_path, "lattice", "kind", "honeycomb-flake")
+        flake.write_text(flake.read_text().replace("2.1e6, 2.15e6, 2.2e6, 2.25e6", "2.1e6"))
+        assert main(["spectrum", "--config", str(flake), "--out", str(tmp_path / "flake")]) == 0
+        cfg = tmp_path / "outside.cfg"
+        cfg.write_text(flake.read_text().replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == (f"configuration error: invalid configuration {cfg}: j3/j3_prime "
+                               "are chain couplings; the flake takes j, j_prime, j2")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["measure-sim", "disorder"])

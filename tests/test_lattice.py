@@ -97,6 +97,14 @@ class TestHoneycombFlake:
         for k in gap_modes:
             assert eta[k][edge].sum() > 0.9
 
+    def test_spec_refuses_chain_couplings(self):
+        sites = (om.SiteParams(7e9, 2e6, 10.0, 10.0),) * 24
+        for cp in (om.Couplings(j=1e9, j_prime=0.5e9, j3=1e6),
+                   om.Couplings(j=1e9, j_prime=0.5e9, j3_prime=1e6)):
+            with pytest.raises(ValueError, match="chain couplings"):
+                om.LatticeSpec(om.Topology.HONEYCOMB_FLAKE, 24, sites, cp)
+        assert om.LatticeSpec(om.Topology.SSH_CHAIN, 24, sites, cp).couplings.j3_prime == 1e6
+
     def test_rejects_wrong_site_count_and_chain_couplings(self):
         with pytest.raises(ValueError):
             om.build_honeycomb_flake(om.Couplings(j=1e9, j_prime=0.5e9), [7e9] * 23)
@@ -133,14 +141,16 @@ class TestRibbon:
                 hosting += 1
         assert hosting / valid > 0.75
 
-    def test_bulk_band_consistency_at_large_width(self):
-        # trivial k_par: all finite-width energies inside the bulk band within O(1/width)
-        width, k_par = 120, 0.3
-        couplings = om.Couplings(j=1.0, j_prime=1.0)
-        h = om.build_ribbon_hamiltonian(om.RibbonOrientation.ZIGZAG, width, k_par, couplings)
+    @pytest.mark.parametrize("orientation", list(om.RibbonOrientation))
+    def test_bulk_band_consistency_at_large_width(self, orientation):
+        # a k_par trivial for every cut at this strain: all finite-width
+        # energies inside the bulk band within O(1/width)
+        width, k_par, j, jp = 120, 0.7, 1.0, 0.8
+        couplings = om.Couplings(j=j, j_prime=jp)
+        assert om.winding_number(om.ribbon_bulk_curve(orientation, k_par, j, jp)) == 0
+        h = om.build_ribbon_hamiltonian(orientation, width, k_par, couplings)
         energies = np.linalg.eigvalsh(h.matrix)
-        mag = np.abs(om.ribbon_rho(om.RibbonOrientation.ZIGZAG, np.linspace(-np.pi, np.pi, 4096),
-                                   k_par, 1.0, 1.0))
+        mag = np.abs(om.ribbon_rho(orientation, np.linspace(-np.pi, np.pi, 4096), k_par, j, jp))
         pad = 5.0 / width
         assert np.abs(energies).max() <= mag.max() + pad
         assert np.abs(energies).min() >= mag.min() - pad

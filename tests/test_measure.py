@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -420,6 +421,15 @@ class TestSinkhorn:
         ref, _ = om.sinkhorn_normalize(base, tol=1e-12)
         again, _ = om.sinkhorn_normalize(rescaled, tol=1e-12)
         assert np.abs(again.eta - ref.eta).max() < 1e-10
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_refused_at_once(self, value):
+        eta = np.full((4, 4), 0.25)
+        eta[1, 2] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite, got 1 non-finite of 16"):
+                om.sinkhorn_normalize(eta)
 
     def test_max_iter_error_carries_residual(self):
         rng = np.random.default_rng(1)

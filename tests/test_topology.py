@@ -40,8 +40,22 @@ class TestBulkBands:
         lop, hip = om.bulk_bands_ssh(np.pi, cp)
         base_lo0, base_hi0 = om.bulk_bands_ssh(0.0, TOPO)
         base_lop, base_hip = om.bulk_bands_ssh(np.pi, TOPO)
-        assert (lo0 - base_lo0, hi0 - base_hi0) == pytest.approx((100e6, 100e6))
-        assert (lop - base_lop, hip - base_hip) == pytest.approx((-100e6, -100e6))
+        # eps = 2 j2 cos k: each site couples to one second neighbor on either side
+        assert (lo0 - base_lo0, hi0 - base_hi0) == pytest.approx((200e6, 200e6))
+        assert (lop - base_lop, hip - base_hip) == pytest.approx((-200e6, -200e6))
+
+    def test_band_edges_match_the_spectrum_of_a_long_open_chain(self):
+        # the paper_1d couplings; the modes with half their weight on the 20
+        # sites at either end are the edge modes, left out
+        cp = om.Couplings(j=470e6, j_prime=700e6, j2=100e6, j3=27e6, j3_prime=37e6)
+        n_cells = 400
+        h = om.build_ssh_chain(n_cells, cp, [7.12e9] * (2 * n_cells)).matrix
+        energies, vectors = np.linalg.eigh(h - 7.12e9 * np.eye(2 * n_cells))
+        bulk = energies[(vectors[:20] ** 2).sum(axis=0) + (vectors[-20:] ** 2).sum(axis=0) < 0.5]
+        gap = np.argmax(np.diff(bulk))
+        lo, hi = om.bulk_bands_ssh(np.linspace(-np.pi, np.pi, 20001), cp)
+        assert [bulk[0], bulk[gap], bulk[gap + 1], bulk[-1]] == pytest.approx(
+            [lo.min(), lo.max(), hi.min(), hi.max()], rel=0, abs=1e-3 * (hi.max() - lo.min()))
 
 
 class TestWindingAndZak:
