@@ -30,14 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeSpec, ParticipationMatrix, Topology, build_lattice
+from .lattice import _MAX_SIGMA, LatticeSpec, ParticipationMatrix, Topology, build_lattice
 
 MIN_SAMPLES_FOR_PERCENTILES = 100
 MAX_FAILURE_FRACTION = 1e-3
-# The largest disorder strength sigma: at 0.1 a site's factor 1 + N(0, sigma)
-# is non-positive with probability 7.6e-24; a larger sigma draws cavity
-# frequencies <= 0, which are outside the model.
-_MAX_SIGMA = 0.1
 _BAND_PERCENTILES = {0.9: (5.0, 95.0), 0.7: (15.0, 85.0)}
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import operator
+import threading
 from collections.abc import Callable, Mapping
 from dataclasses import astuple, dataclass
 from pathlib import Path
@@ -37,6 +38,7 @@ from .measure import (
     RingdownFitError,
     RingdownTrace,
     _hamiltonian_from_modes,
+    _pin_helper,
     assign_signs,
     damping_slope,
     effective_damping,
@@ -470,7 +472,8 @@ def _pair_configs(readouts: tuple[ModeReadout, ...], mech_freqs, mech_linewidths
     ``mech_freqs``, ``mech_linewidths`` and ``g0`` (or scalars) along axis 1
     and ``flux`` along axis 2, so a damping formula evaluated on it with
     ``eta[:, :, None]`` returns ``(n, n, flux.size)``."""
-    mode = np.array([astuple(r) for r in readouts]).T[:, :, None, None]
+    mode = np.array([(r.kappa_tot, r.kappa_1, r.kappa_2, r.transmittance)
+                     for r in readouts]).T[:, :, None, None]
     freq, width, g = (np.asarray(x, dtype=float)[..., None] for x in (mech_freqs, mech_linewidths, g0))
     return DampingConfig(
         detuning=freq, kappa_tot=mode[0], kappa_1=mode[1], kappa_2=mode[2],
@@ -524,7 +527,9 @@ def simulate_measurement(
     ``normal(0, p0 / snr, (samples_per_trace, n, n, powers))`` block, and
     trace ``(k, i, p)`` gets column ``[:, k, i, p]``.  The block is drawn
     in runs of consecutive rows of about 2**16 values, which consume the
-    stream exactly as one call would.  Hence:
+    stream exactly as one call would; the first two are drawn on a helper
+    thread, started and joined within the call, while this one computes the
+    noiseless block.  Hence:
 
     * the same (master_seed, sizes, p0, snr) give bit-identical traces;
     * sample ``s`` of every trace is row ``s`` of the block, so a dataset
@@ -547,29 +552,43 @@ def simulate_measurement(
         raise ValueError(f"p0 must be finite and > 0, got {p0}")
     if master_seed < 0:
         raise ValueError(f"master_seed must be a non-negative integer, got {master_seed}")
-    modes = diagonalize(h)
-    eta = participation(modes).eta
     noise_sigma = 0.0 if snr is None or np.isinf(snr) else p0 / snr
     floor = NOISE_FLOOR_SIGMAS * noise_sigma
-
-    mech_freqs, mech_linewidths, g0 = _site_fields(sites)
-    gamma = effective_damping(_pair_configs(readouts, mech_freqs, mech_linewidths, g0, fluxes),
-                              eta[:, :, None])
-    duration = RINGDOWN_DECAY_SPAN / (TWO_PI * np.maximum(gamma, 1e-3))
-    # duration / dt rounds to exactly samples_per_trace, the length
-    # simulate_ringdown gives
-    times = np.arange(samples_per_trace) * (duration / samples_per_trace)[..., None]
-    powers = (-TWO_PI * gamma)[..., None] * times
-    np.exp(powers, out=powers)
-    powers *= p0
-    powers += floor
+    shape = (h.n_sites, h.n_sites, fluxes.size)
+    # each run of consecutive rows of the noise block: its samples, the shape of its draw
+    rows = max(1, _NOISE_DRAW_VALUES // (h.n_sites ** 2 * fluxes.size))
+    runs = [slice(lo, min(lo + rows, samples_per_trace)) for lo in range(0, samples_per_trace, rows)]
+    shapes = [(run.stop - run.start, *shape) for run in runs]
+    drawn, helper = [], None
     if noise_sigma > 0:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed)))
-        rows = max(1, _NOISE_DRAW_VALUES // gamma.size)  # consecutive rows of the one block
-        for lo in range(0, samples_per_trace, rows):
-            hi = min(lo + rows, samples_per_trace)
-            block = rng.normal(0.0, noise_sigma, (hi - lo, *gamma.shape))
-            powers[..., lo:hi] += np.moveaxis(block, 0, -1)
+        helper = threading.Thread(target=_draw_runs, args=(rng, noise_sigma, shapes[:2], drawn),
+                                  name="omlattice-noise", daemon=True)
+        helper.start()
+    try:
+        modes = diagonalize(h)
+        eta = participation(modes).eta
+        mech_freqs, mech_linewidths, g0 = _site_fields(sites)
+        gamma = effective_damping(_pair_configs(readouts, mech_freqs, mech_linewidths, g0, fluxes),
+                                  eta[:, :, None])
+        duration = RINGDOWN_DECAY_SPAN / (TWO_PI * np.maximum(gamma, 1e-3))
+        # duration / dt rounds to exactly samples_per_trace, the length
+        # simulate_ringdown gives
+        times = np.arange(samples_per_trace) * (duration / samples_per_trace)[..., None]
+        powers = (-TWO_PI * gamma)[..., None] * times
+        np.exp(powers, out=powers)
+        powers *= p0
+        powers += floor
+    finally:
+        if helper is not None:
+            helper.join()
+    if noise_sigma > 0:
+        for j, run in enumerate(runs):
+            # the runs after the helper's are drawn here, from the same stream
+            noise = drawn[j] if j < len(drawn) else rng.normal(0.0, noise_sigma, shapes[j])
+            if isinstance(noise, BaseException):
+                raise noise
+            powers[..., run] += np.moveaxis(noise, 0, -1)
     np.clip(powers, 0.0, None, out=powers)
     return MeasurementDataset(
         mode_freqs=modes.eigenfreqs.copy(),
@@ -586,6 +605,23 @@ def simulate_measurement(
         site_labels=h.site_labels,
         h_true=h,
     )
+
+
+def _draw_runs(rng: np.random.Generator, sigma: float, shapes: list, drawn: list) -> None:
+    """Append ``rng.normal(0, sigma, shape)`` for each of ``shapes`` in turn
+    to ``drawn``, on a helper thread (pinned to a CPU by
+    :func:`~omlattice.measure._pin_helper`) while the caller computes the
+    noiseless block; the caller joins it and draws the later runs from the
+    same ``rng``.  An exception that stops the draw is appended in place of
+    its run, for the caller to raise.  At most the first two runs are drawn
+    here: more would be held in memory, and a helper on a busy CPU, which
+    draws slower than the caller, would hold up every run it took."""
+    try:
+        _pin_helper(1)
+        for shape in shapes:
+            drawn.append(rng.normal(0.0, sigma, shape))
+    except BaseException as exc:  # raised again in the caller's thread
+        drawn.append(exc)
 
 
 def analytic_slope_matrix(
@@ -614,13 +650,14 @@ def recover_from_slopes(
     mode ``k``; ``readouts`` (one per mode), ``mech_freqs`` (Hz, one per
     site) and the measured ``mode_freqs`` (Hz) are the measurable parameters
     that invert it, ``site_labels`` label the reconstructed Hamiltonian, and
-    ``h_true``, when given, adds its errors to the residuals.  Negative
-    slopes are clipped to zero before the inversion.  Mode rows and the
-    theory reference are matched by ascending eigenfrequency.  If the
-    sign-assigned matrix has negative determinant the last row sign is
-    flipped before orthogonalization (participation ratios and the
-    reconstructed Hamiltonian are invariant under row sign flips, and the
-    matrix-logarithm correction requires a special-orthogonal neighborhood).
+    ``h_true``, when given, adds its errors to the residuals.  A non-finite
+    slope is refused; negative slopes are clipped to zero before the
+    inversion.  Mode rows and the theory reference are matched by ascending
+    eigenfrequency.  If the sign-assigned matrix has negative determinant
+    the last row sign is flipped before orthogonalization (participation
+    ratios and the reconstructed Hamiltonian are invariant under row sign
+    flips, and the matrix-logarithm correction requires a special-orthogonal
+    neighborhood).
     When orthogonalization fails, the sign-assigned matrix is used as it is.
     """
     n = slopes.shape[0]
@@ -629,6 +666,10 @@ def recover_from_slopes(
     if slopes.shape != (n, n) or reference.n_modes != n or len(readouts) != n \
             or mech_freqs.shape != (n,) or mode_freqs.shape != (n,):
         raise ValueError("slope matrix, readouts, frequencies and reference mode set sizes disagree")
+    if not np.isfinite(slopes).all():  # NaN would pass every later check
+        raise ValueError(f"damping-power slopes must be finite, got {np.sum(~np.isfinite(slopes))} "
+                         f"non-finite of {slopes.size}; a slope is the regression of a (mode, site) "
+                         "pair's fitted ringdown rates on the drive flux")
     order = np.argsort(reference.eigenfreqs, kind="stable")
     if not np.array_equal(order, np.arange(n)):
         raise ValueError("reference mode set must be in ascending frequency order")

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import Couplings, LatticeSpec, SiteParams, Topology
-from .disorder import _BAND_PERCENTILES, _MAX_SIGMA
+from .lattice import _MAX_SIGMA, Couplings, LatticeSpec, SiteParams, Topology
+from .disorder import _BAND_PERCENTILES
 from .experiment import ModeReadout
 from .measure import MIN_FIT_SAMPLES
 
@@ -106,7 +106,8 @@ _KEYS = {
         "n_powers": _Key("integer", "10", "an integer >= 2", lambda v: v >= 2),
         "drive_flux_max": _Key("number", "auto", *_POSITIVE, words=("auto",)),
         "snr": _Key("number", "100", *_POSITIVE, words=("inf", "none")),
-        "p0": _Key("number", "1.0", *_POSITIVE),
+        # outside about [1e-150, 1e150] the fits' sums of squares leave float range
+        "p0": _Key("number", "1.0", "a number in [1e-100, 1e100]", lambda v: 1e-100 <= v <= 1e100),
         "samples_per_trace": _Key("integer", "140", f"an integer >= {MIN_FIT_SAMPLES}",
                                   lambda v: v >= MIN_FIT_SAMPLES),
         "seed": _Key("integer", "0", "an integer >= 0", lambda v: v >= 0),

@@ -545,14 +545,21 @@ def participation(modes: ModeSet) -> ParticipationMatrix:
     return ParticipationMatrix(np.abs(modes.modeshapes) ** 2)
 
 
+# The largest disorder strength sigma: at 0.1 a site's factor 1 + N(0, sigma)
+# is non-positive with probability 7.6e-24; a larger sigma draws cavity
+# frequencies <= 0, which are outside the model.
+_MAX_SIGMA = 0.1
+
+
 def apply_disorder(h: CouplingHamiltonian, sigma: float, seed) -> CouplingHamiltonian:
-    """Multiply each diagonal entry by (1 + N(0, sigma)), couplings untouched.
+    """Multiply each diagonal entry by (1 + N(0, sigma)), couplings untouched;
+    ``sigma`` lies in [0, ``_MAX_SIGMA``].
 
     ``seed`` may be an int, a ``numpy.random.SeedSequence`` or a Generator;
     results are reproducible for a fixed seed.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not 0 <= sigma <= _MAX_SIGMA:  # written so that NaN fails
+        raise ValueError(f"sigma must lie in [0, {_MAX_SIGMA}], got {sigma}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     factors = 1.0 + rng.normal(0.0, sigma, h.n_sites) if sigma > 0 else np.ones(h.n_sites)
     m = h.matrix.copy()

@@ -16,6 +16,8 @@ and converted back at the API boundary.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -262,10 +264,11 @@ def simulate_ringdown(
 
 # Shortest ringdown :func:`fit_ringdowns` accepts.
 MIN_FIT_SAMPLES = 10
-# Traces fitted together per kernel call: large enough to amortize numpy's
-# per-call overhead, small enough that the (chunk, samples) buffers stay in
-# cache.
-_FIT_CHUNK = 256
+# The most values (traces x samples) one kernel call fits: enough to
+# amortize numpy's per-call overhead, few enough that a chunk's buffers stay
+# in cache.  A stack is cut into the fewest such chunks, of equal rows up to
+# one; 2**15 and 2**17 were slower on criterion-5 stacks, serial and threaded.
+_FIT_CHUNK_VALUES = 2**16
 # Stopping rule: converged when the Gauss-Newton step in the rate is below
 # _XTOL of the rate.  Chain traces at SNR 100 take 5 to 7 iterations, the
 # first at the initial rate.
@@ -290,7 +293,7 @@ def fit_ringdowns(times, powers, skip_fraction: float = 0.1):
     variable projection: for a fixed rate, amplitude and floor are the
     linear least-squares solution, and the rate takes Kaufman's
     Gauss-Newton steps on the projected residual, halved while they raise
-    it.  Traces are fitted in chunks of a fixed size.
+    it.
     Returns ``(gamma, stderr, converged)`` arrays of length B.  A trace that
     does not converge or whose normal matrix is singular (a flat or all-zero
     trace) has ``converged`` False, gamma NaN and stderr inf; one such trace
@@ -301,6 +304,14 @@ def fit_ringdowns(times, powers, skip_fraction: float = 0.1):
     The standard error is the full 3-parameter
     ``sqrt(inv(J^T J)[gamma, gamma] * SSR / (S - 3))``.  Negative fitted
     rates are clipped to zero with a warning.
+
+    The rows are cut into chunks of about ``_FIT_CHUNK_VALUES`` values,
+    fitted on every CPU the process may use: this thread and one helper
+    thread per further CPU, pinned to it, started and joined within the
+    call.  No sum mixes rows, so the results do not depend on the number of
+    CPUs or on which thread fits a chunk; they are bit-identical to a
+    row-by-row fit.  (The disorder ensemble stays serial: its batched
+    eigensolver already runs on BLAS threads.)
     """
     t = np.atleast_2d(np.asarray(times, dtype=float))
     p = np.atleast_2d(np.asarray(powers, dtype=float))
@@ -311,16 +322,83 @@ def fit_ringdowns(times, powers, skip_fraction: float = 0.1):
     if not 0.0 <= skip_fraction < 0.9:
         raise ValueError("skip_fraction must lie in [0, 0.9)")
     start = int(round(skip_fraction * t.shape[1]))
-    gamma = np.empty(t.shape[0])
-    stderr = np.empty(t.shape[0])
-    converged = np.empty(t.shape[0], dtype=bool)
-    for lo in range(0, t.shape[0], _FIT_CHUNK):
-        rows = slice(lo, lo + _FIT_CHUNK)
-        gamma[rows], stderr[rows], converged[rows] = _fit_chunk(t[rows, start:], p[rows, start:])
+    t, p = t[:, start:], p[:, start:]
+    n_rows = t.shape[0]
+    size = -(-n_rows // max(1, -(-t.size // _FIT_CHUNK_VALUES)))  # rows per chunk
+    gamma = np.empty(n_rows)
+    stderr = np.empty(n_rows)
+    converged = np.empty(n_rows, dtype=bool)
+
+    def fit(rows):
+        gamma[rows], stderr[rows], converged[rows] = _fit_chunk(t[rows], p[rows])
+
+    _on_all_cpus(fit, [slice(lo, lo + size) for lo in range(0, n_rows, size)])
     if np.any(gamma < 0):
         warnings.warn("fitted ringdown rate is negative; clipping to 0", stacklevel=2)
         gamma = np.where(gamma < 0, 0.0, gamma)
     return gamma, stderr, converged
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pin_helper(index: int) -> None:
+    """Pin the calling helper thread to usable CPU number ``index`` (from 0,
+    cyclically), where the OS lets a thread choose.  Left free, the Linux
+    scheduler kept waking a helper on the CPU of the thread that had just
+    released the interpreter lock, and two threads ran no faster than one
+    (2-CPU VM, fit and noise draw alike); pinned, the unpinned calling
+    thread moves to a free CPU.  The calling thread is never pinned, and a
+    helper the OS refuses to pin runs free.
+    """
+    if hasattr(os, "sched_setaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+        try:
+            os.sched_setaffinity(0, {cpus[index % len(cpus)]})
+        except OSError:  # the process's CPU set changed meanwhile
+            pass
+
+
+def _on_all_cpus(work, items: list) -> None:
+    """Call ``work(item)`` for every item, each once, on this thread and on
+    one helper thread per further usable CPU (none for a single item), each
+    helper pinned to its own CPU by :func:`_pin_helper`.  A thread takes the
+    next item in order whenever it comes free.  The helpers are started here
+    and joined before the return; the first exception raised in any thread
+    is raised here, after which no thread takes an item.
+    """
+    pending, errors, lock = iter(items), [], threading.Lock()
+
+    def drain(helper=None):
+        if helper is not None:
+            _pin_helper(helper + 1)
+        while True:
+            with lock:
+                item = next(pending, None) if not errors else None
+            if item is None:
+                return
+            try:
+                work(item)
+            except BaseException as exc:  # raised again in the calling thread
+                with lock:
+                    errors.append(exc)
+                return
+
+    helpers = [threading.Thread(target=drain, args=(j,), name="omlattice-fit", daemon=True)
+               for j in range(min(_cpu_count(), len(items)) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        drain()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
 
 
 def _row_dot(x, y):
@@ -329,17 +407,25 @@ def _row_dot(x, y):
     return np.einsum("ij,ij->i", x, y)
 
 
-def _initial_rate(tau, p):
+def _initial_rate(tau, p, amp, dx):
     """Tail-mean floor, then a log-linear regression of the samples more than
     a tenth of the peak above it; NaN with fewer than 5 such samples or a
-    rising slope."""
+    rising slope.  ``amp`` and ``dx`` are scratch arrays of ``tau``'s shape
+    that end up overwritten."""
     n = tau.shape[1]
-    amp = p - p[:, -max(3, n // 8):].mean(axis=1)[:, None]
+    np.subtract(p, p[:, -max(3, n // 8):].mean(axis=1)[:, None], out=amp)
     above = amp > 0.1 * np.maximum(amp.max(axis=1), 1e-300)[:, None]
+    below = ~above
     count = above.sum(axis=1)
-    x_mean = np.where(above, tau, 0.0).sum(axis=1) / count
-    dx = np.where(above, tau - x_mean[:, None], 0.0)
-    slope = (dx * np.log(np.where(above, amp, 1.0))).sum(axis=1) / (dx * dx).sum(axis=1)
+    np.copyto(dx, tau)
+    np.copyto(dx, 0.0, where=below)
+    np.subtract(tau, (dx.sum(axis=1) / count)[:, None], out=dx)
+    np.copyto(dx, 0.0, where=below)
+    np.copyto(amp, 1.0, where=below)
+    np.log(amp, out=amp)
+    np.multiply(dx, amp, out=amp)
+    np.multiply(dx, dx, out=dx)
+    slope = amp.sum(axis=1) / dx.sum(axis=1)
     return np.where((count >= 5) & (slope < 0), -slope, np.nan)
 
 
@@ -349,7 +435,11 @@ def _fit_chunk(t, p):
     ``k = 2 pi gamma max|t|`` of ``a exp(-k tau) + c``.  Each iteration makes
     one pass of ``e = exp(-k tau)`` and seven per-row sums; amplitude and
     floor come from the 2x2 normal equations in ``(e, 1)``.  Converged rows,
-    and rows whose step is not finite, leave the active set."""
+    and rows whose step is not finite, are dropped from the arrays once at
+    least half of their rows have left; until then they are computed but
+    not read.  Besides ``tau`` the kernel keeps two arrays of ``t``'s size,
+    which also hold the initial rate's, the residual's and the drop's
+    intermediates, and a copy of at most half of ``p``."""
     scale = np.abs(t).max(axis=1)
     tau = t / scale[:, None]
     n_rows, n_samples = t.shape
@@ -357,12 +447,13 @@ def _fit_chunk(t, p):
     rate_var = np.full(n_rows, np.inf)
     converged = np.zeros(n_rows, dtype=bool)
     rows = np.arange(n_rows)
+    e_buf, te_buf = np.empty_like(tau), np.empty_like(tau)
     with np.errstate(all="ignore"):
-        k = _initial_rate(tau, p)
-        e_buf, te_buf = np.empty_like(tau), np.empty_like(tau)
+        k = _initial_rate(tau, p, e_buf, te_buf)
         sum_p, sum_pp = p.sum(axis=1), _row_dot(p, p)
         ssr = np.full(n_rows, np.inf)
         step = np.zeros(n_rows)
+        live = np.ones(n_rows, dtype=bool)
         for _ in range(_MAX_ITER):
             trial = k + step
             e, te = e_buf[:rows.size], te_buf[:rows.size]
@@ -390,21 +481,35 @@ def _fit_chunk(t, p):
             k = np.where(accept, trial, k)
             ssr = np.where(accept, ssr_t, ssr)
             step = np.where(accept, dk, 0.5 * step)
-            finished = done & ~bad
-            if finished.any():
-                r = p[finished] - a[finished, None] * e[finished] - c[finished, None]
+            finishing = done & ~bad & live
+            if finishing.any():
+                # the residual p - a e - c of the finished rows, written over
+                # their rows of te, then gathered to the first rows of e
+                # (neither is read again this iteration)
+                finished, where = np.flatnonzero(finishing), finishing[:, None]
+                np.multiply(a[:, None], e, out=te, where=where)
+                np.subtract(p, te, out=te, where=where)
+                np.subtract(te, c[:, None], out=te, where=where)
+                r = np.take(te, finished, axis=0, out=e[:finished.size], mode="clip")
                 var = _row_dot(r, r) / (n_samples - 3) / (a[finished] ** 2 * s[finished])
                 ok = (det[finished] > _SINGULAR_DET) & np.isfinite(var)
                 idx = rows[finished]
                 rate[idx] = np.where(ok, trial[finished], np.nan)
                 rate_var[idx] = np.where(ok, var, np.inf)
                 converged[idx] = ok
-            keep = ~(done | bad)
-            if not keep.all():
-                rows, tau, p = rows[keep], tau[keep], p[keep]
-                k, ssr, step, sum_p, sum_pp = k[keep], ssr[keep], step[keep], sum_p[keep], sum_pp[keep]
-            if rows.size == 0:
+            live &= ~(done | bad)
+            kept = np.flatnonzero(live)
+            if kept.size == 0:
                 break
+            if 2 * kept.size <= rows.size:
+                # tau is this kernel's own and moves up in place, through e's
+                # buffer; p may be the caller's, so its kept rows are copied
+                np.take(tau, kept, axis=0, out=e_buf[:kept.size], mode="clip")
+                tau = tau[:kept.size]
+                tau[...] = e_buf[:kept.size]
+                p = p[kept]
+                rows, k, ssr, step = rows[kept], k[kept], ssr[kept], step[kept]
+                sum_p, sum_pp, live = sum_p[kept], sum_pp[kept], live[kept]
     return rate / (TWO_PI * scale), np.sqrt(rate_var) / (TWO_PI * scale), converged
 
 

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import threading
 import tracemalloc
 from collections.abc import Mapping, MutableMapping
 from pathlib import Path
@@ -187,6 +188,50 @@ class TestSimulateMeasurement:
                                             p0=1.5, samples_per_trace=45))
         assert np.array_equal(runs[0].powers, runs[1].powers)
 
+    def test_noise_thread_ends_within_the_call(self):
+        h, sites, readouts = small_setup(seed=3)
+        before = threading.active_count()
+        om.simulate_measurement(h, sites, readouts, np.linspace(1e14, 6e14, 3), master_seed=21,
+                                snr=60.0, samples_per_trace=45)
+        assert threading.active_count() == before
+
+    def test_noise_draw_error_is_raised_in_the_caller(self, monkeypatch):
+        calls = []
+
+        class FailingGenerator:
+            def __init__(self, bit_generator):
+                pass
+
+            def normal(self, loc, scale, size):
+                calls.append(size)
+                if len(calls) == 2:
+                    raise MemoryError("second run")
+                return np.zeros(size)
+
+        h, sites, readouts = small_setup(seed=3)
+        monkeypatch.setattr(om.experiment, "_NOISE_DRAW_VALUES", 2 * h.n_sites ** 2 * 3)
+        monkeypatch.setattr(np.random, "Generator", FailingGenerator)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="second run"):
+            om.simulate_measurement(h, sites, readouts, np.linspace(1e14, 6e14, 3),
+                                    master_seed=21, snr=60.0, samples_per_trace=45)
+        assert len(calls) == 2 and threading.active_count() == before
+
+    def test_failure_beside_the_noise_draw_stops_it(self, monkeypatch):
+        # the noise thread starts before the damping rates are computed, and
+        # the failure must still join it
+        def failing(*args):
+            raise ValueError("damping failed")
+
+        h, sites, readouts = small_setup(seed=3)
+        monkeypatch.setattr(om.experiment, "_NOISE_DRAW_VALUES", h.n_sites ** 2 * 3)
+        monkeypatch.setattr(om.experiment, "effective_damping", failing)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="damping failed"):
+            om.simulate_measurement(h, sites, readouts, np.linspace(1e14, 6e14, 3),
+                                    master_seed=21, snr=60.0, samples_per_trace=45)
+        assert threading.active_count() == before
+
     def test_fewer_samples_draw_a_prefix_of_the_noise_rows(self):
         h, sites, readouts = small_setup(seed=3)
         fluxes = np.linspace(1e14, 6e14, 3)
@@ -245,6 +290,18 @@ class TestRecover:
         with pytest.raises(ValueError, match="ascending"):
             om.recover_from_slopes(slopes, readouts, [s.mech_freq for s in sites],
                                    modes.eigenfreqs, bad)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_slopes_are_refused_naming_the_slopes(self, value):
+        h, sites, readouts = small_setup(seed=8)
+        slopes = om.analytic_slope_matrix(h, sites, readouts)
+        slopes[1, 2] = value
+        modes = om.diagonalize(h)
+        with pytest.raises(ValueError, match="damping-power slopes must be finite, got 1 "
+                                             f"non-finite of {slopes.size}; a slope is the "
+                                             "regression"):
+            om.recover_from_slopes(slopes, readouts, [s.mech_freq for s in sites],
+                                   modes.eigenfreqs, modes)
 
     def test_orthogonalization_fallback_reconstructs_from_sign_assigned_matrix(self):
         # an all-positive reference puts eigenvalues of the sign-assigned

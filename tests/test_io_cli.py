@@ -108,6 +108,9 @@ OUTSIDE_THE_MODEL = [
     ("measure-sim", "measurement", "n_powers", "0"),
     ("measure-sim", "measurement", "n_powers", "1"),
     ("measure-sim", "measurement", "p0", "0"),
+    # outside [1e-100, 1e100]: from about 1e-160 down and 1e155 up fits fail
+    ("measure-sim", "measurement", "p0", "9.9e-101"),
+    ("measure-sim", "measurement", "p0", "1.01e100"),
     ("measure-sim", "measurement", "p0", "-1"),
     ("measure-sim", "measurement", "p0", "nan"),
     ("measure-sim", "measurement", "p0", "inf"),
@@ -132,7 +135,7 @@ OUTSIDE_THE_MODEL = [
     # about 1e297 values, refused before any is built
     ("disorder", "disorder", "sigma_grid", "0.001:0.002:1e-300"),
     ("disorder", "disorder", "sigma_grid", "0:1:0.00001"),
-    # above disorder._MAX_SIGMA a site's frequency factor 1 + N(0, sigma) can reach 0
+    # above lattice._MAX_SIGMA a site's frequency factor 1 + N(0, sigma) can reach 0
     ("disorder", "disorder", "sigma_grid", "2"),
     ("disorder", "disorder", "sigma_grid", "0.001, 0.11"),
     ("disorder", "disorder", "sigma_grid", "0:0.2:0.05"),
@@ -728,8 +731,9 @@ class TestCliMeasureAndRecover:
                          "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-        assert err.startswith("numerical failure: eta_tilde entries must be finite, got 16 "
-                              "non-finite of 16")
+        assert err.startswith("numerical failure: damping-power slopes must be finite, got 16 "
+                              "non-finite of 16; a slope is the regression of a (mode, site) "
+                              "pair's fitted ringdown rates on the drive flux")
         assert not out.exists()
 
     def test_dataset_of_another_size_exits_2_naming_both_files(self, small_cfg, tmp_path, capsys):
@@ -784,6 +788,15 @@ class TestCliMeasureAndRecover:
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert err.startswith(f"configuration error: [{section}] {key} ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("p0", ["1e-100", "1e100"])
+    def test_p0_at_its_bounds_is_recovered(self, tmp_path, p0):
+        cfg = edited_config(tmp_path, "measurement", "p0", p0)
+        dataset, out = tmp_path / "dataset", tmp_path / "out"
+        assert main(["measure-sim", "--config", str(cfg), "--out", str(dataset)]) == 0
+        assert main(["recover", "--config", str(cfg), "--dataset", str(dataset),
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["fits_failed"] == 0
 
     @pytest.mark.parametrize("command, section, key, value", OUTSIDE_THE_FLAKE_MODEL,
                              ids=[f"{c}-{k}={v}" for c, _, k, v in OUTSIDE_THE_FLAKE_MODEL])

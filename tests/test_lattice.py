@@ -253,6 +253,18 @@ class TestApplyDisorder:
         h = om.build_ssh_chain(3, IDEAL, [WC] * 6)
         assert np.array_equal(om.apply_disorder(h, 0.0, 42).matrix, h.matrix)
 
+    @pytest.mark.parametrize("sigma", [0.1000001, 2.0, -0.001, float("nan"), float("inf")])
+    def test_sigma_outside_the_cap_is_refused(self, sigma):
+        # at sigma = 2 the factors 1 + N(0, sigma) reach far below 0: cavity
+        # frequencies of about -3e10 Hz
+        h = om.build_ssh_chain(3, IDEAL, [WC] * 6)
+        with pytest.raises(ValueError, match=r"sigma must lie in \[0, 0\.1\]"):
+            om.apply_disorder(h, sigma, 3)
+
+    def test_sigma_at_the_cap_is_accepted(self):
+        h = om.build_ssh_chain(3, IDEAL, [WC] * 6)
+        assert np.all(np.diag(om.apply_disorder(h, 0.1, 3).matrix) > 0)
+
     def test_deterministic_per_seed(self):
         h = om.build_ssh_chain(3, IDEAL, [WC] * 6)
         a = om.apply_disorder(h, 0.003, 42).matrix

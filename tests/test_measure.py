@@ -1,3 +1,7 @@
+import itertools
+import os
+import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import omlattice as om
-from omlattice import experiment
+from omlattice import experiment, measure
 from omlattice.cli import main
 from omlattice.measure import EIGVEC_COND_MAX, SINKHORN_FLOOR_DEFAULT, TWO_PI
 
@@ -382,6 +386,128 @@ class TestBatchedRingdownFit:
         assert exact.times.size == 400 and longer.times.size == 401
         assert np.array_equal(exact.times, longer.times[:400])
         assert np.array_equal(exact.powers, longer.powers[:400])
+
+
+def _stack_with_degenerate_rows(rows, samples, seed=3):
+    """``rows`` random ringdowns of ``samples`` samples at SNR 30, 100 and
+    noiseless; every 37th row, from row 2, is one the fit cannot take: all
+    zero, flat, rising, or decaying too fast for the log-linear start."""
+    traces, _ = _random_traces(np.random.default_rng(seed), rows, samples, (30.0, 100.0, np.inf))
+    times, powers = _stacked(traces)
+    degenerate = (np.zeros(samples), np.full(samples, 0.1), np.linspace(0.1, 1.0, samples),
+                  np.where(np.arange(samples) < 14, 1.0, 0.05))
+    for j, row in enumerate(range(2, rows, 37)):
+        powers[row] = degenerate[j % len(degenerate)]
+    return times, powers
+
+
+def _row_by_row(times, powers):
+    fits = [om.fit_ringdowns(times[i:i + 1], powers[i:i + 1]) for i in range(len(times))]
+    return tuple(np.concatenate(column) for column in zip(*fits))
+
+
+def _assert_same_fits(got, expected):
+    for x, y in zip(got, expected, strict=True):
+        assert np.array_equal(x, y, equal_nan=True)
+
+
+class TestFitOnEveryCpu:
+    """fit_ringdowns cuts a stack into chunks fitted on this thread and one
+    helper thread per further CPU; no result depends on the cut or on the
+    threads."""
+
+    @pytest.fixture
+    def chunks(self, monkeypatch):
+        """The (rows, thread name, CPUs the thread may run on) of every
+        _fit_chunk call."""
+        calls, real = [], measure._fit_chunk
+
+        def recording(t, p):
+            cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+            calls.append((t.shape[0], threading.current_thread().name, cpus))
+            return real(t, p)
+
+        monkeypatch.setattr(measure, "_fit_chunk", recording)
+        return calls
+
+    @pytest.mark.parametrize("rows, expected_chunks", [
+        (1, [1]),
+        # one chunk's worth of 126-sample rows (140 less the skipped head), plus one
+        (2**16 // 126 + 1, [261, 260]),
+        (1152, [384, 384, 384]),
+    ])
+    def test_stack_fits_bit_for_bit_like_row_by_row(self, monkeypatch, chunks, rows,
+                                                    expected_chunks):
+        monkeypatch.setattr(measure, "_cpu_count", lambda: 2)
+        times, powers = _stack_with_degenerate_rows(rows, 140)
+        got = om.fit_ringdowns(times, powers)
+        assert sorted(size for size, _, _ in chunks) == sorted(expected_chunks)
+        if rows > 1:
+            assert not got[2].all()  # the degenerate rows are in the stack
+        chunks.clear()
+        _assert_same_fits(got, _row_by_row(times, powers))
+
+    @pytest.mark.parametrize("cpus", [2, 3, 8])
+    def test_threads_give_the_results_of_the_inline_path(self, monkeypatch, chunks, cpus):
+        times, powers = _stack_with_degenerate_rows(1000, 400, seed=11)
+        monkeypatch.setattr(measure, "_cpu_count", lambda: 1)
+        inline = om.fit_ringdowns(times, powers)
+        assert {name for _, name, _ in chunks} == {threading.current_thread().name}
+        chunks.clear()
+        monkeypatch.setattr(measure, "_cpu_count", lambda: cpus)
+        caller_cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        before = threading.active_count()
+        _assert_same_fits(om.fit_ringdowns(times, powers), inline)
+        assert threading.active_count() == before
+        assert len(chunks) == 6 and "omlattice-fit" in {name for _, name, _ in chunks}
+        if caller_cpus is not None:
+            # each helper pinned to one CPU; the calling thread left as it was
+            assert all(len(allowed) == 1 for _, name, allowed in chunks if name == "omlattice-fit")
+            assert os.sched_getaffinity(0) == caller_cpus
+
+    def test_many_threads_switching_often_give_the_same_results(self, monkeypatch):
+        # more threads than chunks and than CPUs, switching every microsecond
+        times, powers = _stack_with_degenerate_rows(300, 140, seed=5)
+        monkeypatch.setattr(measure, "_FIT_CHUNK_VALUES", 1000)
+        monkeypatch.setattr(measure, "_cpu_count", lambda: 1)
+        inline = om.fit_ringdowns(times, powers)
+        monkeypatch.setattr(measure, "_cpu_count", lambda: 64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = [om.fit_ringdowns(times, powers) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for fits in threaded:
+            _assert_same_fits(fits, inline)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="threads are not pinned here")
+    def test_helper_the_os_refuses_to_pin_runs_free(self, monkeypatch):
+        def refuse(pid, cpus):
+            raise OSError(22, "Invalid argument")
+
+        times, powers = _stack_with_degenerate_rows(300, 140, seed=5)
+        monkeypatch.setattr(measure, "_cpu_count", lambda: 1)
+        inline = om.fit_ringdowns(times, powers)
+        monkeypatch.setattr(measure, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        _assert_same_fits(om.fit_ringdowns(times, powers), inline)
+
+    def test_error_in_a_chunk_is_raised_in_the_caller(self, monkeypatch):
+        calls, real = itertools.count(), measure._fit_chunk
+
+        def failing_second(t, p):
+            if next(calls) == 1:
+                raise RuntimeError("second chunk failed")
+            return real(t, p)
+
+        monkeypatch.setattr(measure, "_fit_chunk", failing_second)
+        monkeypatch.setattr(measure, "_cpu_count", lambda: 2)
+        times, powers = _stack_with_degenerate_rows(1152, 140)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="second chunk failed"):
+            om.fit_ringdowns(times, powers)
+        assert threading.active_count() == before
 
 
 class TestSinkhorn:
