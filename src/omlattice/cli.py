@@ -12,9 +12,10 @@ Each subcommand takes ``--config``, ``--out`` and only the options it reads
 
 Exit codes: 0 success, 2 usage or configuration error or a missing or
 unreadable file (such as a ``--dataset`` directory), 3 numerical failure
-(including a dataset none of whose ringdowns could be fitted, and a NaN or
-infinity that a JSON output cannot hold).  Failures print one line to
-standard error; a usage error prints argparse's usage message.
+(including a dataset none of whose ringdowns could be fitted, a NaN or
+infinity that a JSON output cannot hold, and arrays too large for memory).
+Failures print one line to standard error; a usage error prints argparse's
+usage message.
 """
 
 from __future__ import annotations
@@ -345,7 +346,7 @@ def main(argv=None) -> int:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (np.linalg.LinAlgError, GaplessCurveError, SinkhornError, RingdownFitError,
-            ValueError) as exc:
+            ValueError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     finally:

@@ -17,7 +17,9 @@ relative frequency shifts (none are drawn at sigma = 0).  Hence:
 * each sigma point depends only on master_seed and its sigma index, not on
   the order in which sigma points are evaluated;
 * sample ``s`` of sigma index ``j`` is row ``s`` of that block, so an
-  ensemble with fewer samples draws a prefix of the same rows.
+  ensemble with fewer samples draws a prefix of the same rows;
+* results do not depend on the number of CPUs: LAPACK solves each sample's
+  matrix on its own, whichever thread and chunk of rows it falls in.
 
 Certainty bands are central percentiles (70% -> [p15, p85],
 90% -> [p5, p95]).
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import _MAX_SIGMA, LatticeSpec, ParticipationMatrix, Topology, build_lattice
+from .measure import _on_all_cpus, _row_chunks
 
 MIN_SAMPLES_FOR_PERCENTILES = 100
 MAX_FAILURE_FRACTION = 1e-3
@@ -103,11 +106,21 @@ def run_ensemble(
 
     For every sigma, draw the diagonal disorder of all samples as one block
     from the sigma point's Philox stream (see the module docstring),
-    diagonalize the batch, and reduce participation ratios to hybridization
-    factors; aggregate means, central percentiles, and per-mode
-    eigenfrequency statistics.  ``lattice`` is a :class:`LatticeSpec` of kind
-    ``ssh-chain`` or a :class:`CouplingHamiltonian` of a chain.  Eigensolver
-    failures are counted per sample and tolerated up to 0.1%.
+    diagonalize the disordered matrices, and reduce participation ratios to
+    hybridization factors; aggregate means, central percentiles, and
+    per-mode eigenfrequency statistics.  ``lattice`` is a
+    :class:`LatticeSpec` of kind ``ssh-chain`` or a
+    :class:`CouplingHamiltonian` of a chain.
+
+    The samples are diagonalized in chunks of rows, cut as
+    :func:`omlattice.fit_ringdowns` cuts a stack, on every CPU the process
+    may use: this thread and one pinned helper thread per further CPU,
+    started and joined within the call.  A chunk builds its own batch and
+    keeps its eigenvectors only until it has their hybridization factors,
+    so neither the whole batch nor its eigenvectors are held at once.  A
+    chunk whose batched eigensolve fails is solved sample by sample; failed
+    samples are left out, and more than 0.1% of a sigma point's samples
+    failing raises :class:`numpy.linalg.LinAlgError`.
     """
     if isinstance(lattice, LatticeSpec):
         if lattice.kind is not Topology.SSH_CHAIN:
@@ -151,26 +164,38 @@ def run_ensemble(
             factors = 1.0 + rng.normal(0.0, sigma, (samples, n))
         else:
             factors = np.ones((samples, n))
-        batch = np.repeat(h.matrix[None], samples, axis=0)
-        batch[:, diag, diag] *= factors
-        try:
-            freqs, vecs = np.linalg.eigh(batch)
-        except np.linalg.LinAlgError:
-            freqs = np.full((samples, n), np.nan)
-            vecs = np.full((samples, n, n), np.nan)
-            ok = 0
-            for s in range(samples):
-                try:
-                    freqs[s], vecs[s] = np.linalg.eigh(batch[s])
-                    ok += 1
-                except np.linalg.LinAlgError:
-                    failures += 1
-            if samples - ok > MAX_FAILURE_FRACTION * samples:
-                raise
-        # eta[sample, mode, site] = |eigvec|^2 with modes along rows
-        eta = np.abs(np.swapaxes(vecs, 1, 2)) ** 2
-        zetas = np.sort(hybridization_factor(eta, n_cells))
-        zetas = zetas[np.isfinite(zetas)]
+        freqs = np.empty((samples, n))
+        zetas = np.empty(samples)
+        failed = np.zeros(samples, dtype=bool)
+
+        def solve(rows):
+            block = factors[rows]
+            batch = np.repeat(h.matrix[None], len(block), axis=0)
+            batch[:, diag, diag] *= block
+            try:
+                freqs[rows], vecs = np.linalg.eigh(batch)
+            except np.linalg.LinAlgError:
+                vecs = np.full(batch.shape, np.nan)
+                for s, matrix in enumerate(batch, start=rows.start):
+                    try:
+                        freqs[s], vecs[s - rows.start] = np.linalg.eigh(matrix)
+                    except np.linalg.LinAlgError:
+                        freqs[s] = np.nan
+                        failed[s] = True
+            # eta[sample, mode, site] = |eigvec|^2 with modes along rows
+            zetas[rows] = hybridization_factor(np.abs(np.swapaxes(vecs, 1, 2)) ** 2, n_cells)
+
+        # cut only now: a sample count beyond memory is refused above, at the
+        # first allocation, before a list of its chunks could grow
+        _on_all_cpus(solve, _row_chunks(samples, n * n))
+        n_failed = int(failed.sum())
+        if n_failed > MAX_FAILURE_FRACTION * samples:
+            raise np.linalg.LinAlgError(
+                f"the eigensolver failed on {n_failed} of {samples} samples at sigma = {sigma:g} "
+                f"(grid point {j}), more than the {MAX_FAILURE_FRACTION:.1%} that are tolerated"
+            )
+        failures += n_failed
+        zetas = np.sort(zetas[np.isfinite(zetas)])
         zeta_mean[j] = zetas.mean()
         zeta_pcts[:, j] = np.percentile(zetas, [5, 15, 85, 95])
         freq_mean[j] = np.nanmean(freqs, axis=0)

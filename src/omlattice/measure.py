@@ -264,10 +264,11 @@ def simulate_ringdown(
 
 # Shortest ringdown :func:`fit_ringdowns` accepts.
 MIN_FIT_SAMPLES = 10
-# The most values (traces x samples) one kernel call fits: enough to
-# amortize numpy's per-call overhead, few enough that a chunk's buffers stay
-# in cache.  A stack is cut into the fewest such chunks, of equal rows up to
-# one; 2**15 and 2**17 were slower on criterion-5 stacks, serial and threaded.
+# The most values (traces x samples) one kernel call fits, and the most
+# matrix entries one batched eigensolve of the disorder ensemble takes:
+# enough to amortize numpy's per-call overhead, few enough that a chunk's
+# buffers stay in cache (see :func:`_row_chunks`).  2**15 and 2**17 were
+# slower on criterion-5 stacks, serial and threaded.
 _FIT_CHUNK_VALUES = 2**16
 # Stopping rule: converged when the Gauss-Newton step in the rate is below
 # _XTOL of the rate.  Chain traces at SNR 100 take 5 to 7 iterations, the
@@ -310,8 +311,8 @@ def fit_ringdowns(times, powers, skip_fraction: float = 0.1):
     thread per further CPU, pinned to it, started and joined within the
     call.  No sum mixes rows, so the results do not depend on the number of
     CPUs or on which thread fits a chunk; they are bit-identical to a
-    row-by-row fit.  (The disorder ensemble stays serial: its batched
-    eigensolver already runs on BLAS threads.)
+    row-by-row fit.  The disorder ensemble's batched eigensolves are cut
+    and shared out the same way (:func:`omlattice.disorder.run_ensemble`).
     """
     t = np.atleast_2d(np.asarray(times, dtype=float))
     p = np.atleast_2d(np.asarray(powers, dtype=float))
@@ -324,7 +325,6 @@ def fit_ringdowns(times, powers, skip_fraction: float = 0.1):
     start = int(round(skip_fraction * t.shape[1]))
     t, p = t[:, start:], p[:, start:]
     n_rows = t.shape[0]
-    size = -(-n_rows // max(1, -(-t.size // _FIT_CHUNK_VALUES)))  # rows per chunk
     gamma = np.empty(n_rows)
     stderr = np.empty(n_rows)
     converged = np.empty(n_rows, dtype=bool)
@@ -332,11 +332,21 @@ def fit_ringdowns(times, powers, skip_fraction: float = 0.1):
     def fit(rows):
         gamma[rows], stderr[rows], converged[rows] = _fit_chunk(t[rows], p[rows])
 
-    _on_all_cpus(fit, [slice(lo, lo + size) for lo in range(0, n_rows, size)])
+    _on_all_cpus(fit, _row_chunks(n_rows, t.shape[1]))
     if np.any(gamma < 0):
         warnings.warn("fitted ringdown rate is negative; clipping to 0", stacklevel=2)
         gamma = np.where(gamma < 0, 0.0, gamma)
     return gamma, stderr, converged
+
+
+def _row_chunks(n_rows: int, row_values: int) -> list[slice]:
+    """Cut ``n_rows`` rows of ``row_values`` values each into chunks of
+    about ``_FIT_CHUNK_VALUES`` values: ``k = ceil(n_rows * row_values /
+    _FIT_CHUNK_VALUES)`` chunks (one at least) of ``ceil(n_rows / k)`` rows,
+    the last one what is left.
+    """
+    size = -(-n_rows // max(1, -(-n_rows * row_values // _FIT_CHUNK_VALUES)))
+    return [slice(lo, lo + size) for lo in range(0, n_rows, size)]
 
 
 def _cpu_count() -> int:

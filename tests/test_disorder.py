@@ -1,9 +1,12 @@
+import itertools
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import omlattice as om
+from omlattice import disorder, measure
 from omlattice import io as om_io
 
 CONFIG_DIR = Path(om.__file__).resolve().parent / "configs"
@@ -182,6 +185,111 @@ class TestRunEnsemble:
         assert (ens.zeta_p5 <= ens.zeta_p15).all()
         assert (ens.zeta_p15 <= ens.zeta_p85).all()
         assert (ens.zeta_p85 <= ens.zeta_p95).all()
+
+
+ENSEMBLE_FIELDS = ("zeta_mean", "zeta_p5", "zeta_p15", "zeta_p85", "zeta_p95",
+                   "eigenfreq_mean", "eigenfreq_std", "failed_samples")
+
+
+class TestEnsembleOnEveryCpu:
+    """run_ensemble cuts each sigma point's samples into chunks of rows,
+    diagonalized on this thread and one helper thread per further CPU; no
+    result depends on the cut or on the threads."""
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """The number of matrices in every eigh call."""
+        calls, real = [], np.linalg.eigh
+
+        def recording(a):
+            calls.append(len(a) if a.ndim == 3 else 1)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        return calls
+
+    @pytest.mark.filterwarnings("ignore:1 samples per point")
+    @pytest.mark.parametrize("samples, expected_batches", [
+        (1, [1]),
+        # 100 values a sample: the fewest chunks of at most 2**16 values
+        (4000, [572] * 6 + [568]),
+        (4001, [572] * 6 + [569]),
+    ])
+    def test_threads_give_the_results_of_the_inline_path(self, monkeypatch, batches, samples,
+                                                         expected_batches):
+        grid = [0.0, 0.004]
+        monkeypatch.setattr(measure, "_cpu_count", lambda: 1)
+        inline = om.run_ensemble(chain_spec(), grid, samples, master_seed=17)
+        assert sorted(batches) == sorted(expected_batches * len(grid))
+        for cpus in (2, 3, 8):
+            monkeypatch.setattr(measure, "_cpu_count", lambda: cpus)
+            before = threading.active_count()
+            threaded = om.run_ensemble(chain_spec(), grid, samples, master_seed=17)
+            assert threading.active_count() == before
+            for field in ENSEMBLE_FIELDS:
+                assert np.array_equal(getattr(threaded, field), getattr(inline, field)), field
+
+    def test_error_in_one_chunk_reaches_the_caller_and_leaves_no_thread(self, monkeypatch):
+        calls, real = itertools.count(), disorder.hybridization_factor
+
+        def failing(eta, n_cells):
+            if next(calls) == 2:
+                raise RuntimeError("chunk 2 failed")
+            return real(eta, n_cells)
+
+        monkeypatch.setattr(disorder, "hybridization_factor", failing)
+        monkeypatch.setattr(measure, "_cpu_count", lambda: 3)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk 2 failed"):
+            om.run_ensemble(chain_spec(), [0.004], 4000, master_seed=17)
+        assert threading.active_count() == before
+
+
+class TestEigensolverFailures:
+    """A chunk whose batched eigensolve fails is solved sample by sample; a
+    sample that fails alone is left out, up to 0.1% of a sigma point's
+    samples."""
+
+    SIGMA, SAMPLES, SEED = 0.003, 1000, 23
+
+    @pytest.fixture
+    def fail_on(self, monkeypatch):
+        """Make np.linalg.eigh fail on every batch of matrices and on the
+        matrix of each given sample of the one-point ensemble at SIGMA."""
+        h = om.build_lattice(chain_spec())
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(self.SEED, spawn_key=(0,))))
+        block = 1.0 + rng.normal(0.0, self.SIGMA, (self.SAMPLES, h.n_sites))
+        real = np.linalg.eigh
+
+        def install(rows):
+            first_site = {h.matrix[0, 0] * block[s, 0] for s in rows}
+
+            def eigh(a):
+                if a.ndim > 2 or a[0, 0] in first_site:
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+                return real(a)
+
+            monkeypatch.setattr(np.linalg, "eigh", eigh)
+            monkeypatch.setattr(measure, "_cpu_count", lambda: 2)
+
+        return install
+
+    def test_one_failed_sample_is_left_out(self, fail_on):
+        h = om.build_lattice(chain_spec())
+        zetas, freqs = stream_composition(h, self.SEED, 0, self.SIGMA, self.SAMPLES)
+        fail_on([417])
+        ens = om.run_ensemble(chain_spec(), [self.SIGMA], self.SAMPLES, master_seed=self.SEED)
+        assert ens.failed_samples == 1
+        for field in ENSEMBLE_FIELDS:
+            assert np.isfinite(getattr(ens, field)).all(), field
+        assert_point_matches(ens, 0, np.delete(zetas, 417), np.delete(freqs, 417, axis=0))
+
+    def test_failures_above_the_cap_raise_naming_the_point(self, fail_on):
+        fail_on([3, 812])
+        message = r"failed on 2 of 1000 samples at sigma = 0.003 \(grid point 0\), more than the 0.1%"
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            om.run_ensemble(chain_spec(), [self.SIGMA], self.SAMPLES, master_seed=self.SEED)
 
 
 @pytest.fixture(scope="module")

@@ -789,6 +789,22 @@ class TestCliMeasureAndRecover:
         assert err.startswith(f"configuration error: [{section}] {key} ")
         assert not out.exists()
 
+    # each size's first array is larger than the 128 TiB address space of a
+    # 64-bit process, so it is refused at once whatever the overcommit policy
+    @pytest.mark.parametrize("command, section, key", [
+        ("disorder", "disorder", "samples"),
+        ("measure-sim", "measurement", "n_powers"),
+    ])
+    def test_size_beyond_memory_exits_3_with_one_line(self, tmp_path, capsys, command, section,
+                                                      key):
+        cfg = edited_config(tmp_path, section, key, str(10**14))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("numerical failure: Unable to allocate ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("p0", ["1e-100", "1e100"])
     def test_p0_at_its_bounds_is_recovered(self, tmp_path, p0):
         cfg = edited_config(tmp_path, "measurement", "p0", p0)
@@ -941,6 +957,20 @@ class TestCliDisorder:
         assert "inversion" in manifest
         assert manifest["inversion"]["zeta_measured"] == 0.98
 
+
+    def test_eigensolver_failures_above_the_cap_exit_3_with_one_line(self, small_cfg, tmp_path,
+                                                                     capsys, monkeypatch):
+        def eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        out = tmp_path / "out"
+        assert main(["disorder", "--config", str(small_cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("numerical failure: the eigensolver failed on 150 of 150 samples "
+                              "at sigma = 0 (grid point 0), more than the 0.1% ")
+        assert not out.exists()
 
     def test_non_chain_lattice_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "flake.cfg"
