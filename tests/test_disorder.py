@@ -287,7 +287,8 @@ class TestEigensolverFailures:
 
     def test_failures_above_the_cap_raise_naming_the_point(self, fail_on):
         fail_on([3, 812])
-        message = r"failed on 2 of 1000 samples at sigma = 0.003 \(grid point 0\), more than the 0.1%"
+        message = (r"failed on 2 of 1000 samples at sigma = 0.003 \(grid point 0\), "
+                   r"more than the 0.1%")
         with pytest.raises(np.linalg.LinAlgError, match=message):
             om.run_ensemble(chain_spec(), [self.SIGMA], self.SAMPLES, master_seed=self.SEED)
 
