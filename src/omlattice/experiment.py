@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import operator
-import threading
 from collections.abc import Callable, Mapping
 from dataclasses import astuple, dataclass
 from pathlib import Path
@@ -38,7 +37,7 @@ from .measure import (
     RingdownFitError,
     RingdownTrace,
     _hamiltonian_from_modes,
-    _pin_helper,
+    _on_all_cpus,
     assign_signs,
     damping_slope,
     effective_damping,
@@ -527,9 +526,12 @@ def simulate_measurement(
     ``normal(0, p0 / snr, (samples_per_trace, n, n, powers))`` block, and
     trace ``(k, i, p)`` gets column ``[:, k, i, p]``.  The block is drawn
     in runs of consecutive rows of about 2**16 values, which consume the
-    stream exactly as one call would; the first two are drawn on a helper
-    thread, started and joined within the call, while this one computes the
-    noiseless block.  Hence:
+    stream exactly as one call would.  The noiseless block and the draw of
+    the first two runs are the two items of
+    :func:`~omlattice.measure._on_all_cpus`: this thread computes the block
+    while a helper, where there is a further CPU, draws the runs; this
+    thread then draws the later runs.  On one CPU no thread is started.
+    Hence:
 
     * the same (master_seed, sizes, p0, snr) give bit-identical traces;
     * sample ``s`` of every trace is row ``s`` of the block, so a dataset
@@ -559,13 +561,8 @@ def simulate_measurement(
     rows = max(1, _NOISE_DRAW_VALUES // (h.n_sites ** 2 * fluxes.size))
     runs = [slice(lo, min(lo + rows, samples_per_trace)) for lo in range(0, samples_per_trace, rows)]
     shapes = [(run.stop - run.start, *shape) for run in runs]
-    drawn, helper = [], None
-    if noise_sigma > 0:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed)))
-        helper = threading.Thread(target=_draw_runs, args=(rng, noise_sigma, shapes[:2], drawn),
-                                  name="omlattice-noise", daemon=True)
-        helper.start()
-    try:
+
+    def noiseless():
         modes = diagonalize(h)
         eta = participation(modes).eta
         mech_freqs, mech_linewidths, g0 = _site_fields(sites)
@@ -579,15 +576,22 @@ def simulate_measurement(
         np.exp(powers, out=powers)
         powers *= p0
         powers += floor
-    finally:
-        if helper is not None:
-            helper.join()
+        return modes, mech_freqs, mech_linewidths, gamma, times, powers
+
+    # the noiseless block and the noise runs drawn beside it: at most the first
+    # two, as more would be held in memory, and a helper on a busy CPU, which
+    # draws slower than this thread, would hold up every run it took
+    block, head = [], []
+    tasks = [lambda: block.extend(noiseless())]
+    if noise_sigma > 0:
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed)))
+        tasks.append(lambda: head.extend(rng.normal(0.0, noise_sigma, s) for s in shapes[:2]))
+    _on_all_cpus(lambda task: task(), tasks)
+    modes, mech_freqs, mech_linewidths, gamma, times, powers = block
     if noise_sigma > 0:
         for j, run in enumerate(runs):
-            # the runs after the helper's are drawn here, from the same stream
-            noise = drawn[j] if j < len(drawn) else rng.normal(0.0, noise_sigma, shapes[j])
-            if isinstance(noise, BaseException):
-                raise noise
+            # the runs after the first two are drawn here, from the same stream
+            noise = head[j] if j < len(head) else rng.normal(0.0, noise_sigma, shapes[j])
             powers[..., run] += np.moveaxis(noise, 0, -1)
     np.clip(powers, 0.0, None, out=powers)
     return MeasurementDataset(
@@ -605,23 +609,6 @@ def simulate_measurement(
         site_labels=h.site_labels,
         h_true=h,
     )
-
-
-def _draw_runs(rng: np.random.Generator, sigma: float, shapes: list, drawn: list) -> None:
-    """Append ``rng.normal(0, sigma, shape)`` for each of ``shapes`` in turn
-    to ``drawn``, on a helper thread (pinned to a CPU by
-    :func:`~omlattice.measure._pin_helper`) while the caller computes the
-    noiseless block; the caller joins it and draws the later runs from the
-    same ``rng``.  An exception that stops the draw is appended in place of
-    its run, for the caller to raise.  At most the first two runs are drawn
-    here: more would be held in memory, and a helper on a busy CPU, which
-    draws slower than the caller, would hold up every run it took."""
-    try:
-        _pin_helper(1)
-        for shape in shapes:
-            drawn.append(rng.normal(0.0, sigma, shape))
-    except BaseException as exc:  # raised again in the caller's thread
-        drawn.append(exc)
 
 
 def analytic_slope_matrix(

@@ -29,7 +29,6 @@ import numpy as np
 # Validation tolerances, relative to the largest matrix element unless noted.
 HERMITICITY_RTOL = 1e-9
 ORTHONORMALITY_ATOL = 1e-10
-DIAGONALIZATION_RTOL = 1e-8
 DEGENERACY_RTOL = 1e-10
 SIGN_EPS = 1e-12
 STOCHASTICITY_ATOL = 1e-10
@@ -123,18 +122,6 @@ class LatticeSpec:
     @property
     def cavity_freqs(self) -> np.ndarray:
         return np.array([s.cavity_freq for s in self.sites])
-
-    @property
-    def mech_freqs(self) -> np.ndarray:
-        return np.array([s.mech_freq for s in self.sites])
-
-    @property
-    def mech_linewidths(self) -> np.ndarray:
-        return np.array([s.mech_linewidth for s in self.sites])
-
-    @property
-    def g0s(self) -> np.ndarray:
-        return np.array([s.g0 for s in self.sites])
 
 
 @dataclass(frozen=True)

@@ -342,11 +342,11 @@ def fit_ringdowns(times, powers, skip_fraction: float = 0.1):
 def _row_chunks(n_rows: int, row_values: int) -> list[slice]:
     """Cut ``n_rows`` rows of ``row_values`` values each into chunks of
     about ``_FIT_CHUNK_VALUES`` values: ``k = ceil(n_rows * row_values /
-    _FIT_CHUNK_VALUES)`` chunks (one at least) of ``ceil(n_rows / k)`` rows,
-    the last one what is left.
+    _FIT_CHUNK_VALUES)`` chunks (none for no rows) of ``ceil(n_rows / k)``
+    rows, the last one what is left.
     """
     size = -(-n_rows // max(1, -(-n_rows * row_values // _FIT_CHUNK_VALUES)))
-    return [slice(lo, lo + size) for lo in range(0, n_rows, size)]
+    return [slice(lo, lo + size) for lo in range(0, n_rows, max(1, size))]
 
 
 def _cpu_count() -> int:
@@ -375,35 +375,41 @@ def _pin_helper(index: int) -> None:
 
 def _on_all_cpus(work, items: list) -> None:
     """Call ``work(item)`` for every item, each once, on this thread and on
-    one helper thread per further usable CPU (none for a single item), each
-    helper pinned to its own CPU by :func:`_pin_helper`.  A thread takes the
-    next item in order whenever it comes free.  The helpers are started here
-    and joined before the return; the first exception raised in any thread
-    is raised here, after which no thread takes an item.
+    one helper thread per further usable CPU (none for fewer than two
+    items), each helper pinned to its own CPU by :func:`_pin_helper`.  This
+    thread always runs the first item, which it takes before a helper
+    starts, so the arrays that item allocates come from this thread's malloc
+    arena; every thread then takes the next item in order whenever it comes
+    free.  The helpers are started here and joined before the return; the
+    first exception raised in any thread is raised here, after which no
+    thread takes an item.
     """
     pending, errors, lock = iter(items), [], threading.Lock()
 
-    def drain(helper=None):
+    def take():
+        with lock:
+            return next(pending, None) if not errors else None
+
+    def drain(item, helper=None):
         if helper is not None:
             _pin_helper(helper + 1)
-        while True:
-            with lock:
-                item = next(pending, None) if not errors else None
-            if item is None:
-                return
+            item = take()
+        while item is not None:
             try:
                 work(item)
             except BaseException as exc:  # raised again in the calling thread
                 with lock:
                     errors.append(exc)
                 return
+            item = take()
 
-    helpers = [threading.Thread(target=drain, args=(j,), name="omlattice-fit", daemon=True)
+    first = take()
+    helpers = [threading.Thread(target=drain, args=(None, j), name="omlattice-fit", daemon=True)
                for j in range(min(_cpu_count(), len(items)) - 1)]
     for helper in helpers:
         helper.start()
     try:
-        drain()
+        drain(first)
     finally:
         for helper in helpers:
             helper.join()

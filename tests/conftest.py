@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -139,3 +140,16 @@ def _random_chain(seed, couplings, disorder=0.003):
 def random_chain():
     """Builder of the random chains of acceptance criterion 5."""
     return _random_chain
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """The names of the threads started while the test runs, in order."""
+    names, start = [], threading.Thread.start
+
+    def recording(thread):
+        names.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return names

@@ -1,8 +1,10 @@
 """The README's "Command line" table lists what the parser accepts, its
 "Configuration format" table the keys the configuration reader reads, and
-its "Dataset format" table the fields the dataset manifest reader reads."""
+its "Dataset format" table the fields the dataset manifest reader reads.
+The package starts threads in one place only, as its README says."""
 
 import argparse
+import ast
 import re
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from omlattice import io as om_io
 from omlattice.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = Path(om_experiment.__file__).resolve().parent
 
 
 def readme_section(title: str) -> str:
@@ -90,3 +93,20 @@ def reader_manifest_fields() -> dict[str, tuple[str, str, str, str]]:
 
 def test_readme_dataset_table_matches_the_field_table():
     assert readme_manifest_fields() == reader_manifest_fields()
+
+
+def imported_modules(path: Path) -> set[str]:
+    """The modules a source file imports, by their full names."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+def test_only_the_thread_runner_imports_threading():
+    # measure._on_all_cpus runs every parallel stage
+    importers = {path.name for path in PACKAGE.glob("*.py") if "threading" in imported_modules(path)}
+    assert importers == {"measure.py"}

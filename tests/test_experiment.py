@@ -232,6 +232,28 @@ class TestSimulateMeasurement:
                                     master_seed=21, snr=60.0, samples_per_trace=45)
         assert threading.active_count() == before
 
+    def test_noiseless_block_runs_on_the_calling_thread(self, monkeypatch, started_threads):
+        h, sites, readouts = small_setup(seed=3)
+        diagonalized, real = [], om.experiment.diagonalize
+
+        def spy(h):
+            diagonalized.append(threading.get_ident())
+            return real(h)
+
+        monkeypatch.setattr(om.experiment, "diagonalize", spy)
+        # runs of 2 rows: the first two are drawn beside the noiseless block, the rest after it
+        monkeypatch.setattr(om.experiment, "_NOISE_DRAW_VALUES", 2 * h.n_sites ** 2 * 3)
+        powers = {}
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(om.measure, "_cpu_count", lambda: cpus)
+            powers[cpus] = om.simulate_measurement(
+                h, sites, readouts, np.linspace(1e14, 6e14, 3), master_seed=21, snr=60.0,
+                samples_per_trace=45).powers
+            if cpus == 1:
+                assert started_threads == []
+        assert diagonalized == [threading.get_ident()] * 3 and len(started_threads) == 2
+        assert np.array_equal(powers[2], powers[1]) and np.array_equal(powers[8], powers[1])
+
     def test_fewer_samples_draw_a_prefix_of_the_noise_rows(self):
         h, sites, readouts = small_setup(seed=3)
         fluxes = np.linspace(1e14, 6e14, 3)

@@ -493,6 +493,28 @@ class TestFitOnEveryCpu:
         monkeypatch.setattr(os, "sched_setaffinity", refuse)
         _assert_same_fits(om.fit_ringdowns(times, powers), inline)
 
+    @pytest.mark.parametrize("cpus", [2, 8])
+    def test_calling_thread_runs_the_first_item(self, monkeypatch, started_threads, cpus):
+        monkeypatch.setattr(measure, "_cpu_count", lambda: cpus)
+        ran = []
+        measure._on_all_cpus(lambda item: ran.append((item, threading.get_ident())), list(range(20)))
+        assert sorted(item for item, _ in ran) == list(range(20))
+        assert dict(ran)[0] == threading.get_ident()
+        assert len(started_threads) == cpus - 1
+        started_threads.clear()
+        ran.clear()
+        measure._on_all_cpus(lambda item: ran.append((item, threading.get_ident())), ["only"])
+        assert ran == [("only", threading.get_ident())] and started_threads == []
+
+    def test_empty_stack_gives_empty_fits(self, monkeypatch, started_threads):
+        monkeypatch.setattr(measure, "_cpu_count", lambda: 8)
+        assert measure._row_chunks(0, 126) == []
+        measure._on_all_cpus(lambda item: pytest.fail("no item to run"), [])
+        gamma, stderr, converged = om.fit_ringdowns(np.empty((0, 140)), np.empty((0, 140)))
+        assert started_threads == []
+        assert gamma.shape == stderr.shape == converged.shape == (0,)
+        assert (gamma.dtype, stderr.dtype, converged.dtype) == (float, float, bool)
+
     def test_error_in_a_chunk_is_raised_in_the_caller(self, monkeypatch):
         calls, real = itertools.count(), measure._fit_chunk
 
