@@ -192,10 +192,32 @@ def mutual_inductance_neumann(a: WireCurve, b: WireCurve, n_segments: int = 1000
 
 
 def coaxial_loop_mutual(r1: float, r2: float, separation: float) -> float:
-    """Closed-form mutual inductance of two coaxial circular loops (elliptic
-    integrals); independent reference for the Neumann quadrature."""
-    from scipy.special import ellipe, ellipk
+    """Closed-form mutual inductance of two coaxial circular loops of radii
+    ``r1``, ``r2`` at axial ``separation`` (meters); independent reference for
+    the Neumann quadrature.
 
-    k2 = 4 * r1 * r2 / ((r1 + r2) ** 2 + separation**2)
-    k = np.sqrt(k2)
-    return MU_0 * np.sqrt(r1 * r2) * ((2 / k - k) * ellipk(k2) - (2 / k) * ellipe(k2))
+    M = mu0 sqrt(r1 r2) ((2/k - k) K(k) - (2/k) E(k)), with k^2 = 4 r1 r2 /
+    ((r1 + r2)^2 + s^2).  The arithmetic-geometric mean of 1 and
+    k' = sqrt(1 - k^2) (DLMF 19.8(i)) gives K = pi / (2 a_inf) and
+    E = K (1 - k^2 / 2 - sum_{n>=1} 2^(n-1) c_n^2), so the bracket is
+    (2/k) K sum_{n>=1} 2^(n-1) c_n^2: a sum of positive terms, with
+    c_1 = k^2 / (2 (1 + k')) and c_(n+1) = c_n^2 / (4 a_(n+1)), that loses no
+    digits to cancellation when the loops are far apart (small k).
+    ``ValueError`` for coincident loops, radii that are not finite and
+    positive, or a separation that is not finite.
+    """
+    if not (0 < r1 < np.inf and 0 < r2 < np.inf and abs(separation) < np.inf):
+        raise ValueError("radii must be finite and positive, the separation finite")
+    d2 = (r1 + r2) ** 2 + separation**2
+    k2 = 4 * r1 * r2 / d2
+    k_prime = np.sqrt(((r1 - r2) ** 2 + separation**2) / d2)  # without the rounding of 1 - k^2
+    if k_prime == 0:
+        raise ValueError("coincident loops: self-inductance out of scope")
+    a, g, c = (1 + k_prime) / 2, np.sqrt(k_prime), k2 / (2 * (1 + k_prime))  # a_1, g_1, c_1
+    total, weight = c * c, 1.0
+    while c > np.finfo(float).eps * a:
+        a, g = (a + g) / 2, np.sqrt(a * g)
+        c = c * c / (4 * a)
+        weight *= 2
+        total += weight * c * c
+    return float(MU_0 * np.sqrt(r1 * r2) * (2 / np.sqrt(k2)) * (np.pi / (2 * a)) * total)

@@ -58,8 +58,25 @@ _FLAKE_RIBBON_WIDTHS = {
 }
 
 
+def _non_finite(payload, key: str = ""):
+    """The key (as ``a.b[2]``) and value of the first NaN or infinity in the
+    JSON ``payload``, or None."""
+    if isinstance(payload, dict):
+        items = ((f"{key}.{k}" if key else str(k), v) for k, v in sorted(payload.items()))
+    elif isinstance(payload, (list, tuple)):
+        items = ((f"{key}[{i}]", v) for i, v in enumerate(payload))
+    else:
+        return (key, payload) if isinstance(payload, float) and not np.isfinite(payload) else None
+    return next(filter(None, (_non_finite(v, k) for k, v in items)), None)
+
+
 def _write_json(path: Path, payload) -> None:
-    with open(path, "w") as fh:  # ValueError for a NaN or infinity, which JSON cannot hold
+    """``payload`` as indented JSON; ``ValueError`` naming the file and the key
+    of a NaN or infinity, which JSON cannot hold."""
+    found = _non_finite(payload)
+    if found:
+        raise ValueError(f"{path.name}: {found[0]} is {found[1]}, which JSON cannot hold")
+    with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
 
 

@@ -120,7 +120,9 @@ def run_ensemble(
     so neither the whole batch nor its eigenvectors are held at once.  A
     chunk whose batched eigensolve fails is solved sample by sample; failed
     samples are left out, and more than 0.1% of a sigma point's samples
-    failing raises :class:`numpy.linalg.LinAlgError`.
+    failing raises :class:`numpy.linalg.LinAlgError`.  An eigenfrequency
+    mean or standard deviation that leaves float range (cavity frequencies
+    near the float limit) raises ``ValueError`` naming the sigma point.
     """
     if isinstance(lattice, LatticeSpec):
         if lattice.kind is not Topology.SSH_CHAIN:
@@ -198,8 +200,12 @@ def run_ensemble(
         zetas = np.sort(zetas[np.isfinite(zetas)])
         zeta_mean[j] = zetas.mean()
         zeta_pcts[:, j] = np.percentile(zetas, [5, 15, 85, 95])
-        freq_mean[j] = np.nanmean(freqs, axis=0)
-        freq_std[j] = np.nanstd(freqs, axis=0, ddof=1) if samples > 1 else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            freq_mean[j] = np.nanmean(freqs, axis=0)
+            freq_std[j] = np.nanstd(freqs, axis=0, ddof=1) if samples > 1 else 0.0
+        if not (np.isfinite(freq_mean[j]).all() and np.isfinite(freq_std[j]).all()):
+            raise ValueError(f"the eigenfrequency mean or standard deviation at sigma = {sigma:g} "
+                             f"(grid point {j}) leaves float range")
 
     return EnsembleResult(
         sigma_grid=sigma_grid,

@@ -125,6 +125,16 @@ _FIELDS = {
 }
 
 
+def _first_bad(key: str, field: _Field, value: np.ndarray) -> str | None:
+    """The first entry of the array ``value`` of ``field`` that breaks its
+    rule, as ``key[i, j] = entry`` (``key = entry`` for a scalar), or None."""
+    bad = np.argwhere(~np.atleast_1d(np.asarray(field.ok(value), dtype=bool))).tolist()
+    if not bad:
+        return None
+    return f"{key}{bad[0]} = {value[tuple(bad[0])].item()!r}" if field.size \
+        else f"{key} = {value.item()!r}"
+
+
 # The JSON types an entry of a field of each type may have; np.array would
 # read true as 1 in a number array and 7 as "7" among texts.
 _ENTRY_TYPES = {"number": {int, float, type(None)}, "readout": {int, float}, "integer": {int},
@@ -198,11 +208,10 @@ def read_manifest(path: Path, version: int | None = MANIFEST_FORMAT) -> tuple[di
                     got = f"readouts[{i}]: {exc}"
                     break
             value = tuple(readouts)
-        else:  # the first entry that breaks the rule
-            bad = np.argwhere(~np.atleast_1d(np.asarray(field.ok(value), dtype=bool))).tolist()
-            if bad:
-                got = f"{key}{bad[0]} = {value[tuple(bad[0])].item()!r}" if field.size \
-                    else repr(manifest[key])
+        else:
+            got = _first_bad(key, field, value)
+            if got and not field.size:  # a scalar as the manifest has it
+                got = repr(manifest[key])
         if got:
             raise ConfigError(f"dataset manifest {path}: '{key}' must be {what}: {field.rule}; "
                               f"got {got}")
@@ -402,18 +411,25 @@ class MeasurementDataset:
 
     def save(self, directory) -> None:
         """Write the dataset as ``manifest.json`` (format 3), ``h_true.csv``
-        and ``traces/traces.npy`` (layouts in the module docstring)."""
-        directory = Path(directory)
-        (directory / "traces").mkdir(parents=True, exist_ok=True)
-        present = np.arange(self.times.shape[-1]) < self.samples[..., None]
+        and ``traces/traces.npy`` (layouts in the module docstring).  Raises
+        ``ValueError`` naming the field and its first bad entry, before any
+        file is written, when a field breaks its rule in :data:`_FIELDS`."""
         manifest = {"format": MANIFEST_FORMAT}
         for key, field in _FIELDS.items():
             value = getattr(self, key.removesuffix("_hz"))
             if field.type == "readout":
                 value = [dict(zip(_READOUT_KEYS, astuple(r))) for r in value]
-            elif field.type == "number":
-                value = np.where(np.isnan(value), None, value)  # NaN, unknown, is null
+            else:  # checked here, so that load never refuses what save wrote
+                bad = _first_bad(key, field, np.asarray(value))
+                if bad:
+                    raise ValueError(f"cannot save the dataset: '{key}' must be {field.rule}; "
+                                     f"got {bad}")
+                if field.type == "number":
+                    value = np.where(np.isnan(value), None, value)  # NaN, unknown, is null
             manifest[key] = np.asarray(value).tolist()
+        directory = Path(directory)
+        (directory / "traces").mkdir(parents=True, exist_ok=True)
+        present = np.arange(self.times.shape[-1]) < self.samples[..., None]
         # json.dumps without indent runs the C encoder; json.dump never does
         with open(directory / "manifest.json", "w") as fh:
             fh.write(json.dumps(manifest, sort_keys=True))

@@ -9,6 +9,7 @@ export to CSV with a header row of site labels; complex matrices emit
 from __future__ import annotations
 
 import configparser
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +34,10 @@ def _find_line(path: Path, needle: str) -> str:
 
 
 MAX_RANGE_STEPS = 10_000  # the most steps a start:stop:step range may take
+# The most cells a chain may have: lattice._place builds the dense complex
+# (2 n_cells)^2 Hamiltonian, whose 16-byte entries must fit in the 2^47-byte
+# (128 TiB) address space of a 64-bit process.
+MAX_N_CELLS = math.isqrt(2**47 // 16) // 2
 
 
 def _float_list(raw: str, name: str) -> list[float]:
@@ -78,12 +83,15 @@ _KINDS = [t.value for t in Topology]
 _CONFIDENCES = sorted(_BAND_PERCENTILES)
 
 # Every key of every section.  Conditions that tie keys together are checked by
-# load_config (|M| < L) or by what is built from them (list lengths,
+# load_config (|M| < L, |M'| < L) or by what is built from them (list lengths,
 # kappa_1 + kappa_2 <= kappa_tot).
 _KEYS = {
     "lattice": {
         "kind": _Key("text", _REQUIRED, f"one of {', '.join(_KINDS)}", lambda v: v in _KINDS),
-        "n_cells": _Key("integer", None, "an integer >= 1", lambda v: v >= 1),  # required by a chain
+        "n_cells": _Key("integer", None,  # required by a chain
+                        f"an integer in [1, {MAX_N_CELLS}], so that the dense complex "
+                        "(2 n_cells)² Hamiltonian fits in a 64-bit address space",
+                        lambda v: 1 <= v <= MAX_N_CELLS),
         "cavity_freq_hz": _Key("number", None, *_POSITIVE),
         "cavity_freqs_hz": _Key("list", None, *_POSITIVE),
     },
@@ -200,10 +208,11 @@ def load_config(path) -> RunConfig:
     read = {section: _read_section(section, parser[section]) for section in parser.sections()}
 
     circuit = read.get("circuit", {})
-    if None not in (circuit.get("inductance_h"), circuit.get("mutual_h")) \
-            and not abs(circuit["mutual_h"]) < circuit["inductance_h"]:
-        raise ConfigError(f"[circuit] mutual_h must be smaller than inductance_h in magnitude, "
-                          f"got {circuit['mutual_h']} and {circuit['inductance_h']}")
+    for key in ("mutual_h", "mutual_prime_h"):
+        if None not in (circuit.get("inductance_h"), circuit.get(key)) \
+                and not abs(circuit[key]) < circuit["inductance_h"]:
+            raise ConfigError(f"[circuit] {key} must be smaller than inductance_h in magnitude, "
+                              f"got {circuit[key]} and {circuit['inductance_h']}")
     try:  # the checks of the library's dataclasses
         spec = _parse_lattice(read) if "lattice" in read else None
         readouts = _parse_readout(read["readout"], spec) if "readout" in read else None

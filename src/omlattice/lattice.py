@@ -469,7 +469,14 @@ def build_lattice(spec: LatticeSpec) -> CouplingHamiltonian:
 def _canonicalize_degenerate(freqs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Replace eigenvector rows within degenerate clusters by a basis derived
     from the (basis-independent) subspace projector, so ties do not depend on
-    the eigensolver's arbitrary choice."""
+    the eigensolver's arbitrary choice.
+
+    The basis is a Gram–Schmidt pass over the projector's columns with column
+    pivoting (Golub & Van Loan, *Matrix Computations*, 4th ed., §5.4).  Tie
+    rule: each step pivots on the lowest-index column whose remaining norm is
+    within ``DEGENERACY_RTOL`` (relative) of the largest, so columns whose
+    norms tie to rounding are taken in site order whatever basis of the
+    cluster the eigensolver returned."""
     scale = max(np.abs(freqs).max(), 1.0)
     out = rows.copy()
     start = 0
@@ -477,12 +484,14 @@ def _canonicalize_degenerate(freqs: np.ndarray, rows: np.ndarray) -> np.ndarray:
         if stop < len(freqs) and abs(freqs[stop] - freqs[stop - 1]) <= DEGENERACY_RTOL * scale:
             continue
         if stop - start > 1:
-            from scipy.linalg import qr  # here, so spectra without a cluster never import scipy
-
             block = out[start:stop]
-            projector = block.conj().T @ block
-            q, _, _ = qr(projector, pivoting=True)
-            out[start:stop] = q[:, : stop - start].conj().T
+            remaining = block.conj().T @ block  # the projector's columns
+            for row in range(start, stop):
+                norms = np.linalg.norm(remaining, axis=0)
+                pivot = np.argmax(norms >= (1 - DEGENERACY_RTOL) * norms.max())
+                q = remaining[:, pivot] / norms[pivot]
+                remaining -= np.outer(q, q.conj() @ remaining)
+                out[row] = q.conj()
         start = stop
     return out
 

@@ -55,12 +55,6 @@ class OrthogonalizationError(ValueError):
     """
 
 
-def _anywhere(condition) -> bool:
-    """Whether a scalar or array condition holds anywhere (a scalar config
-    comes from a public scalar call, so it skips numpy's reductions)."""
-    return bool(condition.any()) if isinstance(condition, np.ndarray) else bool(condition)
-
-
 @dataclass(frozen=True)
 class DampingConfig:
     """Drive and mode/site parameters entering the damping formulas.
@@ -85,13 +79,13 @@ class DampingConfig:
     g0: float
 
     def __post_init__(self):
-        if _anywhere(self.kappa_tot <= 0):
+        if np.any(self.kappa_tot <= 0):
             raise ValueError("kappa_tot must be positive")
         for name in ("kappa_1", "kappa_2", "drive_flux", "transmittance", "mech_freq",
                      "mech_linewidth", "g0"):
-            if _anywhere(getattr(self, name) < 0):
+            if np.any(getattr(self, name) < 0):
                 raise ValueError(f"{name} must be >= 0")
-        if _anywhere(self.kappa_1 + self.kappa_2 > self.kappa_tot * (1 + 1e-12)):
+        if np.any(self.kappa_1 + self.kappa_2 > self.kappa_tot * (1 + 1e-12)):
             raise ValueError("kappa_1 + kappa_2 cannot exceed kappa_tot")
 
     @property
@@ -101,7 +95,7 @@ class DampingConfig:
 
 def _check_eta(eta) -> None:
     eta = np.asarray(eta)
-    if _anywhere(~((eta >= 0.0) & (eta <= 1.0))):
+    if np.any(~((eta >= 0.0) & (eta <= 1.0))):
         raise ValueError("eta must lie in [0, 1]")
 
 
@@ -168,12 +162,12 @@ def unnormalized_eta(slope: float, cfg: DampingConfig) -> float:
     ``slope`` and array fields of ``cfg``, as :func:`damping_slope` does; a
     scalar call returns a float.
     """
-    if _anywhere(slope < 0):
+    if np.any(slope < 0):
         raise ValueError("slope must be >= 0 (clip noise-driven negatives before inverting)")
     delta = TWO_PI * cfg.detuning
     kappa = TWO_PI * cfg.kappa_tot
     weight = _sideband_weight(cfg)
-    if _anywhere(weight <= 0):
+    if np.any(weight <= 0):
         raise ValueError("sideband weight is non-positive at this detuning; cannot invert")
     value = np.sqrt(TWO_PI * slope * (delta * delta + kappa * kappa / 4.0) / weight) / TWO_PI**1.5
     return float(value) if np.ndim(value) == 0 else value

@@ -238,6 +238,52 @@ class TestNeumann:
             om.mutual_inductance_neumann(a, tangent, 2000)
 
 
+class TestCoaxialLoopMutual:
+    # loop radii and axial separations in meters, and the acceptance test's loops
+    GRID = [(r1, r2, s) for r1 in np.logspace(-4, -1, 7) for r2 in np.logspace(-4, -1, 7)
+            for s in np.logspace(-5, 0, 11)] + [(1e-3, 1e-3, 2e-3)]
+
+    @staticmethod
+    def k_squared(r1, r2, s):
+        return 4 * r1 * r2 / ((r1 + r2) ** 2 + s**2)
+
+    @staticmethod
+    def scipy_closed_form(r1, r2, s):
+        """mu0 sqrt(r1 r2) ((2/k - k) K - (2/k) E) by scipy's elliptic
+        integrals.  K is ``ellipkm1`` of 1 - k^2 as the geometry gives it,
+        since ``ellipk`` of the rounded k^2 loses digits as k -> 1."""
+        from scipy.special import ellipe, ellipkm1
+
+        d2 = (r1 + r2) ** 2 + s**2
+        k2 = 4 * r1 * r2 / d2
+        k = np.sqrt(k2)
+        big_k = ellipkm1(((r1 - r2) ** 2 + s**2) / d2)
+        return om.circuit.MU_0 * np.sqrt(r1 * r2) * ((2 / k - k) * big_k - (2 / k) * ellipe(k2))
+
+    def test_agrees_with_scipy_where_the_closed_form_keeps_its_digits(self):
+        # the closed form's bracket cancels as k shrinks
+        checked = [(r1, r2, s) for r1, r2, s in self.GRID if self.k_squared(r1, r2, s) >= 0.1]
+        assert len(checked) > 100
+        for r1, r2, s in checked:
+            assert om.coaxial_loop_mutual(r1, r2, s) == pytest.approx(
+                self.scipy_closed_form(r1, r2, s), rel=1e-12, abs=0)
+
+    def test_positive_at_every_distance(self):
+        for r1, r2, s in self.GRID:
+            assert om.coaxial_loop_mutual(r1, r2, s) > 0
+
+    def test_far_loops_reach_the_dipole_limit(self):
+        r, s = 1e-4, 1.0
+        dipole = om.circuit.MU_0 * np.pi * r**4 / (2 * s**3)
+        assert om.coaxial_loop_mutual(r, r, s) == pytest.approx(dipole, rel=1e-6, abs=0)
+
+    @pytest.mark.parametrize("args", [(1e-3, 1e-3, 0.0), (0.0, 1e-3, 1e-3), (1e-3, -1e-3, 1e-3),
+                                      (1e-3, 1e-3, np.nan), (np.inf, 1e-3, 1e-3)])
+    def test_rejects_coincident_or_invalid_loops(self, args):
+        with pytest.raises(ValueError):
+            om.coaxial_loop_mutual(*args)
+
+
 def test_wire_curve_from_csv(tmp_path):
     path = tmp_path / "loop.csv"
     path.write_text("x_m,y_m,z_m\n0,0,0\n1e-3,0,0\n1e-3,1e-3,0\n0,0,0\n")

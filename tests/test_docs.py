@@ -1,7 +1,8 @@
 """The README's "Command line" table lists what the parser accepts, its
 "Configuration format" table the keys the configuration reader reads, and
 its "Dataset format" table the fields the dataset manifest reader reads.
-The package starts threads in one place only, as its README says."""
+The package starts threads in one place only, as its README says, and
+never imports scipy: numpy is its only runtime dependency."""
 
 import argparse
 import ast
@@ -110,3 +111,10 @@ def test_only_the_thread_runner_imports_threading():
     # measure._on_all_cpus runs every parallel stage
     importers = {path.name for path in PACKAGE.glob("*.py") if "threading" in imported_modules(path)}
     assert importers == {"measure.py"}
+
+
+def test_no_module_imports_scipy():
+    # numpy is the package's only runtime dependency; scipy is a test extra
+    importers = {path.name for path in PACKAGE.glob("*.py")
+                 if any(name.split(".")[0] == "scipy" for name in imported_modules(path))}
+    assert importers == set()

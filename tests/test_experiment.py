@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 import threading
 import tracemalloc
@@ -96,6 +97,25 @@ class TestSimulateMeasurement:
             assert np.array_equal(loaded.traces[key].times, ds.traces[key].times)
             assert np.array_equal(loaded.traces[key].powers, ds.traces[key].powers)
         assert np.array_equal(loaded.h_true.matrix, h.matrix)
+
+    @pytest.mark.parametrize("attribute, index, got", [
+        ("noise_floor", None, "'noise_floor' must be finite >= 0; got noise_floor = inf"),
+        ("true_gamma_eff", (0, 1, 2), "'true_gamma_eff_hz' must be finite >= 0, or null; "
+                                      "got true_gamma_eff_hz[0, 1, 2] = inf"),
+        ("mode_freqs", 3, "'mode_freqs_hz' must be finite > 0 and non-decreasing; "
+                          "got mode_freqs_hz[3] = inf"),
+    ], ids=["noise_floor", "true_gamma_eff", "mode_freqs"])
+    def test_save_refuses_a_field_that_load_would_refuse(self, tmp_path, attribute, index, got):
+        h, sites, readouts = small_setup(seed=5)
+        ds = om.simulate_measurement(h, sites, readouts, np.linspace(1e14, 5e14, 3),
+                                     master_seed=2, snr=80.0, samples_per_trace=30)
+        if index is None:
+            setattr(ds, attribute, np.inf)
+        else:
+            getattr(ds, attribute)[index] = np.inf
+        with pytest.raises(ValueError, match=re.escape(f"cannot save the dataset: {got}")):
+            ds.save(tmp_path / "dataset")
+        assert not (tmp_path / "dataset").exists()
 
     def test_saves_every_trace_in_one_array(self, tmp_path, save_v2):
         h, sites, readouts = small_setup(seed=5)

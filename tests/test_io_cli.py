@@ -89,6 +89,10 @@ OUTSIDE_THE_MODEL = [
     ("spectrum", "lattice", "n_cells", "0"),
     ("spectrum", "lattice", "n_cells", "-3"),
     ("spectrum", "lattice", "n_cells", "2.5"),
+    # above io.MAX_N_CELLS the dense (2 n_cells)^2 Hamiltonian cannot fit in
+    # memory; both are refused before any list of sites is built
+    ("spectrum", "lattice", "n_cells", "3000000000"),
+    ("spectrum", "lattice", "n_cells", "99999999999999999999"),
     ("spectrum", "lattice", "cavity_freq_hz", "inf"),
     ("spectrum", "lattice", "cavity_freq_hz", "nan"),
     ("spectrum", "lattice", "cavity_freq_hz", "0"),
@@ -736,6 +740,24 @@ class TestCliMeasureAndRecover:
                               "pair's fitted ringdown rates on the drive flux")
         assert not out.exists()
 
+    # numpy's overflow warnings still precede the failure line on standard error
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("key, value, got", [
+        # the noise floor overflows
+        ("snr", "5e-324", "'noise_floor' must be finite >= 0; got noise_floor = inf"),
+        # the drive's damping rates overflow
+        ("drive_flux_max", "1.7e308", "'true_gamma_eff_hz' must be finite >= 0, or null; "
+                                      "got true_gamma_eff_hz[0, 0, 0] = inf"),
+    ], ids=["snr", "drive_flux_max"])
+    def test_dataset_that_recover_would_refuse_is_not_written(self, tmp_path, capsys, key, value,
+                                                              got):
+        cfg = edited_config(tmp_path, "measurement", key, value)
+        out = tmp_path / "dataset"
+        assert main(["measure-sim", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"numerical failure: cannot save the dataset: {got}\n"
+        assert not out.exists()
+
     def test_dataset_of_another_size_exits_2_naming_both_files(self, small_cfg, tmp_path, capsys):
         dataset, out = tmp_path / "dataset", tmp_path / "out"
         assert main(["measure-sim", "--config", str(small_cfg), "--out", str(dataset)]) == 0
@@ -985,6 +1007,21 @@ class TestCliDisorder:
         assert not out.exists()
 
 
+    def test_statistics_beyond_float_range_exit_3_naming_the_sigma_point(self, tmp_path, capsys):
+        # the squares inside the standard deviation overflow; pytest captures
+        # warnings, which would be lines of their own on standard error, so
+        # here they are errors
+        cfg = edited_config(tmp_path, "lattice", "cavity_freq_hz", "1e300")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["disorder", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == ("numerical failure: the eigenfrequency mean or standard deviation at "
+                       "sigma = 0 (grid point 0) leaves float range\n")
+        assert not out.exists()
+
+
 class TestCliCircuit:
     def test_parameter_report(self, tmp_path):
         cfg = tmp_path / "circ.cfg"
@@ -1036,6 +1073,17 @@ class TestCliCircuit:
                                f"inductance_h in magnitude, got {float(mutual)} and 1e-09")
         assert not out.exists()
 
+    def test_mutual_prime_not_below_l_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "circ.cfg"
+        cfg.write_text("[circuit]\ninductance_h = 1e-9\ncapacitance_f = 1e-13\nmutual_h = 1e-10\n"
+                       "mutual_prime_h = 1e300\n")
+        out = tmp_path / "out"
+        assert main(["circuit", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == ("configuration error: [circuit] mutual_prime_h must be smaller "
+                               "than inductance_h in magnitude, got 1e+300 and 1e-09")
+        assert not out.exists()
+
     @pytest.mark.parametrize("row", ["1e-3,1e-3,abc", "1e-3,1e-3,0,0", "1e-3,1e-3"])
     def test_malformed_loop_row_exits_2_naming_the_file_and_line(self, tmp_path, capsys, row):
         for name, z in (("a.csv", 0.0), ("b.csv", 2e-3)):
@@ -1052,6 +1100,24 @@ class TestCliCircuit:
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert err.startswith(f"configuration error: {tmp_path / 'a.csv'} line 6: ")
         assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warning, for spectrum
+@pytest.mark.parametrize("command, section, key, value, message", [
+    # the mean cavity frequency, and so the passbands, overflow
+    ("spectrum", "lattice", "cavity_freq_hz", "1.7e308", "passbands.json: lpb_hz[0] is inf"),
+    ("circuit", "circuit", "drum_radius_m", "5e-324", "report.json: drumhead_freq_hz is inf"),
+], ids=["spectrum", "circuit"])
+def test_non_finite_json_value_exits_3_naming_the_file_and_key(tmp_path, capsys, command,
+                                                               section, key, value, message):
+    cfg = edited_config(tmp_path, section, key, value)
+    if command == "circuit":
+        cfg.write_text(cfg.read_text() + "film_stress_pa = 8.1e7\nfilm_density_kg_m3 = 2700\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"numerical failure: {message}, which JSON cannot hold\n"
+    assert not out.exists()
 
 
 def test_json_format_flag(small_cfg, tmp_path):

@@ -219,6 +219,62 @@ class TestDiagonalize:
             assert np.abs(m - m.conj().T).max() <= 1e-9 * np.abs(m).max()
 
 
+def _clusters(freqs):
+    """The runs of two or more eigenvalues that ``diagonalize`` treats as one
+    degenerate cluster, as slices."""
+    scale = max(np.abs(freqs).max(), 1.0)
+    cuts = [0, *(np.flatnonzero(np.diff(freqs) > om.lattice.DEGENERACY_RTOL * scale) + 1),
+            len(freqs)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > 1]
+
+
+def _complex_three_fold_cluster():
+    """A random complex Hermitian 6 x 6 matrix with eigenvalues 1, 2, 2, 2, 3, 4."""
+    rng = np.random.default_rng(5)
+    u = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0]
+    m = (u * [1.0, 2.0, 2.0, 2.0, 3.0, 4.0]) @ u.conj().T
+    return om.CouplingHamiltonian((m + m.conj().T) / 2)
+
+
+class TestDegenerateClusters:
+    """The rows of a degenerate cluster come from its projector, so they do not
+    depend on the basis of the cluster that the eigensolver returns."""
+
+    CASES = {  # each Hamiltonian and the sizes of its clusters
+        "uncoupled-chain": (lambda: om.build_ssh_chain(3, om.Couplings(j=0.0, j_prime=0.0),
+                                                       [WC] * 6), [6]),
+        "isotropic-flake": (lambda: om.build_honeycomb_flake(om.Couplings(j=1e8, j_prime=1e8),
+                                                             [5e9] * 24), [2, 2, 3, 2, 2, 3, 2, 2]),
+        "complex-3-fold": (_complex_three_fold_cluster, [3]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rows_do_not_depend_on_the_eigensolver_basis(self, case, monkeypatch):
+        build, sizes = self.CASES[case]
+        h = build()
+        freqs, vecs = np.linalg.eigh(h.matrix)
+        clusters = _clusters(freqs)
+        assert [c.stop - c.start for c in clusters] == sizes
+        rows = om.diagonalize(h).modeshapes
+        assert np.abs(rows @ rows.conj().T - np.eye(h.n_sites)).max() < 1e-12
+        for c in clusters:
+            projector = vecs[:, c] @ vecs[:, c].conj().T
+            assert np.abs(rows[c].conj().T @ rows[c] - projector).max() < 1e-12
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            rotated = vecs.copy()
+            for c in clusters:  # a random orthogonal (unitary) basis change of the cluster
+                d = c.stop - c.start
+                z = rng.normal(size=(d, d))
+                if np.iscomplexobj(vecs):
+                    z = z + 1j * rng.normal(size=(d, d))
+                rotated[:, c] = rotated[:, c] @ np.linalg.qr(z)[0]
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigh", lambda m, rotated=rotated: (freqs, rotated))
+                again = om.diagonalize(h).modeshapes
+            assert np.abs(again - rows).max() < 1e-12
+
+
 class TestParticipation:
     def test_identity_modeshapes(self):
         modes = om.ModeSet(np.array([1.0, 2.0, 3.0]), np.eye(3))
