@@ -104,9 +104,10 @@ def cmd_spectrum(config: io_mod.RunConfig, out: Path, fmt: str, svg: bool) -> No
         h.to_csv(out / "hamiltonian.csv")
     io_mod.matrix_to_csv(out / "participation.csv", eta.eta, h.site_labels)
 
-    bands = circuit_mod.passband_edges(
-        float(np.mean(spec.cavity_freqs)), spec.couplings.j, spec.couplings.j_prime
-    )
+    with np.errstate(over="ignore"):  # _write_json refuses an infinite band edge by name
+        bands = circuit_mod.passband_edges(
+            float(np.mean(spec.cavity_freqs)), spec.couplings.j, spec.couplings.j_prime
+        )
     _write_json(out / "passbands.json", {
         "upb_hz": list(bands["upb"]), "lpb_hz": list(bands["lpb"]),
         "n_midgap_modes": int(np.sum(

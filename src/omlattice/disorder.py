@@ -3,8 +3,9 @@
 Fabrication spread of the vacuum-gap capacitors scatters the bare cavity
 frequencies; this module quantifies its effect on the spectrum and,
 through the hybridization factor ``zeta`` of the two mid-gap modes, on the
-edge-state symmetry of finite chains.  Inverting a measured ``zeta``
-against the ensemble bands yields a disorder estimate.
+edge-state symmetry of finite chains, each given as a :class:`LatticeSpec`
+of kind ``ssh-chain``.  Inverting a measured ``zeta`` against the ensemble
+bands yields a disorder estimate.
 
 Random numbers come from one counter-based Philox stream per sigma point
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11):
@@ -99,9 +100,7 @@ class EnsembleResult:
         ])
 
 
-def run_ensemble(
-    lattice, sigma_grid, samples: int, master_seed: int
-) -> EnsembleResult:
+def run_ensemble(lattice: LatticeSpec, sigma_grid, samples: int, master_seed: int) -> EnsembleResult:
     """Monte-Carlo sweep over disorder strengths.
 
     For every sigma, draw the diagonal disorder of all samples as one block
@@ -109,8 +108,8 @@ def run_ensemble(
     diagonalize the disordered matrices, and reduce participation ratios to
     hybridization factors; aggregate means, central percentiles, and
     per-mode eigenfrequency statistics.  ``lattice`` is a
-    :class:`LatticeSpec` of kind ``ssh-chain`` or a
-    :class:`CouplingHamiltonian` of a chain.
+    :class:`LatticeSpec` of kind ``ssh-chain``; anything else raises
+    ``ValueError``.
 
     The samples are diagonalized in chunks of rows, cut as
     :func:`omlattice.fit_ringdowns` cuts a stack, on every CPU the process
@@ -124,20 +123,12 @@ def run_ensemble(
     mean or standard deviation that leaves float range (cavity frequencies
     near the float limit) raises ``ValueError`` naming the sigma point.
     """
-    if isinstance(lattice, LatticeSpec):
-        if lattice.kind is not Topology.SSH_CHAIN:
-            raise ValueError(
-                f"disorder ensembles need an {Topology.SSH_CHAIN.value} lattice, "
-                f"got {lattice.kind.value}"
-            )
-        h = build_lattice(lattice)
-    else:
-        h = lattice
-    if h.n_sites % 2 != 0:
-        raise ValueError("hybridization analysis needs a two-site-per-cell chain")
-    if not h.is_real:
-        raise ValueError("disorder ensembles operate on real chain Hamiltonians")
-    n_cells = h.n_sites // 2
+    if not (isinstance(lattice, LatticeSpec) and lattice.kind is Topology.SSH_CHAIN):
+        got = lattice.kind.value if isinstance(lattice, LatticeSpec) else type(lattice).__name__
+        raise ValueError(f"disorder ensembles need a LatticeSpec of kind {Topology.SSH_CHAIN.value}, "
+                         f"got {got}")
+    h = build_lattice(lattice)
+    n = h.n_sites
     sigma_grid = np.asarray(sigma_grid, dtype=float)
     valid = (0 <= sigma_grid) & (sigma_grid <= _MAX_SIGMA)
     if sigma_grid.ndim != 1 or sigma_grid.size == 0 or not valid.all():
@@ -151,7 +142,6 @@ def run_ensemble(
             stacklevel=2,
         )
 
-    n = h.n_sites
     zeta_mean = np.empty(sigma_grid.size)
     zeta_pcts = np.empty((4, sigma_grid.size))
     freq_mean = np.empty((sigma_grid.size, n))
@@ -185,7 +175,7 @@ def run_ensemble(
                         freqs[s] = np.nan
                         failed[s] = True
             # eta[sample, mode, site] = |eigvec|^2 with modes along rows
-            zetas[rows] = hybridization_factor(np.abs(np.swapaxes(vecs, 1, 2)) ** 2, n_cells)
+            zetas[rows] = hybridization_factor(np.abs(np.swapaxes(vecs, 1, 2)) ** 2, n // 2)
 
         # cut only now: a sample count beyond memory is refused above, at the
         # first allocation, before a list of its chunks could grow

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import operator
 from collections.abc import Callable, Mapping
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -333,9 +333,9 @@ class MeasurementDataset:
     master_seed: int
     site_labels: tuple[str, ...]
     h_true: CouplingHamiltonian | None = None
-    fitted_gammas: np.ndarray | None = None
-    fitted_errors: np.ndarray | None = None
-    slopes: np.ndarray | None = None
+    fitted_gammas: np.ndarray | None = field(default=None, init=False)
+    fitted_errors: np.ndarray | None = field(default=None, init=False)
+    slopes: np.ndarray | None = field(default=None, init=False)
 
     @property
     def traces(self) -> _TraceView:
@@ -556,6 +556,8 @@ def simulate_measurement(
       ensemble's streams, which are keyed ``spawn_key=(j,)``.
 
     ``master_seed`` must be a non-negative integer, also for noiseless runs.
+    A noise floor or an effective damping rate beyond float range raises
+    ``ValueError`` naming it, before the traces are computed.
     """
     if len(sites) != h.n_sites or len(readouts) != h.n_sites:
         raise ValueError("need one SiteParams and one ModeReadout per site/mode")
@@ -572,6 +574,9 @@ def simulate_measurement(
         raise ValueError(f"master_seed must be a non-negative integer, got {master_seed}")
     noise_sigma = 0.0 if snr is None or np.isinf(snr) else p0 / snr
     floor = NOISE_FLOOR_SIGMAS * noise_sigma
+    if not np.isfinite(floor):  # also when noise_sigma is not
+        raise ValueError(f"the noise standard deviation p0 / snr = {noise_sigma:g} and the noise floor "
+                         f"of {NOISE_FLOOR_SIGMAS:g} times it must be finite; got p0 = {p0!r}, snr = {snr!r}")
     shape = (h.n_sites, h.n_sites, fluxes.size)
     # each run of consecutive rows of the noise block: its samples, the shape of its draw
     rows = max(1, _NOISE_DRAW_VALUES // (h.n_sites ** 2 * fluxes.size))
@@ -582,8 +587,12 @@ def simulate_measurement(
         modes = diagonalize(h)
         eta = participation(modes).eta
         mech_freqs, mech_linewidths, g0 = _site_fields(sites)
-        gamma = effective_damping(_pair_configs(readouts, mech_freqs, mech_linewidths, g0, fluxes),
-                                  eta[:, :, None])
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            gamma = effective_damping(_pair_configs(readouts, mech_freqs, mech_linewidths, g0, fluxes),
+                                      eta[:, :, None])
+        if not np.isfinite(gamma).all():
+            raise ValueError(f"effective damping rates must be finite, got {np.sum(~np.isfinite(gamma))} "
+                             f"non-finite of {gamma.size} at drive fluxes up to {fluxes.max():g}")
         duration = RINGDOWN_DECAY_SPAN / (TWO_PI * np.maximum(gamma, 1e-3))
         # duration / dt rounds to exactly samples_per_trace, the length
         # simulate_ringdown gives

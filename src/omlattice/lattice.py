@@ -216,11 +216,6 @@ class ModeSet:
             data["modeshapes"] = self.modeshapes.tolist()
         return data
 
-    def to_csv(self, path, site_labels=()):
-        from . import io as _io
-
-        _io.matrix_to_csv(path, self.modeshapes, site_labels)
-
 
 @dataclass(frozen=True)
 class ParticipationMatrix:
@@ -247,10 +242,6 @@ class ParticipationMatrix:
                 f"matrix is not doubly stochastic: row dev {rows:.3e}, col dev {cols:.3e}, tol {self.atol:.1e}"
             )
         object.__setattr__(self, "eta", e)
-
-    @property
-    def n(self) -> int:
-        return self.eta.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +354,6 @@ def flake_site_positions() -> tuple[np.ndarray, tuple[str, ...]]:
 # topmost and two bottommost sites, attached to the body only by weak bonds.
 FLAKE_EDGE_SITES = (1, 2, 23, 24)
 
-# Bond directions of the canonical flake drawing (unit bond length).
-_FLAKE_BOND_DIRECTIONS = np.array([
-    (0.0, 1.0),
-    (_SQRT3 / 2, -0.5),
-    (-_SQRT3 / 2, -0.5),
-])
-
 
 def flake_bonds() -> dict[str, list[tuple[int, int]]]:
     """Bond table of the canonical flake, 1-based site pairs.
@@ -377,25 +361,19 @@ def flake_bonds() -> dict[str, list[tuple[int, int]]]:
     * ``strained`` - the 10 vertical bonds, carrying rate ``j``.
     * ``unstrained`` - the 20 zig-zag bonds, carrying rate ``j_prime``.
     * ``second`` - all vertex-sharing pairs beyond nearest neighbors
-      (distance sqrt(3), plus distance 2 along a bond direction), carrying
-      ``j2``.
+      (distance sqrt(3), and distance 2 across a hexagon, which is every
+      pair at distance 2), carrying ``j2``.
+
+    Each kind is read off one array of the distances between all sites.
     """
     pos, _ = flake_site_positions()
-    bonds = {"strained": [], "unstrained": [], "second": []}
-    for i in range(24):
-        for j in range(i + 1, 24):
-            d = pos[j] - pos[i]
-            r = float(np.hypot(*d))
-            if abs(r - 1.0) < 1e-9:
-                kind = "strained" if abs(d[0]) < 1e-9 else "unstrained"
-                bonds[kind].append((i + 1, j + 1))
-            elif abs(r - _SQRT3) < 1e-9:
-                bonds["second"].append((i + 1, j + 1))
-            elif abs(r - 2.0) < 1e-9:
-                u = d / r
-                if np.any(np.abs(np.abs(_FLAKE_BOND_DIRECTIONS @ u) - 1.0) < 1e-9):
-                    bonds["second"].append((i + 1, j + 1))
-    return bonds
+    d = pos - pos[:, None]  # d[i, j] = pos[j] - pos[i]
+    r = np.hypot(d[..., 0], d[..., 1])
+    # the pairs i < j at distance 1, sqrt(3) and 2
+    near, mid, far = (np.triu(np.abs(r - dist) < 1e-9, 1) for dist in (1.0, _SQRT3, 2.0))
+    vertical = np.abs(d[..., 0]) < 1e-9
+    masks = {"strained": near & vertical, "unstrained": near & ~vertical, "second": mid | far}
+    return {kind: [(i + 1, j + 1) for i, j in np.argwhere(mask).tolist()] for kind, mask in masks.items()}
 
 
 def build_honeycomb_flake(couplings: Couplings, cavity_freqs) -> CouplingHamiltonian:
@@ -556,7 +534,7 @@ def apply_disorder(h: CouplingHamiltonian, sigma: float, seed) -> CouplingHamilt
     """
     if not 0 <= sigma <= _MAX_SIGMA:  # written so that NaN fails
         raise ValueError(f"sigma must lie in [0, {_MAX_SIGMA}], got {sigma}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     factors = 1.0 + rng.normal(0.0, sigma, h.n_sites) if sigma > 0 else np.ones(h.n_sites)
     m = h.matrix.copy()
     idx = np.diag_indices(h.n_sites)

@@ -250,7 +250,7 @@ def simulate_ringdown(
     times = np.arange(int(np.ceil(np.round(duration / dt, 9)))) * dt
     powers = p0 * np.exp(-TWO_PI * gamma_eff * times) + noise_floor
     if noise_sigma > 0:
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         powers = powers + rng.normal(0.0, noise_sigma, times.size)
     powers = np.clip(powers, 0.0, None)
     return RingdownTrace(times, powers, true_gamma_eff=gamma_eff, noise_floor=noise_floor)
@@ -751,7 +751,7 @@ def sideband_thermometry(
     denom = cfg.mech_freq**2 + cfg.kappa_tot**2 / 4.0
     ratios = eta_g0**2 * n_m / denom
     if noise_sigma > 0:
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         ratios = ratios * (1.0 + rng.normal(0.0, noise_sigma, n_m.size))
     slope = float(n_m @ ratios / (n_m @ n_m))
     if slope <= 0:

@@ -108,10 +108,10 @@ class BulkCurve:
         max_step = np.abs(np.diff(self.rho, axis=-1, append=self.rho[..., :1])).max(axis=-1)
         return _item(mag.min(axis=-1) > np.maximum(GAP_RTOL * mag.max(axis=-1), max_step))
 
-    def to_rows(self, couplings: Couplings | None = None):
+    def to_rows(self, couplings: Couplings):
         """(k, Re rho, Im rho, E-, E+) rows for CSV export, E-+ = eps -+ |rho|
-        with eps from the chain bonds of ``couplings`` (0 without them)."""
-        eps = 0.0 if couplings is None else _bloch(_CHAIN_BONDS, couplings, self.k)[0]
+        with eps from the chain bonds of ``couplings``."""
+        eps = _bloch(_CHAIN_BONDS, couplings, self.k)[0]
         mag = np.abs(self.rho)
         return np.column_stack([self.k, self.rho.real, self.rho.imag, eps - mag, eps + mag])
 

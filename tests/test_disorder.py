@@ -174,6 +174,11 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match="ssh-chain"):
             om.run_ensemble(flake, [0.001], 200, master_seed=1)
 
+    def test_rejects_a_hamiltonian(self):
+        h = om.build_lattice(chain_spec())
+        with pytest.raises(ValueError, match="LatticeSpec of kind ssh-chain, got CouplingHamiltonian"):
+            om.run_ensemble(h, [0.001], 200, master_seed=1)
+
     # above 0.1 a site's frequency factor 1 + N(0, sigma) can reach 0
     @pytest.mark.parametrize("grid", [[0.001, -0.001], [np.nan], [0.001, np.inf], [], [0.05, 0.2]])
     def test_rejects_sigma_outside_the_model(self, grid):

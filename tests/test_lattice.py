@@ -22,6 +22,29 @@ def paper_chain_oracle(n_cells=5, couplings=PAPER, wc=WC):
     return h
 
 
+def flake_bonds_reference():
+    """The flake's bond table by a pair-by-pair loop over the canonical
+    positions, with the distance tolerances of :func:`omlattice.flake_bonds`
+    and a bond-direction test for pairs at distance 2, which that function
+    leaves out because every such pair lies across a hexagon."""
+    pos, _ = om.flake_site_positions()
+    directions = np.array([(0.0, 1.0), (np.sqrt(3) / 2, -0.5), (-np.sqrt(3) / 2, -0.5)])
+    bonds = {"strained": [], "unstrained": [], "second": []}
+    for i in range(24):
+        for j in range(i + 1, 24):
+            d = pos[j] - pos[i]
+            r = float(np.hypot(*d))
+            if abs(r - 1.0) < 1e-9:
+                kind = "strained" if abs(d[0]) < 1e-9 else "unstrained"
+                bonds[kind].append((i + 1, j + 1))
+            elif abs(r - np.sqrt(3)) < 1e-9:
+                bonds["second"].append((i + 1, j + 1))
+            elif abs(r - 2.0) < 1e-9:
+                if np.any(np.abs(np.abs(directions @ (d / r)) - 1.0) < 1e-9):
+                    bonds["second"].append((i + 1, j + 1))
+    return bonds
+
+
 class TestBuildSshChain:
     def test_paper_couplings_alternate(self):
         h = om.build_ssh_chain(5, IDEAL, [WC] * 10).matrix
@@ -74,6 +97,24 @@ class TestHoneycombFlake:
         # the designated edge sites attach through unstrained bonds only
         strained_sites = {s for bond in bonds["strained"] for s in bond}
         assert set(om.FLAKE_EDGE_SITES).isdisjoint(strained_sites)
+
+    def test_bonds_match_the_pairwise_reference(self):
+        assert om.flake_bonds() == flake_bonds_reference()
+
+    @pytest.mark.parametrize("couplings, freqs", [
+        (om.Couplings(j=400e6, j_prime=204e6, j2=40e6), [7.3e9] * 24),  # paper_2d.cfg
+        (om.Couplings(j=1e8, j_prime=1e8), 7.3e9 + np.arange(24) * 1e6),  # isotropic
+    ], ids=["paper_2d", "isotropic"])
+    def test_matrix_matches_the_pairwise_reference_bytes(self, couplings, freqs):
+        rates = {"strained": couplings.j, "unstrained": couplings.j_prime, "second": couplings.j2}
+        h = np.diag(np.asarray(freqs, dtype=complex))
+        for kind, bonds in flake_bonds_reference().items():
+            for a, b in bonds:
+                h[a - 1, b - 1] += rates[kind]
+                h[b - 1, a - 1] += rates[kind]
+        built = om.build_honeycomb_flake(couplings, freqs).matrix
+        assert built.dtype == np.float64
+        assert built.tobytes() == h.real.tobytes()
 
     def test_gap_modes_at_design_ratio(self):
         h = om.build_honeycomb_flake(om.Couplings(j=400e6, j_prime=204e6), [7.3e9] * 24)
