@@ -101,7 +101,7 @@ def cmd_spectrum(config: io_mod.RunConfig, out: Path, fmt: str, svg: bool) -> No
         _write_json(out / "hamiltonian.json", h.to_json())
     else:
         io_mod.matrix_to_csv(out / "modeshapes.csv", modes.modeshapes, h.site_labels)
-        h.to_csv(out / "hamiltonian.csv")
+        io_mod.matrix_to_csv(out / "hamiltonian.csv", h.matrix, h.site_labels)
     io_mod.matrix_to_csv(out / "participation.csv", eta.eta, h.site_labels)
 
     with np.errstate(over="ignore"):  # _write_json refuses an infinite band edge by name
@@ -185,11 +185,12 @@ def cmd_recover(config: io_mod.RunConfig, out: Path, dataset_dir: Path, fmt: str
     if fmt == "json":
         _write_json(out / "recovered_h.json", result.h_hat.to_json())
     else:
-        result.h_hat.to_csv(out / "recovered_h.csv")
-    result.h_hat.rotating_frame().to_csv(out / "recovered_h_rotating_frame.csv")
+        io_mod.matrix_to_csv(out / "recovered_h.csv", result.h_hat.matrix, result.h_hat.site_labels)
+    rotating = result.h_hat.rotating_frame()
+    io_mod.matrix_to_csv(out / "recovered_h_rotating_frame.csv", rotating.matrix, rotating.site_labels)
     io_mod.matrix_to_csv(out / "eta_hat.csv", result.eta_hat.eta, result.h_hat.site_labels)
     report = dict(result.residuals)
-    report["iterations_used"] = result.iterations_used
+    report["iterations_used"] = report["sinkhorn_iterations"]
     if "h_rel_frobenius_error" in report:
         report["matches_ground_truth_1e-6"] = bool(report["h_rel_frobenius_error"] < 1e-6)
     _write_json(out / "report.json", report)

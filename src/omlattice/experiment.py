@@ -28,11 +28,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .io import ConfigError, matrix_from_csv, matrix_to_csv
 from .lattice import CouplingHamiltonian, ModeSet, ParticipationMatrix, SiteParams, diagonalize, participation
 from .measure import (
     MIN_FIT_SAMPLES,
     TWO_PI,
     DampingConfig,
+    ModeReadout,
     OrthogonalizationError,
     RingdownFitError,
     RingdownTrace,
@@ -53,25 +55,6 @@ NOISE_FLOOR_SIGMAS = 5.0   # keeps the additive floor clear of the clip at zero
 SLOPE_GATE_SIGMAS = 2.0    # slopes below this many standard errors are set to zero
 DRIVE_DAMPING_BOOST = 200.0  # calibrated damping over the median intrinsic linewidth
 _NOISE_DRAW_VALUES = 2**16  # about this many noise values per Generator call
-
-
-@dataclass(frozen=True)
-class ModeReadout:
-    """Per-collective-mode readout parameters (Hz, dimensionless transmittance)."""
-
-    kappa_tot: float
-    kappa_1: float
-    kappa_2: float
-    transmittance: float = 1.0
-
-    def __post_init__(self):
-        # written so that NaN fails every check
-        if not (0 < self.kappa_tot < np.inf and self.kappa_1 >= 0 and self.kappa_2 >= 0):
-            raise ValueError("kappa_tot must be positive and finite, kappa_1/kappa_2 >= 0")
-        if self.kappa_1 + self.kappa_2 > self.kappa_tot * (1 + 1e-12):
-            raise ValueError("kappa_1 + kappa_2 cannot exceed kappa_tot")
-        if not 0 < self.transmittance < np.inf:
-            raise ValueError("transmittance must be positive and finite")
 
 
 # The manifest format MeasurementDataset.save writes and load reads.
@@ -164,10 +147,8 @@ def read_manifest(path: Path, version: int | None = MANIFEST_FORMAT) -> tuple[di
     """The JSON object of the dataset manifest at ``path`` of format
     ``version`` (None: an earlier version, without the format-3 fields) and
     the checked values of its :data:`_FIELDS`: arrays, scalars, and tuples
-    for ``site_labels`` and ``readouts`` (of :class:`ModeReadout`).
+    for ``site_labels`` and ``readouts`` (of :class:`~omlattice.measure.ModeReadout`).
     ``io.ConfigError`` naming the manifest and the key on any violation."""
-    from .io import ConfigError  # io imports this module
-
     with open(path) as fh:
         try:
             manifest = json.load(fh)
@@ -224,8 +205,6 @@ def _read_trace_array(path: Path) -> np.ndarray:
     """The ``(2, total samples)`` float64 array of a ``.npy`` trace file;
     ``io.ConfigError`` naming the file when it holds anything else or is cut
     short."""
-    from .io import ConfigError
-
     try:
         data = np.load(path, allow_pickle=False)
     except (ValueError, EOFError) as exc:
@@ -244,8 +223,6 @@ def _check_padding(lengths: np.ndarray, slots: int, path: Path) -> None:
     :data:`MAX_PADDING` times the samples of the traces themselves, plus
     :data:`PADDING_ALLOWANCE` (one long trace among many short or missing
     ones would otherwise blow the dense arrays up)."""
-    from .io import ConfigError
-
     longest, total = int(lengths.max(initial=0)), int(lengths.sum())
     if slots * longest > MAX_PADDING * total + PADDING_ALLOWANCE:
         raise ConfigError(f"dataset manifest {path}: padding its {slots} traces to the longest "
@@ -257,8 +234,6 @@ def _read_traces(samples: np.ndarray, path: Path, trace_path: Path) -> dict:
     """The ``times`` and ``powers`` of a format-3 dataset whose manifest
     ``path`` gives the trace ``samples``; ``io.ConfigError`` naming a file
     when they disagree or a trace is not a valid ringdown."""
-    from .io import ConfigError
-
     data = _read_trace_array(trace_path)
     width = data.shape[1]
     # a length beyond the file's width is checked first: it cannot fit, and
@@ -434,7 +409,7 @@ class MeasurementDataset:
         with open(directory / "manifest.json", "w") as fh:
             fh.write(json.dumps(manifest, sort_keys=True))
         if self.h_true is not None:
-            self.h_true.to_csv(directory / "h_true.csv")
+            matrix_to_csv(directory / "h_true.csv", self.h_true.matrix, self.h_true.site_labels)
         np.save(directory / TRACE_FILE, np.stack((self.times[present], self.powers[present])))
 
     @classmethod
@@ -453,8 +428,6 @@ class MeasurementDataset:
     def _from_manifest(cls, values: dict, directory: Path, **arrays) -> "MeasurementDataset":
         """The dataset of the checked manifest ``values`` (:func:`read_manifest`),
         the attributes they lack, ``arrays``, and ``directory``'s ``h_true.csv``."""
-        from .io import matrix_from_csv  # io imports this module
-
         h_path = directory / "h_true.csv"
         h_true = CouplingHamiltonian(*matrix_from_csv(h_path)) if h_path.exists() else None
         return cls(**{key.removesuffix("_hz"): value for key, value in values.items()}, **arrays,
@@ -468,7 +441,6 @@ class RecoveryResult:
     eta_hat: ParticipationMatrix
     u_hat: np.ndarray
     h_hat: CouplingHamiltonian
-    iterations_used: int
     residuals: dict
 
 
@@ -720,7 +692,7 @@ def recover_from_slopes(
         )
         rot = h_hat.rotating_frame().matrix - h_true.rotating_frame().matrix
         residuals["h_rotframe_max_error_hz"] = float(np.abs(rot).max())
-    return RecoveryResult(eta_hat, u_hat, h_hat, iterations, residuals)
+    return RecoveryResult(eta_hat, u_hat, h_hat, residuals)
 
 
 def recover(

@@ -3,7 +3,7 @@
 Run configurations are INI-style text files with nested sections; parsing is
 strict (unknown sections or keys abort with the offending line).  Matrices
 export to CSV with a header row of site labels; complex matrices emit
-``<label>_re`` / ``<label>_im`` column pairs.
+``<label>_re`` / ``<label>_im`` column pairs.  No CSV holds a NaN or infinity.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import numpy as np
 
 from .lattice import _MAX_SIGMA, Couplings, LatticeSpec, SiteParams, Topology
 from .disorder import _BAND_PERCENTILES
-from .experiment import ModeReadout
-from .measure import MIN_FIT_SAMPLES
+from .measure import MIN_FIT_SAMPLES, ModeReadout
 
 
 class ConfigError(ValueError):
@@ -95,7 +94,7 @@ _KEYS = {
         "cavity_freq_hz": _Key("number", None, *_POSITIVE),
         "cavity_freqs_hz": _Key("list", None, *_POSITIVE),
     },
-    "couplings": {key: _Key("number", "0", *_FINITE)
+    "couplings": {key: _Key("number", "0", *_NON_NEGATIVE)
                   for key in ("j_hz", "j_prime_hz", "j2_hz", "j3_hz", "j3_prime_hz")},
     "mechanics": {
         "freqs_hz": _Key("list", _REQUIRED, *_POSITIVE),
@@ -281,18 +280,14 @@ def _parse_readout(ro: dict, spec: LatticeSpec | None) -> tuple[ModeReadout, ...
 # ---------------------------------------------------------------------------
 
 def matrix_to_csv(path, matrix: np.ndarray, labels) -> None:
+    """``matrix`` under a header row of its site ``labels``, a complex one as
+    ``<label>_re`` / ``<label>_im`` column pairs; refused as by :func:`rows_to_csv`."""
     matrix = np.asarray(matrix)
     labels = list(labels) if labels else [f"site{i + 1}" for i in range(matrix.shape[1])]
-    with open(path, "w") as fh:
-        if np.iscomplexobj(matrix):
-            header = ",".join(f"{lab}_re,{lab}_im" for lab in labels)
-            fh.write(header + "\n")
-            for row in matrix:
-                fh.write(",".join(f"{v.real:.17g},{v.imag:.17g}" for v in row) + "\n")
-        else:
-            fh.write(",".join(labels) + "\n")
-            for row in matrix:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    if np.iscomplexobj(matrix):
+        labels = [f"{lab}_{part}" for lab in labels for part in ("re", "im")]
+        matrix = np.stack((matrix.real, matrix.imag), axis=-1).reshape(len(matrix), -1)
+    rows_to_csv(path, ",".join(labels), matrix)
 
 
 def matrix_from_csv(path) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -309,7 +304,17 @@ def matrix_from_csv(path) -> tuple[np.ndarray, tuple[str, ...]]:
 
 
 def rows_to_csv(path, header: str, rows) -> None:
+    """``rows`` below the ``header`` line that names their columns;
+    ``ValueError`` naming the file, the row (from 1, below the header) and the
+    column of a NaN or infinity, before any write."""
+    rows = np.asarray(rows)
+    rows = rows[:, None] if rows.ndim == 1 else rows
+    bad = np.argwhere(~np.isfinite(rows))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"{Path(path).name}: row {row + 1}, column {header.split(',')[col]} is "
+                         f"{rows[row, col]}, not a finite number")
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in np.asarray(rows):
-            fh.write(",".join(f"{v:.17g}" for v in np.atleast_1d(row)) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

@@ -175,11 +175,6 @@ class CouplingHamiltonian:
             data["matrix_im_hz"] = self.matrix.imag.tolist()
         return data
 
-    def to_csv(self, path):
-        from . import io as _io
-
-        _io.matrix_to_csv(path, self.matrix, self.site_labels)
-
 
 @dataclass(frozen=True)
 class ModeSet:
@@ -495,7 +490,8 @@ def diagonalize(h: CouplingHamiltonian) -> ModeSet:
     Eigenfrequencies are ascending.  Modeshape rows are orthonormal with a
     deterministic convention (first entry of each row above 1e-12 in
     magnitude is made real positive); degenerate clusters are re-based from
-    the subspace projector before the convention is applied.
+    the subspace projector before the convention is applied.  A spectrum
+    whose span leaves float range raises ``ValueError``.
     """
     m = h.matrix
     try:
@@ -506,6 +502,10 @@ def diagonalize(h: CouplingHamiltonian) -> ModeSet:
             f"eigensolver failed on {m.shape[0]}x{m.shape[0]} matrix "
             f"(diag range [{diag.min():.6g}, {diag.max():.6g}], max |entry| {np.abs(m).max():.6g}): {exc}"
         ) from exc
+    with np.errstate(over="ignore"):  # an overflow is refused here
+        if not np.isfinite(freqs[-1] - freqs[0]):
+            raise ValueError(f"eigenfrequencies from {freqs[0]:.6g} to {freqs[-1]:.6g} Hz span "
+                             f"beyond float range (largest |entry| {np.abs(m).max():.6g} Hz)")
     rows = vecs.conj().T
     rows = _canonicalize_degenerate(freqs, rows)
     rows = _apply_sign_convention(rows)

@@ -93,6 +93,26 @@ class DampingConfig:
         return self.kappa_tot < self.mech_freq
 
 
+@dataclass(frozen=True)
+class ModeReadout:
+    """Readout parameters of one collective mode (Hz, dimensionless
+    transmittance): the mode fields of a :class:`DampingConfig`, as scalars."""
+
+    kappa_tot: float
+    kappa_1: float
+    kappa_2: float
+    transmittance: float = 1.0
+
+    def __post_init__(self):
+        # written so that NaN fails every check
+        if not (0 < self.kappa_tot < np.inf and self.kappa_1 >= 0 and self.kappa_2 >= 0):
+            raise ValueError("kappa_tot must be positive and finite, kappa_1/kappa_2 >= 0")
+        if self.kappa_1 + self.kappa_2 > self.kappa_tot * (1 + 1e-12):
+            raise ValueError("kappa_1 + kappa_2 cannot exceed kappa_tot")
+        if not 0 < self.transmittance < np.inf:
+            raise ValueError("transmittance must be positive and finite")
+
+
 def _check_eta(eta) -> None:
     eta = np.asarray(eta)
     if np.any(~((eta >= 0.0) & (eta <= 1.0))):

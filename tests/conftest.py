@@ -35,7 +35,8 @@ def _write_legacy(dataset, directory, entries) -> None:
     with open(Path(directory) / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     if dataset.h_true is not None:
-        dataset.h_true.to_csv(Path(directory) / "h_true.csv")
+        om.io.matrix_to_csv(Path(directory) / "h_true.csv", dataset.h_true.matrix,
+                            dataset.h_true.site_labels)
 
 
 def _save_legacy_csv(dataset, directory) -> None:

@@ -2,7 +2,8 @@
 "Configuration format" table the keys the configuration reader reads, and
 its "Dataset format" table the fields the dataset manifest reader reads.
 The package starts threads in one place only, as its README says, and
-never imports scipy: numpy is its only runtime dependency."""
+never imports scipy: numpy is its only runtime dependency.  Its modules
+import each other in one direction, and only at module level."""
 
 import argparse
 import ast
@@ -118,3 +119,34 @@ def test_no_module_imports_scipy():
     importers = {path.name for path in PACKAGE.glob("*.py")
                  if any(name.split(".")[0] == "scipy" for name in imported_modules(path))}
     assert importers == set()
+
+
+def test_every_import_is_at_module_level():
+    # an import inside a function would hide a cycle between modules
+    imports = (ast.Import, ast.ImportFrom)
+    below = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for top in ast.parse(path.read_text()).body if not isinstance(top, imports)
+             for node in ast.walk(top) if isinstance(node, imports)]
+    assert below == []
+
+
+def package_imports() -> dict[str, set[str]]:
+    """The modules of the package each of its modules imports (``from .x
+    import`` and ``from . import x``), by their names without ``.py``."""
+    graph = {}
+    for path in PACKAGE.glob("*.py"):
+        graph[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                graph[path.stem].update([node.module] if node.module else
+                                        (alias.name for alias in node.names))
+    return graph
+
+
+def test_package_imports_have_no_cycle():
+    # remove, one at a time, the modules that import no module left; a cycle stays behind
+    graph = package_imports()
+    while leaves := [name for name, imports in graph.items() if not imports & graph.keys()]:
+        for name in leaves:
+            del graph[name]
+    assert graph == {}

@@ -96,6 +96,7 @@ OUTSIDE_THE_MODEL = [
     ("spectrum", "lattice", "cavity_freq_hz", "inf"),
     ("spectrum", "lattice", "cavity_freq_hz", "nan"),
     ("spectrum", "lattice", "cavity_freq_hz", "0"),
+    ("spectrum", "couplings", "j_hz", "-1"),
     ("measure-sim", "lattice", "cavity_freq_hz", "inf"),
     ("disorder", "lattice", "cavity_freq_hz", "inf"),
     ("measure-sim", "mechanics", "freqs_hz", "nan"),
@@ -1119,6 +1120,35 @@ def test_non_finite_json_value_exits_3_naming_the_file_and_key(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == f"numerical failure: {message}, which JSON cannot hold\n"
     assert not out.exists()
+
+
+SPAN_BEYOND_FLOAT_RANGE = ("eigenfrequencies from -1.7e+308 to 1.7e+308 Hz span beyond float range "
+                           "(largest |entry| 1.7e+308 Hz)")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would be a line of its own
+@pytest.mark.parametrize("command, key, message", [
+    # the bands E±(k) = 2 j2 cos k ± |rho(k)| leave float range at every k
+    ("topology", "j2_hz", "rho_curve.csv: row 1, column e_minus_hz is -inf, not a finite number"),
+    # so does the span of the chain's eigenfrequencies, which diagonalize refuses
+    ("spectrum", "j_hz", SPAN_BEYOND_FLOAT_RANGE),
+    ("measure-sim", "j_hz", SPAN_BEYOND_FLOAT_RANGE),
+], ids=["topology", "spectrum", "measure-sim"])
+def test_coupling_beyond_float_range_exits_3_with_one_line(tmp_path, capsys, command, key,
+                                                           message):
+    cfg = edited_config(tmp_path, "couplings", key, "1.7e308")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"numerical failure: {message}\n"
+    assert not out.exists()
+
+
+def test_complex_matrix_csv_refuses_a_nan_naming_its_part(tmp_path):
+    path = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match=r"^m\.csv: row 2, column b_im is nan, not a finite number$"):
+        om_io.matrix_to_csv(path, np.array([[1, 2j], [3, complex(4, np.nan)]]), ("a", "b"))
+    assert not path.exists()
 
 
 def test_json_format_flag(small_cfg, tmp_path):
