@@ -35,7 +35,7 @@ from . import io as io_mod
 from . import svgplot
 from .disorder import invert_zeta, run_ensemble
 from .experiment import MeasurementDataset, calibrate_drive_flux, recover, simulate_measurement
-from .lattice import RibbonOrientation, Topology, build_lattice, diagonalize, participation
+from .lattice import RibbonOrientation, Topology, _check_lc_spectrum, build_lattice, diagonalize, participation
 from .measure import RingdownFitError, SinkhornError
 from .topology import (
     GaplessCurveError,
@@ -90,6 +90,7 @@ def cmd_spectrum(config: io_mod.RunConfig, out: Path, fmt: str, svg: bool) -> No
     spec = _require(config.spec, "lattice")
     h = build_lattice(spec)
     modes = diagonalize(h)
+    _check_lc_spectrum(modes)
     eta = participation(modes)
 
     io_mod.rows_to_csv(

@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .io import ConfigError, matrix_from_csv, matrix_to_csv
-from .lattice import CouplingHamiltonian, ModeSet, ParticipationMatrix, SiteParams, diagonalize, participation
+from .lattice import (CouplingHamiltonian, ModeSet, ParticipationMatrix, SiteParams, _check_lc_spectrum,
+                      diagonalize, participation)
 from .measure import (
     MIN_FIT_SAMPLES,
     TWO_PI,
@@ -42,7 +43,6 @@ from .measure import (
     _on_all_cpus,
     assign_signs,
     damping_slope,
-    effective_damping,
     fit_ringdowns,
     orthogonalize,
     sinkhorn_normalize,
@@ -367,16 +367,23 @@ class MeasurementDataset:
 
         # centered closed-form regression over each pair's fitted powers: the
         # raw flux scale (~1e16/s) against an intercept column would make a
-        # generic least-squares solve hopelessly ill-conditioned
-        x = centered(np.broadcast_to(self.drive_fluxes - self.drive_fluxes.mean(), gammas.shape))
+        # generic least-squares solve hopelessly ill-conditioned.  The fluxes,
+        # and each pair's centered rates, are scaled by a power of two to at
+        # most 1, which is exact, so that no mean or sum of squares leaves
+        # float range at any drive; the slope is scaled back at the end
+        flux_exp = np.frexp(self.drive_fluxes.max())[1]
+        fluxes = np.ldexp(self.drive_fluxes, -flux_exp)
+        x = centered(np.broadcast_to(fluxes - fluxes.mean(), gammas.shape))
         y = centered(gammas)
+        rate_exp = np.frexp(np.abs(y).max(axis=2))[1]
+        y = np.ldexp(y, -rate_exp[:, :, None])
         with np.errstate(divide="ignore", invalid="ignore"):
             sxx = (x * x).sum(axis=2)
             slopes = (x * y).sum(axis=2) / sxx
             residual = y - slopes[:, :, None] * x
             slope_err = np.sqrt((residual**2).sum(axis=2) / (count - 2) / sxx)
         slopes = np.where((count > 2) & (slopes < SLOPE_GATE_SIGMAS * slope_err), 0.0, slopes)
-        slopes = np.where(count >= max(2, min(3, npow)), slopes, 0.0)
+        slopes = np.where(count >= max(2, min(3, npow)), np.ldexp(slopes, rate_exp - flux_exp), 0.0)
         self.fitted_gammas = gammas
         self.fitted_errors = errors
         self.slopes = slopes
@@ -444,29 +451,25 @@ class RecoveryResult:
     residuals: dict
 
 
-def _site_fields(sites: tuple[SiteParams, ...]) -> np.ndarray:
-    """Mechanical frequencies, linewidths and g0 of ``sites``, the rows of a
-    ``(3, n)`` array."""
-    return np.array([[s.mech_freq for s in sites], [s.mech_linewidth for s in sites],
-                     [s.g0 for s in sites]])
-
-
-def _pair_configs(readouts: tuple[ModeReadout, ...], mech_freqs, mech_linewidths, g0,
-                  flux=1.0) -> DampingConfig:
+def _pair_configs(readouts: tuple[ModeReadout, ...], mech_freqs, g0) -> DampingConfig:
     """The red-detuned drive configurations (detuning equal to the mechanical
-    frequency) of every (mode k, site i) pair as one broadcasting
-    :class:`DampingConfig`: mode fields vary along axis 0, the site arrays
-    ``mech_freqs``, ``mech_linewidths`` and ``g0`` (or scalars) along axis 1
-    and ``flux`` along axis 2, so a damping formula evaluated on it with
-    ``eta[:, :, None]`` returns ``(n, n, flux.size)``."""
-    mode = np.array([(r.kappa_tot, r.kappa_1, r.kappa_2, r.transmittance)
-                     for r in readouts]).T[:, :, None, None]
-    freq, width, g = (np.asarray(x, dtype=float)[..., None] for x in (mech_freqs, mech_linewidths, g0))
+    frequency) of every (mode k, site i) pair, at unit flux and no intrinsic
+    linewidth, as one broadcasting :class:`DampingConfig`: mode fields vary
+    along axis 0, the site arrays ``mech_freqs`` and ``g0`` (or scalars)
+    along axis 1."""
+    mode = np.array([(r.kappa_tot, r.kappa_1, r.kappa_2, r.transmittance) for r in readouts]).T[:, :, None]
+    freq = np.asarray(mech_freqs, dtype=float)
     return DampingConfig(
-        detuning=freq, kappa_tot=mode[0], kappa_1=mode[1], kappa_2=mode[2],
-        drive_flux=np.atleast_1d(flux), transmittance=mode[3],
-        mech_freq=freq, mech_linewidth=width, g0=g,
+        detuning=freq, kappa_tot=mode[0], kappa_1=mode[1], kappa_2=mode[2], drive_flux=1.0,
+        transmittance=mode[3], mech_freq=freq, mech_linewidth=0.0, g0=np.asarray(g0, dtype=float),
     )
+
+
+def _slope_matrix(modes: ModeSet, sites: tuple[SiteParams, ...],
+                  readouts: tuple[ModeReadout, ...]) -> np.ndarray:
+    """Closed-form damping-power slopes (Hz s) of every (mode, site) pair of ``modes``."""
+    config = _pair_configs(readouts, [s.mech_freq for s in sites], [s.g0 for s in sites])
+    return damping_slope(config, participation(modes).eta)
 
 
 def calibrate_drive_flux(
@@ -475,8 +478,13 @@ def calibrate_drive_flux(
     readouts: tuple[ModeReadout, ...],
 ) -> float:
     """Source flux at which the median optomechanical damping rate reaches
-    ``DRIVE_DAMPING_BOOST`` times the median intrinsic mechanical linewidth."""
-    slopes = analytic_slope_matrix(h, sites, readouts)
+    ``DRIVE_DAMPING_BOOST`` times the median intrinsic mechanical linewidth.
+    Slopes beyond float range raise ``ValueError`` naming them."""
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        slopes = analytic_slope_matrix(h, sites, readouts)
+    if not np.isfinite(slopes).all():
+        raise ValueError(f"damping slopes must be finite, got {np.sum(~np.isfinite(slopes))} non-finite "
+                         f"of {slopes.size}; check g0 and couplings")
     positive = slopes[slopes > 0]
     if positive.size == 0:
         raise ValueError("all damping slopes vanish; check g0 and couplings")
@@ -528,8 +536,9 @@ def simulate_measurement(
       ensemble's streams, which are keyed ``spawn_key=(j,)``.
 
     ``master_seed`` must be a non-negative integer, also for noiseless runs.
-    A noise floor or an effective damping rate beyond float range raises
-    ``ValueError`` naming it, before the traces are computed.
+    A noise floor or an effective damping rate beyond float range, or a
+    non-positive lowest eigenfrequency, raises ``ValueError`` naming it,
+    before the traces are computed.
     """
     if len(sites) != h.n_sites or len(readouts) != h.n_sites:
         raise ValueError("need one SiteParams and one ModeReadout per site/mode")
@@ -557,11 +566,11 @@ def simulate_measurement(
 
     def noiseless():
         modes = diagonalize(h)
-        eta = participation(modes).eta
-        mech_freqs, mech_linewidths, g0 = _site_fields(sites)
+        _check_lc_spectrum(modes)
+        mech_freqs = np.array([s.mech_freq for s in sites], dtype=float)
+        mech_linewidths = np.array([s.mech_linewidth for s in sites], dtype=float)
         with np.errstate(over="ignore"):  # an overflow is refused below
-            gamma = effective_damping(_pair_configs(readouts, mech_freqs, mech_linewidths, g0, fluxes),
-                                      eta[:, :, None])
+            gamma = mech_linewidths[:, None] + _slope_matrix(modes, sites, readouts)[..., None] * fluxes
         if not np.isfinite(gamma).all():
             raise ValueError(f"effective damping rates must be finite, got {np.sum(~np.isfinite(gamma))} "
                              f"non-finite of {gamma.size} at drive fluxes up to {fluxes.max():g}")
@@ -615,8 +624,7 @@ def analytic_slope_matrix(
 ) -> np.ndarray:
     """Noise-free damping-power slopes of every (mode, site) pair, from the
     closed-form damping formula (no ringdown simulation)."""
-    eta = participation(diagonalize(h)).eta
-    return damping_slope(_pair_configs(readouts, *_site_fields(sites)), eta[:, :, None])[:, :, 0]
+    return _slope_matrix(diagonalize(h), sites, readouts)
 
 
 def recover_from_slopes(
@@ -635,8 +643,9 @@ def recover_from_slopes(
     site) and the measured ``mode_freqs`` (Hz) are the measurable parameters
     that invert it, ``site_labels`` label the reconstructed Hamiltonian, and
     ``h_true``, when given, adds its errors to the residuals.  A non-finite
-    slope is refused; negative slopes are clipped to zero before the
-    inversion.  Mode rows and the theory reference are matched by ascending
+    slope, and a mode row or site column without a positive slope, are
+    refused; negative slopes are clipped to zero before the inversion.
+    Mode rows and the theory reference are matched by ascending
     eigenfrequency.  If the sign-assigned matrix has negative determinant
     the last row sign is flipped before orthogonalization (participation
     ratios and the reconstructed Hamiltonian are invariant under row sign
@@ -654,13 +663,17 @@ def recover_from_slopes(
         raise ValueError(f"damping-power slopes must be finite, got {np.sum(~np.isfinite(slopes))} "
                          f"non-finite of {slopes.size}; a slope is the regression of a (mode, site) "
                          "pair's fitted ringdown rates on the drive flux")
+    # an empty row or column would be normalized from floored entries alone
+    empty_modes, empty_sites = (np.flatnonzero(~(slopes > 0).any(axis=axis)).tolist() for axis in (1, 0))
+    if empty_modes or empty_sites:
+        raise ValueError(f"no positive damping-power slope for modes {empty_modes} and sites {empty_sites}; "
+                         "a recovery needs one in every mode row and site column")
     order = np.argsort(reference.eigenfreqs, kind="stable")
     if not np.array_equal(order, np.arange(n)):
         raise ValueError("reference mode set must be in ascending frequency order")
 
-    # the inversion reads neither the mechanical linewidths nor g0
-    config = _pair_configs(readouts, mech_freqs, 0.0, 0.0)
-    eta_tilde = unnormalized_eta(np.maximum(slopes, 0.0)[:, :, None], config)[:, :, 0]
+    # the inversion does not read g0
+    eta_tilde = unnormalized_eta(np.maximum(slopes, 0.0), _pair_configs(readouts, mech_freqs, 0.0))
 
     eta_hat, iterations = sinkhorn_normalize(eta_tilde)
     u_tilde = assign_signs(eta_hat, reference)

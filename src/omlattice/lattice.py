@@ -514,6 +514,15 @@ def diagonalize(h: CouplingHamiltonian) -> ModeSet:
     return ModeSet(freqs, rows)
 
 
+def _check_lc_spectrum(modes: ModeSet) -> None:
+    """``ValueError`` unless the lowest eigenfrequency of ``modes`` is
+    positive, as in every LC lattice (ribbon cells, written relative to the
+    cavity frequency, are not checked)."""
+    if not modes.eigenfreqs[0] > 0:
+        raise ValueError(f"lowest eigenfrequency {modes.eigenfreqs[0]:.6g} Hz is not positive; an LC lattice "
+                         "has no such mode, so the couplings are too large for the cavity frequencies")
+
+
 def participation(modes: ModeSet) -> ParticipationMatrix:
     """Energy participation ratios eta[k, i] = |psi_i^k|^2 of a mode set."""
     return ParticipationMatrix(np.abs(modes.modeshapes) ** 2)

@@ -119,56 +119,49 @@ def _check_eta(eta) -> None:
         raise ValueError("eta must lie in [0, 1]")
 
 
+def _drive_response(cfg: DampingConfig):
+    """The angular ``Delta^2 + kappa_tot^2 / 4`` of the drive, in (rad/s)^2,
+    and the angular two-Lorentzian sideband weight
+    kappa/((Omega-Delta)^2 + kappa^2/4) - kappa/((Omega+Delta)^2 + kappa^2/4),
+    in 1/(rad/s)."""
+    delta, kappa, omega = (TWO_PI * x for x in (cfg.detuning, cfg.kappa_tot, cfg.mech_freq))
+    lo, hi = omega - delta, omega + delta
+    quarter = kappa * kappa / 4.0
+    return delta * delta + quarter, kappa / (lo * lo + quarter) - kappa / (hi * hi + quarter)
+
+
 def intracavity_photons(cfg: DampingConfig) -> float:
     """Mean photon number in the driven collective mode,
     n_c = kappa_1 R nd / (Delta^2 + kappa_tot^2 / 4) with angular rates.
     """
-    delta = TWO_PI * cfg.detuning
-    kappa = TWO_PI * cfg.kappa_tot
-    return (TWO_PI * cfg.kappa_1) * cfg.transmittance * cfg.drive_flux / (
-        delta * delta + kappa * kappa / 4.0
-    )
+    denom, _ = _drive_response(cfg)
+    return (TWO_PI * cfg.kappa_1) * cfg.transmittance * cfg.drive_flux / denom
 
 
-def _sideband_weight(cfg: DampingConfig) -> float:
-    """Angular two-Lorentzian factor
-    kappa/((Omega-Delta)^2 + kappa^2/4) - kappa/((Omega+Delta)^2 + kappa^2/4),
-    in 1/(rad/s)."""
-    delta = TWO_PI * cfg.detuning
-    kappa = TWO_PI * cfg.kappa_tot
-    omega = TWO_PI * cfg.mech_freq
-    lo, hi = omega - delta, omega + delta
-    return kappa / (lo * lo + kappa * kappa / 4.0) - kappa / (hi * hi + kappa * kappa / 4.0)
+def damping_slope(cfg: DampingConfig, eta: float) -> float:
+    """Slope of the effective damping rate with respect to the source photon
+    flux, d Gamma_eff / d nd in Hz * s; linear in R kappa_1 (eta g0)^2.  The
+    damping rates derive from it.  Broadcasts over array ``eta`` and array
+    fields of ``cfg``."""
+    _check_eta(eta)
+    denom, weight = _drive_response(cfg)
+    g_eff = TWO_PI * eta * cfg.g0
+    slope_ang = (TWO_PI * cfg.kappa_1) * cfg.transmittance * (g_eff * g_eff) / denom * weight
+    return slope_ang / TWO_PI
 
 
 def optomech_damping(cfg: DampingConfig, eta: float) -> float:
     """Optomechanical damping rate (Hz) of a mechanical mode with participation
     ``eta`` in the driven collective mode (full two-Lorentzian expression,
-    valid outside the sideband-resolved regime).  Broadcasts over array
-    ``eta`` and array fields of ``cfg``."""
-    _check_eta(eta)
-    g_eff = TWO_PI * eta * cfg.g0
-    return intracavity_photons(cfg) * (g_eff * g_eff) * _sideband_weight(cfg) / TWO_PI
+    valid outside the sideband-resolved regime), ``damping_slope(cfg, eta) *
+    cfg.drive_flux``.  Broadcasts as :func:`damping_slope` does."""
+    return damping_slope(cfg, eta) * cfg.drive_flux
 
 
 def effective_damping(cfg: DampingConfig, eta: float) -> float:
     """Total mechanical damping rate: intrinsic linewidth plus the
     optomechanical term; broadcasts as :func:`optomech_damping` does."""
     return cfg.mech_linewidth + optomech_damping(cfg, eta)
-
-
-def damping_slope(cfg: DampingConfig, eta: float) -> float:
-    """Slope of the effective damping rate with respect to the source photon
-    flux, d Gamma_eff / d nd in Hz * s; linear in R kappa_1 (eta g0)^2.
-    Broadcasts as :func:`optomech_damping` does."""
-    _check_eta(eta)
-    delta = TWO_PI * cfg.detuning
-    kappa = TWO_PI * cfg.kappa_tot
-    g_eff = TWO_PI * eta * cfg.g0
-    slope_ang = (TWO_PI * cfg.kappa_1) * cfg.transmittance * (g_eff * g_eff) / (
-        delta * delta + kappa * kappa / 4.0
-    ) * _sideband_weight(cfg)
-    return slope_ang / TWO_PI
 
 
 def unnormalized_eta(slope: float, cfg: DampingConfig) -> float:
@@ -184,12 +177,10 @@ def unnormalized_eta(slope: float, cfg: DampingConfig) -> float:
     """
     if np.any(slope < 0):
         raise ValueError("slope must be >= 0 (clip noise-driven negatives before inverting)")
-    delta = TWO_PI * cfg.detuning
-    kappa = TWO_PI * cfg.kappa_tot
-    weight = _sideband_weight(cfg)
+    denom, weight = _drive_response(cfg)
     if np.any(weight <= 0):
         raise ValueError("sideband weight is non-positive at this detuning; cannot invert")
-    value = np.sqrt(TWO_PI * slope * (delta * delta + kappa * kappa / 4.0) / weight) / TWO_PI**1.5
+    value = np.sqrt(TWO_PI * slope * denom / weight) / TWO_PI**1.5
     return float(value) if np.ndim(value) == 0 else value
 
 

@@ -73,6 +73,13 @@ class TestSimulateMeasurement:
                                     snr=50.0, samples_per_trace=40)
         assert not np.array_equal(a.traces[(0, 0, 0)].powers, c.traces[(0, 0, 0)].powers)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_flux_calibration_refuses_slopes_beyond_float_range(self):
+        h, sites, readouts = small_setup(seed=3)
+        sites = tuple(om.SiteParams(s.cavity_freq, s.mech_freq, s.mech_linewidth, 1e160) for s in sites)
+        with pytest.raises(ValueError, match=r"^damping slopes must be finite, got 16 non-finite of 16"):
+            om.calibrate_drive_flux(h, sites, readouts)
+
     def test_flux_calibration_reaches_target_boost(self):
         h, sites, readouts = small_setup(seed=2)
         flux = om.calibrate_drive_flux(h, sites, readouts)
@@ -245,7 +252,7 @@ class TestSimulateMeasurement:
 
         h, sites, readouts = small_setup(seed=3)
         monkeypatch.setattr(om.experiment, "_NOISE_DRAW_VALUES", h.n_sites ** 2 * 3)
-        monkeypatch.setattr(om.experiment, "effective_damping", failing)
+        monkeypatch.setattr(om.experiment, "damping_slope", failing)
         before = threading.active_count()
         with pytest.raises(ValueError, match="damping failed"):
             om.simulate_measurement(h, sites, readouts, np.linspace(1e14, 6e14, 3),
@@ -342,6 +349,18 @@ class TestRecover:
         with pytest.raises(ValueError, match="damping-power slopes must be finite, got 1 "
                                              f"non-finite of {slopes.size}; a slope is the "
                                              "regression"):
+            om.recover_from_slopes(slopes, readouts, [s.mech_freq for s in sites],
+                                   modes.eigenfreqs, modes)
+
+    def test_mode_row_or_site_column_without_a_positive_slope_is_refused(self):
+        h, sites, readouts = small_setup(seed=8)
+        slopes = om.analytic_slope_matrix(h, sites, readouts)
+        slopes[2] = 0.0
+        slopes[:, 1] = -1e-20  # clipped to zero before the inversion
+        modes = om.diagonalize(h)
+        with pytest.raises(ValueError, match=re.escape(
+                "no positive damping-power slope for modes [2] and sites [1]; a recovery needs "
+                "one in every mode row and site column")):
             om.recover_from_slopes(slopes, readouts, [s.mech_freq for s in sites],
                                    modes.eigenfreqs, modes)
 
@@ -475,6 +494,20 @@ class TestFitAll:
         assert np.isnan(ds.fitted_gammas[2, 0, 5]) and ds.fitted_errors[2, 0, 5] == np.inf
         assert result.residuals["fits_failed"] == 1
         assert result.residuals["h_rel_frobenius_error"] < 0.01
+
+    # a power of two scales the rates (through the times) and the fluxes
+    # exactly; the unscaled sums of squares would leave float range
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rate_exp, flux_exp", [(0, 900), (0, -900), (900, 0), (900, 900)])
+    def test_slopes_scale_exactly_with_rates_and_fluxes(self, rate_exp, flux_exp):
+        _, ds = self.noisy_dataset()
+        slopes, gammas = ds.fit_all(), ds.fitted_gammas
+        ds.times = np.ldexp(ds.times, -rate_exp)
+        ds.drive_fluxes = np.ldexp(ds.drive_fluxes, flux_exp)
+        scaled = ds.fit_all()
+        assert np.array_equal(ds.fitted_gammas, np.ldexp(gammas, rate_exp))
+        assert np.count_nonzero(slopes) > slopes.size // 2
+        assert np.array_equal(scaled, np.ldexp(slopes, rate_exp - flux_exp))
 
     def test_all_fits_failed_raises(self):
         _, ds = self.noisy_dataset(powers=3)

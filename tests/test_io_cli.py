@@ -63,17 +63,19 @@ def small_cfg(tmp_path):
     return path
 
 
-def edited_config(tmp_path: Path, section: str, key: str, value: str | None) -> Path:
+def edited_config(tmp_path: Path, section: str, key: str, value: str | None, also=()) -> Path:
     """SMALL_CFG with ``key`` of ``[section]`` set to ``value``, or deleted
-    when ``value`` is None; a section SMALL_CFG lacks is added."""
+    when ``value`` is None, and then each ``(section, key, value)`` edit of
+    ``also`` made the same way; a section SMALL_CFG lacks is added."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(SMALL_CFG)
-    if not parser.has_section(section):
-        parser.add_section(section)
-    if value is None:
-        del parser[section][key]
-    else:
-        parser[section][key] = value
+    for section, key, value in ((section, key, value), *also):
+        if not parser.has_section(section):
+            parser.add_section(section)
+        if value is None:
+            del parser[section][key]
+        else:
+            parser[section][key] = value
     path = tmp_path / "edited.cfg"
     with open(path, "w") as fh:
         parser.write(fh)
@@ -722,9 +724,9 @@ class TestCliMeasureAndRecover:
         assert not out.exists()
 
     def test_non_finite_slopes_exit_3_with_one_line(self, small_cfg, tmp_path, capsys):
-        # every fit's sum of squares underflows at this drive, so every slope
-        # is NaN; pytest captures warnings, which would be lines of their
-        # own on standard error, so here they are errors
+        # the optomechanical damping vanishes at this drive, so every slope is
+        # gated to zero; pytest captures warnings, which would be lines of
+        # their own on standard error, so here they are errors
         cfg = tmp_path / "tiny-drive.cfg"
         cfg.write_text(SMALL_CFG.replace("drive_flux_max = auto", "drive_flux_max = 1e-300"))
         dataset, out = tmp_path / "dataset", tmp_path / "out"
@@ -736,24 +738,62 @@ class TestCliMeasureAndRecover:
                          "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-        assert err.startswith("numerical failure: damping-power slopes must be finite, got 16 "
-                              "non-finite of 16; a slope is the regression of a (mode, site) "
-                              "pair's fitted ringdown rates on the drive flux")
+        assert err.startswith("numerical failure: no positive damping-power slope for modes "
+                              "[0, 1, 2, 3] and sites [0, 1, 2, 3]; a recovery needs one in every "
+                              "mode row and site column")
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:fitted ringdown rate is negative")
+    def test_recovery_without_a_positive_slope_exits_3(self, tmp_path, capsys):
+        # noise buries every ringdown, so no slope passes the gate
+        cfg = edited_config(tmp_path, "measurement", "snr", "1e-30")
+        dataset, out = tmp_path / "dataset", tmp_path / "out"
+        assert main(["measure-sim", "--config", str(cfg), "--out", str(dataset)]) == 0
+        capsys.readouterr()
+        assert main(["recover", "--config", str(cfg), "--dataset", str(dataset),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: no positive damping-power slope for modes [")
+        assert len(err.strip().splitlines()) == 1 and not out.exists()
+
+    # with each of these, a sum of squared fluxes or rates in the slope
+    # regression leaves float range unless it is scaled
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("section, key, value", [
+        ("measurement", "drive_flux_max", "1e160"),
+        ("measurement", "drive_flux_max", "1e200"),
+        ("measurement", "drive_flux_max", "1.7e308"),
+        # the calibrated drive is about 1e-296
+        ("mechanics", "g0_hz", "1e150"),
+    ], ids=["drive_flux_max=1e160", "drive_flux_max=1e200", "drive_flux_max=1.7e308", "g0_hz=1e150"])
+    def test_extreme_drive_round_trips(self, tmp_path, capsys, section, key, value):
+        cfg = edited_config(tmp_path, section, key, value)
+        dataset, out = tmp_path / "dataset", tmp_path / "out"
+        assert main(["measure-sim", "--config", str(cfg), "--out", str(dataset)]) == 0
+        assert main(["recover", "--config", str(cfg), "--dataset", str(dataset),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "report.json").read_text())
+        assert report["fits_failed"] == 0 and report["matches_ground_truth_1e-6"] is True
 
     # a numpy warning would be a line of its own on standard error
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("key, value, got", [
+    @pytest.mark.parametrize("section, key, value, also, got", [
         # the noise floor overflows
-        ("snr", "5e-324", "the noise standard deviation p0 / snr = inf and the noise floor of 5 "
-                          "times it must be finite; got p0 = 1.0, snr = 5e-324"),
-        # the drive's damping rates overflow
-        ("drive_flux_max", "1.7e308", "effective damping rates must be finite, got 80 non-finite "
-                                      "of 80 at drive fluxes up to 1.7e+308"),
-    ], ids=["snr", "drive_flux_max"])
-    def test_dataset_that_recover_would_refuse_is_not_written(self, tmp_path, capsys, key, value,
-                                                              got):
-        cfg = edited_config(tmp_path, "measurement", key, value)
+        ("measurement", "snr", "5e-324", (),
+         "the noise standard deviation p0 / snr = inf and the noise floor of 5 times it must be "
+         "finite; got p0 = 1.0, snr = 5e-324"),
+        # the damping slopes overflow, refused by the flux calibration
+        ("mechanics", "g0_hz", "1e160", (),
+         "damping slopes must be finite, got 16 non-finite of 16; check g0 and couplings"),
+        # the same at a drive set without calibration, refused with the rates
+        ("mechanics", "g0_hz", "1e160", (("measurement", "drive_flux_max", "1e14"),),
+         "effective damping rates must be finite, got 80 non-finite of 80 at drive fluxes up to "
+         "1e+14"),
+    ], ids=["snr", "g0_hz-auto", "g0_hz"])
+    def test_dataset_that_recover_would_refuse_is_not_written(self, tmp_path, capsys, section, key,
+                                                              value, also, got):
+        cfg = edited_config(tmp_path, section, key, value, also)
         out = tmp_path / "dataset"
         assert main(["measure-sim", "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
@@ -1141,6 +1181,20 @@ def test_coupling_beyond_float_range_exits_3_with_one_line(tmp_path, capsys, com
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err == f"numerical failure: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would be a line of its own
+@pytest.mark.parametrize("command", ["spectrum", "measure-sim"])
+def test_negative_eigenfrequency_exits_3_with_one_line(tmp_path, capsys, command):
+    # a coupling above the 7.12 GHz cavity frequency pushes the lowest mode below zero
+    cfg = edited_config(tmp_path, "couplings", "j_hz", "2e10")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == ("numerical failure: lowest eigenfrequency -1.32331e+10 Hz is not positive; an LC "
+                   "lattice has no such mode, so the couplings are too large for the cavity "
+                   "frequencies\n")
     assert not out.exists()
 
 

@@ -95,7 +95,7 @@ class TestDampingSlope:
         # the optomechanical term is linear in flux, so slope * flux = damping
         cfg = make_cfg(drive_flux=7.7e12)
         slope = om.damping_slope(cfg, 0.35)
-        assert slope * cfg.drive_flux == pytest.approx(om.optomech_damping(cfg, 0.35), rel=1e-12)
+        assert slope * cfg.drive_flux == om.optomech_damping(cfg, 0.35)
 
 
 class TestBroadcasting:
