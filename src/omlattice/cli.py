@@ -160,6 +160,10 @@ def cmd_measure_sim(config: io_mod.RunConfig, out: Path, seed: int | None) -> No
     spec = _require(config.spec, "lattice")
     readouts = _require(config.readouts, "readout")
     meas = _require(config.measurement, "measurement")
+    zero = [i for i, site in enumerate(spec.sites) if site.g0 == 0]
+    if zero:
+        raise io_mod.ConfigError(f"[mechanics] g0_hz is 0 at sites {zero}; measure-sim needs it > 0 at "
+                                 "every site, or recover finds no damping slope there")
     h = build_lattice(spec)
     master_seed = meas["seed"] if seed is None else seed
     flux_max = meas["drive_flux_max"]

@@ -14,8 +14,7 @@ dataset's parameters, ``samples``, ``true_gamma_eff_hz`` (null where
 unknown) and ``noise_floor``.  ``traces.npy`` is one float64 array of shape
 ``(2, total samples)``: row 0 the times, row 1 the powers of every present
 trace, concatenated in C order over (mode, site, power).  ``load`` reads
-format 3 only.  A manifest of an earlier version (no ``format`` key, one
-entry per trace) is rewritten as format 3 by ``tools/upgrade_dataset.py``.
+format 3 only.
 """
 
 from __future__ import annotations
@@ -74,14 +73,13 @@ PADDING_ALLOWANCE = 2**16
 class _Field:
     """A manifest field: its JSON type (``number``, ``integer``, ``text`` or
     ``readout``, an object of the :data:`_READOUT_KEYS`), the axes its array
-    spans (none: a scalar), the rule each entry must pass, as text and as a
-    test of the whole array, and whether only format 3 has it."""
+    spans (none: a scalar) and the rule each entry must pass, as text and as
+    a test of the whole array."""
 
     type: str
     size: tuple[str, ...]
     rule: str
     ok: Callable[[np.ndarray], np.ndarray]
-    format3: bool = False
 
 
 # Every field of a dataset manifest besides its "format", in the order they
@@ -101,10 +99,10 @@ _FIELDS = {
     "drive_fluxes": _Field("number", ("powers",), "finite > 0, at least 2",
                            lambda a: (0 < a) & (a < np.inf) & (a.size >= 2)),
     "master_seed": _Field("integer", (), ">= 0", lambda a: a >= 0),
-    "samples": _Field("integer", ("n", "n", "powers"), ">= 0", lambda a: a >= 0, True),
+    "samples": _Field("integer", ("n", "n", "powers"), ">= 0", lambda a: a >= 0),
     "true_gamma_eff_hz": _Field("number", ("n", "n", "powers"), "finite >= 0, or null",
-                                lambda a: np.isnan(a) | ((0 <= a) & (a < np.inf)), True),
-    "noise_floor": _Field("number", (), "finite >= 0", lambda a: (0 <= a) & (a < np.inf), True),
+                                lambda a: np.isnan(a) | ((0 <= a) & (a < np.inf))),
+    "noise_floor": _Field("number", (), "finite >= 0", lambda a: (0 <= a) & (a < np.inf)),
 }
 
 
@@ -143,11 +141,10 @@ def _as_array(raw, kind: str) -> np.ndarray | None:
     return array.astype(float) if kind in ("number", "readout") else array
 
 
-def read_manifest(path: Path, version: int | None = MANIFEST_FORMAT) -> tuple[dict, dict]:
-    """The JSON object of the dataset manifest at ``path`` of format
-    ``version`` (None: an earlier version, without the format-3 fields) and
-    the checked values of its :data:`_FIELDS`: arrays, scalars, and tuples
-    for ``site_labels`` and ``readouts`` (of :class:`~omlattice.measure.ModeReadout`).
+def read_manifest(path: Path) -> dict:
+    """The checked values of the :data:`_FIELDS` of the format-3 dataset
+    manifest at ``path``: arrays, scalars, and tuples for ``site_labels`` and
+    ``readouts`` (of :class:`~omlattice.measure.ModeReadout`).
     ``io.ConfigError`` naming the manifest and the key on any violation."""
     with open(path) as fh:
         try:
@@ -156,20 +153,16 @@ def read_manifest(path: Path, version: int | None = MANIFEST_FORMAT) -> tuple[di
             raise ConfigError(f"dataset manifest {path} is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise ConfigError(f"dataset manifest {path}: top level is not an object")
-    found = manifest.get("format")
-    if version is None and "format" in manifest:
-        raise ConfigError(f"dataset manifest {path} has format {found!r}; "
-                          "only manifests without a 'format' key are converted")
-    if version is not None and "format" not in manifest:
+    if "format" not in manifest:
         raise ConfigError(f"dataset manifest {path} is from an earlier version (no 'format' key); "
-                          "convert it to format 3 with `python tools/upgrade_dataset.py OLD NEW`")
-    if version is not None and (type(found) is not int or found != version):
+                          f"this version reads format {MANIFEST_FORMAT} only: convert it with "
+                          "tools/upgrade_dataset.py of commit eca01cc4fd09")
+    found = manifest["format"]
+    if type(found) is not int or found != MANIFEST_FORMAT:
         raise ConfigError(f"dataset manifest {path} has unknown format {found!r}; "
-                          f"this version reads format {version}")
+                          f"this version reads format {MANIFEST_FORMAT}")
     sizes, values = {}, {}
     for key, field in _FIELDS.items():
-        if field.format3 and version is None:
-            continue
         if key not in manifest:
             raise ConfigError(f"dataset manifest {path} is missing key '{key}'")
         # with the sizes known before this field: "4 × 4 × 5 integers", "n numbers", "one number"
@@ -198,7 +191,7 @@ def read_manifest(path: Path, version: int | None = MANIFEST_FORMAT) -> tuple[di
                               f"got {got}")
         values[key] = tuple(value.tolist()) if field.type == "text" else \
             value if field.size else value.item()
-    return manifest, values
+    return values
 
 
 def _read_trace_array(path: Path) -> np.ndarray:
@@ -217,23 +210,14 @@ def _read_trace_array(path: Path) -> np.ndarray:
     return data
 
 
-def _check_padding(lengths: np.ndarray, slots: int, path: Path) -> None:
-    """``io.ConfigError`` naming the manifest ``path`` when ``slots`` traces
-    padded to the longest of ``lengths`` would hold more than
-    :data:`MAX_PADDING` times the samples of the traces themselves, plus
-    :data:`PADDING_ALLOWANCE` (one long trace among many short or missing
-    ones would otherwise blow the dense arrays up)."""
-    longest, total = int(lengths.max(initial=0)), int(lengths.sum())
-    if slots * longest > MAX_PADDING * total + PADDING_ALLOWANCE:
-        raise ConfigError(f"dataset manifest {path}: padding its {slots} traces to the longest "
-                          f"({longest} samples) would hold {slots * longest} samples for "
-                          f"{total} samples of data")
-
-
 def _read_traces(samples: np.ndarray, path: Path, trace_path: Path) -> dict:
     """The ``times`` and ``powers`` of a format-3 dataset whose manifest
     ``path`` gives the trace ``samples``; ``io.ConfigError`` naming a file
-    when they disagree or a trace is not a valid ringdown."""
+    when they disagree, when padding every trace to the longest would hold
+    more than :data:`MAX_PADDING` times their samples plus
+    :data:`PADDING_ALLOWANCE` (one long trace among many short or missing
+    ones would otherwise blow the dense arrays up), or when a trace is not a
+    valid ringdown."""
     data = _read_trace_array(trace_path)
     width = data.shape[1]
     # a length beyond the file's width is checked first: it cannot fit, and
@@ -241,8 +225,12 @@ def _read_traces(samples: np.ndarray, path: Path, trace_path: Path) -> dict:
     if samples.max(initial=0) > width or samples.sum() != width:
         raise ConfigError(f"dataset trace file {trace_path} holds {width} samples per row, but "
                           f"the trace lengths in {path} ('samples') add up to {samples.sum()}")
-    _check_padding(samples, samples.size, path)
-    present = np.arange(samples.max(initial=0)) < samples[..., None]
+    longest = int(samples.max(initial=0))
+    if samples.size * longest > MAX_PADDING * width + PADDING_ALLOWANCE:
+        raise ConfigError(f"dataset manifest {path}: padding its {samples.size} traces to the longest "
+                          f"({longest} samples) would hold {samples.size * longest} samples for "
+                          f"{width} samples of data")
+    present = np.arange(longest) < samples[..., None]
     times, powers = np.zeros((2,) + present.shape)
     times[present], powers[present] = data
     fault = trace_fault(times, powers, samples)
@@ -424,18 +412,12 @@ class MeasurementDataset:
         """Read a dataset written by :meth:`save` (format 3).  Raises
         ``io.ConfigError`` naming the file when the manifest or trace data
         are malformed or the manifest is of an earlier version (the message
-        names the converter), ``OSError`` when a file is missing."""
+        names the last commit with a converter), ``OSError`` when a file is
+        missing."""
         directory = Path(directory)
-        path = directory / "manifest.json"
-        values = read_manifest(path)[1]
-        return cls._from_manifest(values, directory,
-                                  **_read_traces(values["samples"], path, directory / TRACE_FILE))
-
-    @classmethod
-    def _from_manifest(cls, values: dict, directory: Path, **arrays) -> "MeasurementDataset":
-        """The dataset of the checked manifest ``values`` (:func:`read_manifest`),
-        the attributes they lack, ``arrays``, and ``directory``'s ``h_true.csv``."""
-        h_path = directory / "h_true.csv"
+        path, h_path = directory / "manifest.json", directory / "h_true.csv"
+        values = read_manifest(path)
+        arrays = _read_traces(values["samples"], path, directory / TRACE_FILE)
         h_true = CouplingHamiltonian(*matrix_from_csv(h_path)) if h_path.exists() else None
         return cls(**{key.removesuffix("_hz"): value for key, value in values.items()}, **arrays,
                    h_true=h_true)
@@ -479,7 +461,8 @@ def calibrate_drive_flux(
 ) -> float:
     """Source flux at which the median optomechanical damping rate reaches
     ``DRIVE_DAMPING_BOOST`` times the median intrinsic mechanical linewidth.
-    Slopes beyond float range raise ``ValueError`` naming them."""
+    Slopes beyond float range, and a flux that is not finite and > 0 (as from
+    a median linewidth of 0), raise ``ValueError`` naming them."""
     with np.errstate(over="ignore"):  # an overflow is refused below
         slopes = analytic_slope_matrix(h, sites, readouts)
     if not np.isfinite(slopes).all():
@@ -488,8 +471,13 @@ def calibrate_drive_flux(
     positive = slopes[slopes > 0]
     if positive.size == 0:
         raise ValueError("all damping slopes vanish; check g0 and couplings")
-    target = DRIVE_DAMPING_BOOST * float(np.median([s.mech_linewidth for s in sites]))
-    return target / float(np.median(positive))
+    width, slope = float(np.median([s.mech_linewidth for s in sites])), float(np.median(positive))
+    flux = DRIVE_DAMPING_BOOST * width / slope
+    if not 0 < flux < np.inf:
+        raise ValueError(f"the calibrated drive flux {DRIVE_DAMPING_BOOST:g} × median linewidth {width:g} "
+                         f"Hz / median positive damping slope {slope:g} Hz s = {flux:g} must be finite "
+                         "and > 0")
+    return flux
 
 
 def simulate_measurement(

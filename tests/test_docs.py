@@ -74,22 +74,22 @@ def test_readme_configuration_table_matches_the_key_table():
     assert readme_config_keys() == reader_config_keys()
 
 
-def readme_manifest_fields() -> dict[str, tuple[str, str, str, str]]:
-    """Type, size, rule and formats of each field in the README table."""
+def readme_manifest_fields() -> dict[str, tuple[str, str, str]]:
+    """Type, size and rule of each field in the README table."""
     table = {}
     for line in readme_section("Dataset format").splitlines():
         cells = [cell.strip() for cell in line.strip("|").split("|")]
         field = re.fullmatch(r"`([a-z_]+)`", cells[0])
         if line.startswith("|") and field:
-            table[field.group(1)] = (cells[1], cells[2].strip("`"), cells[3], cells[4])
+            table[field.group(1)] = (cells[1], cells[2].strip("`"), cells[3])
     return table
 
 
-def reader_manifest_fields() -> dict[str, tuple[str, str, str, str]]:
+def reader_manifest_fields() -> dict[str, tuple[str, str, str]]:
     """The same for the field table the manifest reader reads by."""
     def size(axes):
         return "—" if not axes else axes[0] if len(axes) == 1 else f"({', '.join(axes)})"
-    return {key: (field.type, size(field.size), field.rule, "3" if field.format3 else "all")
+    return {key: (field.type, size(field.size), field.rule)
             for key, field in om_experiment._FIELDS.items()}
 
 

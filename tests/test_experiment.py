@@ -111,7 +111,12 @@ class TestSimulateMeasurement:
                                       "got true_gamma_eff_hz[0, 1, 2] = inf"),
         ("mode_freqs", 3, "'mode_freqs_hz' must be finite > 0 and non-decreasing; "
                           "got mode_freqs_hz[3] = inf"),
-    ], ids=["noise_floor", "true_gamma_eff", "mode_freqs"])
+        ("mech_freqs", 0, "'mech_freqs_hz' must be finite > 0; got mech_freqs_hz[0] = inf"),
+        ("mech_linewidths", 2, "'mech_linewidths_hz' must be finite >= 0; "
+                               "got mech_linewidths_hz[2] = inf"),
+        ("drive_fluxes", 1, "'drive_fluxes' must be finite > 0, at least 2; got drive_fluxes[1] = inf"),
+    ], ids=["noise_floor", "true_gamma_eff", "mode_freqs", "mech_freqs", "mech_linewidths",
+            "drive_fluxes"])
     def test_save_refuses_a_field_that_load_would_refuse(self, tmp_path, attribute, index, got):
         h, sites, readouts = small_setup(seed=5)
         ds = om.simulate_measurement(h, sites, readouts, np.linspace(1e14, 5e14, 3),
@@ -124,52 +129,30 @@ class TestSimulateMeasurement:
             ds.save(tmp_path / "dataset")
         assert not (tmp_path / "dataset").exists()
 
-    def test_saves_every_trace_in_one_array(self, tmp_path, save_v2):
+    def test_saves_every_trace_in_one_array(self, tmp_path, set_trace):
+        # the present traces in C order over (mode, site, power), each
+        # trace `samples` columns long: here one is cut short, one missing
         h, sites, readouts = small_setup(seed=5)
         ds = om.simulate_measurement(h, sites, readouts, np.linspace(1e14, 5e14, 3), master_seed=2,
                                      snr=80.0, samples_per_trace=30)
-        ds.save(tmp_path / "v3")
-        save_v2(ds, tmp_path)
+        old = ds.traces[(1, 2, 0)]
+        set_trace(ds, (1, 2, 0), om.RingdownTrace(old.times[:12], old.powers[:12], old.true_gamma_eff))
+        ds.samples[2, 0, 1] = 0
+        ds.save(tmp_path)
         assert sorted(p.name for p in (tmp_path / "traces").iterdir()) == ["traces.npy"]
         data = np.load(tmp_path / "traces" / "traces.npy", allow_pickle=False)
-        assert data.dtype == np.float64 and data.shape == (2, 30 * len(ds.traces))
-        # format 3 keeps the v2 trace file and replaces the per-trace entries
-        assert (tmp_path / "v3" / "traces" / "traces.npy").read_bytes() == \
-            (tmp_path / "traces" / "traces.npy").read_bytes()
-        manifest = json.loads((tmp_path / "v3" / "manifest.json").read_text())
+        assert data.dtype == np.float64 and data.shape == (2, 30 * (len(ds.traces) - 1) + 12)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["format"] == 3 and "traces" not in manifest
-        assert manifest["samples"] == np.full(ds.samples.shape, 30).tolist()
+        assert manifest["samples"] == ds.samples.tolist()
         assert manifest["true_gamma_eff_hz"] == ds.true_gamma_eff.tolist()
-        entries = json.loads((tmp_path / "manifest.json").read_text())["traces"]
-        keys = [(e["mode"], e["site"], e["power_index"]) for e in entries]
-        assert keys == sorted(ds.traces)
-        for entry, key in zip(entries, keys):
-            assert entry["file"] == "traces/traces.npy"
-            assert (entry["offset"], entry["samples"]) == (30 * keys.index(key), 30)
-            window = slice(entry["offset"], entry["offset"] + entry["samples"])
-            assert np.array_equal(data[0, window], ds.traces[key].times)
-            assert np.array_equal(data[1, window], ds.traces[key].powers)
-
-    def test_legacy_csv_dataset_loads_the_same(self, tmp_path, save_legacy_csv, upgrade_dataset):
-        # once converted to format 3
-        h, sites, readouts = small_setup(seed=5)
-        flux = om.calibrate_drive_flux(h, sites, readouts)
-        ds = om.simulate_measurement(h, sites, readouts, np.linspace(flux / 4, flux, 4),
-                                     master_seed=2, snr=80.0, samples_per_trace=60)
-        ds.save(tmp_path / "new")
-        save_legacy_csv(ds, tmp_path / "legacy")
-        upgrade_dataset.upgrade(tmp_path / "legacy", tmp_path / "converted")
-        new = om.MeasurementDataset.load(tmp_path / "new")
-        legacy = om.MeasurementDataset.load(tmp_path / "converted")
-        assert set(legacy.traces) == set(new.traces) == set(ds.traces)
-        for key, trace in legacy.traces.items():
-            assert np.array_equal(trace.times, new.traces[key].times)
-            assert np.array_equal(trace.powers, new.traces[key].powers)
-            assert trace.true_gamma_eff == new.traces[key].true_gamma_eff
-        reference = om.diagonalize(h)
-        a, b = om.recover(new, reference), om.recover(legacy, reference)
-        assert np.array_equal(a.h_hat.matrix, b.h_hat.matrix)
-        assert a.residuals == b.residuals
+        offset = 0
+        for key in np.ndindex(ds.samples.shape):
+            window = slice(offset, offset + ds.samples[key])
+            assert np.array_equal(data[0, window], ds.times[key][:ds.samples[key]])
+            assert np.array_equal(data[1, window], ds.powers[key][:ds.samples[key]])
+            offset = window.stop
+        assert offset == data.shape[1]
 
     @pytest.mark.parametrize("snr", [60.0, None])
     def test_trace_equals_simulate_ringdown_with_documented_seed(self, snr):
@@ -521,20 +504,16 @@ class TestTraceMapping:
     traces: the contract that callers counting traces and samples through it
     rely on."""
 
-    @pytest.mark.parametrize("source", ["simulated", "v1", "v2", "v3"])
-    def test_view_holds_the_present_traces(self, tmp_path, source, save_legacy_csv, save_v2,
-                                           upgrade_dataset):
+    @pytest.mark.parametrize("source", ["simulated", "v3"])
+    def test_view_holds_the_present_traces(self, tmp_path, source):
         h, sites, readouts = small_setup(seed=5)
         flux = om.calibrate_drive_flux(h, sites, readouts)
         ds = om.simulate_measurement(h, sites, readouts, np.linspace(flux / 4, flux, 4),
                                      master_seed=2, snr=80.0, samples_per_trace=30)
         keys = sorted(ds.traces)
         ds.samples[1, 2, 3] = 0
-        writers = {"v1": save_legacy_csv, "v2": save_v2, "v3": om.MeasurementDataset.save}
-        if source in writers:
-            writers[source](ds, tmp_path / source)
-            if source != "v3":
-                upgrade_dataset.upgrade(tmp_path / source, tmp_path / "v3")
+        if source == "v3":
+            ds.save(tmp_path / "v3")
             ds = om.MeasurementDataset.load(tmp_path / "v3")
         assert ds.samples[1, 2, 3] == 0 and (1, 2, 3) not in ds.traces
         assert list(ds.traces) == [key for key in keys if key != (1, 2, 3)]
@@ -563,34 +542,24 @@ class TestTraceMapping:
         trace.powers[:] = 0.0  # a trace is a copy
         assert ds.powers[0, 0, 1].any()
 
-    @pytest.mark.parametrize("source", ["v1", "v2", "v3"])
-    def test_load_refuses_one_long_trace_among_short_ones(self, tmp_path, source, save_legacy_csv,
-                                                          save_v2, set_trace, upgrade_dataset):
+    def test_load_refuses_one_long_trace_among_short_ones(self, tmp_path, set_trace):
         # the dense arrays pad every trace to the longest: 64 x 2000 samples
-        # for 2126 samples of data is refused rather than allocated, also by
-        # the converter of earlier versions
+        # for 2126 samples of data is refused rather than allocated
         h, sites, readouts = small_setup(seed=5)
         ds = om.simulate_measurement(h, sites, readouts, np.linspace(1e14, 5e14, 4),
                                      master_seed=2, snr=None, samples_per_trace=30)
         ds.samples[...] = 2
         set_trace(ds, (0, 0, 0), om.RingdownTrace(np.arange(2000.0), np.ones(2000)))
-        writers = {"v1": save_legacy_csv, "v2": save_v2, "v3": om.MeasurementDataset.save}
-        writers[source](ds, tmp_path / "dataset")
-        read = om.MeasurementDataset.load if source == "v3" else \
-            (lambda src: upgrade_dataset.upgrade(src, tmp_path / "converted"))
+        ds.save(tmp_path / "dataset")
         with pytest.raises(om_io.ConfigError, match="padding its 64 traces to the longest"):
-            read(tmp_path / "dataset")
-        assert not (tmp_path / "converted").exists()
+            om.MeasurementDataset.load(tmp_path / "dataset")
 
 
 @settings(max_examples=12, derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2**16), n_cells=st.integers(2, 4),
        snr=st.sampled_from([None, 100.0, 300.0]), powers=st.integers(3, 4),
        samples=st.integers(20, 60))
-def test_every_dataset_format_round_trips_bit_for_bit(save_legacy_csv, save_v2, upgrade_dataset,
-                                                      seed, n_cells, snr, powers, samples):
-    # v1 and v2 datasets are converted to format 3 first: the converted
-    # files are the format-3 files, byte for byte
+def test_format_3_dataset_round_trips_bit_for_bit(seed, n_cells, snr, powers, samples):
     h, sites, readouts = small_setup(seed=seed, n_cells=n_cells)
     flux = om.calibrate_drive_flux(h, sites, readouts)
     ds = om.simulate_measurement(h, sites, readouts, np.linspace(flux / powers, flux, powers),
@@ -599,24 +568,17 @@ def test_every_dataset_format_round_trips_bit_for_bit(save_legacy_csv, save_v2, 
     expected = om.recover(ds, reference)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for name, write in (("v3", om.MeasurementDataset.save), ("v1", save_legacy_csv),
-                            ("v2", save_v2)):
-            write(ds, tmp / name)
-            if name != "v3":
-                upgrade_dataset.upgrade(tmp / name, tmp / f"{name}-converted")
-                name = f"{name}-converted"
-                for file in ("manifest.json", "h_true.csv", "traces/traces.npy"):
-                    assert (tmp / name / file).read_bytes() == (tmp / "v3" / file).read_bytes()
-            loaded = om.MeasurementDataset.load(tmp / name)
-            result = om.recover(loaded, reference)
-            assert loaded.fitted_gammas.tobytes() == ds.fitted_gammas.tobytes()
-            assert loaded.fitted_errors.tobytes() == ds.fitted_errors.tobytes()
-            assert result.h_hat.matrix.tobytes() == expected.h_hat.matrix.tobytes()
-            assert result.eta_hat.eta.tobytes() == expected.eta_hat.eta.tobytes()
-            assert result.residuals == expected.residuals
-        om.MeasurementDataset.load(tmp / "v3").save(tmp / "again")
+        ds.save(tmp / "dataset")
+        loaded = om.MeasurementDataset.load(tmp / "dataset")
+        result = om.recover(loaded, reference)
+        assert loaded.fitted_gammas.tobytes() == ds.fitted_gammas.tobytes()
+        assert loaded.fitted_errors.tobytes() == ds.fitted_errors.tobytes()
+        assert result.h_hat.matrix.tobytes() == expected.h_hat.matrix.tobytes()
+        assert result.eta_hat.eta.tobytes() == expected.eta_hat.eta.tobytes()
+        assert result.residuals == expected.residuals
+        loaded.save(tmp / "again")
         for name in ("manifest.json", "h_true.csv", "traces/traces.npy"):
-            assert (tmp / "again" / name).read_bytes() == (tmp / "v3" / name).read_bytes()
+            assert (tmp / "again" / name).read_bytes() == (tmp / "dataset" / name).read_bytes()
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)

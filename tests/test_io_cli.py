@@ -176,37 +176,6 @@ OUTSIDE_THE_FLAKE_MODEL = [
 ]
 
 
-def legacy_dataset(config: Path, tmp_path: Path, save_legacy_csv) -> Path:
-    """``measure-sim`` output (left in ``tmp_path / "npy"``) rewritten as a
-    per-trace CSV dataset."""
-    assert main(["measure-sim", "--config", str(config), "--out", str(tmp_path / "npy")]) == 0
-    save_legacy_csv(om.MeasurementDataset.load(tmp_path / "npy"), tmp_path / "legacy")
-    return tmp_path / "legacy"
-
-
-def converted(dataset: Path, upgrade_dataset) -> Path:
-    """``dataset`` (an earlier version) converted to format 3 next to it."""
-    assert upgrade_dataset.main([str(dataset), str(dataset.with_name(dataset.name + "-3"))]) == 0
-    return dataset.with_name(dataset.name + "-3")
-
-
-def v2_dataset(config: Path, tmp_path: Path, save_v2) -> Path:
-    """``measure-sim`` output (left in ``tmp_path / "npy"``) rewritten as a
-    dataset with per-trace manifest entries locating each trace in
-    ``traces.npy``."""
-    assert main(["measure-sim", "--config", str(config), "--out", str(tmp_path / "npy")]) == 0
-    save_v2(om.MeasurementDataset.load(tmp_path / "npy"), tmp_path / "v2")
-    return tmp_path / "v2"
-
-
-def recover_or_convert(config: Path, dataset: Path, out: Path, upgrade_dataset, convert: bool) -> int:
-    """The exit code of the converter (``convert``; ``out`` is its
-    destination) or of ``recover`` on ``dataset``."""
-    if convert:
-        return upgrade_dataset.main([str(dataset), str(out)])
-    return main(["recover", "--config", str(config), "--dataset", str(dataset), "--out", str(out)])
-
-
 def run_python(*args: str) -> subprocess.CompletedProcess:
     """``python *args`` in a fresh interpreter that imports this omlattice."""
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
@@ -216,105 +185,111 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
 
 def _locate(manifest: dict, key: str):
     """The container and index of the manifest item that ``key`` names, as
-    in ``traces[0].mode`` or ``samples[0][0][0]``."""
+    in ``readouts[0].kappa_tot_hz`` or ``samples[0][0][0]``."""
     *path, last = [int(t[1:-1]) if t.startswith("[") else t
                    for t in re.findall(r"\[\d+\]|[^.\[\]]+", key)]
     return functools.reduce(operator.getitem, path, manifest), last
 
 
-def _both(name, key, value, expected):
-    """The case of a field that manifests of every version have, for recover
-    and for the converter."""
-    return [pytest.param(convert, key, value, expected,
-                         id=f"{name}-{'converter' if convert else 'recover'}")
-            for convert in (False, True)]
-
-
-NAN = float("nan")
-# Manifest values outside the model: (convert, key, new value or an edit of
-# the old one, part of the message).  recover reads measure-sim's format-3
-# output, the converter a v2 dataset; format-3 fields are per-trace entries
-# there.
-VALUES_OUTSIDE_THE_MODEL = [
-    *_both("kappa-tot-negative", "readouts[0].kappa_tot_hz", -1,
-           "readouts[0]: kappa_tot must be positive"),
-    *_both("kappa-tot-nan", "readouts[3].kappa_tot_hz", NAN, "readouts[3]: kappa_tot must be positive"),
-    *_both("kappa-1-too-large", "readouts[1].kappa_1_hz", 1e9,
-           "readouts[1]: kappa_1 + kappa_2 cannot exceed kappa_tot"),
-    *_both("transmittance-string", "readouts[2].transmittance", "x",
-           "'readouts' must be 4 readouts: the keys kappa_tot_hz"),
-    *_both("seed-string", "master_seed", "x", "'master_seed' must be one integer: >= 0; got 'x'"),
-    *_both("seed-negative", "master_seed", -1, "'master_seed' must be one integer: >= 0; got -1"),
-    *_both("seed-float", "master_seed", 1.5, "'master_seed' must be one integer: >= 0; got 1.5"),
-    *_both("seed-bool", "master_seed", True, "'master_seed' must be one integer: >= 0; got True"),
-    *_both("labels-integers", "site_labels", lambda labels: list(range(len(labels))),
-           "'site_labels' must be 4 texts: without ',' or line break; got [0, 1, 2, 3]"),
-    *_both("labels-short", "site_labels", lambda labels: labels[:3], "'site_labels' must be 4 texts"),
+NAN, INF = float("nan"), float("inf")
+# Manifest values outside the model, by case: (key, new value or an edit of
+# the old one, part of the message), each an edit of measure-sim's output.
+VALUES_OUTSIDE_THE_MODEL = {
+    "kappa-tot-negative": ("readouts[0].kappa_tot_hz", -1, "readouts[0]: kappa_tot must be positive"),
+    "kappa-tot-nan": ("readouts[3].kappa_tot_hz", NAN, "readouts[3]: kappa_tot must be positive"),
+    "kappa-1-too-large": ("readouts[1].kappa_1_hz", 1e9,
+                          "readouts[1]: kappa_1 + kappa_2 cannot exceed kappa_tot"),
+    "kappa-2-negative": ("readouts[0].kappa_2_hz", -1, "readouts[0]: kappa_tot must be positive and "
+                         "finite, kappa_1/kappa_2 >= 0"),
+    "kappa-tot-null": ("readouts[0].kappa_tot_hz", None, "'readouts' must be 4 readouts: the keys"),
+    "kappa-2-missing": ("readouts[0]", lambda readout: {k: v for k, v in readout.items()
+                                                        if k != "kappa_2_hz"},
+                        "'readouts' must be 4 readouts: the keys kappa_tot_hz, kappa_1_hz, kappa_2_hz, "
+                        "transmittance, which ModeReadout accepts; got [{"),
+    "transmittance-negative": ("readouts[0].transmittance", -0.5,
+                               "readouts[0]: transmittance must be positive"),
+    "transmittance-string": ("readouts[2].transmittance", "x",
+                             "'readouts' must be 4 readouts: the keys kappa_tot_hz"),
+    "seed-string": ("master_seed", "x", "'master_seed' must be one integer: >= 0; got 'x'"),
+    "seed-negative": ("master_seed", -1, "'master_seed' must be one integer: >= 0; got -1"),
+    "seed-float": ("master_seed", 1.5, "'master_seed' must be one integer: >= 0; got 1.5"),
+    "seed-bool": ("master_seed", True, "'master_seed' must be one integer: >= 0; got True"),
+    "seed-null": ("master_seed", None, "'master_seed' must be one integer: >= 0; got None"),
+    "seed-list": ("master_seed", [1], "'master_seed' must be one integer: >= 0; got [1]"),
+    "labels-integers": ("site_labels", lambda labels: list(range(len(labels))),
+                        "'site_labels' must be 4 texts: without ',' or line break; got [0, 1, 2, 3]"),
+    "labels-short": ("site_labels", lambda labels: labels[:3], "'site_labels' must be 4 texts"),
+    "labels-text": ("site_labels", "abcd",
+                    "'site_labels' must be 4 texts: without ',' or line break; got 'abcd'"),
     # one entry of another JSON type, which one np.array call would coerce
-    *_both("label-integer", "site_labels[0]", 7,
-           "'site_labels' must be 4 texts: without ',' or line break; got [7, "),
-    *_both("width-bool", "mech_linewidths_hz[0]", True,
-           "'mech_linewidths_hz' must be 4 numbers: finite >= 0; got [True, "),
-    *_both("flux-bool", "drive_fluxes[1]", True,
-           "'drive_fluxes' must be powers numbers: finite > 0, at least 2; got ["),
-    *_both("transmittance-bool", "readouts[2].transmittance", True,
-           "'readouts' must be 4 readouts: the keys kappa_tot_hz"),
-    pytest.param(False, "samples[0][1][2]", True, "'samples' must be 4 × 4 × 5 integers: >= 0",
-                 id="samples-bool-recover"),
-    *_both("labels-comma", "site_labels[1]", "a,b", "got site_labels[1] = 'a,b'"),
-    *_both("readouts-short", "readouts", lambda readouts: readouts[:3], "'readouts' must be 4 readouts"),
-    *_both("modes-descending", "mode_freqs_hz", lambda freqs: freqs[::-1],
-           "'mode_freqs_hz' must be n numbers: finite > 0 and non-decreasing; got mode_freqs_hz[1] = "),
-    *_both("mode-string", "mode_freqs_hz[0]", "x", "'mode_freqs_hz' must be n numbers"),
-    *_both("mode-nan", "mode_freqs_hz[0]", NAN, "got mode_freqs_hz[0] = nan"),
-    *_both("mode-list", "mode_freqs_hz[0]", [1.0], "'mode_freqs_hz' must be n numbers"),
-    *_both("mech-negative", "mech_freqs_hz[0]", -1, "'mech_freqs_hz' must be 4 numbers: finite > 0; "
-                                                     "got mech_freqs_hz[0] = -1.0"),
-    *_both("widths-strings", "mech_linewidths_hz", lambda widths: [str(w) for w in widths],
-           "'mech_linewidths_hz' must be 4 numbers: finite >= 0; got ['10.0', "),
-    *_both("widths-one", "mech_linewidths_hz", lambda widths: widths[:1],
-           "'mech_linewidths_hz' must be 4 numbers: finite >= 0; got [10.0]"),
-    *_both("flux-string", "drive_fluxes[0]", "x", "'drive_fluxes' must be powers numbers"),
-    *_both("flux-negative", "drive_fluxes[0]", -1, "got drive_fluxes[0] = -1.0"),
-    *_both("flux-nan", "drive_fluxes[0]", NAN, "got drive_fluxes[0] = nan"),
-    *_both("flux-one", "drive_fluxes", lambda fluxes: fluxes[:1], "finite > 0, at least 2; got "),
-    pytest.param(False, "noise_floor", NAN, "'noise_floor' must be one number: finite >= 0; got nan",
-                 id="floor-nan-recover"),
-    pytest.param(True, "traces[0].noise_floor", NAN,
-                 "traces[0].noise_floor nan is not a number finite >= 0", id="floor-nan-converter"),
-    pytest.param(False, "noise_floor", -1, "'noise_floor' must be one number: finite >= 0; got -1",
-                 id="floor-negative-recover"),
-    pytest.param(True, "traces[0].noise_floor", -1,
-                 "traces[0].noise_floor -1 is not a number finite >= 0", id="floor-negative-converter"),
+    "label-integer": ("site_labels[0]", 7,
+                      "'site_labels' must be 4 texts: without ',' or line break; got [7, "),
+    "width-bool": ("mech_linewidths_hz[0]", True,
+                   "'mech_linewidths_hz' must be 4 numbers: finite >= 0; got [True, "),
+    "flux-bool": ("drive_fluxes[1]", True,
+                  "'drive_fluxes' must be powers numbers: finite > 0, at least 2; got ["),
+    "transmittance-bool": ("readouts[2].transmittance", True,
+                           "'readouts' must be 4 readouts: the keys kappa_tot_hz"),
+    "samples-bool": ("samples[0][1][2]", True, "'samples' must be 4 × 4 × 5 integers: >= 0"),
+    "labels-comma": ("site_labels[1]", "a,b", "got site_labels[1] = 'a,b'"),
+    "label-newline": ("site_labels[0]", "a\nb", "got site_labels[0] = 'a\\nb'"),
+    "readouts-short": ("readouts", lambda readouts: readouts[:3], "'readouts' must be 4 readouts"),
+    "readouts-object": ("readouts", {}, "'readouts' must be 4 readouts: the keys kappa_tot_hz, "
+                        "kappa_1_hz, kappa_2_hz, transmittance, which ModeReadout accepts; got {}"),
+    "readout-list": ("readouts[0]", lambda readout: list(readout.values()),
+                     "'readouts' must be 4 readouts: the keys"),
+    "modes-descending": ("mode_freqs_hz", lambda freqs: freqs[::-1],
+                         "'mode_freqs_hz' must be n numbers: finite > 0 and non-decreasing; "
+                         "got mode_freqs_hz[1] = "),
+    "mode-string": ("mode_freqs_hz[0]", "x", "'mode_freqs_hz' must be n numbers"),
+    "mode-nan": ("mode_freqs_hz[0]", NAN, "got mode_freqs_hz[0] = nan"),
+    "mode-list": ("mode_freqs_hz[0]", [1.0], "'mode_freqs_hz' must be n numbers"),
+    "mode-zero": ("mode_freqs_hz[0]", 0, "got mode_freqs_hz[0] = 0.0"),
+    "modes-empty": ("mode_freqs_hz", [], "'mode_freqs_hz' must be n numbers: finite > 0 and "
+                    "non-decreasing; got []"),
+    "mech-negative": ("mech_freqs_hz[0]", -1,
+                      "'mech_freqs_hz' must be 4 numbers: finite > 0; got mech_freqs_hz[0] = -1.0"),
+    "mech-inf": ("mech_freqs_hz[0]", INF, "'mech_freqs_hz' must be 4 numbers: finite > 0; "
+                 "got mech_freqs_hz[0] = inf"),
+    # mode_freqs_hz sets the number of sites
+    "mech-short": ("mech_freqs_hz", lambda freqs: freqs[:3],
+                   "'mech_freqs_hz' must be 4 numbers: finite > 0; "
+                   "got [2100000.0, 2150000.0, 2200000.0]"),
+    "width-negative": ("mech_linewidths_hz[0]", -1, "got mech_linewidths_hz[0] = -1.0"),
+    "widths-strings": ("mech_linewidths_hz", lambda widths: [str(w) for w in widths],
+                       "'mech_linewidths_hz' must be 4 numbers: finite >= 0; got ['10.0', "),
+    "widths-one": ("mech_linewidths_hz", lambda widths: widths[:1],
+                   "'mech_linewidths_hz' must be 4 numbers: finite >= 0; got [10.0]"),
+    "flux-string": ("drive_fluxes[0]", "x", "'drive_fluxes' must be powers numbers"),
+    "flux-negative": ("drive_fluxes[0]", -1, "got drive_fluxes[0] = -1.0"),
+    "flux-nan": ("drive_fluxes[0]", NAN, "got drive_fluxes[0] = nan"),
+    "flux-one": ("drive_fluxes", lambda fluxes: fluxes[:1], "finite > 0, at least 2; got "),
+    "flux-zero": ("drive_fluxes[0]", 0, "got drive_fluxes[0] = 0.0"),
+    "fluxes-empty": ("drive_fluxes", [], "'drive_fluxes' must be powers numbers: finite > 0, "
+                     "at least 2; got []"),
+    "fluxes-nested": ("drive_fluxes", lambda fluxes: [fluxes],
+                      "'drive_fluxes' must be powers numbers"),
+    "samples-float": ("samples[0][0][0]", 1.5,
+                      "'samples' must be 4 × 4 × 5 integers: >= 0; got [[[1.5, "),
+    "samples-ragged": ("samples[0][0]", lambda row: row[:1], "'samples' must be 4 × 4 × 5 integers"),
+    "samples-scalar": ("samples", 5, "'samples' must be 4 × 4 × 5 integers: >= 0; got 5"),
+    "floor-nan": ("noise_floor", NAN, "'noise_floor' must be one number: finite >= 0; got nan"),
+    "floor-negative": ("noise_floor", -1, "'noise_floor' must be one number: finite >= 0; got -1"),
     # a float cannot hold it
-    pytest.param(True, "traces[0].noise_floor", 10**400,
-                 "traces[0].noise_floor 1000", id="floor-huge-converter"),
-    pytest.param(False, "true_gamma_eff_hz[1][2][3]", -1.0,
-                 "got true_gamma_eff_hz[1, 2, 3] = -1.0", id="gamma-negative-recover"),
-    pytest.param(True, "traces[5].true_gamma_eff_hz", -1.0,
-                 "traces[5].true_gamma_eff_hz -1.0 is not a number finite >= 0, or null",
-                 id="gamma-negative-converter"),
-]
-
-
-def _edit_csv(edit):
-    def apply(path):
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(edit(lines)) + "\n")
-    return apply
+    "floor-huge": ("noise_floor", 10**400, "'noise_floor' must be one number: finite >= 0; got 1000"),
+    "floor-null": ("noise_floor", None, "'noise_floor' must be one number: finite >= 0; got None"),
+    "floor-list": ("noise_floor", [0.1], "'noise_floor' must be one number: finite >= 0; got [0.1]"),
+    "gamma-negative": ("true_gamma_eff_hz[1][2][3]", -1.0, "got true_gamma_eff_hz[1, 2, 3] = -1.0"),
+    "gamma-inf": ("true_gamma_eff_hz[0][0][0]", INF, "got true_gamma_eff_hz[0, 0, 0] = inf"),
+    "gamma-string": ("true_gamma_eff_hz[0][0][0]", "x", "'true_gamma_eff_hz' must be 4 × 4 × 5 "
+                     "numbers: finite >= 0, or null; got [[['x', "),
+}
 
 
 def _edit_npy(edit):
     def apply(path):
         np.save(path, edit(np.load(path)))
     return apply
-
-
-def _out_of_range(path):
-    manifest_path = path.parent.parent / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["traces"][-1]["samples"] += 1
-    manifest_path.write_text(json.dumps(manifest))
 
 
 def _one_sample_first_trace(path):
@@ -341,27 +316,38 @@ def _set_sample(row, column, value):
 
 
 # Each class of malformed trace data, as an edit of the trace file at ``path``
-# of a v1 ("csv-" cases) or v2 (V2_TRACE_CASES) dataset, which the converter
-# refuses, or of a format-3 dataset, which recover refuses.
+# of measure-sim's output, which recover refuses.
 MALFORMED_TRACES = {
-    "csv-header-only": _edit_csv(lambda lines: lines[:1]),
-    "csv-one-row": _edit_csv(lambda lines: lines[:2]),
-    "csv-non-numeric": _edit_csv(lambda lines: lines[:3] + ["0.5,abc"] + lines[4:]),
-    "csv-three-columns": _edit_csv(lambda lines: [line + ",1" for line in lines]),
-    "csv-times-not-increasing": _edit_csv(lambda lines: lines[:1] + lines[1:][::-1]),
     "npy-missing": lambda path: path.unlink(),
     "npy-truncated": lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
     "npy-not-an-array": lambda path: path.write_text("time_s,power\n0,1\n"),
     "npy-wrong-dtype": _edit_npy(lambda data: data.astype(np.float32)),
     "npy-wrong-ndim": _edit_npy(lambda data: data.ravel()),
-    "npy-offset-out-of-range": _out_of_range,
+    "npy-zero-dimensional": lambda path: np.save(path, np.float64(1.0)),
+    "npy-three-rows": _edit_npy(lambda data: np.vstack((data, data[:1]))),
+    "npy-transposed": _edit_npy(lambda data: data.T.copy()),
+    "npy-int64": _edit_npy(lambda data: data.astype(np.int64)),
+    "npy-complex": _edit_npy(lambda data: data.astype(complex)),
+    "npy-structured": lambda path: np.save(path, np.zeros(3, dtype=[("time_s", "f8")])),
+    "npy-pickled": lambda path: np.save(path, np.array([np.load(path)], dtype=object),
+                                        allow_pickle=True),
+    "npy-empty-file": lambda path: path.write_bytes(b""),
+    "npy-directory": lambda path: (path.unlink(), path.mkdir()),
+    # widths that the manifest's 'samples' do not add up to
+    "npy-extra-column": _edit_npy(lambda data: np.hstack((data, data[:, -1:] + 1))),
+    "npy-missing-column": _edit_npy(lambda data: data[:, :-1]),
+    "npy-no-columns": _edit_npy(lambda data: data[:, :0]),
     "npy-times-not-increasing": _edit_npy(_set_sample(0, 2, 0.0)),
+    "npy-repeated-time": _edit_npy(lambda data: _set_sample(0, 2, data[0, 1])(data)),
+    "npy-inf-time": _edit_npy(_set_sample(0, 2, np.inf)),
+    # in trace (3, 3, 4), the last of the file
+    "npy-last-trace-times-not-increasing":
+        _edit_npy(lambda data: _set_sample(0, -1, data[0, -2])(data)),
     "npy-negative-power": _edit_npy(_set_sample(1, 5, -1.0)),
     "npy-nan-time": _edit_npy(_set_sample(0, 2, np.nan)),
     "npy-nan-power": _edit_npy(_set_sample(1, 5, np.nan)),
     "npy-one-sample-trace": _one_sample_first_trace,
 }
-V2_TRACE_CASES = ("npy-offset-out-of-range",)
 
 
 class TestConfigParsing:
@@ -551,61 +537,42 @@ class TestCliMeasureAndRecover:
         assert "ringdown" in err
         assert not out.exists()
 
-    def test_unfittable_legacy_dataset_exits_3_without_traceback(self, small_cfg, tmp_path, capsys,
-                                                                 save_legacy_csv, upgrade_dataset):
-        dataset, out = legacy_dataset(small_cfg, tmp_path, save_legacy_csv), tmp_path / "out"
-        for path in (dataset / "traces").iterdir():
-            rows = path.read_text().splitlines()
-            path.write_text("\n".join([rows[0]] + [r.split(",")[0] + ",0.5" for r in rows[1:]]))
-        dataset = converted(dataset, upgrade_dataset)
-        capsys.readouterr()
-        assert main(["recover", "--config", str(small_cfg), "--dataset", str(dataset),
-                     "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-        assert "ringdown" in err
-        assert not out.exists()
-
-    def test_legacy_dataset_recovers_as_the_new_one(self, small_cfg, tmp_path, save_legacy_csv,
-                                                    upgrade_dataset):
-        legacy = converted(legacy_dataset(small_cfg, tmp_path, save_legacy_csv), upgrade_dataset)
-        for dataset in (tmp_path / "npy", legacy):
-            assert main(["recover", "--config", str(small_cfg), "--dataset", str(dataset),
-                         "--out", str(dataset.with_name(dataset.name + "-out"))]) == 0
-        for name in ("recovered_h.csv", "recovered_h_rotating_frame.csv", "eta_hat.csv",
-                     "report.json"):
-            assert (tmp_path / "npy-out" / name).read_bytes() == \
-                (tmp_path / "legacy-3-out" / name).read_bytes()
-
-    def test_too_short_legacy_trace_degrades_recovery(self, small_cfg, tmp_path, save_legacy_csv,
-                                                      upgrade_dataset):
-        dataset, out = legacy_dataset(small_cfg, tmp_path, save_legacy_csv), tmp_path / "out"
-        path = dataset / "traces" / "k01_i02_p03.csv"
-        path.write_text("\n".join(path.read_text().splitlines()[:6]) + "\n")
-        dataset = converted(dataset, upgrade_dataset)
-        assert main(["recover", "--config", str(small_cfg), "--dataset", str(dataset),
+    def test_too_short_trace_degrades_recovery(self, small_cfg, tmp_path, set_trace):
+        # a trace of 6 samples cannot be fitted; its pair is regressed on the other powers
+        dataset, out = tmp_path / "dataset", tmp_path / "out"
+        assert main(["measure-sim", "--config", str(small_cfg), "--out", str(dataset)]) == 0
+        ds = om.MeasurementDataset.load(dataset)
+        old = ds.traces[(1, 2, 3)]
+        set_trace(ds, (1, 2, 3), om.RingdownTrace(old.times[:6], old.powers[:6], old.true_gamma_eff))
+        ds.save(tmp_path / "cut")
+        assert main(["recover", "--config", str(small_cfg), "--dataset", str(tmp_path / "cut"),
                      "--out", str(out)]) == 0
         assert json.loads((out / "report.json").read_text())["fits_failed"] == 1
 
+    def test_null_true_gamma_eff_reads_as_unknown(self, small_cfg, tmp_path):
+        # a measured trace has no generator damping rate
+        dataset, out = tmp_path / "dataset", tmp_path / "out"
+        assert main(["measure-sim", "--config", str(small_cfg), "--out", str(dataset)]) == 0
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        manifest["true_gamma_eff_hz"][1][2][3] = None
+        (dataset / "manifest.json").write_text(json.dumps(manifest))
+        ds = om.MeasurementDataset.load(dataset)
+        assert np.isnan(ds.true_gamma_eff[1, 2, 3]) and ds.traces[(1, 2, 3)].true_gamma_eff is None
+        assert np.isfinite(np.delete(ds.true_gamma_eff.ravel(), 1 * 20 + 2 * 5 + 3)).all()
+        assert main(["recover", "--config", str(small_cfg), "--dataset", str(dataset),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["fits_failed"] == 0 and report["matches_ground_truth_1e-6"] is True
+
     @pytest.mark.parametrize("case", list(MALFORMED_TRACES))
-    def test_malformed_trace_data_exits_2_naming_the_file(self, small_cfg, tmp_path, capsys,
-                                                          save_legacy_csv, save_v2, upgrade_dataset,
-                                                          case):
-        if case.startswith("csv"):
-            dataset = legacy_dataset(small_cfg, tmp_path, save_legacy_csv)
-            path = dataset / "traces" / "k01_i02_p03.csv"
-        elif case in V2_TRACE_CASES:
-            dataset = v2_dataset(small_cfg, tmp_path, save_v2)
-            path = dataset / "traces" / "traces.npy"
-        else:
-            dataset = tmp_path / "dataset"
-            assert main(["measure-sim", "--config", str(small_cfg), "--out", str(dataset)]) == 0
-            path = dataset / "traces" / "traces.npy"
+    def test_malformed_trace_data_exits_2_naming_the_file(self, small_cfg, tmp_path, capsys, case):
+        dataset, out = tmp_path / "dataset", tmp_path / "out"
+        assert main(["measure-sim", "--config", str(small_cfg), "--out", str(dataset)]) == 0
+        path = dataset / "traces" / "traces.npy"
         MALFORMED_TRACES[case](path)
-        out = tmp_path / "out"
         capsys.readouterr()
-        convert = case.startswith("csv") or case in V2_TRACE_CASES
-        assert recover_or_convert(small_cfg, dataset, out, upgrade_dataset, convert) == 2
+        assert main(["recover", "--config", str(small_cfg), "--dataset", str(dataset),
+                     "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert str(path) in err
@@ -613,35 +580,35 @@ class TestCliMeasureAndRecover:
 
     @pytest.mark.parametrize("drop, expected", [
         (None, "is from an earlier version (no 'format' key)"),
+        ("list", "top level is not an object"),
+        ("mode_freqs_hz", "missing key 'mode_freqs_hz'"),
+        ("mech_freqs_hz", "missing key 'mech_freqs_hz'"),
+        ("mech_linewidths_hz", "missing key 'mech_linewidths_hz'"),
+        ("site_labels", "missing key 'site_labels'"),
         ("readouts", "missing key 'readouts'"),
-        ("traces", "missing key 'traces'"),
         ("drive_fluxes", "missing key 'drive_fluxes'"),
-        ("traces[0].file", "missing key 'traces[0].file'"),
+        ("master_seed", "missing key 'master_seed'"),
+        ("true_gamma_eff_hz", "missing key 'true_gamma_eff_hz'"),
+        ("noise_floor", "missing key 'noise_floor'"),
         ("json", "not valid JSON"),
-        ("traces[0].offset", "missing key 'traces[0].offset'"),
-        ("traces[0].samples", "missing key 'traces[0].samples'"),
-        # a trace index outside its list, negative (it used to wrap around
-        # silently), of the wrong type or a bool; "=" sets instead of drops
-        ("traces[0].mode=99", "traces[0].mode 99 is not an index into 'mode_freqs_hz'"),
-        ("traces[0].mode=-1", "traces[0].mode -1 is not an index into 'mode_freqs_hz'"),
-        ("traces[0].site=\"a\"", "traces[0].site 'a' is not an index into 'mech_freqs_hz'"),
-        ("traces[0].site=4", "traces[0].site 4 is not an index into 'mech_freqs_hz'"),
-        ("traces[0].power_index=1.5", "traces[0].power_index 1.5 is not an index into 'drive_fluxes'"),
-        ("traces[0].power_index=true", "traces[0].power_index True is not an index"),
+        # "=" sets instead of drops
         ("mode_freqs_hz=3", "'mode_freqs_hz' must be n numbers: finite > 0 and non-decreasing; got 3"),
         ("site_labels=5", "'site_labels' must be 4 texts: without ',' or line break; got 5"),
-        # two entries for one trace; per-trace values the dataset's arrays cannot hold
-        ("traces[0].power_index=1", "traces[0] and traces[1] are both mode 0, site 0, power_index 1"),
-        ("traces[1].noise_floor=0.5", "traces[1].noise_floor 0.5 is not a number equal to traces[0]'s"),
-        ("traces[0].true_gamma_eff_hz=\"a\"", "traces[0].true_gamma_eff_hz 'a' is not a number"),
-        # format 3
         ("format=4", "unknown format 4"),
         ("format=\"3\"", "unknown format '3'"),
+        ("format=3.0", "unknown format 3.0"),
+        ("format=true", "unknown format True"),
+        ("format=null", "unknown format None"),
         ("samples", "missing key 'samples'"),
         ("samples=[[60]]", "'samples' must be 4 × 4 × 5 integers: >= 0; got [[60]]"),
         ("samples[0][0][0]=-60", "'samples' must be 4 × 4 × 5 integers: >= 0; "
                                  "got samples[0, 0, 0] = -60"),
         ("samples[0][0][0]=59", "add up to 4799"),
+        # a length beyond the file's width is refused before the lengths are added
+        ("samples[0][0][0]=4611686018427387904", "holds 4800 samples per row, but the trace lengths"),
+        # beyond int64
+        ("samples[0][0][0]=9223372036854775808", "'samples' must be 4 × 4 × 5 integers: >= 0; "
+                                                 "got [[[9223372036854775808, "),
         ("true_gamma_eff_hz=[1.0]", "'true_gamma_eff_hz' must be 4 × 4 × 5 numbers: "
                                     "finite >= 0, or null; got [1.0]"),
         ("noise_floor=\"x\"", "'noise_floor' must be one number: finite >= 0; got 'x'"),
@@ -649,21 +616,13 @@ class TestCliMeasureAndRecover:
         pytest.param(_one_trace_holds_all, "padding its 80 traces to the longest (4800 samples)",
                      id="one-trace-holds-all"),
     ])
-    def test_malformed_manifest_exits_2_without_traceback(self, small_cfg, tmp_path, save_v2,
-                                                          upgrade_dataset, capsys, drop, expected):
-        # cases that edit trace entries run the converter on a v2 dataset,
-        # the rest recover on measure-sim's format-3 output
-        if isinstance(drop, str) and drop.startswith("traces"):
-            dataset = v2_dataset(small_cfg, tmp_path, save_v2)
-        else:
-            dataset = tmp_path / "dataset"
-            assert main(["measure-sim", "--config", str(small_cfg), "--out", str(dataset)]) == 0
-        out = tmp_path / "out"
+    def test_malformed_manifest_exits_2_without_traceback(self, small_cfg, tmp_path, capsys, drop,
+                                                          expected):
+        dataset, out = tmp_path / "dataset", tmp_path / "out"
+        assert main(["measure-sim", "--config", str(small_cfg), "--out", str(dataset)]) == 0
         manifest = json.loads((dataset / "manifest.json").read_text())
-        if drop is None:
-            text = "{}"
-        elif drop == "json":
-            text = "{"
+        if drop in (None, "json", "list"):
+            text = {None: "{}", "json": "{", "list": "[]"}[drop]
         elif callable(drop):
             drop(manifest)
             text = json.dumps(manifest)
@@ -678,49 +637,47 @@ class TestCliMeasureAndRecover:
             text = json.dumps(manifest)
         (dataset / "manifest.json").write_text(text)
         capsys.readouterr()
-        convert = isinstance(drop, str) and drop.startswith("traces")
-        assert recover_or_convert(small_cfg, dataset, out, upgrade_dataset, convert) == 2
+        assert main(["recover", "--config", str(small_cfg), "--dataset", str(dataset),
+                     "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert err.startswith("configuration error:") and expected in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("convert, key, value, expected", VALUES_OUTSIDE_THE_MODEL)
+    @pytest.mark.parametrize("key, value, expected", list(VALUES_OUTSIDE_THE_MODEL.values()),
+                             ids=list(VALUES_OUTSIDE_THE_MODEL))
     def test_manifest_value_outside_the_model_exits_2_naming_the_file(
-            self, small_cfg, tmp_path, save_v2, upgrade_dataset, capsys, convert, key, value,
-            expected):
-        # recover reads measure-sim's format-3 output, the converter a v2 dataset
-        if convert:
-            dataset = v2_dataset(small_cfg, tmp_path, save_v2)
-        else:
-            dataset = tmp_path / "dataset"
-            assert main(["measure-sim", "--config", str(small_cfg), "--out", str(dataset)]) == 0
+            self, small_cfg, tmp_path, capsys, key, value, expected):
+        dataset = tmp_path / "dataset"
+        assert main(["measure-sim", "--config", str(small_cfg), "--out", str(dataset)]) == 0
         manifest = json.loads((dataset / "manifest.json").read_text())
         container, last = _locate(manifest, key)
         container[last] = value(container[last]) if callable(value) else value
         (dataset / "manifest.json").write_text(json.dumps(manifest))
         out = tmp_path / "out"
         capsys.readouterr()
-        assert recover_or_convert(small_cfg, dataset, out, upgrade_dataset, convert) == 2
+        assert main(["recover", "--config", str(small_cfg), "--dataset", str(dataset),
+                     "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert err.startswith(f"configuration error: dataset manifest {dataset / 'manifest.json'}")
         assert expected in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("writer", ["save_legacy_csv", "save_v2"])
-    def test_manifest_without_format_names_the_converter(self, small_cfg, tmp_path, capsys,
-                                                         request, writer):
-        dataset = tmp_path / "dataset"
+    def test_manifest_without_format_names_the_converter(self, small_cfg, tmp_path, capsys):
+        # the manifests of earlier versions have no "format" key
+        dataset, out = tmp_path / "dataset", tmp_path / "out"
         assert main(["measure-sim", "--config", str(small_cfg), "--out", str(dataset)]) == 0
-        request.getfixturevalue(writer)(om.MeasurementDataset.load(dataset), tmp_path / "old")
-        out = tmp_path / "out"
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        del manifest["format"]
+        (dataset / "manifest.json").write_text(json.dumps(manifest))
         capsys.readouterr()
-        assert main(["recover", "--config", str(small_cfg), "--dataset", str(tmp_path / "old"),
+        assert main(["recover", "--config", str(small_cfg), "--dataset", str(dataset),
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-        assert "earlier version" in err and "python tools/upgrade_dataset.py OLD NEW" in err
+        assert err == (f"configuration error: dataset manifest {dataset / 'manifest.json'} is from "
+                       "an earlier version (no 'format' key); this version reads format 3 only: "
+                       "convert it with tools/upgrade_dataset.py of commit eca01cc4fd09\n")
         assert not out.exists()
 
     def test_non_finite_slopes_exit_3_with_one_line(self, small_cfg, tmp_path, capsys):
@@ -790,7 +747,11 @@ class TestCliMeasureAndRecover:
         ("mechanics", "g0_hz", "1e160", (("measurement", "drive_flux_max", "1e14"),),
          "effective damping rates must be finite, got 80 non-finite of 80 at drive fluxes up to "
          "1e+14"),
-    ], ids=["snr", "g0_hz-auto", "g0_hz"])
+        # no intrinsic linewidth calibrates the drive to a flux of 0
+        ("mechanics", "linewidths_hz", "0", (),
+         "the calibrated drive flux 200 × median linewidth 0 Hz / median positive damping slope "
+         "1.06782e-13 Hz s = 0 must be finite and > 0"),
+    ], ids=["snr", "g0_hz-auto", "g0_hz", "linewidths_hz-auto"])
     def test_dataset_that_recover_would_refuse_is_not_written(self, tmp_path, capsys, section, key,
                                                               value, also, got):
         cfg = edited_config(tmp_path, section, key, value, also)
@@ -798,6 +759,19 @@ class TestCliMeasureAndRecover:
         assert main(["measure-sim", "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err == f"numerical failure: {got}\n"
+        assert not out.exists()
+
+    # recover would find no positive damping slope at such a site, at any drive
+    @pytest.mark.parametrize("g0, zero", [("0, 10, 10, 10", [0]), ("10, 10, 10, 0", [3]),
+                                          ("0, 10, 0, 10", [0, 2]), ("0", [0, 1, 2, 3])],
+                             ids=["one-site", "last-site", "two-sites", "every-site"])
+    def test_site_without_optomechanical_coupling_exits_2(self, tmp_path, capsys, g0, zero):
+        cfg = edited_config(tmp_path, "mechanics", "g0_hz", g0)
+        out = tmp_path / "dataset"
+        assert main(["measure-sim", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: [mechanics] g0_hz is 0 at sites {zero}; measure-sim needs it > 0 "
+            "at every site, or recover finds no damping slope there\n")
         assert not out.exists()
 
     def test_dataset_of_another_size_exits_2_naming_both_files(self, small_cfg, tmp_path, capsys):
@@ -980,22 +954,6 @@ def test_subcommand_does_not_import_scipy(tmp_path, small_cfg, command, config):
     assert done.stdout.strip() == "0 []", done.stderr
     if command == "recover":
         assert json.loads((out / "report.json").read_text())["orthogonalized"] is True
-
-
-def test_upgrade_script_entry_point(small_cfg, tmp_path, save_v2, upgrade_dataset):
-    assert main(["measure-sim", "--config", str(small_cfg), "--out", str(tmp_path / "npy")]) == 0
-    save_v2(om.MeasurementDataset.load(tmp_path / "npy"), tmp_path / "v2")
-    done = run_python(upgrade_dataset.__file__, str(tmp_path / "v2"), str(tmp_path / "v3"))
-    assert done.returncode == 0 and done.stdout == done.stderr == ""
-    for name in ("manifest.json", "h_true.csv", "traces/traces.npy"):
-        assert (tmp_path / "v3" / name).read_bytes() == (tmp_path / "npy" / name).read_bytes()
-    # an existing destination, a missing source, a format-3 source, one argument
-    for args, message in [(("v2", "v3"), "already exists"), (("none", "a"), "No such file"),
-                          (("npy", "b"), "has format 3"), (("v2",), "usage")]:
-        done = run_python(upgrade_dataset.__file__, *(str(tmp_path / arg) for arg in args))
-        assert done.returncode == 2 and done.stdout == ""
-        assert len(done.stderr.strip().splitlines()) == 1 and message in done.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["npy", "small.cfg", "v2", "v3"]
 
 
 class TestCliDisorder:
