@@ -20,7 +20,8 @@ relative frequency shifts (none are drawn at sigma = 0).  Hence:
 * sample ``s`` of sigma index ``j`` is row ``s`` of that block, so an
   ensemble with fewer samples draws a prefix of the same rows;
 * results do not depend on the number of CPUs: LAPACK solves each sample's
-  matrix on its own, whichever thread and chunk of rows it falls in.
+  matrix on its own, whichever thread and chunk of rows it falls in (see
+  :mod:`omlattice._runtime`).
 
 Certainty bands are central percentiles (70% -> [p15, p85],
 90% -> [p5, p95]).
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._runtime import on_all_cpus, row_chunks
 from .lattice import _MAX_SIGMA, LatticeSpec, ParticipationMatrix, Topology, build_lattice
-from .measure import _on_all_cpus, _row_chunks
 
 MIN_SAMPLES_FOR_PERCENTILES = 100
 MAX_FAILURE_FRACTION = 1e-3
@@ -111,12 +112,12 @@ def run_ensemble(lattice: LatticeSpec, sigma_grid, samples: int, master_seed: in
     :class:`LatticeSpec` of kind ``ssh-chain``; anything else raises
     ``ValueError``.
 
-    The samples are diagonalized in chunks of rows, cut as
-    :func:`omlattice.fit_ringdowns` cuts a stack, on every CPU the process
-    may use: this thread and one pinned helper thread per further CPU,
-    started and joined within the call.  A chunk builds its own batch and
-    keeps its eigenvectors only until it has their hybridization factors,
-    so neither the whole batch nor its eigenvectors are held at once.  A
+    The samples are diagonalized in chunks of rows on every CPU the
+    process may use, as :mod:`omlattice._runtime` describes, with results
+    bit-identical whatever the number of CPUs.  A chunk builds its own
+    batch and keeps its eigenvectors only until it has their hybridization
+    factors, so neither the whole batch nor its eigenvectors are held at
+    once.  A
     chunk whose batched eigensolve fails is solved sample by sample; failed
     samples are left out, and more than 0.1% of a sigma point's samples
     failing raises :class:`numpy.linalg.LinAlgError`.  An eigenfrequency
@@ -179,7 +180,7 @@ def run_ensemble(lattice: LatticeSpec, sigma_grid, samples: int, master_seed: in
 
         # cut only now: a sample count beyond memory is refused above, at the
         # first allocation, before a list of its chunks could grow
-        _on_all_cpus(solve, _row_chunks(samples, n * n))
+        on_all_cpus(solve, row_chunks(samples, n * n))
         n_failed = int(failed.sum())
         if n_failed > MAX_FAILURE_FRACTION * samples:
             raise np.linalg.LinAlgError(

@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import json
 import operator
+import warnings
 from collections.abc import Callable, Mapping
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from ._runtime import on_all_cpus, row_chunks
 from .io import ConfigError, matrix_from_csv, matrix_to_csv
 from .lattice import (CouplingHamiltonian, ModeSet, ParticipationMatrix, SiteParams, _check_lc_spectrum,
                       diagonalize, participation)
@@ -39,7 +41,6 @@ from .measure import (
     RingdownFitError,
     RingdownTrace,
     _hamiltonian_from_modes,
-    _on_all_cpus,
     assign_signs,
     damping_slope,
     fit_ringdowns,
@@ -53,7 +54,6 @@ RINGDOWN_DECAY_SPAN = 4.0  # trace length in 1/e power-decay times
 NOISE_FLOOR_SIGMAS = 5.0   # keeps the additive floor clear of the clip at zero
 SLOPE_GATE_SIGMAS = 2.0    # slopes below this many standard errors are set to zero
 DRIVE_DAMPING_BOOST = 200.0  # calibrated damping over the median intrinsic linewidth
-_NOISE_DRAW_VALUES = 2**16  # about this many noise values per Generator call
 
 
 # The manifest format MeasurementDataset.save writes and load reads.
@@ -241,6 +241,25 @@ def _read_traces(samples: np.ndarray, path: Path, trace_path: Path) -> dict:
     return dict(times=times, powers=powers)
 
 
+def _read_h_true(path: Path, n_modes: int) -> CouplingHamiltonian:
+    """The ground-truth Hamiltonian of a dataset of ``n_modes`` modes, from
+    its ``h_true.csv`` at ``path``; ``io.ConfigError`` naming the file when
+    it is not a finite Hermitian matrix of that size below a header of site
+    labels."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on a file without data rows
+            h = CouplingHamiltonian(*matrix_from_csv(path))
+    except (ValueError, UserWarning) as exc:
+        raise ConfigError(f"dataset file {path} is not a Hermitian matrix below a header of site "
+                          f"labels: {exc}") from None
+    if h.n_sites != n_modes or not np.isfinite(h.matrix).all():
+        raise ConfigError(f"dataset file {path} must hold a finite {n_modes} × {n_modes} matrix, got "
+                          f"{h.n_sites} × {h.n_sites} with {np.sum(~np.isfinite(h.matrix))} non-finite "
+                          "entries")
+    return h
+
+
 class _TraceView(Mapping):
     """The present traces (``samples > 0``) of a :class:`MeasurementDataset`
     as a read-only mapping from (mode, site, power_index) to a
@@ -410,15 +429,15 @@ class MeasurementDataset:
     @classmethod
     def load(cls, directory) -> "MeasurementDataset":
         """Read a dataset written by :meth:`save` (format 3).  Raises
-        ``io.ConfigError`` naming the file when the manifest or trace data
-        are malformed or the manifest is of an earlier version (the message
-        names the last commit with a converter), ``OSError`` when a file is
-        missing."""
+        ``io.ConfigError`` naming the file when the manifest, trace data or
+        ``h_true.csv`` are malformed or the manifest is of an earlier
+        version (the message names the last commit with a converter),
+        ``OSError`` when a file is missing."""
         directory = Path(directory)
         path, h_path = directory / "manifest.json", directory / "h_true.csv"
         values = read_manifest(path)
         arrays = _read_traces(values["samples"], path, directory / TRACE_FILE)
-        h_true = CouplingHamiltonian(*matrix_from_csv(h_path)) if h_path.exists() else None
+        h_true = _read_h_true(h_path, values["mode_freqs_hz"].size) if h_path.exists() else None
         return cls(**{key.removesuffix("_hz"): value for key, value in values.items()}, **arrays,
                    h_true=h_true)
 
@@ -454,6 +473,16 @@ def _slope_matrix(modes: ModeSet, sites: tuple[SiteParams, ...],
     return damping_slope(config, participation(modes).eta)
 
 
+def _refuse_empty_slopes(slopes: np.ndarray) -> None:
+    """``ValueError`` naming the mode rows and site columns of ``slopes``
+    without a positive entry: a recovery would normalize them from floored
+    entries alone."""
+    empty_modes, empty_sites = (np.flatnonzero(~(slopes > 0).any(axis=axis)).tolist() for axis in (1, 0))
+    if empty_modes or empty_sites:
+        raise ValueError(f"no positive damping-power slope for modes {empty_modes} and sites {empty_sites}; "
+                         "a recovery needs one in every mode row and site column")
+
+
 def calibrate_drive_flux(
     h: CouplingHamiltonian,
     sites: tuple[SiteParams, ...],
@@ -461,16 +490,17 @@ def calibrate_drive_flux(
 ) -> float:
     """Source flux at which the median optomechanical damping rate reaches
     ``DRIVE_DAMPING_BOOST`` times the median intrinsic mechanical linewidth.
-    Slopes beyond float range, and a flux that is not finite and > 0 (as from
-    a median linewidth of 0), raise ``ValueError`` naming them."""
+    Slopes beyond float range, a mode row or site column without a positive
+    slope (which :func:`recover_from_slopes` refuses), and a flux that is not
+    finite and > 0 (as from a median linewidth of 0), raise ``ValueError``
+    naming them."""
     with np.errstate(over="ignore"):  # an overflow is refused below
         slopes = analytic_slope_matrix(h, sites, readouts)
     if not np.isfinite(slopes).all():
         raise ValueError(f"damping slopes must be finite, got {np.sum(~np.isfinite(slopes))} non-finite "
                          f"of {slopes.size}; check g0 and couplings")
+    _refuse_empty_slopes(slopes)
     positive = slopes[slopes > 0]
-    if positive.size == 0:
-        raise ValueError("all damping slopes vanish; check g0 and couplings")
     width, slope = float(np.median([s.mech_linewidth for s in sites])), float(np.median(positive))
     flux = DRIVE_DAMPING_BOOST * width / slope
     if not 0 < flux < np.inf:
@@ -509,24 +539,25 @@ def simulate_measurement(
     ``Generator(Philox(SeedSequence(master_seed)))``, drawn as one
     ``normal(0, p0 / snr, (samples_per_trace, n, n, powers))`` block, and
     trace ``(k, i, p)`` gets column ``[:, k, i, p]``.  The block is drawn
-    in runs of consecutive rows of about 2**16 values, which consume the
-    stream exactly as one call would.  The noiseless block and the draw of
-    the first two runs are the two items of
-    :func:`~omlattice.measure._on_all_cpus`: this thread computes the block
-    while a helper, where there is a further CPU, draws the runs; this
-    thread then draws the later runs.  On one CPU no thread is started.
-    Hence:
+    in runs of consecutive rows, cut as :mod:`omlattice._runtime` cuts
+    rows, which consume the stream exactly as one call would.  The
+    noiseless block and the draw of the first two runs are the two items
+    this call runs on every CPU the process may use; the later runs are
+    drawn after them, on this thread.  Hence:
 
-    * the same (master_seed, sizes, p0, snr) give bit-identical traces;
+    * the same (master_seed, sizes, p0, snr) give bit-identical traces,
+      whatever the number of CPUs;
     * sample ``s`` of every trace is row ``s`` of the block, so a dataset
       with fewer samples per trace draws a prefix of the same rows;
     * the stream has no spawn key, so it is never one of the disorder
       ensemble's streams, which are keyed ``spawn_key=(j,)``.
 
     ``master_seed`` must be a non-negative integer, also for noiseless runs.
-    A noise floor or an effective damping rate beyond float range, or a
-    non-positive lowest eigenfrequency, raises ``ValueError`` naming it,
-    before the traces are computed.
+    A noise floor or an effective damping rate beyond float range, a
+    non-positive lowest eigenfrequency, or a mode row or site column of the
+    closed-form slopes without a positive entry (a dataset that
+    :func:`recover` would refuse), raises ``ValueError`` naming it, before
+    the traces are computed.
     """
     if len(sites) != h.n_sites or len(readouts) != h.n_sites:
         raise ValueError("need one SiteParams and one ModeReadout per site/mode")
@@ -548,8 +579,7 @@ def simulate_measurement(
                          f"of {NOISE_FLOOR_SIGMAS:g} times it must be finite; got p0 = {p0!r}, snr = {snr!r}")
     shape = (h.n_sites, h.n_sites, fluxes.size)
     # each run of consecutive rows of the noise block: its samples, the shape of its draw
-    rows = max(1, _NOISE_DRAW_VALUES // (h.n_sites ** 2 * fluxes.size))
-    runs = [slice(lo, min(lo + rows, samples_per_trace)) for lo in range(0, samples_per_trace, rows)]
+    runs = row_chunks(samples_per_trace, h.n_sites ** 2 * fluxes.size)
     shapes = [(run.stop - run.start, *shape) for run in runs]
 
     def noiseless():
@@ -558,10 +588,12 @@ def simulate_measurement(
         mech_freqs = np.array([s.mech_freq for s in sites], dtype=float)
         mech_linewidths = np.array([s.mech_linewidth for s in sites], dtype=float)
         with np.errstate(over="ignore"):  # an overflow is refused below
-            gamma = mech_linewidths[:, None] + _slope_matrix(modes, sites, readouts)[..., None] * fluxes
+            slopes = _slope_matrix(modes, sites, readouts)
+            gamma = mech_linewidths[:, None] + slopes[..., None] * fluxes
         if not np.isfinite(gamma).all():
             raise ValueError(f"effective damping rates must be finite, got {np.sum(~np.isfinite(gamma))} "
                              f"non-finite of {gamma.size} at drive fluxes up to {fluxes.max():g}")
+        _refuse_empty_slopes(slopes)
         duration = RINGDOWN_DECAY_SPAN / (TWO_PI * np.maximum(gamma, 1e-3))
         # duration / dt rounds to exactly samples_per_trace, the length
         # simulate_ringdown gives
@@ -580,7 +612,7 @@ def simulate_measurement(
     if noise_sigma > 0:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed)))
         tasks.append(lambda: head.extend(rng.normal(0.0, noise_sigma, s) for s in shapes[:2]))
-    _on_all_cpus(lambda task: task(), tasks)
+    on_all_cpus(lambda task: task(), tasks)
     modes, mech_freqs, mech_linewidths, gamma, times, powers = block
     if noise_sigma > 0:
         for j, run in enumerate(runs):
@@ -651,11 +683,7 @@ def recover_from_slopes(
         raise ValueError(f"damping-power slopes must be finite, got {np.sum(~np.isfinite(slopes))} "
                          f"non-finite of {slopes.size}; a slope is the regression of a (mode, site) "
                          "pair's fitted ringdown rates on the drive flux")
-    # an empty row or column would be normalized from floored entries alone
-    empty_modes, empty_sites = (np.flatnonzero(~(slopes > 0).any(axis=axis)).tolist() for axis in (1, 0))
-    if empty_modes or empty_sites:
-        raise ValueError(f"no positive damping-power slope for modes {empty_modes} and sites {empty_sites}; "
-                         "a recovery needs one in every mode row and site column")
+    _refuse_empty_slopes(slopes)
     order = np.argsort(reference.eigenfreqs, kind="stable")
     if not np.array_equal(order, np.arange(n)):
         raise ValueError("reference mode set must be in ascending frequency order")
@@ -725,8 +753,8 @@ def recover_noiseless(
 ) -> RecoveryResult:
     """Analytic-slope (noise-free) end-to-end identity run; the reference
     defaults to the diagonalization of ``h`` itself."""
-    slopes = analytic_slope_matrix(h, sites, readouts)
     truth_modes = diagonalize(h)
+    slopes = _slope_matrix(truth_modes, sites, readouts)
     reference = reference if reference is not None else truth_modes
     return recover_from_slopes(slopes, readouts, [s.mech_freq for s in sites],
                                truth_modes.eigenfreqs, reference, h.site_labels, h)

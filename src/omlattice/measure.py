@@ -16,13 +16,12 @@ and converted back at the API boundary.
 from __future__ import annotations
 
 import math
-import os
-import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._runtime import on_all_cpus, row_chunks
 from .lattice import ModeSet, CouplingHamiltonian, ParticipationMatrix, SIGN_EPS
 
 TWO_PI = 2.0 * np.pi
@@ -269,12 +268,6 @@ def simulate_ringdown(
 
 # Shortest ringdown :func:`fit_ringdowns` accepts.
 MIN_FIT_SAMPLES = 10
-# The most values (traces x samples) one kernel call fits, and the most
-# matrix entries one batched eigensolve of the disorder ensemble takes:
-# enough to amortize numpy's per-call overhead, few enough that a chunk's
-# buffers stay in cache (see :func:`_row_chunks`).  2**15 and 2**17 were
-# slower on criterion-5 stacks, serial and threaded.
-_FIT_CHUNK_VALUES = 2**16
 # Stopping rule: converged when the Gauss-Newton step in the rate is below
 # _XTOL of the rate.  Chain traces at SNR 100 take 5 to 7 iterations, the
 # first at the initial rate.
@@ -311,13 +304,10 @@ def fit_ringdowns(times, powers, skip_fraction: float = 0.1):
     ``sqrt(inv(J^T J)[gamma, gamma] * SSR / (S - 3))``.  Negative fitted
     rates are clipped to zero with a warning.
 
-    The rows are cut into chunks of about ``_FIT_CHUNK_VALUES`` values,
-    fitted on every CPU the process may use: this thread and one helper
-    thread per further CPU, pinned to it, started and joined within the
-    call.  No sum mixes rows, so the results do not depend on the number of
-    CPUs or on which thread fits a chunk; they are bit-identical to a
-    row-by-row fit.  The disorder ensemble's batched eigensolves are cut
-    and shared out the same way (:func:`omlattice.disorder.run_ensemble`).
+    The rows are cut into chunks and fitted on every CPU the process may
+    use, as :mod:`omlattice._runtime` describes.  No sum mixes rows, so the
+    results are bit-identical to a row-by-row fit whatever the number of
+    CPUs.
     """
     t = np.atleast_2d(np.asarray(times, dtype=float))
     p = np.atleast_2d(np.asarray(powers, dtype=float))
@@ -337,89 +327,11 @@ def fit_ringdowns(times, powers, skip_fraction: float = 0.1):
     def fit(rows):
         gamma[rows], stderr[rows], converged[rows] = _fit_chunk(t[rows], p[rows])
 
-    _on_all_cpus(fit, _row_chunks(n_rows, t.shape[1]))
+    on_all_cpus(fit, row_chunks(n_rows, t.shape[1]))
     if np.any(gamma < 0):
         warnings.warn("fitted ringdown rate is negative; clipping to 0", stacklevel=2)
         gamma = np.where(gamma < 0, 0.0, gamma)
     return gamma, stderr, converged
-
-
-def _row_chunks(n_rows: int, row_values: int) -> list[slice]:
-    """Cut ``n_rows`` rows of ``row_values`` values each into chunks of
-    about ``_FIT_CHUNK_VALUES`` values: ``k = ceil(n_rows * row_values /
-    _FIT_CHUNK_VALUES)`` chunks (none for no rows) of ``ceil(n_rows / k)``
-    rows, the last one what is left.
-    """
-    size = -(-n_rows // max(1, -(-n_rows * row_values // _FIT_CHUNK_VALUES)))
-    return [slice(lo, lo + size) for lo in range(0, n_rows, max(1, size))]
-
-
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _pin_helper(index: int) -> None:
-    """Pin the calling helper thread to usable CPU number ``index`` (from 0,
-    cyclically), where the OS lets a thread choose.  Left free, the Linux
-    scheduler kept waking a helper on the CPU of the thread that had just
-    released the interpreter lock, and two threads ran no faster than one
-    (2-CPU VM, fit and noise draw alike); pinned, the unpinned calling
-    thread moves to a free CPU.  The calling thread is never pinned, and a
-    helper the OS refuses to pin runs free.
-    """
-    if hasattr(os, "sched_setaffinity"):
-        cpus = sorted(os.sched_getaffinity(0))
-        try:
-            os.sched_setaffinity(0, {cpus[index % len(cpus)]})
-        except OSError:  # the process's CPU set changed meanwhile
-            pass
-
-
-def _on_all_cpus(work, items: list) -> None:
-    """Call ``work(item)`` for every item, each once, on this thread and on
-    one helper thread per further usable CPU (none for fewer than two
-    items), each helper pinned to its own CPU by :func:`_pin_helper`.  This
-    thread always runs the first item, which it takes before a helper
-    starts, so the arrays that item allocates come from this thread's malloc
-    arena; every thread then takes the next item in order whenever it comes
-    free.  The helpers are started here and joined before the return; the
-    first exception raised in any thread is raised here, after which no
-    thread takes an item.
-    """
-    pending, errors, lock = iter(items), [], threading.Lock()
-
-    def take():
-        with lock:
-            return next(pending, None) if not errors else None
-
-    def drain(item, helper=None):
-        if helper is not None:
-            _pin_helper(helper + 1)
-            item = take()
-        while item is not None:
-            try:
-                work(item)
-            except BaseException as exc:  # raised again in the calling thread
-                with lock:
-                    errors.append(exc)
-                return
-            item = take()
-
-    first = take()
-    helpers = [threading.Thread(target=drain, args=(None, j), name="omlattice-fit", daemon=True)
-               for j in range(min(_cpu_count(), len(items)) - 1)]
-    for helper in helpers:
-        helper.start()
-    try:
-        drain(first)
-    finally:
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[0]
 
 
 def _row_dot(x, y):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import omlattice as om
-from omlattice import disorder, measure
+from omlattice import _runtime, disorder
 from omlattice import io as om_io
 
 CONFIG_DIR = Path(om.__file__).resolve().parent / "configs"
@@ -223,11 +223,11 @@ class TestEnsembleOnEveryCpu:
     def test_threads_give_the_results_of_the_inline_path(self, monkeypatch, batches, samples,
                                                          expected_batches):
         grid = [0.0, 0.004]
-        monkeypatch.setattr(measure, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(_runtime, "cpu_count", lambda: 1)
         inline = om.run_ensemble(chain_spec(), grid, samples, master_seed=17)
         assert sorted(batches) == sorted(expected_batches * len(grid))
         for cpus in (2, 3, 8):
-            monkeypatch.setattr(measure, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(_runtime, "cpu_count", lambda: cpus)
             before = threading.active_count()
             threaded = om.run_ensemble(chain_spec(), grid, samples, master_seed=17)
             assert threading.active_count() == before
@@ -243,7 +243,7 @@ class TestEnsembleOnEveryCpu:
             return real(eta, n_cells)
 
         monkeypatch.setattr(disorder, "hybridization_factor", failing)
-        monkeypatch.setattr(measure, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(_runtime, "cpu_count", lambda: 3)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="chunk 2 failed"):
             om.run_ensemble(chain_spec(), [0.004], 4000, master_seed=17)
@@ -276,7 +276,7 @@ class TestEigensolverFailures:
                 return real(a)
 
             monkeypatch.setattr(np.linalg, "eigh", eigh)
-            monkeypatch.setattr(measure, "_cpu_count", lambda: 2)
+            monkeypatch.setattr(_runtime, "cpu_count", lambda: 2)
 
         return install
 

@@ -109,9 +109,9 @@ def imported_modules(path: Path) -> set[str]:
 
 
 def test_only_the_thread_runner_imports_threading():
-    # measure._on_all_cpus runs every parallel stage
+    # _runtime.on_all_cpus runs every parallel stage
     importers = {path.name for path in PACKAGE.glob("*.py") if "threading" in imported_modules(path)}
-    assert importers == {"measure.py"}
+    assert importers == {"_runtime.py"}
 
 
 def test_no_module_imports_scipy():
@@ -150,3 +150,11 @@ def test_package_imports_have_no_cycle():
         for name in leaves:
             del graph[name]
     assert graph == {}
+
+
+def test_runtime_imports_no_package_module_and_disorder_no_measurement():
+    # the disorder ensemble shares only the thread runner with the measurement layer
+    graph = package_imports()
+    assert graph["_runtime"] == set()
+    assert imported_modules(PACKAGE / "_runtime.py") <= {"__future__", "os", "threading"}
+    assert "measure" not in graph["disorder"]

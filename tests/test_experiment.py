@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import omlattice as om
+from omlattice import _runtime
 from omlattice import io as om_io
 
 WC = 7.12e9
@@ -57,6 +58,19 @@ class TestNoiselessIdentity:
         eta_true = om.participation(om.diagonalize(h)).eta
         result = om.recover_noiseless(h, sites, readouts)
         assert np.abs(result.eta_hat.eta - eta_true).max() < 1e-10
+
+    def test_eigensolves_once(self, monkeypatch):
+        # the slopes and the reference come from one diagonalization of h
+        h, sites, readouts = small_setup(seed=4)
+        calls, real = [], om.experiment.diagonalize
+
+        def spy(h):
+            calls.append(h)
+            return real(h)
+
+        monkeypatch.setattr(om.experiment, "diagonalize", spy)
+        result = om.recover_noiseless(h, sites, readouts)
+        assert calls == [h] and result.residuals["h_rel_frobenius_error"] < 1e-10
 
 
 class TestSimulateMeasurement:
@@ -193,7 +207,7 @@ class TestSimulateMeasurement:
         runs = [om.simulate_measurement(h, sites, readouts, fluxes, master_seed=21, snr=60.0,
                                         p0=1.5, samples_per_trace=45)]
         # runs of 2 rows, the last of 1, instead of one draw of all 45
-        monkeypatch.setattr(om.experiment, "_NOISE_DRAW_VALUES", 2 * h.n_sites ** 2 * 3 + 1)
+        monkeypatch.setattr(_runtime, "CHUNK_VALUES", 2 * h.n_sites ** 2 * 3 + 1)
         runs.append(om.simulate_measurement(h, sites, readouts, fluxes, master_seed=21, snr=60.0,
                                             p0=1.5, samples_per_trace=45))
         assert np.array_equal(runs[0].powers, runs[1].powers)
@@ -219,7 +233,7 @@ class TestSimulateMeasurement:
                 return np.zeros(size)
 
         h, sites, readouts = small_setup(seed=3)
-        monkeypatch.setattr(om.experiment, "_NOISE_DRAW_VALUES", 2 * h.n_sites ** 2 * 3)
+        monkeypatch.setattr(_runtime, "CHUNK_VALUES", 2 * h.n_sites ** 2 * 3)
         monkeypatch.setattr(np.random, "Generator", FailingGenerator)
         before = threading.active_count()
         with pytest.raises(MemoryError, match="second run"):
@@ -234,7 +248,7 @@ class TestSimulateMeasurement:
             raise ValueError("damping failed")
 
         h, sites, readouts = small_setup(seed=3)
-        monkeypatch.setattr(om.experiment, "_NOISE_DRAW_VALUES", h.n_sites ** 2 * 3)
+        monkeypatch.setattr(_runtime, "CHUNK_VALUES", h.n_sites ** 2 * 3)
         monkeypatch.setattr(om.experiment, "damping_slope", failing)
         before = threading.active_count()
         with pytest.raises(ValueError, match="damping failed"):
@@ -252,10 +266,10 @@ class TestSimulateMeasurement:
 
         monkeypatch.setattr(om.experiment, "diagonalize", spy)
         # runs of 2 rows: the first two are drawn beside the noiseless block, the rest after it
-        monkeypatch.setattr(om.experiment, "_NOISE_DRAW_VALUES", 2 * h.n_sites ** 2 * 3)
+        monkeypatch.setattr(_runtime, "CHUNK_VALUES", 2 * h.n_sites ** 2 * 3)
         powers = {}
         for cpus in (1, 2, 8):
-            monkeypatch.setattr(om.measure, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(_runtime, "cpu_count", lambda: cpus)
             powers[cpus] = om.simulate_measurement(
                 h, sites, readouts, np.linspace(1e14, 6e14, 3), master_seed=21, snr=60.0,
                 samples_per_trace=45).powers

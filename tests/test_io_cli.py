@@ -578,6 +578,30 @@ class TestCliMeasureAndRecover:
         assert str(path) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, expected", [
+        ("x", "is not a Hermitian matrix below a header of site labels: loadtxt: input contained no "
+              "data"),
+        ("a,b\n1,2\n", "is not a Hermitian matrix below a header of site labels: matrix must be "
+                        "square, got shape (1, 2)"),
+        ("a,b\n1,0\n0,1\n", "must hold a finite 4 × 4 matrix, got 2 × 2 with 0 non-finite entries"),
+        ("a,b,c,d\n" + "nan,0,0,0\n0,1,0,0\n0,0,1,0\n0,0,0,1\n",
+         "must hold a finite 4 × 4 matrix, got 4 × 4 with 1 non-finite entries"),
+    ], ids=["no-data", "not-square", "wrong-size", "nan"])
+    @pytest.mark.filterwarnings("error")
+    def test_malformed_h_true_exits_2_naming_the_file(self, small_cfg, tmp_path, capsys, text,
+                                                      expected):
+        dataset, out = tmp_path / "dataset", tmp_path / "out"
+        assert main(["measure-sim", "--config", str(small_cfg), "--out", str(dataset)]) == 0
+        path = dataset / "h_true.csv"
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["recover", "--config", str(small_cfg), "--dataset", str(dataset),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: dataset file {path} ") and expected in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("drop, expected", [
         (None, "is from an earlier version (no 'format' key)"),
         ("list", "top level is not an object"),
@@ -751,7 +775,20 @@ class TestCliMeasureAndRecover:
         ("mechanics", "linewidths_hz", "0", (),
          "the calibrated drive flux 200 × median linewidth 0 Hz / median positive damping slope "
          "1.06782e-13 Hz s = 0 must be finite and > 0"),
-    ], ids=["snr", "g0_hz-auto", "g0_hz", "linewidths_hz-auto"])
+        # a site's slopes underflow to 0: recover would find no positive slope in its column
+        ("mechanics", "g0_hz", "1e-200, 10, 10, 10", (),
+         "no positive damping-power slope for modes [] and sites [0]; a recovery needs one in every "
+         "mode row and site column"),
+        # the same at a drive set without calibration
+        ("mechanics", "g0_hz", "1e-200, 10, 10, 10", (("measurement", "drive_flux_max", "3e14"),),
+         "no positive damping-power slope for modes [] and sites [0]; a recovery needs one in every "
+         "mode row and site column"),
+        # a mode without input coupling damps no site
+        ("readout", "kappa_1_hz", "0, 2.5e5, 2.5e5, 2.5e5", (),
+         "no positive damping-power slope for modes [0] and sites []; a recovery needs one in every "
+         "mode row and site column"),
+    ], ids=["snr", "g0_hz-auto", "g0_hz", "linewidths_hz-auto", "g0_hz-underflow-auto",
+            "g0_hz-underflow", "kappa_1_hz-auto"])
     def test_dataset_that_recover_would_refuse_is_not_written(self, tmp_path, capsys, section, key,
                                                               value, also, got):
         cfg = edited_config(tmp_path, section, key, value, also)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import omlattice as om
-from omlattice import experiment, measure
+from omlattice import _runtime, experiment, measure
 from omlattice.cli import main
 from omlattice.measure import EIGVEC_COND_MAX, SINKHORN_FLOOR_DEFAULT, TWO_PI
 
@@ -438,7 +438,7 @@ class TestFitOnEveryCpu:
     ])
     def test_stack_fits_bit_for_bit_like_row_by_row(self, monkeypatch, chunks, rows,
                                                     expected_chunks):
-        monkeypatch.setattr(measure, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(_runtime, "cpu_count", lambda: 2)
         times, powers = _stack_with_degenerate_rows(rows, 140)
         got = om.fit_ringdowns(times, powers)
         assert sorted(size for size, _, _ in chunks) == sorted(expected_chunks)
@@ -450,11 +450,11 @@ class TestFitOnEveryCpu:
     @pytest.mark.parametrize("cpus", [2, 3, 8])
     def test_threads_give_the_results_of_the_inline_path(self, monkeypatch, chunks, cpus):
         times, powers = _stack_with_degenerate_rows(1000, 400, seed=11)
-        monkeypatch.setattr(measure, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(_runtime, "cpu_count", lambda: 1)
         inline = om.fit_ringdowns(times, powers)
         assert {name for _, name, _ in chunks} == {threading.current_thread().name}
         chunks.clear()
-        monkeypatch.setattr(measure, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(_runtime, "cpu_count", lambda: cpus)
         caller_cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
         before = threading.active_count()
         _assert_same_fits(om.fit_ringdowns(times, powers), inline)
@@ -468,10 +468,10 @@ class TestFitOnEveryCpu:
     def test_many_threads_switching_often_give_the_same_results(self, monkeypatch):
         # more threads than chunks and than CPUs, switching every microsecond
         times, powers = _stack_with_degenerate_rows(300, 140, seed=5)
-        monkeypatch.setattr(measure, "_FIT_CHUNK_VALUES", 1000)
-        monkeypatch.setattr(measure, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(_runtime, "CHUNK_VALUES", 1000)
+        monkeypatch.setattr(_runtime, "cpu_count", lambda: 1)
         inline = om.fit_ringdowns(times, powers)
-        monkeypatch.setattr(measure, "_cpu_count", lambda: 64)
+        monkeypatch.setattr(_runtime, "cpu_count", lambda: 64)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -487,33 +487,39 @@ class TestFitOnEveryCpu:
             raise OSError(22, "Invalid argument")
 
         times, powers = _stack_with_degenerate_rows(300, 140, seed=5)
-        monkeypatch.setattr(measure, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(_runtime, "cpu_count", lambda: 1)
         inline = om.fit_ringdowns(times, powers)
-        monkeypatch.setattr(measure, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(_runtime, "cpu_count", lambda: 2)
         monkeypatch.setattr(os, "sched_setaffinity", refuse)
         _assert_same_fits(om.fit_ringdowns(times, powers), inline)
 
     @pytest.mark.parametrize("cpus", [2, 8])
     def test_calling_thread_runs_the_first_item(self, monkeypatch, started_threads, cpus):
-        monkeypatch.setattr(measure, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(_runtime, "cpu_count", lambda: cpus)
         ran = []
-        measure._on_all_cpus(lambda item: ran.append((item, threading.get_ident())), list(range(20)))
+        _runtime.on_all_cpus(lambda item: ran.append((item, threading.get_ident())), list(range(20)))
         assert sorted(item for item, _ in ran) == list(range(20))
         assert dict(ran)[0] == threading.get_ident()
         assert len(started_threads) == cpus - 1
         started_threads.clear()
         ran.clear()
-        measure._on_all_cpus(lambda item: ran.append((item, threading.get_ident())), ["only"])
+        _runtime.on_all_cpus(lambda item: ran.append((item, threading.get_ident())), ["only"])
         assert ran == [("only", threading.get_ident())] and started_threads == []
 
     def test_empty_stack_gives_empty_fits(self, monkeypatch, started_threads):
-        monkeypatch.setattr(measure, "_cpu_count", lambda: 8)
-        assert measure._row_chunks(0, 126) == []
-        measure._on_all_cpus(lambda item: pytest.fail("no item to run"), [])
+        monkeypatch.setattr(_runtime, "cpu_count", lambda: 8)
+        assert _runtime.row_chunks(0, 126) == []
+        _runtime.on_all_cpus(lambda item: pytest.fail("no item to run"), [])
         gamma, stderr, converged = om.fit_ringdowns(np.empty((0, 140)), np.empty((0, 140)))
         assert started_threads == []
         assert gamma.shape == stderr.shape == converged.shape == (0,)
         assert (gamma.dtype, stderr.dtype, converged.dtype) == (float, float, bool)
+
+    def test_last_chunk_ends_at_the_last_row(self):
+        # a noise run's draw takes its size from its slice: 400 rows of 1000
+        # values are 7 chunks of 58 rows, the last of 52
+        assert _runtime.row_chunks(400, 1000) == [slice(lo, min(lo + 58, 400))
+                                                  for lo in range(0, 400, 58)]
 
     def test_error_in_a_chunk_is_raised_in_the_caller(self, monkeypatch):
         calls, real = itertools.count(), measure._fit_chunk
@@ -524,7 +530,7 @@ class TestFitOnEveryCpu:
             return real(t, p)
 
         monkeypatch.setattr(measure, "_fit_chunk", failing_second)
-        monkeypatch.setattr(measure, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(_runtime, "cpu_count", lambda: 2)
         times, powers = _stack_with_degenerate_rows(1152, 140)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="second chunk failed"):
