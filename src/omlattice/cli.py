@@ -39,6 +39,7 @@ from .lattice import RibbonOrientation, Topology, _check_lc_spectrum, build_latt
 from .measure import RingdownFitError, SinkhornError
 from .topology import (
     GaplessCurveError,
+    bulk_bands_ssh,
     edge_prediction_finite,
     ribbon_edge_prediction,
     ssh_bulk_curve,
@@ -80,6 +81,16 @@ def _write_json(path: Path, payload) -> None:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
+def _write_hamiltonian(stem: Path, h, fmt: str) -> None:
+    """The Hamiltonian ``h`` as ``<stem>.csv``, below a header of its site
+    labels, or as ``<stem>.json`` with the keys ``site_labels`` and ``matrix_hz``."""
+    if fmt == "json":
+        _write_json(stem.with_suffix(".json"),
+                    {"site_labels": list(h.site_labels), "matrix_hz": h.matrix.tolist()})
+    else:
+        io_mod.matrix_to_csv(stem.with_suffix(".csv"), h.matrix, h.site_labels)
+
+
 def _require(value, what: str):
     if value is None:
         raise io_mod.ConfigError(f"configuration is missing the [{what}] section")
@@ -98,17 +109,15 @@ def cmd_spectrum(config: io_mod.RunConfig, out: Path, fmt: str, svg: bool) -> No
         [(k + 1, f) for k, f in enumerate(modes.eigenfreqs)],
     )
     if fmt == "json":
-        _write_json(out / "modeshapes.json", modes.to_json())
-        _write_json(out / "hamiltonian.json", h.to_json())
+        _write_json(out / "modeshapes.json", {"eigenfreqs_hz": modes.eigenfreqs.tolist(),
+                                              "modeshapes": modes.modeshapes.tolist()})
     else:
         io_mod.matrix_to_csv(out / "modeshapes.csv", modes.modeshapes, h.site_labels)
-        io_mod.matrix_to_csv(out / "hamiltonian.csv", h.matrix, h.site_labels)
+    _write_hamiltonian(out / "hamiltonian", h, fmt)
     io_mod.matrix_to_csv(out / "participation.csv", eta.eta, h.site_labels)
 
-    with np.errstate(over="ignore"):  # _write_json refuses an infinite band edge by name
-        bands = circuit_mod.passband_edges(
-            float(np.mean(spec.cavity_freqs)), spec.couplings.j, spec.couplings.j_prime
-        )
+    bands = circuit_mod.passband_edges(float(np.mean(spec.cavity_freqs)), spec.couplings.j,
+                                       spec.couplings.j_prime)
     _write_json(out / "passbands.json", {
         "upb_hz": list(bands["upb"]), "lpb_hz": list(bands["lpb"]),
         "n_midgap_modes": int(np.sum(
@@ -130,7 +139,7 @@ def cmd_topology(config: io_mod.RunConfig, out: Path, svg: bool) -> None:
         curve = ssh_bulk_curve(cp, 1024)
         io_mod.rows_to_csv(
             out / "rho_curve.csv", "k_rad,re_rho_hz,im_rho_hz,e_minus_hz,e_plus_hz",
-            curve.to_rows(cp),
+            np.column_stack([curve.k, curve.rho.real, curve.rho.imag, *bulk_bands_ssh(curve.k, cp)]),
         )
         prediction = edge_prediction_finite(cp, spec.n_sites // 2)
         _write_json(out / "prediction.json", dataclasses.asdict(prediction))
@@ -187,10 +196,7 @@ def cmd_recover(config: io_mod.RunConfig, out: Path, dataset_dir: Path, fmt: str
                                  f"dataset {dataset_dir} has {dataset.n_modes} modes")
     result = recover(dataset, reference)
 
-    if fmt == "json":
-        _write_json(out / "recovered_h.json", result.h_hat.to_json())
-    else:
-        io_mod.matrix_to_csv(out / "recovered_h.csv", result.h_hat.matrix, result.h_hat.site_labels)
+    _write_hamiltonian(out / "recovered_h", result.h_hat, fmt)
     rotating = result.h_hat.rotating_frame()
     io_mod.matrix_to_csv(out / "recovered_h_rotating_frame.csv", rotating.matrix, rotating.site_labels)
     io_mod.matrix_to_csv(out / "eta_hat.csv", result.eta_hat.eta, result.h_hat.site_labels)
@@ -213,7 +219,8 @@ def cmd_disorder(config: io_mod.RunConfig, out: Path, seed: int | None, svg: boo
     ensemble = run_ensemble(spec, dis["sigma_grid"], dis["samples"], master_seed)
     io_mod.rows_to_csv(
         out / "ensemble.csv", "sigma,zeta_mean,zeta_p5,zeta_p15,zeta_p85,zeta_p95",
-        ensemble.to_rows(),
+        np.column_stack([ensemble.sigma_grid, ensemble.zeta_mean, ensemble.zeta_p5,
+                         ensemble.zeta_p15, ensemble.zeta_p85, ensemble.zeta_p95]),
     )
     freq_rows = np.column_stack([
         ensemble.sigma_grid, ensemble.eigenfreq_mean, ensemble.eigenfreq_std,

@@ -94,12 +94,6 @@ class EnsembleResult:
             )
         return (self.zeta_p5, self.zeta_p95) if confidence == 0.9 else (self.zeta_p15, self.zeta_p85)
 
-    def to_rows(self) -> np.ndarray:
-        return np.column_stack([
-            self.sigma_grid, self.zeta_mean,
-            self.zeta_p5, self.zeta_p15, self.zeta_p85, self.zeta_p95,
-        ])
-
 
 def run_ensemble(lattice: LatticeSpec, sigma_grid, samples: int, master_seed: int) -> EnsembleResult:
     """Monte-Carlo sweep over disorder strengths.

@@ -401,8 +401,12 @@ class MeasurementDataset:
     def save(self, directory) -> None:
         """Write the dataset as ``manifest.json`` (format 3), ``h_true.csv``
         and ``traces/traces.npy`` (layouts in the module docstring).  Raises
-        ``ValueError`` naming the field and its first bad entry, before any
-        file is written, when a field breaks its rule in :data:`_FIELDS`."""
+        ``ValueError``, before any file is written, naming the field and its
+        first bad entry when a field breaks its rule in :data:`_FIELDS`, or
+        naming ``h_true`` when it is complex: files hold real matrices only."""
+        if self.h_true is not None and np.iscomplexobj(self.h_true.matrix):
+            raise ValueError("cannot save the dataset: 'h_true' is complex; h_true.csv holds real "
+                             "matrices only")
         manifest = {"format": MANIFEST_FORMAT}
         for key, field in _FIELDS.items():
             value = getattr(self, key.removesuffix("_hz"))
@@ -466,11 +470,17 @@ def _pair_configs(readouts: tuple[ModeReadout, ...], mech_freqs, g0) -> DampingC
     )
 
 
-def _slope_matrix(modes: ModeSet, sites: tuple[SiteParams, ...],
-                  readouts: tuple[ModeReadout, ...]) -> np.ndarray:
-    """Closed-form damping-power slopes (Hz s) of every (mode, site) pair of ``modes``."""
+def _closed_form_slopes(h: CouplingHamiltonian, sites: tuple[SiteParams, ...],
+                        readouts: tuple[ModeReadout, ...]) -> tuple[ModeSet, np.ndarray]:
+    """The modes of ``h`` and the closed-form damping-power slopes (Hz s) of
+    every (mode, site) pair; ``ValueError`` for a size mismatch or a
+    non-positive lowest eigenfrequency."""
+    if len(sites) != h.n_sites or len(readouts) != h.n_sites:
+        raise ValueError("need one SiteParams and one ModeReadout per site/mode")
+    modes = diagonalize(h)
+    _check_lc_spectrum(modes)
     config = _pair_configs(readouts, [s.mech_freq for s in sites], [s.g0 for s in sites])
-    return damping_slope(config, participation(modes).eta)
+    return modes, damping_slope(config, participation(modes).eta)
 
 
 def _refuse_empty_slopes(slopes: np.ndarray) -> None:
@@ -493,9 +503,9 @@ def calibrate_drive_flux(
     Slopes beyond float range, a mode row or site column without a positive
     slope (which :func:`recover_from_slopes` refuses), and a flux that is not
     finite and > 0 (as from a median linewidth of 0), raise ``ValueError``
-    naming them."""
+    naming them, as do the refusals of :func:`analytic_slope_matrix`."""
     with np.errstate(over="ignore"):  # an overflow is refused below
-        slopes = analytic_slope_matrix(h, sites, readouts)
+        _, slopes = _closed_form_slopes(h, sites, readouts)
     if not np.isfinite(slopes).all():
         raise ValueError(f"damping slopes must be finite, got {np.sum(~np.isfinite(slopes))} non-finite "
                          f"of {slopes.size}; check g0 and couplings")
@@ -559,8 +569,6 @@ def simulate_measurement(
     :func:`recover` would refuse), raises ``ValueError`` naming it, before
     the traces are computed.
     """
-    if len(sites) != h.n_sites or len(readouts) != h.n_sites:
-        raise ValueError("need one SiteParams and one ModeReadout per site/mode")
     fluxes = np.asarray(drive_fluxes, dtype=float)
     if fluxes.ndim != 1 or fluxes.size < 2 or not np.all((fluxes > 0) & np.isfinite(fluxes)):
         raise ValueError("drive_fluxes must hold at least two positive finite values")
@@ -583,12 +591,10 @@ def simulate_measurement(
     shapes = [(run.stop - run.start, *shape) for run in runs]
 
     def noiseless():
-        modes = diagonalize(h)
-        _check_lc_spectrum(modes)
         mech_freqs = np.array([s.mech_freq for s in sites], dtype=float)
         mech_linewidths = np.array([s.mech_linewidth for s in sites], dtype=float)
         with np.errstate(over="ignore"):  # an overflow is refused below
-            slopes = _slope_matrix(modes, sites, readouts)
+            modes, slopes = _closed_form_slopes(h, sites, readouts)
             gamma = mech_linewidths[:, None] + slopes[..., None] * fluxes
         if not np.isfinite(gamma).all():
             raise ValueError(f"effective damping rates must be finite, got {np.sum(~np.isfinite(gamma))} "
@@ -643,8 +649,9 @@ def analytic_slope_matrix(
     readouts: tuple[ModeReadout, ...],
 ) -> np.ndarray:
     """Noise-free damping-power slopes of every (mode, site) pair, from the
-    closed-form damping formula (no ringdown simulation)."""
-    return _slope_matrix(diagonalize(h), sites, readouts)
+    closed-form damping formula (no ringdown simulation); ``ValueError`` for
+    a size mismatch or a non-positive lowest eigenfrequency."""
+    return _closed_form_slopes(h, sites, readouts)[1]
 
 
 def recover_from_slopes(
@@ -752,9 +759,9 @@ def recover_noiseless(
     reference: ModeSet | None = None,
 ) -> RecoveryResult:
     """Analytic-slope (noise-free) end-to-end identity run; the reference
-    defaults to the diagonalization of ``h`` itself."""
-    truth_modes = diagonalize(h)
-    slopes = _slope_matrix(truth_modes, sites, readouts)
+    defaults to the diagonalization of ``h`` itself.  Refuses what
+    :func:`analytic_slope_matrix` refuses."""
+    truth_modes, slopes = _closed_form_slopes(h, sites, readouts)
     reference = reference if reference is not None else truth_modes
     return recover_from_slopes(slopes, readouts, [s.mech_freq for s in sites],
                                truth_modes.eigenfreqs, reference, h.site_labels, h)

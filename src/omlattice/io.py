@@ -2,8 +2,8 @@
 
 Run configurations are INI-style text files with nested sections; parsing is
 strict (unknown sections or keys abort with the offending line).  Matrices
-export to CSV with a header row of site labels; complex matrices emit
-``<label>_re`` / ``<label>_im`` column pairs.  No CSV holds a NaN or infinity.
+export to CSV with a header row of site labels.  Files hold real matrices
+only: no CSV holds a complex number, a NaN or an infinity.
 """
 
 from __future__ import annotations
@@ -78,6 +78,8 @@ _FINITE = "a finite number", lambda v: -np.inf < v < np.inf
 _POSITIVE = "a finite number > 0", lambda v: 0 < v < np.inf
 _NON_NEGATIVE = "a finite number >= 0", lambda v: 0 <= v < np.inf
 _FRACTION = "a number in [0, 1]", lambda v: 0 <= v <= 1
+# bounded as p0 is: near 1e300 the Frobenius norms that recover reports leave float range
+_CAVITY = "a number in (0, 1e100]", lambda v: 0 < v <= 1e100
 _KINDS = [t.value for t in Topology]
 _CONFIDENCES = sorted(_BAND_PERCENTILES)
 
@@ -91,8 +93,8 @@ _KEYS = {
                         f"an integer in [1, {MAX_N_CELLS}], so that the dense complex "
                         "(2 n_cells)² Hamiltonian fits in a 64-bit address space",
                         lambda v: 1 <= v <= MAX_N_CELLS),
-        "cavity_freq_hz": _Key("number", None, *_POSITIVE),
-        "cavity_freqs_hz": _Key("list", None, *_POSITIVE),
+        "cavity_freq_hz": _Key("number", None, *_CAVITY),
+        "cavity_freqs_hz": _Key("list", None, *_CAVITY),
     },
     "couplings": {key: _Key("number", "0", *_NON_NEGATIVE)
                   for key in ("j_hz", "j_prime_hz", "j2_hz", "j3_hz", "j3_prime_hz")},
@@ -280,35 +282,25 @@ def _parse_readout(ro: dict, spec: LatticeSpec | None) -> tuple[ModeReadout, ...
 # ---------------------------------------------------------------------------
 
 def matrix_to_csv(path, matrix: np.ndarray, labels) -> None:
-    """``matrix`` under a header row of its site ``labels``, a complex one as
-    ``<label>_re`` / ``<label>_im`` column pairs; refused as by :func:`rows_to_csv`."""
-    matrix = np.asarray(matrix)
-    labels = list(labels) if labels else [f"site{i + 1}" for i in range(matrix.shape[1])]
-    if np.iscomplexobj(matrix):
-        labels = [f"{lab}_{part}" for lab in labels for part in ("re", "im")]
-        matrix = np.stack((matrix.real, matrix.imag), axis=-1).reshape(len(matrix), -1)
+    """The real ``matrix`` under a header row of its site ``labels``;
+    refused as by :func:`rows_to_csv`."""
     rows_to_csv(path, ",".join(labels), matrix)
 
 
 def matrix_from_csv(path) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The matrix and the site labels of a file :func:`matrix_to_csv` wrote."""
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if header and header[0].endswith("_re"):
-        labels = tuple(h[:-3] for h in header[::2])
-        matrix = data[:, 0::2] + 1j * data[:, 1::2]
-    else:
-        labels = tuple(header)
-        matrix = data
-    return matrix, labels
+        labels = tuple(fh.readline().strip().split(","))
+        return np.loadtxt(fh, delimiter=",", ndmin=2), labels
 
 
 def rows_to_csv(path, header: str, rows) -> None:
-    """``rows`` below the ``header`` line that names their columns;
-    ``ValueError`` naming the file, the row (from 1, below the header) and the
-    column of a NaN or infinity, before any write."""
+    """The 2-D ``rows`` below the ``header`` line that names their columns;
+    ``ValueError`` naming the file, before any write, for complex rows or for
+    a NaN or infinity, with its row (from 1, below the header) and column."""
     rows = np.asarray(rows)
-    rows = rows[:, None] if rows.ndim == 1 else rows
+    if np.iscomplexobj(rows):
+        raise ValueError(f"{Path(path).name}: the rows are complex; a CSV file holds real numbers only")
     bad = np.argwhere(~np.isfinite(rows))
     if bad.size:
         row, col = bad[0]

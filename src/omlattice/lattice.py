@@ -157,23 +157,10 @@ class CouplingHamiltonian:
     def n_sites(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.matrix)
-
     def rotating_frame(self) -> "CouplingHamiltonian":
         """Same couplings with the mean cavity frequency subtracted from the diagonal."""
         shifted = self.matrix - np.mean(np.diag(self.matrix).real) * np.eye(self.n_sites)
         return CouplingHamiltonian(shifted, self.site_labels)
-
-    def to_json(self) -> dict:
-        data = {"site_labels": list(self.site_labels)}
-        if self.is_real:
-            data["matrix_hz"] = self.matrix.tolist()
-        else:
-            data["matrix_re_hz"] = self.matrix.real.tolist()
-            data["matrix_im_hz"] = self.matrix.imag.tolist()
-        return data
 
 
 @dataclass(frozen=True)
@@ -201,15 +188,6 @@ class ModeSet:
     @property
     def n_modes(self) -> int:
         return self.modeshapes.shape[0]
-
-    def to_json(self) -> dict:
-        data = {"eigenfreqs_hz": self.eigenfreqs.tolist()}
-        if np.iscomplexobj(self.modeshapes):
-            data["modeshapes_re"] = self.modeshapes.real.tolist()
-            data["modeshapes_im"] = self.modeshapes.imag.tolist()
-        else:
-            data["modeshapes"] = self.modeshapes.tolist()
-        return data
 
 
 @dataclass(frozen=True)

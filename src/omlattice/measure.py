@@ -78,12 +78,16 @@ class DampingConfig:
     g0: float
 
     def __post_init__(self):
-        if np.any(self.kappa_tot <= 0):
-            raise ValueError("kappa_tot must be positive")
+        # written so that NaN fails every check; the detuning may take either sign
+        if not np.all(np.abs(self.detuning) < np.inf):
+            raise ValueError("detuning must be finite")
+        if not np.all((0 < self.kappa_tot) & (self.kappa_tot < np.inf)):
+            raise ValueError("kappa_tot must be positive and finite")
         for name in ("kappa_1", "kappa_2", "drive_flux", "transmittance", "mech_freq",
                      "mech_linewidth", "g0"):
-            if np.any(getattr(self, name) < 0):
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not np.all((0 <= value) & (value < np.inf)):
+                raise ValueError(f"{name} must be finite and >= 0")
         if np.any(self.kappa_1 + self.kappa_2 > self.kappa_tot * (1 + 1e-12)):
             raise ValueError("kappa_1 + kappa_2 cannot exceed kappa_tot")
 

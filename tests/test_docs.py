@@ -2,7 +2,8 @@
 "Configuration format" table the keys the configuration reader reads, and
 its "Dataset format" table the fields the dataset manifest reader reads.
 The package starts threads in one place only, as its README says, and
-never imports scipy: numpy is its only runtime dependency.  Its modules
+never imports scipy: numpy is its only runtime dependency.  Output layouts
+live in the CLI that writes them.  Its modules
 import each other in one direction, and only at module level."""
 
 import argparse
@@ -112,6 +113,21 @@ def test_only_the_thread_runner_imports_threading():
     # _runtime.on_all_cpus runs every parallel stage
     importers = {path.name for path in PACKAGE.glob("*.py") if "threading" in imported_modules(path)}
     assert importers == {"_runtime.py"}
+
+
+def test_only_the_cli_and_the_dataset_manifest_import_json():
+    # the CLI lays out every output file; experiment reads and writes the dataset manifest
+    importers = {path.name for path in PACKAGE.glob("*.py") if "json" in imported_modules(path)}
+    assert importers == {"cli.py", "experiment.py"}
+
+
+def test_no_model_class_formats_its_own_output():
+    # the rows and JSON dicts of the output files are built in cli.py
+    methods = [f"{name}:{node.name}.{item.name}" for name in ("lattice.py", "topology.py", "disorder.py")
+               for node in ast.walk(ast.parse((PACKAGE / name).read_text()))
+               if isinstance(node, ast.ClassDef) for item in node.body
+               if isinstance(item, ast.FunctionDef) and item.name in ("to_json", "to_rows")]
+    assert methods == []
 
 
 def test_no_module_imports_scipy():

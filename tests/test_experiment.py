@@ -73,6 +73,32 @@ class TestNoiselessIdentity:
         assert calls == [h] and result.residuals["h_rel_frobenius_error"] < 1e-10
 
 
+def _paper_chain(j_hz: float = PAPER.j):
+    """The paper_1d chain, with its intra-cell coupling set to ``j_hz``."""
+    config = om_io.load_config(Path(om.__file__).resolve().parent / "configs" / "paper_1d.cfg")
+    couplings = om.Couplings(j_hz, PAPER.j_prime, PAPER.j2, PAPER.j3, PAPER.j3_prime)
+    return om.build_ssh_chain(5, couplings, config.spec.cavity_freqs), config.spec.sites, config.readouts
+
+
+@pytest.mark.parametrize("call", [
+    om.calibrate_drive_flux,
+    om.analytic_slope_matrix,
+    om.recover_noiseless,
+    lambda h, sites, readouts: om.simulate_measurement(h, sites, readouts, [1e14, 2e14], master_seed=0),
+], ids=["calibrate_drive_flux", "analytic_slope_matrix", "recover_noiseless", "simulate_measurement"])
+@pytest.mark.parametrize("case, message", [
+    ("one-readout-short", "need one SiteParams and one ModeReadout per site/mode"),
+    # a coupling above the 7.12 GHz cavity frequency pushes the lowest mode below zero
+    ("negative-eigenfrequency", r"lowest eigenfrequency -1\.33601e\+10 Hz is not positive"),
+], ids=["one-readout-short", "negative-eigenfrequency"])
+def test_closed_form_slopes_refuse_a_lattice_outside_the_model(call, case, message):
+    h, sites, readouts = _paper_chain(2e10 if case == "negative-eigenfrequency" else PAPER.j)
+    if case == "one-readout-short":
+        readouts = readouts[:-1]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call(h, sites, readouts)
+
+
 class TestSimulateMeasurement:
     def test_deterministic_for_fixed_seed(self):
         h, sites, readouts = small_setup(seed=1)
@@ -93,6 +119,18 @@ class TestSimulateMeasurement:
         sites = tuple(om.SiteParams(s.cavity_freq, s.mech_freq, s.mech_linewidth, 1e160) for s in sites)
         with pytest.raises(ValueError, match=r"^damping slopes must be finite, got 16 non-finite of 16"):
             om.calibrate_drive_flux(h, sites, readouts)
+
+    def test_save_refuses_a_complex_h_true_before_any_write(self, tmp_path):
+        h, sites, readouts = small_setup(seed=5)
+        ds = om.simulate_measurement(h, sites, readouts, [1e14, 2e14], master_seed=2,
+                                     samples_per_trace=20)
+        ds.h_true = om.build_ribbon_hamiltonian(om.RibbonOrientation.ZIGZAG, 2, 0.5,
+                                                om.Couplings(j=1.0, j_prime=1.0))
+        assert np.iscomplexobj(ds.h_true.matrix) and ds.h_true.n_sites == ds.n_modes
+        with pytest.raises(ValueError, match=r"^cannot save the dataset: 'h_true' is complex; "
+                                             r"h_true\.csv holds real matrices only$"):
+            ds.save(tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
 
     def test_flux_calibration_reaches_target_boost(self):
         h, sites, readouts = small_setup(seed=2)

@@ -98,6 +98,11 @@ OUTSIDE_THE_MODEL = [
     ("spectrum", "lattice", "cavity_freq_hz", "inf"),
     ("spectrum", "lattice", "cavity_freq_hz", "nan"),
     ("spectrum", "lattice", "cavity_freq_hz", "0"),
+    # above 1e100 (as p0): at 1e300 recover's Frobenius error would be NaN
+    ("spectrum", "lattice", "cavity_freq_hz", "1.01e100"),
+    ("measure-sim", "lattice", "cavity_freq_hz", "1e300"),
+    ("spectrum", "lattice", "cavity_freqs_hz", "7e9, 7e9, 7e9, 1e300"),
+    ("measure-sim", "lattice", "cavity_freqs_hz", "nan"),
     ("spectrum", "couplings", "j_hz", "-1"),
     ("measure-sim", "lattice", "cavity_freq_hz", "inf"),
     ("disorder", "lattice", "cavity_freq_hz", "inf"),
@@ -408,13 +413,13 @@ class TestCsvRoundtrip:
         assert labels == ("a", "b", "c")
         assert np.array_equal(back, matrix)
 
-    def test_complex_matrix(self, tmp_path):
-        rng = np.random.default_rng(0)
-        matrix = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        om_io.matrix_to_csv(tmp_path / "m.csv", matrix, None)
-        back, labels = om_io.matrix_from_csv(tmp_path / "m.csv")
-        assert labels == ("site1", "site2", "site3", "site4")
-        assert np.allclose(back, matrix, rtol=0, atol=0)
+    def test_complex_matrix_is_refused_naming_the_file(self, tmp_path):
+        # files hold real matrices only; a ribbon Hamiltonian stays complex in memory
+        path = tmp_path / "m.csv"
+        with pytest.raises(ValueError, match=r"^m\.csv: the rows are complex; a CSV file holds "
+                                             r"real numbers only$"):
+            om_io.matrix_to_csv(path, np.array([[1, 2j], [-2j, 4]]), ("a", "b"))
+        assert not path.exists()
 
 
 class TestCliSpectrum:
@@ -586,7 +591,12 @@ class TestCliMeasureAndRecover:
         ("a,b\n1,0\n0,1\n", "must hold a finite 4 × 4 matrix, got 2 × 2 with 0 non-finite entries"),
         ("a,b,c,d\n" + "nan,0,0,0\n0,1,0,0\n0,0,1,0\n0,0,0,1\n",
          "must hold a finite 4 × 4 matrix, got 4 × 4 with 1 non-finite entries"),
-    ], ids=["no-data", "not-square", "wrong-size", "nan"])
+        # the <label>_re / <label>_im column pairs of a complex matrix
+        ("a_re,a_im,b_re,b_im,c_re,c_im,d_re,d_im\n"
+         + "".join(",".join(["0"] * (2 * i) + ["1", "0"] + ["0"] * (6 - 2 * i)) + "\n" for i in range(4)),
+         "is not a Hermitian matrix below a header of site labels: matrix must be square, got "
+         "shape (4, 8)"),
+    ], ids=["no-data", "not-square", "wrong-size", "nan", "complex-columns"])
     @pytest.mark.filterwarnings("error")
     def test_malformed_h_true_exits_2_naming_the_file(self, small_cfg, tmp_path, capsys, text,
                                                       expected):
@@ -880,6 +890,15 @@ class TestCliMeasureAndRecover:
         assert err.startswith("numerical failure: Unable to allocate ")
         assert not out.exists()
 
+    def test_cavity_frequency_at_its_bound_is_recovered(self, tmp_path):
+        cfg = edited_config(tmp_path, "lattice", "cavity_freq_hz", "1e100")
+        dataset, out = tmp_path / "dataset", tmp_path / "out"
+        assert main(["measure-sim", "--config", str(cfg), "--out", str(dataset)]) == 0
+        assert main(["recover", "--config", str(cfg), "--dataset", str(dataset),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["fits_failed"] == 0 and report["matches_ground_truth_1e-6"]
+
     @pytest.mark.parametrize("p0", ["1e-100", "1e100"])
     def test_p0_at_its_bounds_is_recovered(self, tmp_path, p0):
         cfg = edited_config(tmp_path, "measurement", "p0", p0)
@@ -1045,10 +1064,10 @@ class TestCliDisorder:
 
 
     def test_statistics_beyond_float_range_exit_3_naming_the_sigma_point(self, tmp_path, capsys):
-        # the squares inside the standard deviation overflow; pytest captures
-        # warnings, which would be lines of their own on standard error, so
-        # here they are errors
-        cfg = edited_config(tmp_path, "lattice", "cavity_freq_hz", "1e300")
+        # the sums inside the mean and standard deviation of eigenfrequencies
+        # near ±1.7e308 overflow; pytest captures warnings, which would be
+        # lines of their own on standard error, so here they are errors
+        cfg = edited_config(tmp_path, "couplings", "j_hz", "1.7e308")
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1141,10 +1160,8 @@ class TestCliCircuit:
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would be a line of its own
 @pytest.mark.parametrize("command, section, key, value, message", [
-    # the mean cavity frequency, and so the passbands, overflow
-    ("spectrum", "lattice", "cavity_freq_hz", "1.7e308", "passbands.json: lpb_hz[0] is inf"),
     ("circuit", "circuit", "drum_radius_m", "5e-324", "report.json: drumhead_freq_hz is inf"),
-], ids=["spectrum", "circuit"])
+], ids=["circuit"])
 def test_non_finite_json_value_exits_3_naming_the_file_and_key(tmp_path, capsys, command,
                                                                section, key, value, message):
     cfg = edited_config(tmp_path, section, key, value)
@@ -1193,13 +1210,6 @@ def test_negative_eigenfrequency_exits_3_with_one_line(tmp_path, capsys, command
     assert not out.exists()
 
 
-def test_complex_matrix_csv_refuses_a_nan_naming_its_part(tmp_path):
-    path = tmp_path / "m.csv"
-    with pytest.raises(ValueError, match=r"^m\.csv: row 2, column b_im is nan, not a finite number$"):
-        om_io.matrix_to_csv(path, np.array([[1, 2j], [3, complex(4, np.nan)]]), ("a", "b"))
-    assert not path.exists()
-
-
 def test_json_format_flag(small_cfg, tmp_path):
     out = tmp_path / "out"
     assert main(["spectrum", "--config", str(small_cfg), "--out", str(out),
@@ -1207,6 +1217,30 @@ def test_json_format_flag(small_cfg, tmp_path):
     payload = json.loads((out / "hamiltonian.json").read_text())
     assert len(payload["matrix_hz"]) == 4
     assert len(payload["site_labels"]) == 4
+
+
+@pytest.mark.parametrize("config", ["paper_1d.cfg", "paper_2d.cfg"])
+def test_json_outputs_hold_the_numbers_of_their_csv_twins(tmp_path, config):
+    cfg = str(CONFIG_DIR / config)
+    dataset = tmp_path / "dataset"
+    assert main(["measure-sim", "--config", cfg, "--out", str(dataset)]) == 0
+    for fmt in ("csv", "json"):
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / fmt), "--format", fmt]) == 0
+        assert main(["recover", "--config", cfg, "--dataset", str(dataset),
+                     "--out", str(tmp_path / fmt), "--format", fmt]) == 0
+    csv, js = tmp_path / "csv", tmp_path / "json"
+
+    modes = json.loads((js / "modeshapes.json").read_text())
+    assert set(modes) == {"eigenfreqs_hz", "modeshapes"}
+    eigenfreqs = np.loadtxt(csv / "eigenfreqs.csv", delimiter=",", skiprows=1)[:, 1]
+    assert np.array_equal(modes["eigenfreqs_hz"], eigenfreqs)
+    assert np.array_equal(modes["modeshapes"], om_io.matrix_from_csv(csv / "modeshapes.csv")[0])
+    for name in ("hamiltonian", "recovered_h"):
+        payload = json.loads((js / f"{name}.json").read_text())
+        assert set(payload) == {"site_labels", "matrix_hz"}
+        matrix, labels = om_io.matrix_from_csv(csv / f"{name}.csv")
+        assert tuple(payload["site_labels"]) == labels
+        assert np.array_equal(payload["matrix_hz"], matrix)
 
 
 # The options each subcommand takes besides --config, --out and recover's

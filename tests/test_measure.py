@@ -165,6 +165,18 @@ class TestBroadcasting:
         with pytest.raises(ValueError, match="eta"):
             om.optomech_damping(om.DampingConfig(**fields), np.array([0.2, 1.2, 0.3]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["detuning", "kappa_tot", "kappa_1", "kappa_2", "drive_flux",
+                                      "transmittance", "mech_freq", "mech_linewidth", "g0"])
+    def test_nan_or_infinite_field_is_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            make_cfg(**{name: value})
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            make_cfg(**{name: np.array([getattr(make_cfg(), name), value])})
+
+    def test_negative_detuning_is_legal(self):
+        assert make_cfg(detuning=-2.2e6).detuning == -2.2e6
+
 
 class TestUnnormalizedEta:
     def test_roundtrip_recovers_prefactors(self):
