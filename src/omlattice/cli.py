@@ -215,6 +215,7 @@ def cmd_disorder(config: io_mod.RunConfig, out: Path, seed: int | None, svg: boo
             f"disorder needs an {Topology.SSH_CHAIN.value} lattice; the hybridization "
             f"factor is defined for chains only, and this config has {spec.kind.value}"
         )
+    _check_lc_spectrum(diagonalize(build_lattice(spec)))
     master_seed = dis["seed"] if seed is None else seed
     ensemble = run_ensemble(spec, dis["sigma_grid"], dis["samples"], master_seed)
     io_mod.rows_to_csv(

@@ -334,10 +334,11 @@ class MeasurementDataset:
 
         All traces are fitted by one call of the batched variable-projection
         kernel :func:`~omlattice.measure.fit_ringdowns`, or one call per
-        trace length when lengths differ.
+        trace length when lengths differ; the simulated and loaded traces
+        lie on uniform time grids, so they take its closed-form path.
         A trace whose fit fails (no convergence, singular normal equations,
-        no decay the initial guess can locate, fewer than
-        ``MIN_FIT_SAMPLES`` samples) or that is missing gets
+        no decay the initial guess can locate, a start that does not decay,
+        fewer than ``MIN_FIT_SAMPLES`` samples) or that is missing gets
         ``fitted_gammas`` NaN and ``fitted_errors`` inf and is left out of
         its pair's regression.  A pair left with fewer than 3 fitted powers
         gets slope 0, except that a sweep of only 2 powers keeps the ungated

@@ -292,21 +292,26 @@ def fit_ringdowns(times, powers, skip_fraction: float = 0.1):
     ``times`` and ``powers`` are ``(B, S)`` arrays, one trace per row, each
     row's times strictly increasing but not necessarily uniform.  Every
     trace gets the least-squares fit of :func:`fit_ringdown` (same skipped
-    head, same log-linear initial rate), computed for all rows at once by
-    variable projection: for a fixed rate, amplitude and floor are the
-    linear least-squares solution, and the rate takes Kaufman's
-    Gauss-Newton steps on the projected residual, halved while they raise
-    it.
+    head), computed for all rows at once by variable projection: for a
+    fixed rate, amplitude and floor are the linear least-squares solution,
+    and the rate takes Kaufman's Gauss-Newton steps on the projected
+    residual, halved while they raise it.  A trace whose times lie on a
+    uniform grid starts from Cornell's partial-sum estimate and takes its
+    sums in closed form and by blocks; any other trace starts from a
+    log-linear regression and sums over its samples (see
+    :func:`_fit_chunk`).  The path is chosen per trace from its times, and
+    both reach the same least-squares fit within the stopping tolerance.
     Returns ``(gamma, stderr, converged)`` arrays of length B.  A trace that
     does not converge or whose normal matrix is singular (a flat or all-zero
     trace) has ``converged`` False, gamma NaN and stderr inf; one such trace
     leaves the other rows' results unchanged.  So does a trace with fewer
     than 5 samples more than a tenth of its peak above the tail floor, or
-    whose log-linear start rises: the start cannot locate its decay, and
-    the rate 0 it would start from leaves amplitude and floor inseparable.
+    whose start does not decay: the start cannot locate its decay, and the
+    rate 0 it would start from leaves amplitude and floor inseparable.
     The standard error is the full 3-parameter
-    ``sqrt(inv(J^T J)[gamma, gamma] * SSR / (S - 3))``.  Negative fitted
-    rates are clipped to zero with a warning.
+    ``sqrt(inv(J^T J)[gamma, gamma] * SSR / (S - 3))``, with SSR summed
+    from the explicit residual.  Negative fitted rates are clipped to zero
+    with a warning.
 
     The rows are cut into chunks and fitted on every CPU the process may
     use, as :mod:`omlattice._runtime` describes.  No sum mixes rows, so the
@@ -338,10 +343,10 @@ def fit_ringdowns(times, powers, skip_fraction: float = 0.1):
     return gamma, stderr, converged
 
 
-def _row_dot(x, y):
+def _row_dot(x, y, out=None):
     """Per-row dot products of two (rows, samples) arrays.  No product mixes
     rows (no GEMM), so each row's result does not depend on the others."""
-    return np.einsum("ij,ij->i", x, y)
+    return np.einsum("ij,ij->i", x, y, out=out)
 
 
 def _initial_rate(tau, p, amp, dx):
@@ -366,87 +371,362 @@ def _initial_rate(tau, p, amp, dx):
     return np.where((count >= 5) & (slope < 0), -slope, np.nan)
 
 
+# A row is on a uniform grid when none of its times is further than this many
+# ulp of its largest |time| from the line through its first and last time.
+# Grids i * dt from np.arange are within 2.
+_GRID_ULPS = 32
+
+
+def _on_uniform_grid(t):
+    """Which rows of ``t`` lie on a uniform grid (see :data:`_GRID_ULPS`)."""
+    n = t.shape[1]
+    first, last = t[:, 0], t[:, -1]
+    # t_j - j (last - first) / (n - 1) is first, to the tolerance, on the grid
+    offset = np.multiply.outer((last - first) / (n - 1), np.arange(n))
+    np.subtract(t, offset, out=offset)
+    tol = _GRID_ULPS * np.spacing(np.maximum(np.abs(first), np.abs(last)))
+    return (offset.max(axis=1) - first <= tol) & (first - offset.min(axis=1) <= tol)
+
+
+# Below this |n u| the grid moments come from their power series in u: the
+# closed forms lose about -log10(|n u|) (mean) and -2 log10(|n u|) (variance)
+# digits to cancellation, the series' first omitted term is below 1e-14.
+_SERIES_SPAN = 0.2
+# Bernoulli numbers B_2 ... B_10 over k!: 1 / expm1(x) = 1/x - 1/2 + sum of
+# these times x^(k-1)
+_BERNOULLI = ((2, 1 / 6 / 2), (4, -1 / 30 / 24), (6, 1 / 42 / 720),
+              (8, -1 / 30 / 40320), (10, 5 / 66 / 3628800))
+
+
+def _grid_moments(u, n, total=None):
+    """Closed-form sums of the weights ``w_j = exp(-x j)``, ``j = 0 .. n-1``,
+    at ``x = u`` (row 0) and ``x = 2 u`` (row 1) of one (2, rows) array each:
+    the total ``sum w`` (into ``total`` if given), the mean
+    ``sum j w / sum w`` and, at ``2 u`` only, the variance of ``j`` under
+    ``w``.  All come from expm1: ``sum w = expm1(-n x) / expm1(-x)``, mean
+    ``1 / expm1(x) - n / expm1(n x)`` and variance ``1 / (4 sinh^2(x/2)) -
+    n^2 / (4 sinh^2(n x/2))``, with ``4 sinh^2(y/2) = -expm1(y) expm1(-y)``;
+    below :data:`_SERIES_SPAN` the mean and variance take their power
+    series instead.  No array holds more than two values per row: numpy
+    hands the interpreter lock to another thread in every call on more than
+    500 values, and each handover while another chunk's thread waits costs
+    more than the call (measured on two CPUs), so that on chunks of up to
+    250 rows these calls keep the lock."""
+    x = np.multiply.outer((1.0, 2.0), u)
+    nx = n * x
+    plus, plus_n = np.expm1(x), np.expm1(nx)
+    minus, minus_n = np.expm1(-x), np.expm1(-nx)
+    total = np.divide(minus_n, minus, out=total)
+    mean = 1.0 / plus
+    mean -= n / plus_n
+    var = (n * n) / (plus_n[1] * minus_n[1])
+    var -= 1.0 / (plus[1] * minus[1])
+    if not nx[0].min(initial=np.inf) >= _SERIES_SPAN:
+        small = np.abs(nx[0]) < _SERIES_SPAN
+        y = x[:, small]
+        w = y * y
+        coef = {k: c * (1.0 - float(n) ** k) for k, c in _BERNOULLI}
+        series_mean, series_var = coef[10], 9.0 * coef[10]
+        for k in (8, 6, 4):
+            series_mean = coef[k] + w * series_mean
+            series_var = (k - 1) * coef[k] + w[1] * series_var
+        mean[:, small] = 0.5 * (n - 1) + y * (coef[2] + w * series_mean)
+        var[small] = -(coef[2] + w[1] * series_var)
+        total[:, small] = np.where(y == 0.0, float(n), total[:, small])
+    return total, mean, var
+
+
+# Rows of the per-row table the iteration works on: the sample count, the
+# five sums free of data, sum p, the two data sums, sum p^2 and its
+# _SSR_SLACK share.  The sample count and the sums of p and p^2 are
+# constants; the order puts next to each other the pairs that the iteration
+# takes in one call.
+_N, _SEE, _STTE, _SE, _STE, _STEE, _SUM_P, _SPE, _SPTE, _SUM_PP, _SLACK = range(11)
+
+
+class _AnyGrid:
+    """Sums and start of rows on any time grid: ``tau = t / max|t|`` per
+    row, one ``exp(-k tau)`` pass and seven per-row sums over the samples
+    per iteration, the log-linear start.  Besides ``tau`` it keeps two
+    arrays of ``t``'s size, which also hold the start's, the residual's and
+    the drop's intermediates, and a copy of at most half of ``p``."""
+
+    def __init__(self, t, p):
+        self.scale = np.abs(t).max(axis=1)
+        self.tau = t / self.scale[:, None]
+        self.p = p
+        self.e_buf, self.te_buf = np.empty_like(self.tau), np.empty_like(self.tau)
+        self.sum_p, self.sum_pp = p.sum(axis=1), _row_dot(p, p)
+
+    def start(self):
+        return _initial_rate(self.tau, self.p, self.e_buf, self.te_buf)
+
+    def sums(self, trial, out):
+        e, te = self.e_buf[:trial.size], self.te_buf[:trial.size]
+        np.multiply(-trial[:, None], self.tau, out=e)
+        np.exp(e, out=e)
+        np.multiply(self.tau, e, out=te)
+        e.sum(axis=1, out=out[_SE])
+        te.sum(axis=1, out=out[_STE])
+        for row, x, y in ((_SEE, e, e), (_STEE, te, e), (_STTE, te, te), (_SPE, self.p, e),
+                          (_SPTE, self.p, te)):
+            _row_dot(x, y, out=out[row])
+
+    def residual(self, finished, a, c):
+        # the residual p - a e - c of the finished rows, built in the first
+        # rows of te (their e) and e (their p): neither is read again this
+        # iteration
+        r = np.take(self.e_buf[:self.tau.shape[0]], finished, axis=0, out=self.te_buf[:finished.size],
+                    mode="clip")
+        p = np.take(self.p, finished, axis=0, out=self.e_buf[:finished.size], mode="clip")
+        np.multiply(a[:, None], r, out=r)
+        np.subtract(p, r, out=r)
+        np.subtract(r, c[:, None], out=r)
+        return _row_dot(r, r)
+
+    def keep(self, kept):
+        # tau is this kernel's own and moves up in place, through e's buffer;
+        # p may be the caller's, so its kept rows are copied
+        np.take(self.tau, kept, axis=0, out=self.e_buf[:kept.size], mode="clip")
+        self.tau = self.tau[:kept.size]
+        self.tau[...] = self.e_buf[:kept.size]
+        self.p = self.p[kept]
+
+
+class _UniformGrid:
+    """Sums and start of rows on a uniform time grid ``tau_j = tau_0 + h j``
+    (``tau = t / max|t|``).  With ``e_j = exp(-k h j)``, which differs
+    from ``exp(-k tau_j)`` by a per-row factor that the amplitude absorbs,
+    the five sums free of data come from :func:`_grid_moments`, and the
+    two data sums, ``sum p e`` and ``sum p tau e``, from batched products
+    over ``p``: a row is an ``(n / m, m)`` block, ``j = m a + b``,
+    ``e_j = exp(-k h m a) exp(-k h b)`` and ``tau_j = (tau_0 + h m a) + h
+    b``, so that each iteration takes ``exp`` of ``m + n / m`` values per
+    row (``m`` the least divisor of ``n`` from ``2 sqrt(n)``) and makes one
+    pass over ``p``; each product of the batch multiplies one row's own
+    blocks, so no product mixes rows.  The start is Cornell's partial-sum
+    estimate.  Of arrays of ``p``'s size it makes only the residual of the
+    rows that finish in an iteration and, after a drop, a copy of the kept
+    rows."""
+
+    def __init__(self, t, p):
+        n = t.shape[1]
+        first, last = t[:, 0], t[:, -1]
+        self.scale = np.maximum(np.abs(first), np.abs(last))
+        self.tau0 = first / self.scale
+        self.h = (last - first) / ((n - 1) * self.scale)
+        self.n = n
+        self.m = m = next(d for d in range(min(math.isqrt(4 * n - 1) + 1, n), n + 1) if n % d == 0)
+        self.blocks = blocks = n // m
+        b, block = np.arange(m, dtype=float), m * np.arange(blocks, dtype=float)
+        # the factors exp(-u b) and exp(-u m a) of e_j, and their weights
+        # h b and tau_0 + h m a, which sum to tau_j
+        self.factors = -np.concatenate((b, block))
+        self.weights = np.concatenate((np.multiply.outer(self.h, b),
+                                       self.tau0[:, None] + np.multiply.outer(self.h, block)), axis=1)
+        self.p = p
+        self.sum_pp = _row_dot(p, p)
+        self.k0, self.sum_p = self._partial_sum_rate(p)
+
+    def _partial_sum_rate(self, p):
+        """Cornell's partial-sum start, and the row sums of ``p``: with
+        ``S_1, S_2, S_3`` the sums of the row's thirds of ``third`` samples,
+        ``q = (S_3 - S_2) / (S_2 - S_1) = exp(-k h third)``.  NaN with fewer
+        than 5 samples more than a tenth of the peak above the tail mean, or
+        a start that does not decay (``S_2 >= S_1``).  A decaying start with
+        ``q`` outside (0, 1), which noise makes on short or faint traces,
+        takes the log-linear start of :func:`_initial_rate` instead."""
+        n = p.shape[1]
+        floor = p[:, -max(3, n // 8):].mean(axis=1)
+        above = (floor + 0.1 * np.maximum(p.max(axis=1) - floor, 1e-300))[:, None]
+        # a decay has its first 5 samples above; count the other rows
+        enough = (p[:, :5] > above).all(axis=1)
+        if not enough.all():
+            rest = np.flatnonzero(~enough)
+            enough[rest] = np.count_nonzero(p[rest] > above[rest], axis=1) >= 5
+        third = n // 3
+        s1, s2, s3, s4 = (p[:, lo:hi].sum(axis=1) for lo, hi in
+                          ((0, third), (third, 2 * third), (2 * third, 3 * third), (3 * third, n)))
+        d1 = s2 - s1
+        q = (s3 - s2) / d1
+        decays = enough & (d1 < 0)
+        k = np.where(decays & (q > 0) & (q < 1), -np.log(q) / (third * self.h), np.nan)
+        retry = np.flatnonzero(decays & ~((q > 0) & (q < 1)))
+        if retry.size:
+            tau = self.tau0[retry, None] + np.multiply.outer(self.h[retry], np.arange(n))
+            k[retry] = _initial_rate(tau, p[retry], np.empty_like(tau), np.empty_like(tau))
+        return k, s1 + s2 + s3 + s4
+
+    def start(self):
+        return self.k0
+
+    def sums(self, trial, out):
+        rows, m, blocks, h = trial.size, self.m, self.blocks, self.h
+        u = trial * h
+        # the totals at k and 2k are sum e and sum e^2: rows _SE and _SEE
+        total, mean, var = _grid_moments(u, self.n, out[_SE::-2][:2])
+        mean *= h
+        mean += self.tau0  # the mean tau
+        np.multiply(total, mean, out=out[_STE:_STEE + 1])
+        var *= h * h
+        var += mean[1] * mean[1]
+        np.multiply(var, total[1], out=out[_STTE])
+        # the factors (row 0) and the weighted factors (row 1), kept for the
+        # residual of this iteration; per row and block a, sum_b p exp(-u b)
+        # and sum_b p h b exp(-u b), then the blocks against exp(-u m a) and
+        # (tau_0 + h m a) exp(-u m a)
+        self.exps = exps = np.empty((rows, 2, m + blocks))
+        np.exp(np.multiply.outer(u, self.factors), out=exps[:, 0])
+        np.multiply(exps[:, 0], self.weights, out=exps[:, 1])
+        inner = np.matmul(self.p.reshape(rows, blocks, m), exps[:, :, :m].transpose(0, 2, 1))
+        outer = np.matmul(inner.transpose(0, 2, 1), exps[:, :, m:].transpose(0, 2, 1))
+        out[_SPE] = outer[:, 0, 0]
+        np.add(outer[:, 0, 1], outer[:, 1, 0], out=out[_SPTE])
+
+    def residual(self, finished, a, c):
+        m, exps = self.m, self.exps[finished, 0]
+        outer = np.multiply(exps[:, m:], a[:, None])
+        r = np.multiply(outer[:, :, None], exps[:, None, :m]).reshape(finished.size, self.n)
+        np.subtract(self.p[finished], r, out=r)
+        np.subtract(r, c[:, None], out=r)
+        return _row_dot(r, r)
+
+    def keep(self, kept):
+        self.p = self.p[kept]
+        self.tau0, self.h, self.weights = self.tau0[kept], self.h[kept], self.weights[kept]
+
+
+def _split(index, edges):
+    """``index`` (ascending) cut at the inner ``edges``, each part counted
+    from its lower edge."""
+    if len(edges) == 2:
+        return [index]
+    return [part - lo for part, lo in zip(np.split(index, np.searchsorted(index, edges[1:-1])), edges)]
+
+
+def _joined(parts):
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _fit_chunk(t, p):
     """Variable projection on every row of one chunk.  Time is scaled to
     ``tau = t / max|t|`` per row, so the fitted rate is
-    ``k = 2 pi gamma max|t|`` of ``a exp(-k tau) + c``.  Each iteration makes
-    one pass of ``e = exp(-k tau)`` and seven per-row sums; amplitude and
-    floor come from the 2x2 normal equations in ``(e, 1)``.  Converged rows,
-    and rows whose step is not finite, are dropped from the arrays once at
-    least half of their rows have left; until then they are computed but
-    not read.  Besides ``tau`` the kernel keeps two arrays of ``t``'s size,
-    which also hold the initial rate's, the residual's and the drop's
-    intermediates, and a copy of at most half of ``p``."""
-    scale = np.abs(t).max(axis=1)
-    tau = t / scale[:, None]
+    ``k = 2 pi gamma max|t|`` of ``a exp(-k tau) + c``.  Each iteration
+    takes seven per-row sums, the ones over ``e = exp(-k tau)``, ``tau e``
+    and their products and the ones of ``p`` with ``e`` and ``tau e``;
+    amplitude and floor come from the 2x2 normal equations in ``(e, 1)``.
+
+    Rows whose times lie on a uniform grid (:func:`_on_uniform_grid`) take
+    their sums and start from :class:`_UniformGrid`, the others from
+    :class:`_AnyGrid`, the kernel as it was before uniform grids had a
+    path of their own, bit for bit.  Both kinds share this one iteration,
+    which keeps its per-row quantities in one table, and no sum mixes
+    rows.  Converged rows, and rows whose step is not finite, are dropped
+    from the arrays once at least half of their rows have left; until then
+    they are computed but not read.  The residual behind the standard error
+    is computed for the rows that finish, in the iteration they finish."""
     n_rows, n_samples = t.shape
     rate = np.full(n_rows, np.nan)
     rate_var = np.full(n_rows, np.inf)
     converged = np.zeros(n_rows, dtype=bool)
-    rows = np.arange(n_rows)
-    e_buf, te_buf = np.empty_like(tau), np.empty_like(tau)
+    scale = np.ones(n_rows)
     with np.errstate(all="ignore"):
-        k = _initial_rate(tau, p, e_buf, te_buf)
-        sum_p, sum_pp = p.sum(axis=1), _row_dot(p, p)
-        ssr = np.full(n_rows, np.inf)
-        step = np.zeros(n_rows)
-        live = np.ones(n_rows, dtype=bool)
+        uniform = _on_uniform_grid(t)
+        kinds = [(kind, mask) for kind, mask in ((_UniformGrid, uniform), (_AnyGrid, ~uniform))
+                 if mask.any()]
+        grids = [kind(t, p) if mask.all() else kind(t[mask], p[mask]) for kind, mask in kinds]
+        if not grids:
+            return rate, rate_var, converged
+        rows = _joined([np.flatnonzero(mask) for _, mask in kinds])
+        edges = np.cumsum([0] + [mask.sum() for _, mask in kinds])
+        scale[rows] = _joined([grid.scale for grid in grids])
+        k = _joined([grid.start() for grid in grids])
+        table = np.empty((11, rows.size))
+        table[_N] = n_samples
+        table[_SUM_P] = _joined([grid.sum_p for grid in grids])
+        table[_SUM_PP] = _joined([grid.sum_pp for grid in grids])
+        table[_SLACK] = _SSR_SLACK * table[_SUM_PP]
+        ssr = np.full(rows.size, np.inf)
+        step = np.zeros(rows.size)
+        live = np.ones(rows.size, dtype=bool)
+        d_1 = math.sqrt(n_samples)
         for _ in range(_MAX_ITER):
-            trial = k + step
-            e, te = e_buf[:rows.size], te_buf[:rows.size]
-            np.multiply(-trial[:, None], tau, out=e)
-            np.exp(e, out=e)
-            np.multiply(tau, e, out=te)
-            se, ste = e.sum(axis=1), te.sum(axis=1)
-            see, stee, stte = _row_dot(e, e), _row_dot(te, e), _row_dot(te, te)
-            spe, spte = _row_dot(p, e), _row_dot(p, te)
-            # the normal matrix of (e, -a tau e, 1) in unit-diagonal form
-            d_e, d_te, d_1 = np.sqrt(see), np.sqrt(stte), math.sqrt(n_samples)
-            m01, m02, m12 = stee / (d_e * d_te), se / (d_e * d_1), ste / (d_te * d_1)
-            det = 1.0 + 2.0 * m01 * m02 * m12 - m01 * m01 - m02 * m02 - m12 * m12
-            det_m = see * n_samples * (1.0 - m02 * m02)
-            a = (n_samples * spe - se * sum_p) / det_m
-            c = (see * sum_p - se * spe) / det_m
+            trial_dk = np.empty((2, rows.size))
+            trial = np.add(k, step, out=trial_dk[0])
+            for grid, lo, hi in zip(grids, edges, edges[1:]):
+                grid.sums(trial[lo:hi], table[:, lo:hi])
+            see, stte, se, ste, stee, sum_p, spe, spte, sum_pp, slack = table[_SEE:]
+            # the normal matrix of (e, -a tau e, 1) in unit-diagonal form:
+            # m01 of (e, tau e), m02 and m12 of (e, 1) and (tau e, 1)
+            d = np.sqrt(table[_SEE:_STTE + 1])
+            m01 = stee / (d[0] * d[1])
+            m0 = table[_SE:_STE + 1] / (d * d_1)
+            squares = m0 * m0
+            det = 2.0 * m01
+            det *= m0[0]
+            det *= m0[1]
+            det += 1.0
+            det -= m01 * m01
+            det -= squares[0]
+            det -= squares[1]
+            one_m = 1.0 - squares[0]
+            det_m = see * n_samples
+            det_m *= one_m
+            # amplitude and floor: (n spe - se sum_p, see sum_p - se spe) / det_m
+            ac = table[_N:_SEE + 1] * table[_SPE:_SUM_P - 1:-1]
+            ac -= se * table[_SUM_P:_SPE + 1]
+            ac /= det_m
+            a, c = ac
             # Schur complement of the (e, 1) block: a^2 s is the Gauss-Newton
             # curvature in k, and 1 / (a^2 s) = inv(J^T J)[k, k]
-            s = stte * det / (1.0 - m02 * m02)
-            ssr_t = sum_pp - a * spe - c * sum_p
-            accept = ssr_t <= ssr + _SSR_SLACK * sum_pp
-            dk = -(spte - a * stee - c * ste) / (a * s)
-            done = accept & (np.abs(dk) <= _XTOL * np.abs(trial))
-            bad = ~np.isfinite(trial) | (accept & ~np.isfinite(dk))
-            k = np.where(accept, trial, k)
-            ssr = np.where(accept, ssr_t, ssr)
-            step = np.where(accept, dk, 0.5 * step)
-            finishing = done & ~bad & live
+            s = stte * det
+            s /= one_m
+            terms = ac * table[_SPE:_SUM_P - 1:-1]
+            ssr_t = sum_pp - terms[0]
+            ssr_t -= terms[1]
+            accept = ssr_t <= ssr + slack
+            # dk = -(spte - a stee - c ste) / (a s)
+            terms = ac * table[_STEE:_STE - 1:-1]
+            dk = np.subtract(spte, terms[0], out=trial_dk[1])
+            dk -= terms[1]
+            np.negative(dk, out=dk)
+            dk /= a * s
+            size = np.abs(trial_dk)
+            done = size[1] <= _XTOL * size[0]
+            done &= accept
+            # rows that stay or finish: a finite trial, and a finite step
+            # where it is taken
+            sound = np.isfinite(trial_dk)
+            sound[1] |= ~accept
+            sound = sound[0] & sound[1]
+            np.copyto(k, trial, where=accept)
+            np.copyto(ssr, ssr_t, where=accept)
+            step *= 0.5
+            np.copyto(step, dk, where=accept)
+            finishing = done & sound
+            finishing &= live
             if finishing.any():
-                # the residual p - a e - c of the finished rows, written over
-                # their rows of te, then gathered to the first rows of e
-                # (neither is read again this iteration)
-                finished, where = np.flatnonzero(finishing), finishing[:, None]
-                np.multiply(a[:, None], e, out=te, where=where)
-                np.subtract(p, te, out=te, where=where)
-                np.subtract(te, c[:, None], out=te, where=where)
-                r = np.take(te, finished, axis=0, out=e[:finished.size], mode="clip")
-                var = _row_dot(r, r) / (n_samples - 3) / (a[finished] ** 2 * s[finished])
-                ok = (det[finished] > _SINGULAR_DET) & np.isfinite(var)
+                finished = np.flatnonzero(finishing)
+                r2 = _joined([grid.residual(part, a[part + lo], c[part + lo])
+                              for grid, part, lo in zip(grids, _split(finished, edges), edges)])
+                var = r2 / (n_samples - 3) / (a[finished] ** 2 * s[finished])
                 idx = rows[finished]
-                rate[idx] = np.where(ok, trial[finished], np.nan)
-                rate_var[idx] = np.where(ok, var, np.inf)
-                converged[idx] = ok
-            live &= ~(done | bad)
+                rate[idx], rate_var[idx] = trial[finished], var
+                converged[idx] = (det[finished] > _SINGULAR_DET) & np.isfinite(var)
+            live &= sound
+            live &= ~done
             kept = np.flatnonzero(live)
             if kept.size == 0:
                 break
             if 2 * kept.size <= rows.size:
-                # tau is this kernel's own and moves up in place, through e's
-                # buffer; p may be the caller's, so its kept rows are copied
-                np.take(tau, kept, axis=0, out=e_buf[:kept.size], mode="clip")
-                tau = tau[:kept.size]
-                tau[...] = e_buf[:kept.size]
-                p = p[kept]
-                rows, k, ssr, step = rows[kept], k[kept], ssr[kept], step[kept]
-                sum_p, sum_pp, live = sum_p[kept], sum_pp[kept], live[kept]
+                parts = _split(kept, edges)
+                for grid, part in zip(grids, parts):
+                    grid.keep(part)
+                grids = [grid for grid, part in zip(grids, parts) if part.size]
+                edges = np.cumsum([0] + [part.size for part in parts if part.size])
+                rows, k, ssr, step, live = rows[kept], k[kept], ssr[kept], step[kept], live[kept]
+                table = table[:, kept]
+    rate[~converged], rate_var[~converged] = np.nan, np.inf
     return rate / (TWO_PI * scale), np.sqrt(rate_var) / (TWO_PI * scale), converged
 
 
@@ -455,11 +735,14 @@ def fit_ringdown(trace: RingdownTrace, skip_fraction: float = 0.1) -> tuple[floa
 
     A one-trace call of :func:`fit_ringdowns`.  The first ``skip_fraction``
     of the trace is excluded (the initial high-amplitude decay can be
-    nonlinear).  The initial rate comes from a log-linear regression of the
+    nonlinear).  The initial rate comes from the partial sums of the
+    trace's thirds when its times are uniform, else (or where noise makes
+    the partial sums unusable) from a log-linear regression of the
     above-floor region.  A negative fitted rate is clipped to zero with a
     warning.  Raises :class:`RingdownFitError` when the fit does not
-    converge, its normal equations are singular, or fewer than 5 samples
-    lie more than a tenth of the peak above the floor.
+    converge, its normal equations are singular, fewer than 5 samples lie
+    more than a tenth of the peak above the floor, or its start does not
+    decay.
     """
     gamma, stderr, converged = fit_ringdowns(trace.times, trace.powers, skip_fraction)
     if not converged[0]:

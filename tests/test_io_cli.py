@@ -1038,7 +1038,14 @@ class TestCliDisorder:
 
     def test_eigensolver_failures_above_the_cap_exit_3_with_one_line(self, small_cfg, tmp_path,
                                                                      capsys, monkeypatch):
+        real, calls = np.linalg.eigh, []
+
         def eigh(a):
+            # the spectrum check of the undisordered chain comes first and
+            # passes; every eigensolve of the ensemble fails
+            calls.append(a.shape)
+            if len(calls) == 1:
+                return real(a)
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", eigh)
@@ -1063,18 +1070,30 @@ class TestCliDisorder:
         assert not out.exists()
 
 
-    def test_statistics_beyond_float_range_exit_3_naming_the_sigma_point(self, tmp_path, capsys):
+    def test_statistics_beyond_float_range_raise_naming_the_sigma_point(self, tmp_path):
         # the sums inside the mean and standard deviation of eigenfrequencies
-        # near ±1.7e308 overflow; pytest captures warnings, which would be
-        # lines of their own on standard error, so here they are errors
-        cfg = edited_config(tmp_path, "couplings", "j_hz", "1.7e308")
-        out = tmp_path / "out"
-        with warnings.catch_warnings():
+        # near ±1.7e308 overflow; the CLI refuses such a chain before its
+        # ensemble (its spectrum leaves float range), so the ensemble is
+        # called directly, with its warnings as errors
+        config = om_io.load_config(edited_config(tmp_path, "couplings", "j_hz", "1.7e308"))
+        dis = config.disorder
+        with warnings.catch_warnings(), pytest.raises(ValueError) as error:
             warnings.simplefilter("error")
-            assert main(["disorder", "--config", str(cfg), "--out", str(out)]) == 3
+            om.disorder.run_ensemble(config.spec, dis["sigma_grid"], dis["samples"], dis["seed"])
+        assert str(error.value) == ("the eigenfrequency mean or standard deviation at sigma = 0 "
+                                    "(grid point 0) leaves float range")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would be a line of its own
+    def test_non_positive_lc_spectrum_exits_3_with_one_line(self, tmp_path, capsys):
+        # couplings far above the cavity frequency put the lowest mode near
+        # -1e160 Hz, which spectrum and measure-sim refuse as well
+        cfg = edited_config(tmp_path, "couplings", "j_hz", "1e160")
+        out = tmp_path / "out"
+        assert main(["disorder", "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err == ("numerical failure: the eigenfrequency mean or standard deviation at "
-                       "sigma = 0 (grid point 0) leaves float range\n")
+        assert err == ("numerical failure: lowest eigenfrequency -1e+160 Hz is not positive; an LC "
+                       "lattice has no such mode, so the couplings are too large for the cavity "
+                       "frequencies\n")
         assert not out.exists()
 
 

@@ -1,7 +1,9 @@
 import itertools
+import math
 import os
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -335,7 +337,7 @@ class TestBatchedRingdownFit:
 
     @pytest.mark.parametrize("samples", [20, 140])
     def test_matches_curve_fit_oracle_on_jittered_times(self, samples):
-        # non-uniform times take the same kernel as the uniform grids
+        # non-uniform times take the general path, the uniform grids their own
         rng = np.random.default_rng(1000 + samples)
         self.check_against_oracle(*_random_traces(rng, 40, samples, jitter=True), 0.1)
 
@@ -459,6 +461,22 @@ class TestFitOnEveryCpu:
         chunks.clear()
         _assert_same_fits(got, _row_by_row(times, powers))
 
+    def test_mixed_chunks_fit_bit_for_bit_like_row_by_row(self, monkeypatch, chunks):
+        # uniform grids, jittered grids and rows the fit cannot take, in turn
+        monkeypatch.setattr(_runtime, "cpu_count", lambda: 2)
+        rng = np.random.default_rng(31)
+        uniform = _stacked(_random_traces(rng, 300, 140)[0])
+        jittered = _stacked(_random_traces(rng, 300, 140, jitter=True)[0])
+        degenerate = _stack_with_degenerate_rows(300, 140, seed=8)
+        times, powers = (np.stack([kind[i] for kind in (uniform, jittered, degenerate)], axis=1)
+                         .reshape(900, 140) for i in (0, 1))
+        assert measure._on_uniform_grid(times[:, 14:]).tolist() == [True, False, True] * 300
+        got = om.fit_ringdowns(times, powers)
+        assert sorted(size for size, _, _ in chunks) == [450, 450]
+        assert got[2][0::3].all() and got[2][1::3].all() and not got[2][2::3].all()
+        chunks.clear()
+        _assert_same_fits(got, _row_by_row(times, powers))
+
     @pytest.mark.parametrize("cpus", [2, 3, 8])
     def test_threads_give_the_results_of_the_inline_path(self, monkeypatch, chunks, cpus):
         times, powers = _stack_with_degenerate_rows(1000, 400, seed=11)
@@ -548,6 +566,80 @@ class TestFitOnEveryCpu:
         with pytest.raises(RuntimeError, match="second chunk failed"):
             om.fit_ringdowns(times, powers)
         assert threading.active_count() == before
+
+
+class TestUniformGrid:
+    """Rows on a uniform time grid take closed-form sums, block-factored
+    data sums and the partial-sum start; they fit as on the general path."""
+
+    def test_grid_classification(self):
+        n = 360
+        grid = 3e-5 + np.arange(n) * 2.5e-7
+        off = np.tile(grid, (4, 1))
+        off[1, 200] += 8 * np.spacing(grid[-1])
+        off[2, 200] += 100 * np.spacing(grid[-1])
+        off[3] = np.cumsum(np.random.default_rng(2).uniform(0.5, 1.5, n)) * 2.5e-7
+        assert measure._on_uniform_grid(off).tolist() == [True, True, False, False]
+
+    @pytest.mark.parametrize("n", [10, 126, 360])
+    def test_closed_form_sums_equal_explicit_sums(self, n):
+        # k span from 1e-8 (the power series) through the expm1 forms to 60,
+        # with a rate of exactly 0 and negative trial rates as well
+        spans = np.concatenate((np.geomspace(1e-8, 60.0, 23), [0.0, -1e-6, -0.5, -5.0]))
+        rows = spans.size
+        t = np.tile(4e-5 + np.arange(n) * 2.5e-7, (rows, 1))
+        p = np.random.default_rng(n).uniform(0.0, 1.0, (rows, n))
+        table = np.full((11, rows), np.nan)
+        with np.errstate(all="ignore"):  # as in _fit_chunk: k = 0 divides 0 by 0
+            grid = measure._UniformGrid(t, p)
+            trial = spans / (grid.h * (n - 1))
+            grid.sums(trial, table)
+        tau = t / grid.scale[:, None]
+        for r in range(rows):
+            # the uniform path's e_j = exp(-k h j), summed one by one
+            e = np.exp(-trial[r] * grid.h[r] * np.arange(n))
+            explicit = {measure._SE: e, measure._STE: tau[r] * e, measure._SEE: e * e,
+                        measure._STEE: tau[r] * e * e, measure._STTE: tau[r] ** 2 * e * e,
+                        measure._SPE: p[r] * e, measure._SPTE: p[r] * tau[r] * e}
+            for row, terms in explicit.items():
+                assert table[row, r] == pytest.approx(math.fsum(terms), rel=1e-12, abs=0.0), (row, spans[r])
+
+    @pytest.mark.parametrize("skip_fraction", [0.7, 0.75, 0.8, 0.85])
+    def test_rows_of_few_samples_fail_alone(self, skip_fraction):
+        # 10 samples less the skipped head leave 2 to 3 on a uniform grid:
+        # too few to start from, so every row fails and no error is raised
+        traces, _ = _random_traces(np.random.default_rng(4), 6, 10)
+        gamma, stderr, converged = om.fit_ringdowns(*_stacked(traces), skip_fraction)
+        assert not converged.any() and np.isnan(gamma).all() and (stderr == np.inf).all()
+
+    def test_both_paths_from_the_same_start_agree(self, monkeypatch):
+        traces, _ = _random_traces(np.random.default_rng(21), 200, 400)
+        t, p = _stacked(traces)
+        t, p = t[:, 40:], p[:, 40:]
+        assert measure._on_uniform_grid(t).all()
+        uniform = measure._fit_chunk(t, p)
+        start = measure._UniformGrid(t, p).start()
+        monkeypatch.setattr(measure, "_on_uniform_grid", lambda t: np.zeros(t.shape[0], dtype=bool))
+        monkeypatch.setattr(measure._AnyGrid, "start", lambda self: start.copy())
+        general = measure._fit_chunk(t, p)
+        assert uniform[2].all() and general[2].all()
+        assert np.abs(general[0] / uniform[0] - 1).max() < 1e-12
+
+    def test_kernel_peak_memory(self):
+        # the general path keeps tau, two buffers of its size and a copy of
+        # half of p: 3.6 chunk sizes on this chunk
+        traces, _ = _random_traces(np.random.default_rng(3), 250, 400, (30.0, 100.0, 300.0))
+        t, p = _stacked(traces)
+        t, p = t[:, 40:], p[:, 40:]
+        assert measure._on_uniform_grid(t).all()
+        measure._fit_chunk(t, p)
+        tracemalloc.start()
+        try:
+            measure._fit_chunk(t, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * t.nbytes
 
 
 class TestSinkhorn:
