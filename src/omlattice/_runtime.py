@@ -26,12 +26,12 @@ from __future__ import annotations
 import os
 import threading
 
-# The most values one item holds: the traces x samples of one fit-kernel
-# call, the matrix entries of one batched eigensolve of the disorder
-# ensemble, the noise values of one Generator call.  Enough to amortize
-# numpy's per-call overhead, few enough that an item's buffers stay in
-# cache.  2**15 and 2**17 fitted slower on criterion-5 stacks, serial and
-# threaded.
+# The most values one item holds: the traces x samples of one fit chunk
+# (one fit-kernel call per grid kind in it), the matrix entries of one
+# batched eigensolve of the disorder ensemble, the noise values of one
+# Generator call.  Enough to amortize numpy's per-call overhead, few enough
+# that an item's buffers stay in cache.  2**15 and 2**17 fitted slower on
+# criterion-5 stacks, serial and threaded.
 CHUNK_VALUES = 2**16
 
 

@@ -298,9 +298,8 @@ def fit_ringdowns(times, powers, skip_fraction: float = 0.1):
     residual, halved while they raise it.  A trace whose times lie on a
     uniform grid starts from Cornell's partial-sum estimate and takes its
     sums in closed form and by blocks; any other trace starts from a
-    log-linear regression and sums over its samples (see
-    :func:`_fit_chunk`).  The path is chosen per trace from its times, and
-    both reach the same least-squares fit within the stopping tolerance.
+    log-linear regression and sums over its samples.  Both reach the same
+    least-squares fit within the stopping tolerance.
     Returns ``(gamma, stderr, converged)`` arrays of length B.  A trace that
     does not converge or whose normal matrix is singular (a flat or all-zero
     trace) has ``converged`` False, gamma NaN and stderr inf; one such trace
@@ -314,9 +313,10 @@ def fit_ringdowns(times, powers, skip_fraction: float = 0.1):
     with a warning.
 
     The rows are cut into chunks and fitted on every CPU the process may
-    use, as :mod:`omlattice._runtime` describes.  No sum mixes rows, so the
-    results are bit-identical to a row-by-row fit whatever the number of
-    CPUs.
+    use, as :mod:`omlattice._runtime` describes; a chunk's rows of each
+    grid kind (:func:`_on_uniform_grid`) make one :func:`_fit_chunk` call.
+    No sum mixes rows, so the results are bit-identical to a row-by-row fit
+    whatever the number of CPUs.
     """
     t = np.atleast_2d(np.asarray(times, dtype=float))
     p = np.atleast_2d(np.asarray(powers, dtype=float))
@@ -334,7 +334,12 @@ def fit_ringdowns(times, powers, skip_fraction: float = 0.1):
     converged = np.empty(n_rows, dtype=bool)
 
     def fit(rows):
-        gamma[rows], stderr[rows], converged[rows] = _fit_chunk(t[rows], p[rows])
+        with np.errstate(all="ignore"):
+            uniform = _on_uniform_grid(t[rows])
+        for kind, mask in ((_UniformGrid, uniform), (_AnyGrid, ~uniform)):
+            if mask.any():
+                part = rows if mask.all() else rows.start + np.flatnonzero(mask)
+                gamma[part], stderr[part], converged[part] = _fit_chunk(kind, t[part], p[part])
 
     on_all_cpus(fit, row_chunks(n_rows, t.shape[1]))
     if np.any(gamma < 0):
@@ -349,12 +354,21 @@ def _row_dot(x, y, out=None):
     return np.einsum("ij,ij->i", x, y, out=out)
 
 
+def _thirds(p):
+    """Row sums of ``p``'s three thirds of ``n // 3`` samples and of the rest;
+    a start decays where the second third sums below the first."""
+    third = p.shape[1] // 3
+    return [p[:, lo:hi].sum(axis=1) for lo, hi in
+            ((0, third), (third, 2 * third), (2 * third, 3 * third), (3 * third, None))]
+
+
 def _initial_rate(tau, p, amp, dx):
     """Tail-mean floor, then a log-linear regression of the samples more than
-    a tenth of the peak above it; NaN with fewer than 5 such samples or a
-    rising slope.  ``amp`` and ``dx`` are scratch arrays of ``tau``'s shape
-    that end up overwritten."""
+    a tenth of the peak above it; NaN with fewer than 5 such samples, a
+    rising slope or a start that does not decay (:func:`_thirds`).  ``amp``
+    and ``dx`` are scratch arrays of ``tau``'s shape, overwritten."""
     n = tau.shape[1]
+    s1, s2 = _thirds(p)[:2]
     np.subtract(p, p[:, -max(3, n // 8):].mean(axis=1)[:, None], out=amp)
     above = amp > 0.1 * np.maximum(amp.max(axis=1), 1e-300)[:, None]
     below = ~above
@@ -368,7 +382,7 @@ def _initial_rate(tau, p, amp, dx):
     np.multiply(dx, amp, out=amp)
     np.multiply(dx, dx, out=dx)
     slope = amp.sum(axis=1) / dx.sum(axis=1)
-    return np.where((count >= 5) & (slope < 0), -slope, np.nan)
+    return np.where((count >= 5) & (slope < 0) & (s2 < s1), -slope, np.nan)
 
 
 # A row is on a uniform grid when none of its times is further than this many
@@ -457,9 +471,7 @@ class _AnyGrid:
         self.p = p
         self.e_buf, self.te_buf = np.empty_like(self.tau), np.empty_like(self.tau)
         self.sum_p, self.sum_pp = p.sum(axis=1), _row_dot(p, p)
-
-    def start(self):
-        return _initial_rate(self.tau, self.p, self.e_buf, self.te_buf)
+        self.k0 = _initial_rate(self.tau, p, self.e_buf, self.te_buf)
 
     def sums(self, trial, out):
         e, te = self.e_buf[:trial.size], self.te_buf[:trial.size]
@@ -530,8 +542,8 @@ class _UniformGrid:
 
     def _partial_sum_rate(self, p):
         """Cornell's partial-sum start, and the row sums of ``p``: with
-        ``S_1, S_2, S_3`` the sums of the row's thirds of ``third`` samples,
-        ``q = (S_3 - S_2) / (S_2 - S_1) = exp(-k h third)``.  NaN with fewer
+        ``S_1, S_2, S_3`` the sums of the row's thirds (:func:`_thirds`),
+        ``q = (S_3 - S_2) / (S_2 - S_1) = exp(-k h n // 3)``.  NaN with fewer
         than 5 samples more than a tenth of the peak above the tail mean, or
         a start that does not decay (``S_2 >= S_1``).  A decaying start with
         ``q`` outside (0, 1), which noise makes on short or faint traces,
@@ -544,21 +556,16 @@ class _UniformGrid:
         if not enough.all():
             rest = np.flatnonzero(~enough)
             enough[rest] = np.count_nonzero(p[rest] > above[rest], axis=1) >= 5
-        third = n // 3
-        s1, s2, s3, s4 = (p[:, lo:hi].sum(axis=1) for lo, hi in
-                          ((0, third), (third, 2 * third), (2 * third, 3 * third), (3 * third, n)))
+        s1, s2, s3, s4 = _thirds(p)
         d1 = s2 - s1
         q = (s3 - s2) / d1
         decays = enough & (d1 < 0)
-        k = np.where(decays & (q > 0) & (q < 1), -np.log(q) / (third * self.h), np.nan)
+        k = np.where(decays & (q > 0) & (q < 1), -np.log(q) / (n // 3 * self.h), np.nan)
         retry = np.flatnonzero(decays & ~((q > 0) & (q < 1)))
         if retry.size:
             tau = self.tau0[retry, None] + np.multiply.outer(self.h[retry], np.arange(n))
             k[retry] = _initial_rate(tau, p[retry], np.empty_like(tau), np.empty_like(tau))
         return k, s1 + s2 + s3 + s4
-
-    def start(self):
-        return self.k0
 
     def sums(self, trial, out):
         rows, m, blocks, h = trial.size, self.m, self.blocks, self.h
@@ -596,65 +603,42 @@ class _UniformGrid:
         self.tau0, self.h, self.weights = self.tau0[kept], self.h[kept], self.weights[kept]
 
 
-def _split(index, edges):
-    """``index`` (ascending) cut at the inner ``edges``, each part counted
-    from its lower edge."""
-    if len(edges) == 2:
-        return [index]
-    return [part - lo for part, lo in zip(np.split(index, np.searchsorted(index, edges[1:-1])), edges)]
+def _fit_chunk(kind, t, p):
+    """Variable projection on every row of a chunk of one grid ``kind``,
+    :class:`_UniformGrid` or :class:`_AnyGrid`, which gives the sums and the
+    start.  Time is scaled to ``tau = t / max|t|`` per row, so the fitted
+    rate is ``k = 2 pi gamma max|t|`` of ``a exp(-k tau) + c``.  Each
+    iteration takes seven per-row sums, the ones over ``e = exp(-k tau)``,
+    ``tau e`` and their products and the ones of ``p`` with ``e`` and
+    ``tau e``; amplitude and floor come from the 2x2 normal equations in
+    ``(e, 1)``.
 
-
-def _joined(parts):
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _fit_chunk(t, p):
-    """Variable projection on every row of one chunk.  Time is scaled to
-    ``tau = t / max|t|`` per row, so the fitted rate is
-    ``k = 2 pi gamma max|t|`` of ``a exp(-k tau) + c``.  Each iteration
-    takes seven per-row sums, the ones over ``e = exp(-k tau)``, ``tau e``
-    and their products and the ones of ``p`` with ``e`` and ``tau e``;
-    amplitude and floor come from the 2x2 normal equations in ``(e, 1)``.
-
-    Rows whose times lie on a uniform grid (:func:`_on_uniform_grid`) take
-    their sums and start from :class:`_UniformGrid`, the others from
-    :class:`_AnyGrid`, the kernel as it was before uniform grids had a
-    path of their own, bit for bit.  Both kinds share this one iteration,
-    which keeps its per-row quantities in one table, and no sum mixes
-    rows.  Converged rows, and rows whose step is not finite, are dropped
-    from the arrays once at least half of their rows have left; until then
-    they are computed but not read.  The residual behind the standard error
-    is computed for the rows that finish, in the iteration they finish."""
+    The iteration keeps its per-row quantities in one table, and no sum
+    mixes rows.  Converged rows, and rows whose step is not finite, are
+    dropped from the arrays once at least half of their rows have left;
+    until then they are computed but not read.  The residual behind the
+    standard error is computed for the rows that finish, in the iteration
+    they finish."""
     n_rows, n_samples = t.shape
     rate = np.full(n_rows, np.nan)
     rate_var = np.full(n_rows, np.inf)
     converged = np.zeros(n_rows, dtype=bool)
-    scale = np.ones(n_rows)
     with np.errstate(all="ignore"):
-        uniform = _on_uniform_grid(t)
-        kinds = [(kind, mask) for kind, mask in ((_UniformGrid, uniform), (_AnyGrid, ~uniform))
-                 if mask.any()]
-        grids = [kind(t, p) if mask.all() else kind(t[mask], p[mask]) for kind, mask in kinds]
-        if not grids:
-            return rate, rate_var, converged
-        rows = _joined([np.flatnonzero(mask) for _, mask in kinds])
-        edges = np.cumsum([0] + [mask.sum() for _, mask in kinds])
-        scale[rows] = _joined([grid.scale for grid in grids])
-        k = _joined([grid.start() for grid in grids])
-        table = np.empty((11, rows.size))
+        grid = kind(t, p)
+        k = grid.k0
+        rows = np.arange(n_rows)
+        table = np.empty((11, n_rows))
         table[_N] = n_samples
-        table[_SUM_P] = _joined([grid.sum_p for grid in grids])
-        table[_SUM_PP] = _joined([grid.sum_pp for grid in grids])
+        table[_SUM_P], table[_SUM_PP] = grid.sum_p, grid.sum_pp
         table[_SLACK] = _SSR_SLACK * table[_SUM_PP]
-        ssr = np.full(rows.size, np.inf)
-        step = np.zeros(rows.size)
-        live = np.ones(rows.size, dtype=bool)
+        ssr = np.full(n_rows, np.inf)
+        step = np.zeros(n_rows)
+        live = np.ones(n_rows, dtype=bool)
         d_1 = math.sqrt(n_samples)
         for _ in range(_MAX_ITER):
             trial_dk = np.empty((2, rows.size))
             trial = np.add(k, step, out=trial_dk[0])
-            for grid, lo, hi in zip(grids, edges, edges[1:]):
-                grid.sums(trial[lo:hi], table[:, lo:hi])
+            grid.sums(trial, table)
             see, stte, se, ste, stee, sum_p, spe, spte, sum_pp, slack = table[_SEE:]
             # the normal matrix of (e, -a tau e, 1) in unit-diagonal form:
             # m01 of (e, tau e), m02 and m12 of (e, 1) and (tau e, 1)
@@ -707,8 +691,7 @@ def _fit_chunk(t, p):
             finishing &= live
             if finishing.any():
                 finished = np.flatnonzero(finishing)
-                r2 = _joined([grid.residual(part, a[part + lo], c[part + lo])
-                              for grid, part, lo in zip(grids, _split(finished, edges), edges)])
+                r2 = grid.residual(finished, a[finished], c[finished])
                 var = r2 / (n_samples - 3) / (a[finished] ** 2 * s[finished])
                 idx = rows[finished]
                 rate[idx], rate_var[idx] = trial[finished], var
@@ -719,15 +702,11 @@ def _fit_chunk(t, p):
             if kept.size == 0:
                 break
             if 2 * kept.size <= rows.size:
-                parts = _split(kept, edges)
-                for grid, part in zip(grids, parts):
-                    grid.keep(part)
-                grids = [grid for grid, part in zip(grids, parts) if part.size]
-                edges = np.cumsum([0] + [part.size for part in parts if part.size])
+                grid.keep(kept)
                 rows, k, ssr, step, live = rows[kept], k[kept], ssr[kept], step[kept], live[kept]
                 table = table[:, kept]
     rate[~converged], rate_var[~converged] = np.nan, np.inf
-    return rate / (TWO_PI * scale), np.sqrt(rate_var) / (TWO_PI * scale), converged
+    return rate / (TWO_PI * grid.scale), np.sqrt(rate_var) / (TWO_PI * grid.scale), converged
 
 
 def fit_ringdown(trace: RingdownTrace, skip_fraction: float = 0.1) -> tuple[float, float]:

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import os
@@ -381,6 +382,16 @@ class TestBatchedRingdownFit:
             assert np.array_equal(np.delete(e2, 117), stderr)
             assert np.delete(c2, 117).all()
 
+    def test_flat_traces_on_jittered_times_fail(self):
+        # the tail mean of a constant row can round below its samples, so the
+        # log-linear start sees every sample above the floor; the thirds of
+        # a flat row sum alike, so its start does not decay and it fails
+        times = np.sort(np.random.default_rng(0).uniform(0.0, 1e-3, (50, 400)), axis=1)
+        assert not measure._on_uniform_grid(times).any()
+        for level in (0.1, 1.3, 0.05):
+            gamma, stderr, converged = om.fit_ringdowns(times, np.full(times.shape, level))
+            assert not converged.any() and np.isnan(gamma).all() and (stderr == np.inf).all()
+
     def test_single_degenerate_trace_raises(self):
         trace = om.simulate_ringdown(0.0, 1.0, 0.0, duration=1.0, dt=0.01, seed=0, noise_floor=0.1)
         with pytest.raises(om.RingdownFitError):
@@ -420,6 +431,10 @@ def _row_by_row(times, powers):
     return tuple(np.concatenate(column) for column in zip(*fits))
 
 
+# One _fit_chunk call, as the chunks fixture records it.
+_KernelCall = collections.namedtuple("_KernelCall", "kind rows uniform thread ident cpus")
+
+
 def _assert_same_fits(got, expected):
     for x, y in zip(got, expected, strict=True):
         assert np.array_equal(x, y, equal_nan=True)
@@ -432,14 +447,17 @@ class TestFitOnEveryCpu:
 
     @pytest.fixture
     def chunks(self, monkeypatch):
-        """The (rows, thread name, CPUs the thread may run on) of every
-        _fit_chunk call."""
+        """The grid kind, rows, which rows lie on a uniform grid, thread
+        name and ident, and CPUs the thread may run on of every _fit_chunk
+        call."""
         calls, real = [], measure._fit_chunk
 
-        def recording(t, p):
+        def recording(kind, t, p):
             cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-            calls.append((t.shape[0], threading.current_thread().name, cpus))
-            return real(t, p)
+            thread = threading.current_thread()
+            calls.append(_KernelCall(kind, t.shape[0], measure._on_uniform_grid(t), thread.name,
+                                     thread.ident, cpus))
+            return real(kind, t, p)
 
         monkeypatch.setattr(measure, "_fit_chunk", recording)
         return calls
@@ -455,7 +473,7 @@ class TestFitOnEveryCpu:
         monkeypatch.setattr(_runtime, "cpu_count", lambda: 2)
         times, powers = _stack_with_degenerate_rows(rows, 140)
         got = om.fit_ringdowns(times, powers)
-        assert sorted(size for size, _, _ in chunks) == sorted(expected_chunks)
+        assert sorted(call.rows for call in chunks) == sorted(expected_chunks)
         if rows > 1:
             assert not got[2].all()  # the degenerate rows are in the stack
         chunks.clear()
@@ -472,7 +490,18 @@ class TestFitOnEveryCpu:
                          .reshape(900, 140) for i in (0, 1))
         assert measure._on_uniform_grid(times[:, 14:]).tolist() == [True, False, True] * 300
         got = om.fit_ringdowns(times, powers)
-        assert sorted(size for size, _, _ in chunks) == [450, 450]
+        # each kernel call holds rows of one kind, its own
+        assert all(call.uniform.all() if call.kind is measure._UniformGrid
+                   else call.kind is measure._AnyGrid and not call.uniform.any() for call in chunks)
+        # a thread runs one chunk at a time, its uniform rows first: each
+        # chunk's calls, 300 uniform rows then 150 others, add up to its 450
+        by_chunk = []
+        for ident in {call.ident for call in chunks}:
+            for call in (call for call in chunks if call.ident == ident):
+                if call.kind is measure._UniformGrid:
+                    by_chunk.append([])
+                by_chunk[-1].append((call.kind, call.rows))
+        assert by_chunk == [[(measure._UniformGrid, 300), (measure._AnyGrid, 150)]] * 2
         assert got[2][0::3].all() and got[2][1::3].all() and not got[2][2::3].all()
         chunks.clear()
         _assert_same_fits(got, _row_by_row(times, powers))
@@ -482,17 +511,17 @@ class TestFitOnEveryCpu:
         times, powers = _stack_with_degenerate_rows(1000, 400, seed=11)
         monkeypatch.setattr(_runtime, "cpu_count", lambda: 1)
         inline = om.fit_ringdowns(times, powers)
-        assert {name for _, name, _ in chunks} == {threading.current_thread().name}
+        assert {call.thread for call in chunks} == {threading.current_thread().name}
         chunks.clear()
         monkeypatch.setattr(_runtime, "cpu_count", lambda: cpus)
         caller_cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
         before = threading.active_count()
         _assert_same_fits(om.fit_ringdowns(times, powers), inline)
         assert threading.active_count() == before
-        assert len(chunks) == 6 and "omlattice-fit" in {name for _, name, _ in chunks}
+        assert len(chunks) == 6 and "omlattice-fit" in {call.thread for call in chunks}
         if caller_cpus is not None:
             # each helper pinned to one CPU; the calling thread left as it was
-            assert all(len(allowed) == 1 for _, name, allowed in chunks if name == "omlattice-fit")
+            assert all(len(call.cpus) == 1 for call in chunks if call.thread == "omlattice-fit")
             assert os.sched_getaffinity(0) == caller_cpus
 
     def test_many_threads_switching_often_give_the_same_results(self, monkeypatch):
@@ -554,10 +583,10 @@ class TestFitOnEveryCpu:
     def test_error_in_a_chunk_is_raised_in_the_caller(self, monkeypatch):
         calls, real = itertools.count(), measure._fit_chunk
 
-        def failing_second(t, p):
+        def failing_second(kind, t, p):
             if next(calls) == 1:
                 raise RuntimeError("second chunk failed")
-            return real(t, p)
+            return real(kind, t, p)
 
         monkeypatch.setattr(measure, "_fit_chunk", failing_second)
         monkeypatch.setattr(_runtime, "cpu_count", lambda: 2)
@@ -617,11 +646,10 @@ class TestUniformGrid:
         t, p = _stacked(traces)
         t, p = t[:, 40:], p[:, 40:]
         assert measure._on_uniform_grid(t).all()
-        uniform = measure._fit_chunk(t, p)
-        start = measure._UniformGrid(t, p).start()
-        monkeypatch.setattr(measure, "_on_uniform_grid", lambda t: np.zeros(t.shape[0], dtype=bool))
-        monkeypatch.setattr(measure._AnyGrid, "start", lambda self: start.copy())
-        general = measure._fit_chunk(t, p)
+        uniform = measure._fit_chunk(measure._UniformGrid, t, p)
+        start = measure._UniformGrid(t, p).k0
+        monkeypatch.setattr(measure, "_initial_rate", lambda tau, p, amp, dx: start.copy())
+        general = measure._fit_chunk(measure._AnyGrid, t, p)
         assert uniform[2].all() and general[2].all()
         assert np.abs(general[0] / uniform[0] - 1).max() < 1e-12
 
@@ -632,10 +660,10 @@ class TestUniformGrid:
         t, p = _stacked(traces)
         t, p = t[:, 40:], p[:, 40:]
         assert measure._on_uniform_grid(t).all()
-        measure._fit_chunk(t, p)
+        measure._fit_chunk(measure._UniformGrid, t, p)
         tracemalloc.start()
         try:
-            measure._fit_chunk(t, p)
+            measure._fit_chunk(measure._UniformGrid, t, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
