@@ -377,8 +377,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # numpy names the array; a bare MemoryError names nothing
+        print(f"numerical failure: {str(exc) or 'memory ran out'}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (np.linalg.LinAlgError, GaplessCurveError, SinkhornError, RingdownFitError,
-            ValueError, MemoryError) as exc:
+            ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     finally:

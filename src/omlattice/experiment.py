@@ -334,8 +334,9 @@ class MeasurementDataset:
 
         All traces are fitted by one call of the batched variable-projection
         kernel :func:`~omlattice.measure.fit_ringdowns`, or one call per
-        trace length when lengths differ; the simulated and loaded traces
-        lie on uniform time grids, so they take its closed-form path.
+        trace length when lengths differ; every trace lies on the uniform
+        time grid that the kernel needs, as simulated traces do and as
+        :meth:`load` and :meth:`save` check.
         A trace whose fit fails (no convergence, singular normal equations,
         no decay the initial guess can locate, a start that does not decay,
         fewer than ``MIN_FIT_SAMPLES`` samples) or that is missing gets
@@ -344,7 +345,8 @@ class MeasurementDataset:
         gets slope 0, except that a sweep of only 2 powers keeps the ungated
         slope of pairs with both fitted.
         Raises :class:`~omlattice.measure.RingdownFitError` only when no
-        trace at all could be fitted.
+        trace at all could be fitted, and ``ValueError`` when a trace is off
+        its grid.
 
         Slopes smaller than ``SLOPE_GATE_SIGMAS`` times their regression
         standard error are set to zero: at modeshape nodes the true slope
@@ -403,17 +405,25 @@ class MeasurementDataset:
         """Write the dataset as ``manifest.json`` (format 3), ``h_true.csv``
         and ``traces/traces.npy`` (layouts in the module docstring).  Raises
         ``ValueError``, before any file is written, naming the field and its
-        first bad entry when a field breaks its rule in :data:`_FIELDS`, or
-        naming ``h_true`` when it is complex: files hold real matrices only."""
+        first bad entry when a field breaks its rule in :data:`_FIELDS`,
+        naming the trace when one breaks the rules of
+        :class:`~omlattice.measure.RingdownTrace`, or naming ``h_true`` when
+        it is complex: files hold real matrices only.  So :meth:`load` never
+        refuses what ``save`` wrote."""
         if self.h_true is not None and np.iscomplexobj(self.h_true.matrix):
             raise ValueError("cannot save the dataset: 'h_true' is complex; h_true.csv holds real "
                              "matrices only")
+        fault = trace_fault(self.times, self.powers, self.samples)
+        if fault is not None:
+            (k, i, p), rule = fault
+            raise ValueError(f"cannot save the dataset: trace of mode {k}, site {i}, power_index {p}: "
+                             f"{rule}")
         manifest = {"format": MANIFEST_FORMAT}
         for key, field in _FIELDS.items():
             value = getattr(self, key.removesuffix("_hz"))
             if field.type == "readout":
                 value = [dict(zip(_READOUT_KEYS, astuple(r))) for r in value]
-            else:  # checked here, so that load never refuses what save wrote
+            else:  # checked here, as load checks it
                 bad = _first_bad(key, field, np.asarray(value))
                 if bad:
                     raise ValueError(f"cannot save the dataset: '{key}' must be {field.rule}; "
@@ -505,14 +515,14 @@ def calibrate_drive_flux(
     slope (which :func:`recover_from_slopes` refuses), and a flux that is not
     finite and > 0 (as from a median linewidth of 0), raise ``ValueError``
     naming them, as do the refusals of :func:`analytic_slope_matrix`."""
-    with np.errstate(over="ignore"):  # an overflow is refused below
+    with np.errstate(all="ignore"):  # a value beyond float range is refused below
         _, slopes = _closed_form_slopes(h, sites, readouts)
+        width = float(np.median([s.mech_linewidth for s in sites]))
     if not np.isfinite(slopes).all():
         raise ValueError(f"damping slopes must be finite, got {np.sum(~np.isfinite(slopes))} non-finite "
                          f"of {slopes.size}; check g0 and couplings")
     _refuse_empty_slopes(slopes)
-    positive = slopes[slopes > 0]
-    width, slope = float(np.median([s.mech_linewidth for s in sites])), float(np.median(positive))
+    slope = float(np.median(slopes[slopes > 0]))
     flux = DRIVE_DAMPING_BOOST * width / slope
     if not 0 < flux < np.inf:
         raise ValueError(f"the calibrated drive flux {DRIVE_DAMPING_BOOST:g} × median linewidth {width:g} "
@@ -564,8 +574,8 @@ def simulate_measurement(
       ensemble's streams, which are keyed ``spawn_key=(j,)``.
 
     ``master_seed`` must be a non-negative integer, also for noiseless runs.
-    A noise floor or an effective damping rate beyond float range, a
-    non-positive lowest eigenfrequency, or a mode row or site column of the
+    A noise floor or an effective damping rate (or 2 pi times it) beyond
+    float range, a non-positive lowest eigenfrequency, or a mode row or site column of the
     closed-form slopes without a positive entry (a dataset that
     :func:`recover` would refuse), raises ``ValueError`` naming it, before
     the traces are computed.
@@ -594,11 +604,13 @@ def simulate_measurement(
     def noiseless():
         mech_freqs = np.array([s.mech_freq for s in sites], dtype=float)
         mech_linewidths = np.array([s.mech_linewidth for s in sites], dtype=float)
-        with np.errstate(over="ignore"):  # an overflow is refused below
+        with np.errstate(all="ignore"):  # a rate beyond float range is refused below
             modes, slopes = _closed_form_slopes(h, sites, readouts)
             gamma = mech_linewidths[:, None] + slopes[..., None] * fluxes
-        if not np.isfinite(gamma).all():
-            raise ValueError(f"effective damping rates must be finite, got {np.sum(~np.isfinite(gamma))} "
+            # the traces take 2 pi gamma
+            bad = np.count_nonzero(~np.isfinite(TWO_PI * gamma))
+        if bad:
+            raise ValueError(f"effective damping rates and 2 pi times them must be finite, got {bad} "
                              f"non-finite of {gamma.size} at drive fluxes up to {fluxes.max():g}")
         _refuse_empty_slopes(slopes)
         duration = RINGDOWN_DECAY_SPAN / (TWO_PI * np.maximum(gamma, 1e-3))

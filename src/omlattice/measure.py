@@ -223,9 +223,9 @@ def trace_fault(times: np.ndarray, powers: np.ndarray, samples) -> tuple[tuple[i
     ``times`` and ``powers`` hold one trace per index of their leading axes,
     padded along the last; trace ``j`` is the first ``samples[j]`` entries,
     and a trace of 0 samples is missing and passes.  A present trace needs
-    at least 2 samples, strictly increasing times and powers >= 0; a NaN
-    time or power breaks its rule.  For a single trace (1D arrays) the
-    index is ``()``.
+    at least 2 samples, strictly increasing times on a uniform grid (see
+    :data:`_GRID_ULPS`) and powers >= 0; a NaN time or power breaks its
+    rule.  For a single trace (1D arrays) the index is ``()``.
     """
     samples = np.asarray(samples)
     present = np.arange(times.shape[-1]) < samples[..., None]
@@ -233,12 +233,40 @@ def trace_fault(times: np.ndarray, powers: np.ndarray, samples) -> tuple[tuple[i
         (samples == 1, "fewer than 2 samples"),
         ((~(times[..., 1:] > times[..., :-1]) & present[..., 1:]).any(axis=-1),
          "times must be strictly increasing"),
+        (~_on_uniform_grid(times, samples), "times must lie on a uniform grid"),
         ((~(powers >= 0) & present).any(axis=-1), "powers must be >= 0"),
     )
     for bad, rule in rules:
         if bad.any():
             return tuple(np.argwhere(bad)[0].tolist()), rule
     return None
+
+
+# A trace is on a uniform grid when none of its times is further than this
+# many ulp of its largest |time| from the line through its first and last
+# time.  Grids i * dt from np.arange are within 2.
+_GRID_ULPS = 32
+
+
+def _on_uniform_grid(t, samples):
+    """Which traces of ``t`` lie on a uniform grid (see :data:`_GRID_ULPS`):
+    trace ``j``, one per index of the leading axes, is the first
+    ``samples[j]`` entries along the last (``samples`` broadcasts), and one
+    of at most 1 sample passes.  A NaN or infinite time is off the grid."""
+    n = np.asarray(samples)
+    j = np.arange(t.shape[-1])
+    first = t[..., 0]
+    index = np.maximum(n - 1, 0)
+    last = np.take_along_axis(t, index.reshape(index.shape + (1,) * (t.ndim - n.ndim)), axis=-1)[..., 0]
+    with np.errstate(all="ignore"):
+        # t_j - j (last - first) / (n - 1) is first, to the tolerance, on the grid
+        offset = np.multiply.outer((last - first) / np.maximum(n - 1, 1), j)
+        np.subtract(t, offset, out=offset)
+        padding = j >= n[..., None]
+        if padding.any():
+            np.copyto(offset, first[..., None], where=padding)
+        tol = _GRID_ULPS * np.spacing(np.maximum(np.abs(first), np.abs(last)))
+        return (offset.max(axis=-1) - first <= tol) & (first - offset.min(axis=-1) <= tol) | (n < 2)
 
 
 def simulate_ringdown(
@@ -290,16 +318,15 @@ def fit_ringdowns(times, powers, skip_fraction: float = 0.1):
     """Fit ``amplitude * exp(-2 pi gamma t) + floor`` to a stack of ringdowns.
 
     ``times`` and ``powers`` are ``(B, S)`` arrays, one trace per row, each
-    row's times strictly increasing but not necessarily uniform.  Every
-    trace gets the least-squares fit of :func:`fit_ringdown` (same skipped
-    head), computed for all rows at once by variable projection: for a
-    fixed rate, amplitude and floor are the linear least-squares solution,
-    and the rate takes Kaufman's Gauss-Newton steps on the projected
-    residual, halved while they raise it.  A trace whose times lie on a
-    uniform grid starts from Cornell's partial-sum estimate and takes its
-    sums in closed form and by blocks; any other trace starts from a
-    log-linear regression and sums over its samples.  Both reach the same
-    least-squares fit within the stopping tolerance.
+    row's times on a uniform grid, the rule of :class:`RingdownTrace`; a
+    ``ValueError`` names the lowest row that is not, checked on the rows as
+    given, before the skipped head is cut.  Every trace gets the
+    least-squares fit of :func:`fit_ringdown` (same skipped head), computed
+    for all rows at once by variable projection: for a fixed rate,
+    amplitude and floor are the linear least-squares solution, and the rate
+    takes Kaufman's Gauss-Newton steps on the projected residual, halved
+    while they raise it.  It starts from Cornell's partial-sum estimate and
+    takes its sums in closed form and by blocks (:class:`_UniformGrid`).
     Returns ``(gamma, stderr, converged)`` arrays of length B.  A trace that
     does not converge or whose normal matrix is singular (a flat or all-zero
     trace) has ``converged`` False, gamma NaN and stderr inf; one such trace
@@ -313,35 +340,37 @@ def fit_ringdowns(times, powers, skip_fraction: float = 0.1):
     with a warning.
 
     The rows are cut into chunks and fitted on every CPU the process may
-    use, as :mod:`omlattice._runtime` describes; a chunk's rows of each
-    grid kind (:func:`_on_uniform_grid`) make one :func:`_fit_chunk` call.
-    No sum mixes rows, so the results are bit-identical to a row-by-row fit
-    whatever the number of CPUs.
+    use, as :mod:`omlattice._runtime` describes: each chunk checks its
+    rows' grid, then makes one :func:`_fit_chunk` call.  No sum mixes rows,
+    so the results are bit-identical to a row-by-row fit whatever the
+    number of CPUs.
     """
-    t = np.atleast_2d(np.asarray(times, dtype=float))
+    times = np.atleast_2d(np.asarray(times, dtype=float))
     p = np.atleast_2d(np.asarray(powers, dtype=float))
-    if t.shape != p.shape or t.ndim != 2:
+    if times.shape != p.shape or times.ndim != 2:
         raise ValueError("times and powers must be matching (traces, samples) arrays")
-    if t.shape[1] < MIN_FIT_SAMPLES:
+    if times.shape[1] < MIN_FIT_SAMPLES:
         raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples to fit a ringdown")
     if not 0.0 <= skip_fraction < 0.9:
         raise ValueError("skip_fraction must lie in [0, 0.9)")
-    start = int(round(skip_fraction * t.shape[1]))
-    t, p = t[:, start:], p[:, start:]
+    start = int(round(skip_fraction * times.shape[1]))
+    t, p = times[:, start:], p[:, start:]
     n_rows = t.shape[0]
     gamma = np.empty(n_rows)
     stderr = np.empty(n_rows)
     converged = np.empty(n_rows, dtype=bool)
+    off_grid = []  # the first row off the grid of each chunk that has one
 
     def fit(rows):
-        with np.errstate(all="ignore"):
-            uniform = _on_uniform_grid(t[rows])
-        for kind, mask in ((_UniformGrid, uniform), (_AnyGrid, ~uniform)):
-            if mask.any():
-                part = rows if mask.all() else rows.start + np.flatnonzero(mask)
-                gamma[part], stderr[part], converged[part] = _fit_chunk(kind, t[part], p[part])
+        on_grid = _on_uniform_grid(times[rows], times.shape[1])
+        if not on_grid.all():
+            off_grid.append(rows.start + int(np.argmin(on_grid)))
+        if not off_grid:
+            gamma[rows], stderr[rows], converged[rows] = _fit_chunk(t[rows], p[rows])
 
     on_all_cpus(fit, row_chunks(n_rows, t.shape[1]))
+    if off_grid:
+        raise ValueError(f"row {min(off_grid)}: times must lie on a uniform grid")
     if np.any(gamma < 0):
         warnings.warn("fitted ringdown rate is negative; clipping to 0", stacklevel=2)
         gamma = np.where(gamma < 0, 0.0, gamma)
@@ -354,52 +383,20 @@ def _row_dot(x, y, out=None):
     return np.einsum("ij,ij->i", x, y, out=out)
 
 
-def _thirds(p):
-    """Row sums of ``p``'s three thirds of ``n // 3`` samples and of the rest;
-    a start decays where the second third sums below the first."""
-    third = p.shape[1] // 3
-    return [p[:, lo:hi].sum(axis=1) for lo, hi in
-            ((0, third), (third, 2 * third), (2 * third, 3 * third), (3 * third, None))]
-
-
-def _initial_rate(tau, p, amp, dx):
+def _initial_rate(tau, p):
     """Tail-mean floor, then a log-linear regression of the samples more than
-    a tenth of the peak above it; NaN with fewer than 5 such samples, a
-    rising slope or a start that does not decay (:func:`_thirds`).  ``amp``
-    and ``dx`` are scratch arrays of ``tau``'s shape, overwritten."""
+    a tenth of the peak above it; NaN with fewer than 5 such samples or a
+    rising slope.  The start of the rows whose partial sums
+    (:meth:`_UniformGrid._partial_sum_rate`) are unusable."""
     n = tau.shape[1]
-    s1, s2 = _thirds(p)[:2]
-    np.subtract(p, p[:, -max(3, n // 8):].mean(axis=1)[:, None], out=amp)
+    amp = p - p[:, -max(3, n // 8):].mean(axis=1)[:, None]
     above = amp > 0.1 * np.maximum(amp.max(axis=1), 1e-300)[:, None]
-    below = ~above
     count = above.sum(axis=1)
-    np.copyto(dx, tau)
-    np.copyto(dx, 0.0, where=below)
-    np.subtract(tau, (dx.sum(axis=1) / count)[:, None], out=dx)
-    np.copyto(dx, 0.0, where=below)
-    np.copyto(amp, 1.0, where=below)
-    np.log(amp, out=amp)
-    np.multiply(dx, amp, out=amp)
-    np.multiply(dx, dx, out=dx)
-    slope = amp.sum(axis=1) / dx.sum(axis=1)
-    return np.where((count >= 5) & (slope < 0) & (s2 < s1), -slope, np.nan)
-
-
-# A row is on a uniform grid when none of its times is further than this many
-# ulp of its largest |time| from the line through its first and last time.
-# Grids i * dt from np.arange are within 2.
-_GRID_ULPS = 32
-
-
-def _on_uniform_grid(t):
-    """Which rows of ``t`` lie on a uniform grid (see :data:`_GRID_ULPS`)."""
-    n = t.shape[1]
-    first, last = t[:, 0], t[:, -1]
-    # t_j - j (last - first) / (n - 1) is first, to the tolerance, on the grid
-    offset = np.multiply.outer((last - first) / (n - 1), np.arange(n))
-    np.subtract(t, offset, out=offset)
-    tol = _GRID_ULPS * np.spacing(np.maximum(np.abs(first), np.abs(last)))
-    return (offset.max(axis=1) - first <= tol) & (first - offset.min(axis=1) <= tol)
+    dx = np.where(above, tau, 0.0)
+    dx = np.where(above, tau - (dx.sum(axis=1) / count)[:, None], 0.0)
+    y = np.log(np.where(above, amp, 1.0))
+    slope = (dx * y).sum(axis=1) / (dx * dx).sum(axis=1)
+    return np.where((count >= 5) & (slope < 0), -slope, np.nan)
 
 
 # Below this |n u| the grid moments come from their power series in u: the
@@ -458,53 +455,6 @@ def _grid_moments(u, n, total=None):
 _N, _SEE, _STTE, _SE, _STE, _STEE, _SUM_P, _SPE, _SPTE, _SUM_PP, _SLACK = range(11)
 
 
-class _AnyGrid:
-    """Sums and start of rows on any time grid: ``tau = t / max|t|`` per
-    row, one ``exp(-k tau)`` pass and seven per-row sums over the samples
-    per iteration, the log-linear start.  Besides ``tau`` it keeps two
-    arrays of ``t``'s size, which also hold the start's, the residual's and
-    the drop's intermediates, and a copy of at most half of ``p``."""
-
-    def __init__(self, t, p):
-        self.scale = np.abs(t).max(axis=1)
-        self.tau = t / self.scale[:, None]
-        self.p = p
-        self.e_buf, self.te_buf = np.empty_like(self.tau), np.empty_like(self.tau)
-        self.sum_p, self.sum_pp = p.sum(axis=1), _row_dot(p, p)
-        self.k0 = _initial_rate(self.tau, p, self.e_buf, self.te_buf)
-
-    def sums(self, trial, out):
-        e, te = self.e_buf[:trial.size], self.te_buf[:trial.size]
-        np.multiply(-trial[:, None], self.tau, out=e)
-        np.exp(e, out=e)
-        np.multiply(self.tau, e, out=te)
-        e.sum(axis=1, out=out[_SE])
-        te.sum(axis=1, out=out[_STE])
-        for row, x, y in ((_SEE, e, e), (_STEE, te, e), (_STTE, te, te), (_SPE, self.p, e),
-                          (_SPTE, self.p, te)):
-            _row_dot(x, y, out=out[row])
-
-    def residual(self, finished, a, c):
-        # the residual p - a e - c of the finished rows, built in the first
-        # rows of te (their e) and e (their p): neither is read again this
-        # iteration
-        r = np.take(self.e_buf[:self.tau.shape[0]], finished, axis=0, out=self.te_buf[:finished.size],
-                    mode="clip")
-        p = np.take(self.p, finished, axis=0, out=self.e_buf[:finished.size], mode="clip")
-        np.multiply(a[:, None], r, out=r)
-        np.subtract(p, r, out=r)
-        np.subtract(r, c[:, None], out=r)
-        return _row_dot(r, r)
-
-    def keep(self, kept):
-        # tau is this kernel's own and moves up in place, through e's buffer;
-        # p may be the caller's, so its kept rows are copied
-        np.take(self.tau, kept, axis=0, out=self.e_buf[:kept.size], mode="clip")
-        self.tau = self.tau[:kept.size]
-        self.tau[...] = self.e_buf[:kept.size]
-        self.p = self.p[kept]
-
-
 class _UniformGrid:
     """Sums and start of rows on a uniform time grid ``tau_j = tau_0 + h j``
     (``tau = t / max|t|``).  With ``e_j = exp(-k h j)``, which differs
@@ -542,12 +492,13 @@ class _UniformGrid:
 
     def _partial_sum_rate(self, p):
         """Cornell's partial-sum start, and the row sums of ``p``: with
-        ``S_1, S_2, S_3`` the sums of the row's thirds (:func:`_thirds`),
-        ``q = (S_3 - S_2) / (S_2 - S_1) = exp(-k h n // 3)``.  NaN with fewer
-        than 5 samples more than a tenth of the peak above the tail mean, or
-        a start that does not decay (``S_2 >= S_1``).  A decaying start with
-        ``q`` outside (0, 1), which noise makes on short or faint traces,
-        takes the log-linear start of :func:`_initial_rate` instead."""
+        ``S_1, S_2, S_3`` the sums of the row's three thirds of ``n // 3``
+        samples, ``q = (S_3 - S_2) / (S_2 - S_1) = exp(-k h n // 3)``.  NaN
+        with fewer than 5 samples more than a tenth of the peak above the
+        tail mean, or a start that does not decay (``S_2 >= S_1``).  A
+        decaying start with ``q`` outside (0, 1), which noise makes on short
+        or faint traces, takes the log-linear start of :func:`_initial_rate`
+        instead."""
         n = p.shape[1]
         floor = p[:, -max(3, n // 8):].mean(axis=1)
         above = (floor + 0.1 * np.maximum(p.max(axis=1) - floor, 1e-300))[:, None]
@@ -556,15 +507,17 @@ class _UniformGrid:
         if not enough.all():
             rest = np.flatnonzero(~enough)
             enough[rest] = np.count_nonzero(p[rest] > above[rest], axis=1) >= 5
-        s1, s2, s3, s4 = _thirds(p)
+        third = n // 3
+        s1, s2, s3, s4 = (p[:, lo:hi].sum(axis=1) for lo, hi in
+                          ((0, third), (third, 2 * third), (2 * third, 3 * third), (3 * third, None)))
         d1 = s2 - s1
         q = (s3 - s2) / d1
         decays = enough & (d1 < 0)
-        k = np.where(decays & (q > 0) & (q < 1), -np.log(q) / (n // 3 * self.h), np.nan)
+        k = np.where(decays & (q > 0) & (q < 1), -np.log(q) / (third * self.h), np.nan)
         retry = np.flatnonzero(decays & ~((q > 0) & (q < 1)))
         if retry.size:
             tau = self.tau0[retry, None] + np.multiply.outer(self.h[retry], np.arange(n))
-            k[retry] = _initial_rate(tau, p[retry], np.empty_like(tau), np.empty_like(tau))
+            k[retry] = _initial_rate(tau, p[retry])
         return k, s1 + s2 + s3 + s4
 
     def sums(self, trial, out):
@@ -603,15 +556,14 @@ class _UniformGrid:
         self.tau0, self.h, self.weights = self.tau0[kept], self.h[kept], self.weights[kept]
 
 
-def _fit_chunk(kind, t, p):
-    """Variable projection on every row of a chunk of one grid ``kind``,
-    :class:`_UniformGrid` or :class:`_AnyGrid`, which gives the sums and the
-    start.  Time is scaled to ``tau = t / max|t|`` per row, so the fitted
-    rate is ``k = 2 pi gamma max|t|`` of ``a exp(-k tau) + c``.  Each
-    iteration takes seven per-row sums, the ones over ``e = exp(-k tau)``,
-    ``tau e`` and their products and the ones of ``p`` with ``e`` and
-    ``tau e``; amplitude and floor come from the 2x2 normal equations in
-    ``(e, 1)``.
+def _fit_chunk(t, p):
+    """Variable projection on every row of a chunk on uniform time grids,
+    whose sums and start :class:`_UniformGrid` gives.  Time is scaled to
+    ``tau = t / max|t|`` per row, so the fitted rate is ``k = 2 pi gamma
+    max|t|`` of ``a exp(-k tau) + c``.  Each iteration takes seven per-row
+    sums, the ones over ``e = exp(-k tau)``, ``tau e`` and their products
+    and the ones of ``p`` with ``e`` and ``tau e``; amplitude and floor come
+    from the 2x2 normal equations in ``(e, 1)``.
 
     The iteration keeps its per-row quantities in one table, and no sum
     mixes rows.  Converged rows, and rows whose step is not finite, are
@@ -624,7 +576,7 @@ def _fit_chunk(kind, t, p):
     rate_var = np.full(n_rows, np.inf)
     converged = np.zeros(n_rows, dtype=bool)
     with np.errstate(all="ignore"):
-        grid = kind(t, p)
+        grid = _UniformGrid(t, p)
         k = grid.k0
         rows = np.arange(n_rows)
         table = np.empty((11, n_rows))
@@ -712,16 +664,16 @@ def _fit_chunk(kind, t, p):
 def fit_ringdown(trace: RingdownTrace, skip_fraction: float = 0.1) -> tuple[float, float]:
     """Fit (amplitude, gamma_eff, floor) to a ringdown; returns (gamma_eff, stderr).
 
-    A one-trace call of :func:`fit_ringdowns`.  The first ``skip_fraction``
-    of the trace is excluded (the initial high-amplitude decay can be
-    nonlinear).  The initial rate comes from the partial sums of the
-    trace's thirds when its times are uniform, else (or where noise makes
-    the partial sums unusable) from a log-linear regression of the
-    above-floor region.  A negative fitted rate is clipped to zero with a
-    warning.  Raises :class:`RingdownFitError` when the fit does not
-    converge, its normal equations are singular, fewer than 5 samples lie
-    more than a tenth of the peak above the floor, or its start does not
-    decay.
+    A one-trace call of :func:`fit_ringdowns`; the trace's times lie on a
+    uniform grid, as :class:`RingdownTrace` checks.  The first
+    ``skip_fraction`` of the trace is excluded (the initial high-amplitude
+    decay can be nonlinear).  The initial rate comes from the partial sums
+    of the trace's thirds, or, where noise makes them unusable, from a
+    log-linear regression of the above-floor region.  A negative fitted
+    rate is clipped to zero with a warning.  Raises
+    :class:`RingdownFitError` when the fit does not converge, its normal
+    equations are singular, fewer than 5 samples lie more than a tenth of
+    the peak above the floor, or its start does not decay.
     """
     gamma, stderr, converged = fit_ringdowns(trace.times, trace.powers, skip_fraction)
     if not converged[0]:

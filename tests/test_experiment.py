@@ -181,6 +181,22 @@ class TestSimulateMeasurement:
             ds.save(tmp_path / "dataset")
         assert not (tmp_path / "dataset").exists()
 
+    @pytest.mark.parametrize("array, sample, value, rule", [
+        ("times", 4, lambda t: t[4] + (t[5] - t[4]) / 4, "times must lie on a uniform grid"),
+        ("times", 4, lambda t: t[3], "times must be strictly increasing"),
+        ("powers", 7, lambda p: -1.0, "powers must be >= 0"),
+    ], ids=["jittered", "repeated", "negative"])
+    def test_save_refuses_a_trace_that_load_would_refuse(self, tmp_path, array, sample, value, rule):
+        h, sites, readouts = small_setup(seed=5)
+        ds = om.simulate_measurement(h, sites, readouts, np.linspace(1e14, 5e14, 3),
+                                     master_seed=2, snr=80.0, samples_per_trace=30)
+        trace = getattr(ds, array)[1, 2, 0]
+        trace[sample] = value(trace)
+        with pytest.raises(ValueError, match=re.escape(
+                f"cannot save the dataset: trace of mode 1, site 2, power_index 0: {rule}")):
+            ds.save(tmp_path / "dataset")
+        assert not (tmp_path / "dataset").exists()
+
     def test_saves_every_trace_in_one_array(self, tmp_path, set_trace):
         # the present traces in C order over (mode, site, power), each
         # trace `samples` columns long: here one is cut short, one missing

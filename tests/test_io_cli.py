@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import omlattice as om
+from omlattice import cli
 from omlattice import io as om_io
 from omlattice.cli import main
 
@@ -345,6 +346,8 @@ MALFORMED_TRACES = {
     "npy-times-not-increasing": _edit_npy(_set_sample(0, 2, 0.0)),
     "npy-repeated-time": _edit_npy(lambda data: _set_sample(0, 2, data[0, 1])(data)),
     "npy-inf-time": _edit_npy(_set_sample(0, 2, np.inf)),
+    # an interior time of trace (0, 0, 0) moved a quarter step, still increasing
+    "npy-jittered-times": _edit_npy(lambda data: _set_sample(0, 2, data[0, 2] + (data[0, 3] - data[0, 2]) / 4)(data)),
     # in trace (3, 3, 4), the last of the file
     "npy-last-trace-times-not-increasing":
         _edit_npy(lambda data: _set_sample(0, -1, data[0, -2])(data)),
@@ -779,8 +782,12 @@ class TestCliMeasureAndRecover:
          "damping slopes must be finite, got 16 non-finite of 16; check g0 and couplings"),
         # the same at a drive set without calibration, refused with the rates
         ("mechanics", "g0_hz", "1e160", (("measurement", "drive_flux_max", "1e14"),),
-         "effective damping rates must be finite, got 80 non-finite of 80 at drive fluxes up to "
-         "1e+14"),
+         "effective damping rates and 2 pi times them must be finite, got 80 non-finite of 80 at "
+         "drive fluxes up to 1e+14"),
+        # finite rates whose 2 pi multiple, the traces' decay, overflows
+        ("mechanics", "linewidths_hz", "1.7e308", (("measurement", "drive_flux_max", "1e15"),),
+         "effective damping rates and 2 pi times them must be finite, got 80 non-finite of 80 at "
+         "drive fluxes up to 1e+15"),
         # no intrinsic linewidth calibrates the drive to a flux of 0
         ("mechanics", "linewidths_hz", "0", (),
          "the calibrated drive flux 200 × median linewidth 0 Hz / median positive damping slope "
@@ -797,7 +804,8 @@ class TestCliMeasureAndRecover:
         ("readout", "kappa_1_hz", "0, 2.5e5, 2.5e5, 2.5e5", (),
          "no positive damping-power slope for modes [0] and sites []; a recovery needs one in every "
          "mode row and site column"),
-    ], ids=["snr", "g0_hz-auto", "g0_hz", "linewidths_hz-auto", "g0_hz-underflow-auto",
+    ], ids=["snr", "g0_hz-auto", "g0_hz", "linewidths_hz-overflow", "linewidths_hz-auto",
+            "g0_hz-underflow-auto",
             "g0_hz-underflow", "kappa_1_hz-auto"])
     def test_dataset_that_recover_would_refuse_is_not_written(self, tmp_path, capsys, section, key,
                                                               value, also, got):
@@ -888,6 +896,39 @@ class TestCliMeasureAndRecover:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert err.startswith("numerical failure: Unable to allocate ")
+        assert not out.exists()
+
+    # numpy warnings, which a shell would see as lines of their own, are
+    # counted with the standard error lines
+    @pytest.mark.parametrize("flux", ["auto", "1e15"])
+    @pytest.mark.parametrize("section, key, value", [
+        ("mechanics", "freqs_hz", "1.7e308"),
+        ("mechanics", "linewidths_hz", "1.7e308"),
+        ("readout", "kappa_tot_hz", "5e-324"),
+        ("readout", "kappa_tot_hz", "1e-300"),
+        ("readout", "kappa_tot_hz", "1.7e308"),
+    ])
+    def test_rates_beyond_float_range_exit_3_with_one_line(self, tmp_path, capsys, section, key, value,
+                                                           flux):
+        cfg = edited_config(tmp_path, section, key, value, (("measurement", "drive_flux_max", flux),))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["measure-sim", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        assert err.startswith("numerical failure: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_memory_error_without_text_says_memory_ran_out(self, small_cfg, tmp_path, capsys,
+                                                           monkeypatch):
+        def out_of_memory(config, out, **options):
+            raise MemoryError
+
+        monkeypatch.setitem(cli.SUBCOMMANDS, "spectrum", (out_of_memory, cli.SUBCOMMANDS["spectrum"][1]))
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", str(small_cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "numerical failure: memory ran out\n"
         assert not out.exists()
 
     def test_cavity_frequency_at_its_bound_is_recovered(self, tmp_path):

@@ -254,10 +254,26 @@ class TestRingdown:
         ([0.0, np.nan, 2.0], [1.0, 0.5, 0.2], "strictly increasing"),
         ([0.0, 1.0, 2.0], [1.0, -0.5, 0.2], "powers must be >= 0"),
         ([0.0, 1.0, 2.0], [1.0, np.nan, 0.2], "powers must be >= 0"),
+        ([0.0, 1.0, 2.5], [1.0, 0.5, 0.2], "times must lie on a uniform grid"),
+        ([0.0, 1.0, np.inf], [1.0, 0.5, 0.2], "times must lie on a uniform grid"),
     ])
     def test_malformed_trace_rejected(self, times, powers, rule):
         with pytest.raises(ValueError, match=rule):
             om.RingdownTrace(np.array(times), np.array(powers))
+
+    def test_grid_rule_reads_each_trace_of_a_padded_block(self):
+        # trace j is its first samples[j] entries; the padding after them,
+        # off any grid here, is not read
+        grid = 1e-4 + np.arange(6) * 2.5e-7
+        times = np.tile(grid, (2, 3, 1))
+        times[..., 4:] = (0.0, 7.0)
+        samples = np.array([[4, 3, 0], [4, 2, 1]])
+        powers = np.ones(times.shape)
+        assert measure.trace_fault(times, powers, samples) == ((1, 2), "fewer than 2 samples")
+        samples[1, 2] = 4
+        assert measure.trace_fault(times, powers, samples) is None
+        times[1, 0, 2] += 100 * np.spacing(grid[3])  # still increasing, off the grid
+        assert measure.trace_fault(times, powers, samples) == ((1, 0), "times must lie on a uniform grid")
 
 
 def _reference_fit(trace, skip_fraction):
@@ -292,8 +308,9 @@ def _reference_fit(trace, skip_fraction):
 
 
 def _random_traces(rng, count, samples, snr_choices=(30.0, 100.0, 300.0, np.inf), jitter=False):
-    """Random ringdowns on uniform grids from 0, or with ``jitter`` on
-    non-uniform, strictly increasing times from a random offset."""
+    """Random ringdowns on uniform grids from 0, or with ``jitter`` as raw
+    ``(times, powers)`` pairs on non-uniform, strictly increasing times from
+    a random offset, which RingdownTrace refuses."""
     traces, snrs = [], []
     for _ in range(count):
         gamma = rng.uniform(50.0, 2000.0)
@@ -304,7 +321,7 @@ def _random_traces(rng, count, samples, snr_choices=(30.0, 100.0, 300.0, np.inf)
             times = rng.uniform(0.0, 0.2) / gamma + np.cumsum(rng.uniform(0.2, 1.8, samples)) * (
                 duration / samples)
             powers = np.exp(-TWO_PI * gamma * times) + 5 * sigma + rng.normal(0, sigma, samples)
-            traces.append(om.RingdownTrace(times, np.clip(powers, 0.0, None)))
+            traces.append((times, np.clip(powers, 0.0, None)))
         else:
             traces.append(om.simulate_ringdown(
                 gamma, 1.0, sigma, duration=duration, dt=duration / samples,
@@ -335,12 +352,6 @@ class TestBatchedRingdownFit:
     def test_matches_curve_fit_oracle(self, samples, skip_fraction):
         rng = np.random.default_rng(samples + int(100 * skip_fraction))
         self.check_against_oracle(*_random_traces(rng, 40, samples), skip_fraction)
-
-    @pytest.mark.parametrize("samples", [20, 140])
-    def test_matches_curve_fit_oracle_on_jittered_times(self, samples):
-        # non-uniform times take the general path, the uniform grids their own
-        rng = np.random.default_rng(1000 + samples)
-        self.check_against_oracle(*_random_traces(rng, 40, samples, jitter=True), 0.1)
 
     def test_too_few_samples_above_the_floor_fail(self):
         # a decay to a tenth of the peak within 4 samples gives the log-linear
@@ -382,16 +393,6 @@ class TestBatchedRingdownFit:
             assert np.array_equal(np.delete(e2, 117), stderr)
             assert np.delete(c2, 117).all()
 
-    def test_flat_traces_on_jittered_times_fail(self):
-        # the tail mean of a constant row can round below its samples, so the
-        # log-linear start sees every sample above the floor; the thirds of
-        # a flat row sum alike, so its start does not decay and it fails
-        times = np.sort(np.random.default_rng(0).uniform(0.0, 1e-3, (50, 400)), axis=1)
-        assert not measure._on_uniform_grid(times).any()
-        for level in (0.1, 1.3, 0.05):
-            gamma, stderr, converged = om.fit_ringdowns(times, np.full(times.shape, level))
-            assert not converged.any() and np.isnan(gamma).all() and (stderr == np.inf).all()
-
     def test_single_degenerate_trace_raises(self):
         trace = om.simulate_ringdown(0.0, 1.0, 0.0, duration=1.0, dt=0.01, seed=0, noise_floor=0.1)
         with pytest.raises(om.RingdownFitError):
@@ -432,7 +433,7 @@ def _row_by_row(times, powers):
 
 
 # One _fit_chunk call, as the chunks fixture records it.
-_KernelCall = collections.namedtuple("_KernelCall", "kind rows uniform thread ident cpus")
+_KernelCall = collections.namedtuple("_KernelCall", "rows thread ident cpus")
 
 
 def _assert_same_fits(got, expected):
@@ -447,17 +448,15 @@ class TestFitOnEveryCpu:
 
     @pytest.fixture
     def chunks(self, monkeypatch):
-        """The grid kind, rows, which rows lie on a uniform grid, thread
-        name and ident, and CPUs the thread may run on of every _fit_chunk
-        call."""
+        """The rows, thread name and ident, and CPUs the thread may run on
+        of every _fit_chunk call."""
         calls, real = [], measure._fit_chunk
 
-        def recording(kind, t, p):
+        def recording(t, p):
             cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
             thread = threading.current_thread()
-            calls.append(_KernelCall(kind, t.shape[0], measure._on_uniform_grid(t), thread.name,
-                                     thread.ident, cpus))
-            return real(kind, t, p)
+            calls.append(_KernelCall(t.shape[0], thread.name, thread.ident, cpus))
+            return real(t, p)
 
         monkeypatch.setattr(measure, "_fit_chunk", recording)
         return calls
@@ -479,32 +478,22 @@ class TestFitOnEveryCpu:
         chunks.clear()
         _assert_same_fits(got, _row_by_row(times, powers))
 
-    def test_mixed_chunks_fit_bit_for_bit_like_row_by_row(self, monkeypatch, chunks):
-        # uniform grids, jittered grids and rows the fit cannot take, in turn
-        monkeypatch.setattr(_runtime, "cpu_count", lambda: 2)
-        rng = np.random.default_rng(31)
-        uniform = _stacked(_random_traces(rng, 300, 140)[0])
-        jittered = _stacked(_random_traces(rng, 300, 140, jitter=True)[0])
-        degenerate = _stack_with_degenerate_rows(300, 140, seed=8)
-        times, powers = (np.stack([kind[i] for kind in (uniform, jittered, degenerate)], axis=1)
-                         .reshape(900, 140) for i in (0, 1))
-        assert measure._on_uniform_grid(times[:, 14:]).tolist() == [True, False, True] * 300
-        got = om.fit_ringdowns(times, powers)
-        # each kernel call holds rows of one kind, its own
-        assert all(call.uniform.all() if call.kind is measure._UniformGrid
-                   else call.kind is measure._AnyGrid and not call.uniform.any() for call in chunks)
-        # a thread runs one chunk at a time, its uniform rows first: each
-        # chunk's calls, 300 uniform rows then 150 others, add up to its 450
-        by_chunk = []
-        for ident in {call.ident for call in chunks}:
-            for call in (call for call in chunks if call.ident == ident):
-                if call.kind is measure._UniformGrid:
-                    by_chunk.append([])
-                by_chunk[-1].append((call.kind, call.rows))
-        assert by_chunk == [[(measure._UniformGrid, 300), (measure._AnyGrid, 150)]] * 2
-        assert got[2][0::3].all() and got[2][1::3].all() and not got[2][2::3].all()
-        chunks.clear()
-        _assert_same_fits(got, _row_by_row(times, powers))
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_rows_off_the_grid_are_refused_naming_the_lowest(self, monkeypatch, cpus):
+        # three chunks of 384 rows: jittered rows 700 and 1000 in the second
+        # and third, and row 500, off the grid in its skipped head alone
+        # (its samples from 14 on lie on one), so rows are checked as given
+        monkeypatch.setattr(_runtime, "cpu_count", lambda: cpus)
+        times, powers = _stack_with_degenerate_rows(1152, 140)
+        jittered, _ = _random_traces(np.random.default_rng(31), 2, 140, jitter=True)
+        for row, (t, p) in zip((700, 1000), jittered):
+            times[row], powers[row] = t, p
+        times[500, 3] += 1e-3 * (times[500, 4] - times[500, 3])
+        assert measure._on_uniform_grid(times[:, 14:], 126)[500]
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=r"^row 500: times must lie on a uniform grid$"):
+            om.fit_ringdowns(times, powers)
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("cpus", [2, 3, 8])
     def test_threads_give_the_results_of_the_inline_path(self, monkeypatch, chunks, cpus):
@@ -583,10 +572,10 @@ class TestFitOnEveryCpu:
     def test_error_in_a_chunk_is_raised_in_the_caller(self, monkeypatch):
         calls, real = itertools.count(), measure._fit_chunk
 
-        def failing_second(kind, t, p):
+        def failing_second(t, p):
             if next(calls) == 1:
                 raise RuntimeError("second chunk failed")
-            return real(kind, t, p)
+            return real(t, p)
 
         monkeypatch.setattr(measure, "_fit_chunk", failing_second)
         monkeypatch.setattr(_runtime, "cpu_count", lambda: 2)
@@ -599,7 +588,7 @@ class TestFitOnEveryCpu:
 
 class TestUniformGrid:
     """Rows on a uniform time grid take closed-form sums, block-factored
-    data sums and the partial-sum start; they fit as on the general path."""
+    data sums and the partial-sum start."""
 
     def test_grid_classification(self):
         n = 360
@@ -608,7 +597,7 @@ class TestUniformGrid:
         off[1, 200] += 8 * np.spacing(grid[-1])
         off[2, 200] += 100 * np.spacing(grid[-1])
         off[3] = np.cumsum(np.random.default_rng(2).uniform(0.5, 1.5, n)) * 2.5e-7
-        assert measure._on_uniform_grid(off).tolist() == [True, True, False, False]
+        assert measure._on_uniform_grid(off, n).tolist() == [True, True, False, False]
 
     @pytest.mark.parametrize("n", [10, 126, 360])
     def test_closed_form_sums_equal_explicit_sums(self, n):
@@ -641,29 +630,18 @@ class TestUniformGrid:
         gamma, stderr, converged = om.fit_ringdowns(*_stacked(traces), skip_fraction)
         assert not converged.any() and np.isnan(gamma).all() and (stderr == np.inf).all()
 
-    def test_both_paths_from_the_same_start_agree(self, monkeypatch):
-        traces, _ = _random_traces(np.random.default_rng(21), 200, 400)
-        t, p = _stacked(traces)
-        t, p = t[:, 40:], p[:, 40:]
-        assert measure._on_uniform_grid(t).all()
-        uniform = measure._fit_chunk(measure._UniformGrid, t, p)
-        start = measure._UniformGrid(t, p).k0
-        monkeypatch.setattr(measure, "_initial_rate", lambda tau, p, amp, dx: start.copy())
-        general = measure._fit_chunk(measure._AnyGrid, t, p)
-        assert uniform[2].all() and general[2].all()
-        assert np.abs(general[0] / uniform[0] - 1).max() < 1e-12
-
     def test_kernel_peak_memory(self):
-        # the general path keeps tau, two buffers of its size and a copy of
-        # half of p: 3.6 chunk sizes on this chunk
+        # of arrays of p's size the kernel makes only the residual of the
+        # rows that finish in an iteration and, after a drop, a copy of the
+        # kept rows
         traces, _ = _random_traces(np.random.default_rng(3), 250, 400, (30.0, 100.0, 300.0))
         t, p = _stacked(traces)
         t, p = t[:, 40:], p[:, 40:]
-        assert measure._on_uniform_grid(t).all()
-        measure._fit_chunk(measure._UniformGrid, t, p)
+        assert measure._on_uniform_grid(t, 360).all()
+        measure._fit_chunk(t, p)
         tracemalloc.start()
         try:
-            measure._fit_chunk(measure._UniformGrid, t, p)
+            measure._fit_chunk(t, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
