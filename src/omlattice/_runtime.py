@@ -4,7 +4,8 @@ Every parallel stage of the package follows one policy:
 
 * a stage's rows (traces of a ringdown stack, samples of a disorder sigma
   point, rows of a noise block) are cut by :func:`row_chunks` into chunks of
-  about :data:`CHUNK_VALUES` values;
+  at most about :data:`CHUNK_VALUES` values of the stage's work, and into at
+  least one chunk per CPU;
 * :func:`on_all_cpus` runs the items on this thread and one helper thread
   per further CPU the process may use (none for fewer than two items),
   started and joined within the call;
@@ -26,21 +27,28 @@ from __future__ import annotations
 import os
 import threading
 
-# The most values one item holds: the traces x samples of one fit chunk
-# (one fit-kernel call), the matrix entries of one batched eigensolve of the
-# disorder ensemble, the noise values of one Generator call.  Enough to amortize numpy's per-call overhead, few enough
-# that an item's buffers stay in cache.  2**15 and 2**17 fitted slower on
-# criterion-5 stacks, serial and threaded.
+# The most values one item holds: per row, the values that one iteration of
+# the fit kernel works on (see measure.fit_ringdowns), the matrix entries of
+# one batched eigensolve of the disorder ensemble, the noise values of one
+# Generator call.  Enough to amortize numpy's per-call overhead, few enough
+# that an item's buffers stay in cache.  A criterion-5 stack of 1,000 traces
+# (49 values a row) fits in one such chunk, so on 2 CPUs it is cut in two.
+# Under this rule 2**15 and 2**17 gained nothing consistent over 2**16 in the
+# noise draw, the ensemble or the fit of a criterion-5 chain (two runs of 15
+# interleaved rounds on 2 CPUs).
 CHUNK_VALUES = 2**16
 
 
 def row_chunks(n_rows: int, row_values: int) -> list[slice]:
-    """Cut ``n_rows`` rows of ``row_values`` values each into chunks of
-    about :data:`CHUNK_VALUES` values: ``k = ceil(n_rows * row_values /
-    CHUNK_VALUES)`` chunks (none for no rows) of ``ceil(n_rows / k)`` rows,
-    the last one what is left, so no slice ends past ``n_rows``.
+    """Cut ``n_rows`` rows of ``row_values`` values each into ``k =
+    min(n_rows, max(cpu_count(), ceil(n_rows * row_values / CHUNK_VALUES)))``
+    chunks (none for no rows): at least one per CPU, and enough that each
+    holds about :data:`CHUNK_VALUES` values at most.  Each chunk has
+    ``ceil(n_rows / k)`` rows, the last one what is left, so no slice ends
+    past ``n_rows``.
     """
-    size = -(-n_rows // max(1, -(-n_rows * row_values // CHUNK_VALUES)))
+    chunks = min(n_rows, max(cpu_count(), -(-n_rows * row_values // CHUNK_VALUES)))
+    size = -(-n_rows // max(1, chunks))
     return [slice(lo, min(lo + size, n_rows)) for lo in range(0, n_rows, max(1, size))]
 
 

@@ -15,7 +15,9 @@ unreadable file (such as a ``--dataset`` directory), 3 numerical failure
 (including a dataset none of whose ringdowns could be fitted, a NaN or
 infinity that a JSON output cannot hold, and arrays too large for memory).
 Failures print one line to standard error; a usage error prints argparse's
-usage message.
+usage message.  Each warning, Python's or numpy's, is one line there too,
+``warning: <file>:<line>: <category>: <message>``, logged through
+:mod:`logging` while :func:`main` runs.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import shutil
 import sys
 import tempfile
@@ -353,7 +356,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _OneLine(logging.Formatter):
+    """The first line of a record: a captured warning without the source
+    line that :func:`warnings.formatwarning` puts under it."""
+
+    def format(self, record):
+        return super().format(record).split("\n", 1)[0]
+
+
 def main(argv=None) -> int:
+    handler = logging.StreamHandler()  # standard error as it is now
+    handler.setFormatter(_OneLine("warning: %(message)s"))
+    log = logging.getLogger("py.warnings")
+    log.addHandler(handler)
+    log.propagate = False
+    logging.captureWarnings(True)
+    try:
+        return _run(argv)
+    finally:
+        logging.captureWarnings(False)
+        log.propagate = True
+        log.removeHandler(handler)
+
+
+def _run(argv) -> int:
     args = vars(build_parser().parse_args(argv))
     command, config_path, out = args.pop("command"), args.pop("config"), args.pop("out")
     try:

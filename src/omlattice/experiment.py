@@ -41,6 +41,7 @@ from .measure import (
     RingdownFitError,
     RingdownTrace,
     _hamiltonian_from_modes,
+    _on_uniform_grid,
     assign_signs,
     damping_slope,
     fit_ringdowns,
@@ -345,8 +346,8 @@ class MeasurementDataset:
         gets slope 0, except that a sweep of only 2 powers keeps the ungated
         slope of pairs with both fitted.
         Raises :class:`~omlattice.measure.RingdownFitError` only when no
-        trace at all could be fitted, and ``ValueError`` when a trace is off
-        its grid.
+        trace at all could be fitted, and ``ValueError`` naming the (mode,
+        site, power_index) of the lowest trace off its grid.
 
         Slopes smaller than ``SLOPE_GATE_SIGMAS`` times their regression
         standard error are set to zero: at modeshape nodes the true slope
@@ -363,7 +364,15 @@ class MeasurementDataset:
         for size in sizes[sizes >= MIN_FIT_SAMPLES]:
             # a boolean mask copies the rows it picks; a slice does not
             rows = lengths == size if sizes.size > 1 else slice(None)
-            gammas[rows], errors[rows], _ = fit_ringdowns(times[rows, :size], powers[rows, :size])
+            try:
+                gammas[rows], errors[rows], _ = fit_ringdowns(times[rows, :size], powers[rows, :size])
+            except ValueError:  # it names a row of this length group; name the trace
+                off = ~_on_uniform_grid(times[rows, :size], size)
+                if not off.any():
+                    raise
+                k, i, p = np.unravel_index(np.flatnonzero(lengths == size)[np.argmax(off)], shape)
+                raise ValueError(f"trace of mode {k}, site {i}, power_index {p}: times must lie on "
+                                 "a uniform grid") from None
         gammas, errors = gammas.reshape(shape), errors.reshape(shape)
         fitted = np.isfinite(gammas)
         if not fitted.any():

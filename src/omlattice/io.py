@@ -37,6 +37,12 @@ MAX_RANGE_STEPS = 10_000  # the most steps a start:stop:step range may take
 # (2 n_cells)^2 Hamiltonian, whose 16-byte entries must fit in the 2^47-byte
 # (128 TiB) address space of a 64-bit process.
 MAX_N_CELLS = math.isqrt(2**47 // 16) // 2
+# The most 8-byte values one array can hold in that address space.
+# [measurement] samples_per_trace and n_powers and [disorder] samples each
+# size such an array on their own (a trace's times, the drive fluxes, a
+# sigma point's zetas), so a larger value cannot run.
+MAX_ARRAY_VALUES = 2**47 // 8
+_FITS = "so that its array fits in a 64-bit address space"
 
 
 def _float_list(raw: str, name: str) -> list[float]:
@@ -112,19 +118,22 @@ _KEYS = {
         "transmittance": _Key("list", "1.0", *_POSITIVE),
     },
     "measurement": {
-        "n_powers": _Key("integer", "10", "an integer >= 2", lambda v: v >= 2),
+        "n_powers": _Key("integer", "10", f"an integer in [2, {MAX_ARRAY_VALUES}], {_FITS}",
+                         lambda v: 2 <= v <= MAX_ARRAY_VALUES),
         "drive_flux_max": _Key("number", "auto", *_POSITIVE, words=("auto",)),
         "snr": _Key("number", "100", *_POSITIVE, words=("inf", "none")),
         # outside about [1e-150, 1e150] the fits' sums of squares leave float range
         "p0": _Key("number", "1.0", "a number in [1e-100, 1e100]", lambda v: 1e-100 <= v <= 1e100),
-        "samples_per_trace": _Key("integer", "140", f"an integer >= {MIN_FIT_SAMPLES}",
-                                  lambda v: v >= MIN_FIT_SAMPLES),
+        "samples_per_trace": _Key("integer", "140",
+                                  f"an integer in [{MIN_FIT_SAMPLES}, {MAX_ARRAY_VALUES}], {_FITS}",
+                                  lambda v: MIN_FIT_SAMPLES <= v <= MAX_ARRAY_VALUES),
         "seed": _Key("integer", "0", "an integer >= 0", lambda v: v >= 0),
     },
     "disorder": {
         "sigma_grid": _Key("list", _REQUIRED, f"a number in [0, {_MAX_SIGMA}]",
                            lambda v: 0 <= v <= _MAX_SIGMA),
-        "samples": _Key("integer", "4000", "an integer >= 1", lambda v: v >= 1),
+        "samples": _Key("integer", "4000", f"an integer in [1, {MAX_ARRAY_VALUES}], {_FITS}",
+                        lambda v: 1 <= v <= MAX_ARRAY_VALUES),
         "seed": _Key("integer", "0", "an integer >= 0", lambda v: v >= 0),
         "zeta_measured": _Key("number", None, *_FRACTION),
         "confidence": _Key("number", "0.9", f"one of {', '.join(map(str, _CONFIDENCES))}",

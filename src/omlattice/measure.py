@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._runtime import on_all_cpus, row_chunks
+from ._runtime import CHUNK_VALUES, on_all_cpus, row_chunks
 from .lattice import ModeSet, CouplingHamiltonian, ParticipationMatrix, SIGN_EPS
 
 TWO_PI = 2.0 * np.pi
@@ -248,25 +248,41 @@ def trace_fault(times: np.ndarray, powers: np.ndarray, samples) -> tuple[tuple[i
 _GRID_ULPS = 32
 
 
+def _row_blocks(n_rows: int, row_values: int) -> list[slice]:
+    """Runs of consecutive rows of at most :data:`CHUNK_VALUES` values each
+    (one row at least): the blocks in which the grid check and the residual
+    make their arrays of a row's size, so that neither grows with a chunk."""
+    size = max(1, CHUNK_VALUES // row_values)
+    return [slice(lo, lo + size) for lo in range(0, n_rows, size)]
+
+
 def _on_uniform_grid(t, samples):
     """Which traces of ``t`` lie on a uniform grid (see :data:`_GRID_ULPS`):
     trace ``j``, one per index of the leading axes, is the first
     ``samples[j]`` entries along the last (``samples`` broadcasts), and one
-    of at most 1 sample passes.  A NaN or infinite time is off the grid."""
-    n = np.asarray(samples)
-    j = np.arange(t.shape[-1])
-    first = t[..., 0]
-    index = np.maximum(n - 1, 0)
-    last = np.take_along_axis(t, index.reshape(index.shape + (1,) * (t.ndim - n.ndim)), axis=-1)[..., 0]
+    of at most 1 sample passes.  A NaN or infinite time is off the grid.
+    The traces are checked in :func:`_row_blocks`."""
+    rows = t.reshape(-1, t.shape[-1])
+    n = np.broadcast_to(samples, t.shape[:-1]).reshape(-1)
+    on_grid = np.empty(n.size, dtype=bool)
+    for block in _row_blocks(n.size, t.shape[-1]):
+        on_grid[block] = _rows_on_grid(rows[block], n[block])
+    return on_grid.reshape(t.shape[:-1])
+
+
+def _rows_on_grid(t, n):
+    """:func:`_on_uniform_grid` of the rows of a (rows, samples) block."""
+    j = np.arange(t.shape[1], dtype=float)
+    first = t[:, 0]
+    last = np.take_along_axis(t, np.maximum(n - 1, 0)[:, None], axis=1)[:, 0]
     with np.errstate(all="ignore"):
         # t_j - j (last - first) / (n - 1) is first, to the tolerance, on the grid
         offset = np.multiply.outer((last - first) / np.maximum(n - 1, 1), j)
         np.subtract(t, offset, out=offset)
-        padding = j >= n[..., None]
-        if padding.any():
-            np.copyto(offset, first[..., None], where=padding)
+        if n.min() < t.shape[1]:
+            np.copyto(offset, first[:, None], where=j >= n[:, None])
         tol = _GRID_ULPS * np.spacing(np.maximum(np.abs(first), np.abs(last)))
-        return (offset.max(axis=-1) - first <= tol) & (first - offset.min(axis=-1) <= tol) | (n < 2)
+        return (offset.max(axis=1) - first <= tol) & (first - offset.min(axis=1) <= tol) | (n < 2)
 
 
 def simulate_ringdown(
@@ -340,10 +356,12 @@ def fit_ringdowns(times, powers, skip_fraction: float = 0.1):
     with a warning.
 
     The rows are cut into chunks and fitted on every CPU the process may
-    use, as :mod:`omlattice._runtime` describes: each chunk checks its
-    rows' grid, then makes one :func:`_fit_chunk` call.  No sum mixes rows,
-    so the results are bit-identical to a row-by-row fit whatever the
-    number of CPUs.
+    use, as :mod:`omlattice._runtime` describes, at least one chunk per CPU.
+    A row counts for its work in one iteration of the kernel, the ``m + n /
+    m`` values of :class:`_UniformGrid` (49 for 360 samples), not for its
+    ``n`` samples.  Each chunk checks its rows' grid, then makes one
+    :func:`_fit_chunk` call.  No sum mixes rows, so the results are
+    bit-identical to a row-by-row fit whatever the number of CPUs.
     """
     times = np.atleast_2d(np.asarray(times, dtype=float))
     p = np.atleast_2d(np.asarray(powers, dtype=float))
@@ -368,7 +386,8 @@ def fit_ringdowns(times, powers, skip_fraction: float = 0.1):
         if not off_grid:
             gamma[rows], stderr[rows], converged[rows] = _fit_chunk(t[rows], p[rows])
 
-    on_all_cpus(fit, row_chunks(n_rows, t.shape[1]))
+    m = _block_width(t.shape[1])
+    on_all_cpus(fit, row_chunks(n_rows, m + t.shape[1] // m))
     if off_grid:
         raise ValueError(f"row {min(off_grid)}: times must lie on a uniform grid")
     if np.any(gamma < 0):
@@ -418,11 +437,12 @@ def _grid_moments(u, n, total=None):
     ``1 / expm1(x) - n / expm1(n x)`` and variance ``1 / (4 sinh^2(x/2)) -
     n^2 / (4 sinh^2(n x/2))``, with ``4 sinh^2(y/2) = -expm1(y) expm1(-y)``;
     below :data:`_SERIES_SPAN` the mean and variance take their power
-    series instead.  No array holds more than two values per row: numpy
+    series instead.  No array holds more than two values per row.  numpy
     hands the interpreter lock to another thread in every call on more than
-    500 values, and each handover while another chunk's thread waits costs
-    more than the call (measured on two CPUs), so that on chunks of up to
-    250 rows these calls keep the lock."""
+    500 values, so on chunks of more than 250 rows these calls do; at 500
+    rows, a criterion-5 stack on two CPUs, splitting them into halves that
+    keep the lock changed nothing measurable (17.0 against 17.1 ms per fit,
+    medians of 120 interleaved fits)."""
     x = np.multiply.outer((1.0, 2.0), u)
     nx = n * x
     plus, plus_n = np.expm1(x), np.expm1(nx)
@@ -455,6 +475,12 @@ def _grid_moments(u, n, total=None):
 _N, _SEE, _STTE, _SE, _STE, _STEE, _SUM_P, _SPE, _SPTE, _SUM_PP, _SLACK = range(11)
 
 
+def _block_width(n: int) -> int:
+    """The width ``m`` of the blocks :class:`_UniformGrid` cuts a row of
+    ``n`` samples into: the least divisor of ``n`` from ``2 sqrt(n)``."""
+    return next(d for d in range(min(math.isqrt(4 * n - 1) + 1, n), n + 1) if n % d == 0)
+
+
 class _UniformGrid:
     """Sums and start of rows on a uniform time grid ``tau_j = tau_0 + h j``
     (``tau = t / max|t|``).  With ``e_j = exp(-k h j)``, which differs
@@ -464,12 +490,14 @@ class _UniformGrid:
     over ``p``: a row is an ``(n / m, m)`` block, ``j = m a + b``,
     ``e_j = exp(-k h m a) exp(-k h b)`` and ``tau_j = (tau_0 + h m a) + h
     b``, so that each iteration takes ``exp`` of ``m + n / m`` values per
-    row (``m`` the least divisor of ``n`` from ``2 sqrt(n)``) and makes one
-    pass over ``p``; each product of the batch multiplies one row's own
-    blocks, so no product mixes rows.  The start is Cornell's partial-sum
-    estimate.  Of arrays of ``p``'s size it makes only the residual of the
-    rows that finish in an iteration and, after a drop, a copy of the kept
-    rows."""
+    row (``m`` from :func:`_block_width`) into one buffer that every
+    iteration reuses, and makes one pass over ``p``; each product of the
+    batch multiplies one row's own blocks, so no product mixes rows.  The
+    start is Cornell's partial-sum estimate.  Of arrays of ``p``'s size it
+    makes only, after a drop, a copy of the kept rows; the residual of the
+    rows that finish in an iteration is made in :func:`_row_blocks`, whose
+    copy of ``p`` and model together hold at most :data:`CHUNK_VALUES`
+    values."""
 
     def __init__(self, t, p):
         n = t.shape[1]
@@ -478,7 +506,7 @@ class _UniformGrid:
         self.tau0 = first / self.scale
         self.h = (last - first) / ((n - 1) * self.scale)
         self.n = n
-        self.m = m = next(d for d in range(min(math.isqrt(4 * n - 1) + 1, n), n + 1) if n % d == 0)
+        self.m = m = _block_width(n)
         self.blocks = blocks = n // m
         b, block = np.arange(m, dtype=float), m * np.arange(blocks, dtype=float)
         # the factors exp(-u b) and exp(-u m a) of e_j, and their weights
@@ -487,6 +515,7 @@ class _UniformGrid:
         self.weights = np.concatenate((np.multiply.outer(self.h, b),
                                        self.tau0[:, None] + np.multiply.outer(self.h, block)), axis=1)
         self.p = p
+        self.buffer = np.empty((p.shape[0], 2, m + blocks))
         self.sum_pp = _row_dot(p, p)
         self.k0, self.sum_p = self._partial_sum_rate(p)
 
@@ -535,8 +564,8 @@ class _UniformGrid:
         # residual of this iteration; per row and block a, sum_b p exp(-u b)
         # and sum_b p h b exp(-u b), then the blocks against exp(-u m a) and
         # (tau_0 + h m a) exp(-u m a)
-        self.exps = exps = np.empty((rows, 2, m + blocks))
-        np.exp(np.multiply.outer(u, self.factors), out=exps[:, 0])
+        self.exps = exps = self.buffer[:rows]
+        np.exp(np.multiply.outer(u, self.factors, out=exps[:, 0]), out=exps[:, 0])
         np.multiply(exps[:, 0], self.weights, out=exps[:, 1])
         inner = np.matmul(self.p.reshape(rows, blocks, m), exps[:, :, :m].transpose(0, 2, 1))
         outer = np.matmul(inner.transpose(0, 2, 1), exps[:, :, m:].transpose(0, 2, 1))
@@ -544,11 +573,19 @@ class _UniformGrid:
         np.add(outer[:, 0, 1], outer[:, 1, 0], out=out[_SPTE])
 
     def residual(self, finished, a, c):
-        m, exps = self.m, self.exps[finished, 0]
+        r2 = np.empty(finished.size)
+        # a row's copy of p and its model: 2 n values
+        for block in _row_blocks(finished.size, 2 * self.n):
+            r2[block] = self._squared_residual(finished[block], a[block], c[block])
+        return r2
+
+    def _squared_residual(self, rows, a, c):
+        """The residual sum of squares of ``rows``."""
+        m, exps = self.m, self.exps[rows, 0]
         outer = np.multiply(exps[:, m:], a[:, None])
-        r = np.multiply(outer[:, :, None], exps[:, None, :m]).reshape(finished.size, self.n)
-        np.subtract(self.p[finished], r, out=r)
-        np.subtract(r, c[:, None], out=r)
+        r = self.p[rows]
+        r -= np.multiply(outer[:, :, None], exps[:, None, :m]).reshape(rows.size, self.n)
+        r -= c[:, None]
         return _row_dot(r, r)
 
     def keep(self, kept):

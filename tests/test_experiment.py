@@ -538,6 +538,20 @@ class TestFitAll:
         assert np.array_equal(loaded.fit_all(), ds.fit_all())
         assert np.array_equal(loaded.fitted_gammas, ds.fitted_gammas)
 
+    @pytest.mark.parametrize("shortened", [False, True], ids=["one-length", "two-lengths"])
+    @pytest.mark.parametrize("call", ["fit_all", "recover"])
+    def test_trace_off_its_grid_is_named_by_mode_site_and_power(self, call, shortened):
+        # the kernel names a row of the stack of one trace length; with a
+        # shorter trace before it, that row is not the trace's flat index
+        h, ds = self.noisy_dataset()
+        if shortened:
+            ds.samples[0, 0, 0] = 150
+        trace = ds.times[1, 2, 0]
+        trace[50] += (trace[51] - trace[50]) / 4
+        with pytest.raises(ValueError, match=r"^trace of mode 1, site 2, power_index 0: times must "
+                                             r"lie on a uniform grid$"):
+            ds.fit_all() if call == "fit_all" else om.recover(ds, om.diagonalize(h))
+
     def test_too_short_trace_counts_as_failed_fit(self):
         h, ds = self.noisy_dataset()
         ds.samples[2, 0, 5] = 5

@@ -1,6 +1,7 @@
 import configparser
 import functools
 import json
+import logging
 import operator
 import os
 import re
@@ -159,6 +160,14 @@ OUTSIDE_THE_MODEL = [
     ("measure-sim", "measurement", "seed", "%(x)s"),  # read as written, not interpolated
     ("measure-sim", "measurement", "n_powers", "ten"),
     ("disorder", "disorder", "samples", "1e3"),
+    # beyond io.MAX_ARRAY_VALUES, one array of that size alone would not fit
+    # in a 64-bit address space
+    ("measure-sim", "measurement", "samples_per_trace", str(2**44 + 1)),
+    ("measure-sim", "measurement", "samples_per_trace", str(10**20)),
+    ("measure-sim", "measurement", "n_powers", str(10**14)),
+    ("measure-sim", "measurement", "n_powers", str(10**20)),
+    ("disorder", "disorder", "samples", str(10**14)),
+    ("disorder", "disorder", "samples", str(10**20)),
     ("spectrum", "couplings", "j_hz", "abc"),
     ("measure-sim", "measurement", "p0", "x"),
     ("measure-sim", "measurement", "snr", "abc"),
@@ -750,6 +759,31 @@ class TestCliMeasureAndRecover:
         assert err.startswith("numerical failure: no positive damping-power slope for modes [")
         assert len(err.strip().splitlines()) == 1 and not out.exists()
 
+    def test_warning_before_a_failure_is_one_line(self, tmp_path, capsys):
+        # the fits warn of a negative rate, then no slope passes the gate
+        cfg = edited_config(tmp_path, "measurement", "snr", "1e-30")
+        dataset, out = tmp_path / "dataset", tmp_path / "out"
+        assert main(["measure-sim", "--config", str(cfg), "--out", str(dataset)]) == 0
+        capsys.readouterr()
+        showwarning = warnings.showwarning
+        assert main(["recover", "--config", str(cfg), "--dataset", str(dataset),
+                     "--out", str(out)]) == 3
+        warning, failure = capsys.readouterr().err.splitlines()
+        assert warning.startswith("warning: ")
+        assert warning.endswith(": UserWarning: fitted ringdown rate is negative; clipping to 0")
+        assert failure.startswith("numerical failure: no positive damping-power slope for modes [")
+        assert warnings.showwarning is showwarning
+        assert logging.getLogger("py.warnings").handlers == []
+
+    @pytest.mark.parametrize("samples", [1, 2, 3])
+    def test_warning_of_a_run_that_succeeds_is_one_line(self, tmp_path, capsys, samples):
+        cfg = edited_config(tmp_path, "disorder", "samples", str(samples))
+        assert main(["disorder", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        (warning,) = capsys.readouterr().err.splitlines()
+        assert warning.startswith("warning: ")
+        assert warning.endswith(f": UserWarning: {samples} samples per point is below 100; "
+                                "percentile bands will be unreliable")
+
     # with each of these, a sum of squared fluxes or rates in the slope
     # regression leaves float range unless it is scaled
     @pytest.mark.filterwarnings("error")
@@ -882,15 +916,15 @@ class TestCliMeasureAndRecover:
         assert err.startswith(f"configuration error: [{section}] {key} ")
         assert not out.exists()
 
-    # each size's first array is larger than the 128 TiB address space of a
-    # 64-bit process, so it is refused at once whatever the overcommit policy
+    # the largest sample count the key allows: the first array, of 4 values
+    # a sample, is larger than the 128 TiB address space of a 64-bit
+    # process, so it is refused at once whatever the overcommit policy
     @pytest.mark.parametrize("command, section, key", [
         ("disorder", "disorder", "samples"),
-        ("measure-sim", "measurement", "n_powers"),
     ])
     def test_size_beyond_memory_exits_3_with_one_line(self, tmp_path, capsys, command, section,
                                                       key):
-        cfg = edited_config(tmp_path, section, key, str(10**14))
+        cfg = edited_config(tmp_path, section, key, str(om_io.MAX_ARRAY_VALUES))
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err

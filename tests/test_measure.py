@@ -461,11 +461,13 @@ class TestFitOnEveryCpu:
         monkeypatch.setattr(measure, "_fit_chunk", recording)
         return calls
 
+    # a row of 126 samples (140 less the skipped head) is 42 + 3 values of
+    # the kernel's work, so each stack fits in one chunk of 2**16 values and
+    # is cut into one chunk per CPU
     @pytest.mark.parametrize("rows, expected_chunks", [
         (1, [1]),
-        # one chunk's worth of 126-sample rows (140 less the skipped head), plus one
         (2**16 // 126 + 1, [261, 260]),
-        (1152, [384, 384, 384]),
+        (1152, [576, 576]),
     ])
     def test_stack_fits_bit_for_bit_like_row_by_row(self, monkeypatch, chunks, rows,
                                                     expected_chunks):
@@ -478,11 +480,12 @@ class TestFitOnEveryCpu:
         chunks.clear()
         _assert_same_fits(got, _row_by_row(times, powers))
 
-    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_rows_off_the_grid_are_refused_naming_the_lowest(self, monkeypatch, cpus):
-        # three chunks of 384 rows: jittered rows 700 and 1000 in the second
-        # and third, and row 500, off the grid in its skipped head alone
-        # (its samples from 14 on lie on one), so rows are checked as given
+        # one chunk per CPU: on 3, chunks of 384 rows, jittered rows 700 and
+        # 1000 in the second and third; row 500, off the grid in its skipped
+        # head alone (its samples from 14 on lie on one), so rows are checked
+        # as given
         monkeypatch.setattr(_runtime, "cpu_count", lambda: cpus)
         times, powers = _stack_with_degenerate_rows(1152, 140)
         jittered, _ = _random_traces(np.random.default_rng(31), 2, 140, jitter=True)
@@ -507,7 +510,7 @@ class TestFitOnEveryCpu:
         before = threading.active_count()
         _assert_same_fits(om.fit_ringdowns(times, powers), inline)
         assert threading.active_count() == before
-        assert len(chunks) == 6 and "omlattice-fit" in {call.thread for call in chunks}
+        assert len(chunks) == cpus and "omlattice-fit" in {call.thread for call in chunks}
         if caller_cpus is not None:
             # each helper pinned to one CPU; the calling thread left as it was
             assert all(len(call.cpus) == 1 for call in chunks if call.thread == "omlattice-fit")
@@ -563,11 +566,51 @@ class TestFitOnEveryCpu:
         assert gamma.shape == stderr.shape == converged.shape == (0,)
         assert (gamma.dtype, stderr.dtype, converged.dtype) == (float, float, bool)
 
-    def test_last_chunk_ends_at_the_last_row(self):
+    def test_last_chunk_ends_at_the_last_row(self, monkeypatch):
         # a noise run's draw takes its size from its slice: 400 rows of 1000
         # values are 7 chunks of 58 rows, the last of 52
+        monkeypatch.setattr(_runtime, "cpu_count", lambda: 2)
         assert _runtime.row_chunks(400, 1000) == [slice(lo, min(lo + 58, 400))
                                                   for lo in range(0, 400, 58)]
+
+    @pytest.mark.parametrize("cpus, rows, values, sizes", [
+        (1, 1000, 49, [1000]),
+        (2, 1000, 49, [500, 500]),
+        (8, 1000, 49, [125] * 8),
+        # more chunks than CPUs when the values call for them
+        (2, 4000, 100, [572] * 6 + [568]),
+        # no chunk without a row
+        (8, 3, 49, [1, 1, 1]),
+        (2, 1, 10**6, [1]),
+    ])
+    def test_chunks_hold_at_most_a_chunk_of_values_and_are_at_least_one_per_cpu(
+            self, monkeypatch, cpus, rows, values, sizes):
+        monkeypatch.setattr(_runtime, "cpu_count", lambda: cpus)
+        chunks = _runtime.row_chunks(rows, values)
+        assert [c.stop - c.start for c in chunks] == sizes
+        assert chunks[0].start == 0 and chunks[-1].stop == rows
+        assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+
+    def test_fit_peak_memory_does_not_grow_with_the_chunk(self, monkeypatch, random_chain):
+        # a criterion-5 stack: two chunks of 500 rows of 360 samples in
+        # flight; the grid check and the residual work in blocks of 2**16
+        # values and the exp buffer is reused, so that the peak stays below
+        # the size of either input (3.2 MB)
+        paper = om.Couplings(j=470e6, j_prime=700e6, j2=100e6, j3=27e6, j3_prime=37e6)
+        h, sites, readouts = random_chain(1000, paper)
+        flux = om.calibrate_drive_flux(h, sites, readouts)
+        dataset = om.simulate_measurement(h, sites, readouts, np.linspace(flux / 10, flux, 10),
+                                          master_seed=0, snr=100.0, samples_per_trace=400)
+        times, powers = dataset.times.reshape(1000, 400), dataset.powers.reshape(1000, 400)
+        monkeypatch.setattr(_runtime, "cpu_count", lambda: 2)
+        om.fit_ringdowns(times, powers)
+        tracemalloc.start()
+        try:
+            om.fit_ringdowns(times, powers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5e6
 
     def test_error_in_a_chunk_is_raised_in_the_caller(self, monkeypatch):
         calls, real = itertools.count(), measure._fit_chunk
