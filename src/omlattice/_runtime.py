@@ -3,9 +3,9 @@
 Every parallel stage of the package follows one policy:
 
 * a stage's rows (traces of a ringdown stack, samples of a disorder sigma
-  point, rows of a noise block) are cut by :func:`row_chunks` into chunks of
-  at most about :data:`CHUNK_VALUES` values of the stage's work, and into at
-  least one chunk per CPU;
+  point, rows of a noise block) are cut by :func:`row_chunks` into the
+  fewest chunks of at most about :data:`CHUNK_VALUES` values of the stage's
+  work each, so a stage of one chunk runs on the calling thread alone;
 * :func:`on_all_cpus` runs the items on this thread and one helper thread
   per further CPU the process may use (none for fewer than two items),
   started and joined within the call;
@@ -32,24 +32,33 @@ import threading
 # one batched eigensolve of the disorder ensemble, the noise values of one
 # Generator call.  Enough to amortize numpy's per-call overhead, few enough
 # that an item's buffers stay in cache.  A criterion-5 stack of 1,000 traces
-# (49 values a row) fits in one such chunk, so on 2 CPUs it is cut in two.
-# Under this rule 2**15 and 2**17 gained nothing consistent over 2**16 in the
-# noise draw, the ensemble or the fit of a criterion-5 chain (two runs of 15
-# interleaved rounds on 2 CPUs).
+# (49 values a row) and the flake's of 1,152 (45) each fit in one such chunk,
+# so they are fitted on the calling thread: the fit kernel holds the
+# interpreter lock through most of its small numpy calls, and on 2 CPUs two
+# threads on two chunks fitted the flake's stack slower than one thread and
+# a criterion-5 stack no faster.  2**15 and 2**17 gained nothing consistent
+# over 2**16 in the noise draw or the ensemble (two runs of 15 interleaved
+# rounds on 2 CPUs).
 CHUNK_VALUES = 2**16
 
 
 def row_chunks(n_rows: int, row_values: int) -> list[slice]:
     """Cut ``n_rows`` rows of ``row_values`` values each into ``k =
-    min(n_rows, max(cpu_count(), ceil(n_rows * row_values / CHUNK_VALUES)))``
-    chunks (none for no rows): at least one per CPU, and enough that each
-    holds about :data:`CHUNK_VALUES` values at most.  Each chunk has
-    ``ceil(n_rows / k)`` rows, the last one what is left, so no slice ends
-    past ``n_rows``.
+    min(n_rows, ceil(n_rows * row_values / CHUNK_VALUES))`` chunks (none for
+    no rows): the fewest that hold about :data:`CHUNK_VALUES` values each at
+    most, so that a stage of at most one chunk of work runs on the calling
+    thread alone.  Each chunk has :func:`chunk_rows` rows, the last one what
+    is left, so no slice ends past ``n_rows``.
     """
-    chunks = min(n_rows, max(cpu_count(), -(-n_rows * row_values // CHUNK_VALUES)))
-    size = -(-n_rows // max(1, chunks))
-    return [slice(lo, min(lo + size, n_rows)) for lo in range(0, n_rows, max(1, size))]
+    size = chunk_rows(n_rows, row_values)
+    return [slice(lo, min(lo + size, n_rows)) for lo in range(0, n_rows, size)]
+
+
+def chunk_rows(n_rows: int, row_values: int) -> int:
+    """The rows of each chunk that :func:`row_chunks` cuts, ``ceil(n_rows /
+    k)`` (1 for no rows), without building the list of chunks."""
+    chunks = min(n_rows, -(-n_rows * row_values // CHUNK_VALUES))
+    return max(1, -(-n_rows // max(1, chunks)))
 
 
 def cpu_count() -> int:

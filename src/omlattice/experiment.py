@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._runtime import on_all_cpus, row_chunks
+from ._runtime import chunk_rows, on_all_cpus
 from .io import ConfigError, matrix_from_csv, matrix_to_csv
 from .lattice import (CouplingHamiltonian, ModeSet, ParticipationMatrix, SiteParams, _check_lc_spectrum,
                       diagonalize, participation)
@@ -231,9 +231,12 @@ def _read_traces(samples: np.ndarray, path: Path, trace_path: Path) -> dict:
         raise ConfigError(f"dataset manifest {path}: padding its {samples.size} traces to the longest "
                           f"({longest} samples) would hold {samples.size * longest} samples for "
                           f"{width} samples of data")
-    present = np.arange(longest) < samples[..., None]
-    times, powers = np.zeros((2,) + present.shape)
-    times[present], powers[present] = data
+    if samples.size * longest == width:  # every trace full-length: views of the loaded block
+        times, powers = data.reshape((2, *samples.shape, longest))
+    else:
+        present = np.arange(longest) < samples[..., None]
+        times, powers = np.zeros((2,) + present.shape)
+        times[present], powers[present] = data
     fault = trace_fault(times, powers, samples)
     if fault is not None:
         (k, i, p), rule = fault
@@ -418,7 +421,13 @@ class MeasurementDataset:
         naming the trace when one breaks the rules of
         :class:`~omlattice.measure.RingdownTrace`, or naming ``h_true`` when
         it is complex: files hold real matrices only.  So :meth:`load` never
-        refuses what ``save`` wrote."""
+        refuses what ``save`` wrote.
+
+        ``traces.npy`` holds the bytes of the file ``np.save`` writes for the
+        stacked present samples.  When every trace is full-length, as in
+        every dataset :func:`simulate_measurement` makes, they are the bytes
+        of ``times`` and then ``powers`` as they stand; otherwise a mask
+        gathers the present samples of each first."""
         if self.h_true is not None and np.iscomplexobj(self.h_true.matrix):
             raise ValueError("cannot save the dataset: 'h_true' is complex; h_true.csv holds real "
                              "matrices only")
@@ -442,13 +451,22 @@ class MeasurementDataset:
             manifest[key] = np.asarray(value).tolist()
         directory = Path(directory)
         (directory / "traces").mkdir(parents=True, exist_ok=True)
-        present = np.arange(self.times.shape[-1]) < self.samples[..., None]
         # json.dumps without indent runs the C encoder; json.dump never does
         with open(directory / "manifest.json", "w") as fh:
             fh.write(json.dumps(manifest, sort_keys=True))
         if self.h_true is not None:
             matrix_to_csv(directory / "h_true.csv", self.h_true.matrix, self.h_true.site_labels)
-        np.save(directory / TRACE_FILE, np.stack((self.times[present], self.powers[present])))
+        if (self.samples == self.times.shape[-1]).all():  # every trace full-length
+            rows = self.times, self.powers
+        else:
+            present = np.arange(self.times.shape[-1]) < self.samples[..., None]
+            rows = self.times[present], self.powers[present]
+        # the file np.save writes for np.stack(rows), without the stacked copy
+        with open(directory / TRACE_FILE, "wb") as fh:
+            np.lib.format.write_array_header_1_0(
+                fh, {"descr": "<f8", "fortran_order": False, "shape": (2, rows[0].size)})
+            for row in rows:
+                np.asarray(row, dtype="<f8").tofile(fh)
 
     @classmethod
     def load(cls, directory) -> "MeasurementDataset":
@@ -456,7 +474,12 @@ class MeasurementDataset:
         ``io.ConfigError`` naming the file when the manifest, trace data or
         ``h_true.csv`` are malformed or the manifest is of an earlier
         version (the message names the last commit with a converter),
-        ``OSError`` when a file is missing."""
+        ``OSError`` when a file is missing.
+
+        ``times`` and ``powers`` are two writable views of one block.  When
+        every trace is full-length, the block is the loaded ``(2, total
+        samples)`` array itself, reshaped; otherwise it is zero-padded to
+        the longest trace, and the samples are scattered into it."""
         directory = Path(directory)
         path, h_path = directory / "manifest.json", directory / "h_true.csv"
         values = read_manifest(path)
@@ -606,9 +629,12 @@ def simulate_measurement(
         raise ValueError(f"the noise standard deviation p0 / snr = {noise_sigma:g} and the noise floor "
                          f"of {NOISE_FLOOR_SIGMAS:g} times it must be finite; got p0 = {p0!r}, snr = {snr!r}")
     shape = (h.n_sites, h.n_sites, fluxes.size)
-    # each run of consecutive rows of the noise block: its samples, the shape of its draw
-    runs = row_chunks(samples_per_trace, h.n_sites ** 2 * fluxes.size)
-    shapes = [(run.stop - run.start, *shape) for run in runs]
+    # the noise block's runs of consecutive rows, `run` rows from each of
+    # `starts` (the last run what is left), sized as row_chunks would cut
+    # them but without a list of them, so that a block beyond memory fails
+    # at its first allocation
+    run = chunk_rows(samples_per_trace, h.n_sites ** 2 * fluxes.size)
+    starts = range(0, samples_per_trace, run)
 
     def noiseless():
         mech_freqs = np.array([s.mech_freq for s in sites], dtype=float)
@@ -639,14 +665,18 @@ def simulate_measurement(
     tasks = [lambda: block.extend(noiseless())]
     if noise_sigma > 0:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed)))
-        tasks.append(lambda: head.extend(rng.normal(0.0, noise_sigma, s) for s in shapes[:2]))
+
+        def draw(start):
+            return rng.normal(0.0, noise_sigma, (min(run, samples_per_trace - start), *shape))
+
+        tasks.append(lambda: head.extend(map(draw, starts[:2])))
     on_all_cpus(lambda task: task(), tasks)
     modes, mech_freqs, mech_linewidths, gamma, times, powers = block
     if noise_sigma > 0:
-        for j, run in enumerate(runs):
+        for j, start in enumerate(starts):
             # the runs after the first two are drawn here, from the same stream
-            noise = head[j] if j < len(head) else rng.normal(0.0, noise_sigma, shapes[j])
-            powers[..., run] += np.moveaxis(noise, 0, -1)
+            noise = head[j] if j < len(head) else draw(start)
+            powers[..., start:start + run] += np.moveaxis(noise, 0, -1)
     np.clip(powers, 0.0, None, out=powers)
     return MeasurementDataset(
         mode_freqs=modes.eigenfreqs.copy(),

@@ -90,8 +90,8 @@ _KINDS = [t.value for t in Topology]
 _CONFIDENCES = sorted(_BAND_PERCENTILES)
 
 # Every key of every section.  Conditions that tie keys together are checked by
-# load_config (|M| < L, |M'| < L) or by what is built from them (list lengths,
-# kappa_1 + kappa_2 <= kappa_tot).
+# load_config (|M| < L, |M'| < L, drive_flux_max / n_powers > 0) or by what is
+# built from them (list lengths, kappa_1 + kappa_2 <= kappa_tot).
 _KEYS = {
     "lattice": {
         "kind": _Key("text", _REQUIRED, f"one of {', '.join(_KINDS)}", lambda v: v in _KINDS),
@@ -223,6 +223,11 @@ def load_config(path) -> RunConfig:
                 and not abs(circuit[key]) < circuit["inductance_h"]:
             raise ConfigError(f"[circuit] {key} must be smaller than inductance_h in magnitude, "
                               f"got {circuit[key]} and {circuit['inductance_h']}")
+    meas = read.get("measurement", {})
+    # measure-sim sweeps drive_flux_max / n_powers ... drive_flux_max
+    if meas.get("drive_flux_max") is not None and not meas["drive_flux_max"] / meas["n_powers"] > 0:
+        raise ConfigError(f"[measurement] drive_flux_max / n_powers, the weakest drive, must be > 0, "
+                          f"got {meas['drive_flux_max']} / {meas['n_powers']}, which rounds to 0")
     try:  # the checks of the library's dataclasses
         spec = _parse_lattice(read) if "lattice" in read else None
         readouts = _parse_readout(read["readout"], spec) if "readout" in read else None

@@ -356,11 +356,13 @@ def fit_ringdowns(times, powers, skip_fraction: float = 0.1):
     with a warning.
 
     The rows are cut into chunks and fitted on every CPU the process may
-    use, as :mod:`omlattice._runtime` describes, at least one chunk per CPU.
-    A row counts for its work in one iteration of the kernel, the ``m + n /
-    m`` values of :class:`_UniformGrid` (49 for 360 samples), not for its
-    ``n`` samples.  Each chunk checks its rows' grid, then makes one
-    :func:`_fit_chunk` call.  No sum mixes rows, so the results are
+    use, as :mod:`omlattice._runtime` describes: a stack of at most one
+    chunk of work, as a criterion-5 chain's or the 24-site flake's, is
+    fitted on the calling thread.  A row counts for its work in one
+    iteration of the kernel, the ``m + n / m`` values of
+    :class:`_UniformGrid` (49 for 360 samples), not for its ``n`` samples.
+    Each chunk checks its rows' grid, then makes one :func:`_fit_chunk`
+    call.  No sum mixes rows, so the results are
     bit-identical to a row-by-row fit whatever the number of CPUs.
     """
     times = np.atleast_2d(np.asarray(times, dtype=float))
@@ -437,12 +439,7 @@ def _grid_moments(u, n, total=None):
     ``1 / expm1(x) - n / expm1(n x)`` and variance ``1 / (4 sinh^2(x/2)) -
     n^2 / (4 sinh^2(n x/2))``, with ``4 sinh^2(y/2) = -expm1(y) expm1(-y)``;
     below :data:`_SERIES_SPAN` the mean and variance take their power
-    series instead.  No array holds more than two values per row.  numpy
-    hands the interpreter lock to another thread in every call on more than
-    500 values, so on chunks of more than 250 rows these calls do; at 500
-    rows, a criterion-5 stack on two CPUs, splitting them into halves that
-    keep the lock changed nothing measurable (17.0 against 17.1 ms per fit,
-    medians of 120 interleaved fits)."""
+    series instead.  No array holds more than two values per row."""
     x = np.multiply.outer((1.0, 2.0), u)
     nx = n * x
     plus, plus_n = np.expm1(x), np.expm1(nx)

@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
+import textwrap
 import threading
 import tracemalloc
 from collections.abc import Mapping, MutableMapping
@@ -222,6 +226,31 @@ class TestSimulateMeasurement:
             offset = window.stop
         assert offset == data.shape[1]
 
+    @pytest.mark.parametrize("ragged", [False, True], ids=["full-length", "ragged"])
+    def test_trace_file_is_np_save_of_the_present_samples(self, tmp_path, set_trace, ragged):
+        # full-length traces are written as the arrays' own bytes and loaded
+        # as views of the block read; a ragged dataset (one trace cut short,
+        # one missing) goes through the mask and the zero-padded scatter
+        h, sites, readouts = small_setup(seed=5)
+        ds = om.simulate_measurement(h, sites, readouts, np.linspace(1e14, 5e14, 3), master_seed=2,
+                                     snr=80.0, samples_per_trace=30)
+        if ragged:
+            old = ds.traces[(1, 2, 0)]
+            set_trace(ds, (1, 2, 0), om.RingdownTrace(old.times[:12], old.powers[:12],
+                                                      old.true_gamma_eff))
+            ds.samples[2, 0, 1] = 0
+        present = np.arange(30) < ds.samples[..., None]
+        np.save(tmp_path / "expected.npy", np.stack((ds.times[present], ds.powers[present])))
+        ds.save(tmp_path / "dataset")
+        written = (tmp_path / "dataset" / "traces" / "traces.npy").read_bytes()
+        assert written == (tmp_path / "expected.npy").read_bytes()
+        loaded = om.MeasurementDataset.load(tmp_path / "dataset")
+        times, powers = np.zeros((2, *ds.samples.shape, 30))
+        times[present], powers[present] = ds.times[present], ds.powers[present]
+        assert np.array_equal(loaded.times, times) and np.array_equal(loaded.powers, powers)
+        assert loaded.times.flags.writeable and loaded.powers.flags.writeable
+        assert loaded.times.base is not None and loaded.times.base is loaded.powers.base
+
     @pytest.mark.parametrize("snr", [60.0, None])
     def test_trace_equals_simulate_ringdown_with_documented_seed(self, snr):
         # trace (k, i, p) is the noiseless simulate_ringdown trace plus column
@@ -331,6 +360,42 @@ class TestSimulateMeasurement:
                 assert started_threads == []
         assert diagonalized == [threading.get_ident()] * 3 and len(started_threads) == 2
         assert np.array_equal(powers[2], powers[1]) and np.array_equal(powers[8], powers[1])
+
+    def test_noise_block_beyond_memory_fails_at_its_first_allocation(self):
+        # samples_per_trace at io.MAX_ARRAY_VALUES, in a child whose address
+        # space is capped at 2 GiB: the noise runs are sized without a list
+        # of them (row_chunks would fail the child), so the noiseless
+        # block's first array, the 128 TiB sample index, is the first
+        # allocation of the run's size, and it fails at once
+        child = textwrap.dedent("""
+            import resource
+            import omlattice as om
+            from omlattice import _runtime, io
+
+            def listed(*args):
+                raise AssertionError("the noise runs were listed")
+
+            _runtime.row_chunks = listed
+            h = om.build_ssh_chain(2, om.Couplings(j=4e8, j_prime=6e8, j2=5e7),
+                                   [7.12e9, 7.13e9, 7.11e9, 7.12e9])
+            sites = tuple(om.SiteParams(cavity_freq=7.12e9, mech_freq=2.1e6 + 3e4 * i,
+                                        mech_linewidth=10.0, g0=10.0) for i in range(4))
+            readouts = (om.ModeReadout(kappa_tot=2e6, kappa_1=2.5e5, kappa_2=2.5e5,
+                                       transmittance=1.0),) * 4
+            resource.setrlimit(resource.RLIMIT_AS,
+                               (2**31, resource.getrlimit(resource.RLIMIT_AS)[1]))
+            try:
+                om.simulate_measurement(h, sites, readouts, [1e14, 6e14], master_seed=21,
+                                        snr=60.0, samples_per_trace=io.MAX_ARRAY_VALUES)
+            except MemoryError as exc:
+                print(exc)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(om.__file__).resolve().parent.parent))
+        done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("Unable to allocate 128. TiB for an array with shape "
+                                      "(17592186044416,)")
 
     def test_fewer_samples_draw_a_prefix_of_the_noise_rows(self):
         h, sites, readouts = small_setup(seed=3)

@@ -135,6 +135,8 @@ OUTSIDE_THE_MODEL = [
     ("measure-sim", "measurement", "drive_flux_max", "-1e14"),
     ("measure-sim", "measurement", "drive_flux_max", "nan"),
     ("measure-sim", "measurement", "drive_flux_max", "inf"),
+    # the weakest drive, drive_flux_max / n_powers, rounds to 0
+    ("measure-sim", "measurement", "drive_flux_max", "5e-324"),
     ("measure-sim", "measurement", "seed", "-3"),
     ("disorder", "disorder", "seed", "-3"),
     ("disorder", "disorder", "samples", "0"),

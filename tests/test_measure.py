@@ -442,9 +442,9 @@ def _assert_same_fits(got, expected):
 
 
 class TestFitOnEveryCpu:
-    """fit_ringdowns cuts a stack into chunks fitted on this thread and one
-    helper thread per further CPU; no result depends on the cut or on the
-    threads."""
+    """fit_ringdowns cuts a stack into the fewest chunks of at most
+    CHUNK_VALUES values of work, fitted on this thread and one helper thread
+    per further CPU; no result depends on the cut or on the threads."""
 
     @pytest.fixture
     def chunks(self, monkeypatch):
@@ -462,12 +462,13 @@ class TestFitOnEveryCpu:
         return calls
 
     # a row of 126 samples (140 less the skipped head) is 42 + 3 values of
-    # the kernel's work, so each stack fits in one chunk of 2**16 values and
-    # is cut into one chunk per CPU
+    # the kernel's work: the flake's 1,152 rows fit in one chunk of 2**16
+    # values, fitted on this thread, and one row more than a chunk holds
+    # makes two chunks, fitted on two threads
     @pytest.mark.parametrize("rows, expected_chunks", [
         (1, [1]),
-        (2**16 // 126 + 1, [261, 260]),
-        (1152, [576, 576]),
+        (1152, [1152]),
+        (2**16 // 45 + 1, [729, 728]),
     ])
     def test_stack_fits_bit_for_bit_like_row_by_row(self, monkeypatch, chunks, rows,
                                                     expected_chunks):
@@ -482,10 +483,10 @@ class TestFitOnEveryCpu:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_rows_off_the_grid_are_refused_naming_the_lowest(self, monkeypatch, cpus):
-        # one chunk per CPU: on 3, chunks of 384 rows, jittered rows 700 and
-        # 1000 in the second and third; row 500, off the grid in its skipped
-        # head alone (its samples from 14 on lie on one), so rows are checked
-        # as given
+        # three chunks of 384 rows, jittered rows 700 and 1000 in the second
+        # and third; row 500, off the grid in its skipped head alone (its
+        # samples from 14 on lie on one), so rows are checked as given
+        monkeypatch.setattr(_runtime, "CHUNK_VALUES", 384 * 45)
         monkeypatch.setattr(_runtime, "cpu_count", lambda: cpus)
         times, powers = _stack_with_degenerate_rows(1152, 140)
         jittered, _ = _random_traces(np.random.default_rng(31), 2, 140, jitter=True)
@@ -500,17 +501,20 @@ class TestFitOnEveryCpu:
 
     @pytest.mark.parametrize("cpus", [2, 3, 8])
     def test_threads_give_the_results_of_the_inline_path(self, monkeypatch, chunks, cpus):
+        # a criterion-5 sized stack, 49 values a row: one chunk on this
+        # thread, then eight chunks of 125 rows on every CPU
         times, powers = _stack_with_degenerate_rows(1000, 400, seed=11)
-        monkeypatch.setattr(_runtime, "cpu_count", lambda: 1)
-        inline = om.fit_ringdowns(times, powers)
-        assert {call.thread for call in chunks} == {threading.current_thread().name}
-        chunks.clear()
         monkeypatch.setattr(_runtime, "cpu_count", lambda: cpus)
+        inline = om.fit_ringdowns(times, powers)
+        assert [(call.rows, call.thread) for call in chunks] == [
+            (1000, threading.current_thread().name)]
+        chunks.clear()
+        monkeypatch.setattr(_runtime, "CHUNK_VALUES", 125 * 49)
         caller_cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
         before = threading.active_count()
         _assert_same_fits(om.fit_ringdowns(times, powers), inline)
         assert threading.active_count() == before
-        assert len(chunks) == cpus and "omlattice-fit" in {call.thread for call in chunks}
+        assert len(chunks) == 8 and "omlattice-fit" in {call.thread for call in chunks}
         if caller_cpus is not None:
             # each helper pinned to one CPU; the calling thread left as it was
             assert all(len(call.cpus) == 1 for call in chunks if call.thread == "omlattice-fit")
@@ -540,6 +544,7 @@ class TestFitOnEveryCpu:
         times, powers = _stack_with_degenerate_rows(300, 140, seed=5)
         monkeypatch.setattr(_runtime, "cpu_count", lambda: 1)
         inline = om.fit_ringdowns(times, powers)
+        monkeypatch.setattr(_runtime, "CHUNK_VALUES", 150 * 45)  # two chunks
         monkeypatch.setattr(_runtime, "cpu_count", lambda: 2)
         monkeypatch.setattr(os, "sched_setaffinity", refuse)
         _assert_same_fits(om.fit_ringdowns(times, powers), inline)
@@ -574,28 +579,33 @@ class TestFitOnEveryCpu:
                                                   for lo in range(0, 400, 58)]
 
     @pytest.mark.parametrize("cpus, rows, values, sizes", [
+        # a stack of one chunk of work is one chunk, whatever the CPUs
         (1, 1000, 49, [1000]),
-        (2, 1000, 49, [500, 500]),
-        (8, 1000, 49, [125] * 8),
-        # more chunks than CPUs when the values call for them
+        (2, 1000, 49, [1000]),
+        (8, 1000, 49, [1000]),
+        (2, 1152, 45, [1152]),
+        # the fewest chunks of at most 2**16 values, whatever the CPUs
+        (2, 2**16 // 45 + 1, 45, [729, 728]),
         (2, 4000, 100, [572] * 6 + [568]),
+        (8, 4000, 100, [572] * 6 + [568]),
         # no chunk without a row
-        (8, 3, 49, [1, 1, 1]),
+        (2, 3, 10**5, [1, 1, 1]),
         (2, 1, 10**6, [1]),
     ])
-    def test_chunks_hold_at_most_a_chunk_of_values_and_are_at_least_one_per_cpu(
-            self, monkeypatch, cpus, rows, values, sizes):
+    def test_chunks_are_the_fewest_of_at_most_a_chunk_of_values(self, monkeypatch, cpus, rows,
+                                                                 values, sizes):
         monkeypatch.setattr(_runtime, "cpu_count", lambda: cpus)
         chunks = _runtime.row_chunks(rows, values)
         assert [c.stop - c.start for c in chunks] == sizes
+        assert _runtime.chunk_rows(rows, values) == sizes[0]
         assert chunks[0].start == 0 and chunks[-1].stop == rows
         assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
 
     def test_fit_peak_memory_does_not_grow_with_the_chunk(self, monkeypatch, random_chain):
-        # a criterion-5 stack: two chunks of 500 rows of 360 samples in
-        # flight; the grid check and the residual work in blocks of 2**16
-        # values and the exp buffer is reused, so that the peak stays below
-        # the size of either input (3.2 MB)
+        # a criterion-5 stack: one chunk of 1,000 rows of 360 samples; the
+        # grid check and the residual work in blocks of 2**16 values and the
+        # exp buffer is reused, so that the peak stays below the size of
+        # either input (3.2 MB)
         paper = om.Couplings(j=470e6, j_prime=700e6, j2=100e6, j3=27e6, j3_prime=37e6)
         h, sites, readouts = random_chain(1000, paper)
         flux = om.calibrate_drive_flux(h, sites, readouts)
@@ -621,6 +631,7 @@ class TestFitOnEveryCpu:
             return real(t, p)
 
         monkeypatch.setattr(measure, "_fit_chunk", failing_second)
+        monkeypatch.setattr(_runtime, "CHUNK_VALUES", 576 * 45)  # two chunks
         monkeypatch.setattr(_runtime, "cpu_count", lambda: 2)
         times, powers = _stack_with_degenerate_rows(1152, 140)
         before = threading.active_count()
